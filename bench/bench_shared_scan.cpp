@@ -1,24 +1,32 @@
 // Shared data-acquisition plane bench (comm::ScanBroker).
 //
-// Sweeps the number of co-located AQs over one 8-mote sensor table from 1
-// to 256 and runs every point twice: with the broker coalescing scans
-// (Config::shared_scans = true) and with private per-AQ scans (the
-// pre-broker baseline, shared_scans = false). Reports, per point and mode:
+// Sweeps the number of co-located continuous queries over one 8-mote
+// sensor table from 1 to 256 and runs every point twice: with the broker
+// coalescing scans (Config::shared_scans = true) and with private
+// per-subscription scans (the pre-broker baseline, shared_scans = false).
+// Each query is a plain broker subscriber on the engine's plane that
+// detects rising edges of accel_x > 500 per device itself: the bench
+// measures acquisition topology (N private scans vs one shared sweep),
+// which the executor's delivery groups would hide by collapsing N
+// identical AQs onto one subscription. Matching cost has its own sweep
+// in bench_eval. Reports, per point and mode:
 //
 //   * sensory read_attr RPCs per engine epoch (the radio bill),
 //   * tuples delivered to subscribers per epoch,
 //   * batch fan-out latency p50/p99 (tick -> last delivery, simulated ms),
-//   * total rising-edge events detected across the AQs.
+//   * total rising-edge events detected across the queries.
 //
-// Acceptance: at 32 AQs the shared plane issues >= 5x fewer sensory RPCs
-// per epoch than the private baseline, while every AQ detects the exact
-// same events (same seed, same signals). Violations exit non-zero.
+// Acceptance: at 32 queries the shared plane issues >= 5x fewer sensory
+// RPCs per epoch than the private baseline, while every query detects the
+// exact same events (same seed, same signals). Violations exit non-zero.
 //
 // Everything runs in simulated time on the deterministic event loop;
 // writes results/bench_shared_scan.json.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,12 +48,32 @@ struct ModeResult {
   double latency_p50_ms = 0.0;
   double latency_p99_ms = 0.0;
   std::uint64_t events_total = 0;
-  // Per-AQ event counts, for the identical-results check across modes.
+  // Per-query event counts, for the identical-results check across modes.
   std::vector<std::uint64_t> events_per_aq;
 };
 
-// One run: `aqs` identical-threshold AQs over the same sensor table, with
-// the shared plane on or off. The spike signals are seconds wide, so the
+// One continuous query `SELECT s.accel_x FROM sensor s WHERE
+// s.accel_x > 500`, evaluated on its own broker subscription: an event is
+// a device's rising edge of the predicate. A device missing from a batch
+// (unreachable) keeps its previous state.
+struct EdgeCounter {
+  std::map<std::string, bool> last;  // per device: predicate held last time
+  std::uint64_t events = 0;
+
+  void on_batch(const std::vector<aorta::comm::Tuple>& tuples) {
+    for (const aorta::comm::Tuple& t : tuples) {
+      double x = 0.0;
+      bool now = aorta::device::value_as_double(t.get("accel_x"), &x) &&
+                 x > 500.0;
+      bool& was = last[t.source_device()];
+      if (now && !was) ++events;
+      was = now;
+    }
+  }
+};
+
+// One run: `aqs` identical-threshold queries over the same sensor table,
+// with the shared plane on or off. The spike signals are seconds wide, so the
 // millisecond-level acquisition-latency differences between the two modes
 // cannot flip an epoch-level edge detection — event counts must match.
 // `trace_path`, when set, turns on span tracing for the run and exports
@@ -55,11 +83,6 @@ ModeResult run_mode(int aqs, bool shared, const char* trace_path = nullptr) {
   aorta::core::Config cfg;
   cfg.seed = 42;
   cfg.shared_scans = shared;
-  // This bench measures per-AQ acquisition topology (N private scans vs
-  // one shared sweep); predicate-index delivery groups would collapse the
-  // N identical subscriptions to one and hide exactly the RPC cost the
-  // gate pins. Matching cost has its own sweep in bench_eval.
-  cfg.predicate_index = false;
   cfg.tracing = trace_path != nullptr;
   aorta::core::Aorta sys(cfg);
   // Lossless, jitter-free links on BOTH ends: the engine's default LAN link
@@ -81,16 +104,15 @@ ModeResult run_mode(int aqs, bool shared, const char* trace_path = nullptr) {
             Duration::seconds(static_cast<double>(i))));
   }
 
+  std::vector<std::unique_ptr<EdgeCounter>> queries;
   for (int q = 0; q < aqs; ++q) {
-    std::string name = "aq" + std::to_string(q);
-    auto r = sys.exec("CREATE AQ " + name +
-                      " AS SELECT s.accel_x FROM sensor s "
-                      "WHERE s.accel_x > 500");
-    if (!r.is_ok()) {
-      std::fprintf(stderr, "CREATE AQ failed: %s\n",
-                   r.status().to_string().c_str());
-      std::exit(2);
-    }
+    queries.push_back(std::make_unique<EdgeCounter>());
+    (void)sys.scan_broker().subscribe(
+        "sensor", {"accel_x"}, 1,
+        [counter = queries.back().get()](
+            const std::vector<aorta::comm::Tuple>& tuples, std::uint64_t) {
+          counter->on_batch(tuples);
+        });
   }
   sys.run_for(Duration::seconds(kSimSeconds));
   if (trace_path != nullptr) {
@@ -114,12 +136,9 @@ ModeResult run_mode(int aqs, bool shared, const char* trace_path = nullptr) {
   const aorta::util::Summary& lat = broker.batch_latency_ms();
   m.latency_p50_ms = lat.empty() ? 0.0 : lat.percentile(50.0);
   m.latency_p99_ms = lat.empty() ? 0.0 : lat.percentile(99.0);
-  for (int q = 0; q < aqs; ++q) {
-    const aorta::query::QueryStats* qs =
-        sys.query_stats("aq" + std::to_string(q));
-    std::uint64_t events = qs != nullptr ? qs->events : 0;
-    m.events_per_aq.push_back(events);
-    m.events_total += events;
+  for (const auto& query : queries) {
+    m.events_per_aq.push_back(query->events);
+    m.events_total += query->events;
   }
   return m;
 }

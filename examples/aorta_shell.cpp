@@ -17,6 +17,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/aorta.h"
 #include "util/strings.h"
@@ -54,10 +55,20 @@ void print_stats(core::Aorta& sys) {
               static_cast<unsigned long long>(stats.locks.wait_timeouts));
 }
 
+// TRACE shows the query-level spans: fired events, action requests,
+// batches and outcomes, and device health transitions.
+bool query_level(const obs::Span& span) {
+  return span.cat == obs::SpanCat::kAction ||
+         span.cat == obs::SpanCat::kHealth ||
+         (span.cat == obs::SpanCat::kEval && span.name.rfind("event:", 0) == 0);
+}
+
 }  // namespace
 
 int main() {
-  core::Aorta sys(core::Config{});
+  core::Config config;
+  config.tracing = true;  // TRACE reads the span tracer
+  core::Aorta sys(config);
 
   (void)sys.add_camera("cam1", "192.168.0.90", {{0, 0, 3}, 0.0});
   (void)sys.add_camera("cam2", "192.168.0.91", {{10, 8, 3}, 180.0});
@@ -92,7 +103,7 @@ int main() {
         std::printf("meta commands:\n"
                     "  RUN <seconds>   advance simulated time\n"
                     "  STATS           system counters\n"
-                    "  TRACE [n]       last n engine trace entries\n"
+                    "  TRACE [n]       last n query-level trace spans\n"
                     "  RESULTS <aq>    recent rows of a continuous query\n"
                     "  QUIT            leave\n"
                     "statements: CREATE ACTION / CREATE AQ / SELECT /\n"
@@ -114,14 +125,16 @@ int main() {
           limit = static_cast<std::size_t>(
               std::max(1, std::atoi(trimmed.substr(6).c_str())));
         }
-        const auto& trace = sys.executor().trace();
+        std::vector<obs::Span> trace;
+        for (obs::Span& span : sys.tracer().snapshot()) {
+          if (query_level(span)) trace.push_back(std::move(span));
+        }
         std::size_t start = trace.size() > limit ? trace.size() - limit : 0;
         for (std::size_t i = start; i < trace.size(); ++i) {
-          const auto& entry = trace[i];
-          std::printf("  [%10.3f] %-8s %-12s %s\n", entry.at.to_seconds(),
-                      entry.kind.c_str(),
-                      entry.query.empty() ? "-" : entry.query.c_str(),
-                      entry.detail.c_str());
+          const obs::Span& span = trace[i];
+          std::printf("  [%10.3f] %-8s %-24s %s\n", span.start.to_seconds(),
+                      std::string(obs::span_cat_name(span.cat)).c_str(),
+                      span.name.c_str(), span.detail.c_str());
         }
         if (trace.empty()) std::printf("  (trace empty)\n");
         std::printf("aorta> ");

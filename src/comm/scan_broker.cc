@@ -432,7 +432,7 @@ void ScanBroker::finalize_batch(const std::shared_ptr<Batch>& batch) {
   }
   batch->waiters.clear();
 
-  // Let staged consumers (predicate-index delivery groups) process this
+  // Let staged consumers (the executor's delivery groups) process this
   // batch's fan-out in one pass at the same virtual time, before the tick
   // barrier can fire the executor's flush.
   if (delivery_epilogue_) delivery_epilogue_();

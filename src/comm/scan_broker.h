@@ -1,9 +1,11 @@
 // ScanBroker: the shared data-acquisition plane of the communication layer.
 //
-// The per-query ScanOperator of Section 3.2 gives every continuous query
-// its own private acquisition path, so N co-located queries over the same
-// device table pay N full sensory sweeps per epoch — O(N x D) read_attr
-// round trips where the radio only needs O(D). The broker refactors
+// Section 3.2's scan operators read device tuples from the virtual device
+// tables: non-sensory attributes from the registry's static cache, one
+// read_attr round trip per needed sensory attribute per device. Run
+// privately per query, N co-located queries over the same device table
+// pay N full sensory sweeps per epoch — O(N x D) round trips where the
+// radio only needs O(D). The broker, the only scan path, turns
 // acquisition into a subscription model:
 //
 //   * AQs (and ad-hoc SELECT scans) register a *subscription* carrying the
@@ -21,7 +23,7 @@
 //     freshness window is served from cache without touching the radio.
 //   * The resulting tuple batch is fanned out to every due subscriber,
 //     each seeing only its own projected attributes, with the per-query
-//     unreachable-device semantics of the private operator preserved: a
+//     unreachable-device semantics of a private scan preserved: a
 //     device whose *needed* sensory reads all failed contributes no row
 //     to that subscriber.
 //
@@ -135,10 +137,9 @@ class ScanBroker {
 
   // Delivery epilogue (nullable = off): fires after each batch's fan-out
   // completes — every due waiter served, same virtual time as the last
-  // delivery, before the tick barrier advances. The executor's predicate-
-  // index path processes its staged per-group batches here so side effects
-  // (hooks, actions, traces) run in one deterministic registration-order
-  // pass per batch, exactly where the exhaustive per-AQ callbacks ran.
+  // delivery, before the tick barrier advances. The executor processes its
+  // staged per-group batches here so side effects (hooks, actions, traces)
+  // run in one deterministic registration-order pass per batch.
   void set_delivery_epilogue(std::function<void()> epilogue) {
     delivery_epilogue_ = std::move(epilogue);
   }

@@ -75,10 +75,6 @@ Aorta::Aorta(Config config)
     // Surface quarantine/recovery next to query events in the trace.
     health_->set_transition_hook([this](const device::DeviceId& id,
                                         HealthState from, HealthState to) {
-      executor_->record_trace(query::TraceEntry{
-          loop_->now(), "", "health",
-          id + ": " + std::string(health_state_name(from)) + " -> " +
-              std::string(health_state_name(to))});
       AORTA_TRACE_INSTANT(&tracer_, obs::SpanCat::kHealth, "transition:" + id,
                           loop_->now(),
                           std::string(health_state_name(from)) + " -> " +

@@ -49,21 +49,24 @@ struct Config {
   // Failover: how many times a failed action request is rescheduled on its
   // remaining candidate devices.
   int max_retries = 1;
-  // Shared data-acquisition plane (comm::ScanBroker). When on, co-located
-  // queries over the same device table share one batched sensory sweep
-  // per epoch and concurrent (device, attr) reads are deduplicated; off
-  // reverts to per-query private scans (the pre-broker baseline, kept for
-  // bench_shared_scan's ablation).
+  // Shared data-acquisition plane (comm::ScanBroker). When on, broker
+  // subscriptions over the same device table share one batched sensory
+  // sweep per epoch and concurrent (device, attr) reads are deduplicated;
+  // off gives every subscription its own private scan (the pre-broker
+  // baseline, bench_shared_scan's ablation arm). AQs of one delivery group
+  // share a single subscription either way.
   bool shared_scans = true;
   // Sensory values younger than this are served from the broker's cache
   // instead of a new radio round trip. Zero disables caching (in-flight
   // dedup still applies).
   aorta::util::Duration scan_freshness = aorta::util::Duration::zero();
   // Predicate-index matching (query/predicate_index.h): registered AQs'
-  // compiled event predicates are indexed per device type so each swept
+  // compiled event predicates are indexed per delivery group so each swept
   // tuple evaluates only candidate queries — sub-linear in the AQ count.
-  // false reverts to exhaustive per-AQ evaluation (byte-identical output;
-  // the ablation arm of bench_eval's matching sweep).
+  // false skips the index probe: AQs join the same delivery groups with no
+  // index constraint and every member runs its programs on every tuple
+  // (same subscriptions, byte-identical output; the ablation arm of
+  // bench_eval's matching sweep).
   bool predicate_index = true;
   // Shared-aggregate cache (query/agg_cache.h): continuous aggregate AQs
   // with the same canonical query hash (normalized predicates + window

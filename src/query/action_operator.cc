@@ -59,9 +59,9 @@ void ActionOperator::flush(std::function<void()> done) {
       }
       if (live.empty()) {
         ++query_stats_[r.query_id].no_candidate;
-        if (trace_) {
-          trace_(r.query_id, "outcome",
-                 action_->name + ": no candidate (all quarantined)");
+        if (outcomes_observed()) {
+          report_outcome(r.query_id,
+                         action_->name + ": no candidate (all quarantined)");
         }
         continue;
       }
@@ -176,13 +176,11 @@ void ActionOperator::run_batch(std::vector<sched::ActionRequest> batch,
   sched::ScheduleResult schedule = scheduler_->schedule(
       schedulable, devices, *action_->cost_model, rng_);
   stats_.service_makespan_s.add(schedule.service_makespan_s);
-  if (trace_) {
-    trace_("", "batch",
-           action_->name + ": " + std::to_string(schedulable.size()) +
-               " request(s) on " + std::to_string(devices.size()) +
-               " device(s), planned makespan " +
-               aorta::util::str_format("%.2fs", schedule.service_makespan_s));
-  }
+  AORTA_TRACE_INSTANT(
+      tracer_, obs::SpanCat::kAction, "batch:" + action_->name, loop_->now(),
+      std::to_string(schedulable.size()) + " request(s) on " +
+          std::to_string(devices.size()) + " device(s), planned makespan " +
+          aorta::util::str_format("%.2fs", schedule.service_makespan_s));
 
   // Execute through the registered action implementation, under locks.
   auto execute_fn = [this](const device::DeviceId& device,
@@ -258,13 +256,13 @@ void ActionOperator::run_batch(std::vector<sched::ActionRequest> batch,
           } else {
             ++qs.degraded;
           }
-          if (trace_) {
+          if (outcomes_observed()) {
             std::string where = item == nullptr ? "?" : item->device;
             std::string what =
                 failed ? "failed"
                        : (it->second.usable() ? "usable" : it->second.detail);
-            trace_(r.query_id, "outcome",
-                   action_->name + " on " + where + ": " + what);
+            report_outcome(r.query_id,
+                           action_->name + " on " + where + ": " + what);
           }
         }
 
@@ -275,6 +273,13 @@ void ActionOperator::run_batch(std::vector<sched::ActionRequest> batch,
         run_batch(std::move(retry), std::move(probes), std::move(done),
                   attempt + 1);
       });
+}
+
+void ActionOperator::report_outcome(const std::string& query,
+                                    const std::string& detail) {
+  AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kAction, "outcome:" + query,
+                      loop_->now(), detail);
+  if (outcome_sink_) outcome_sink_(query, loop_->now(), detail);
 }
 
 }  // namespace aorta::query

@@ -20,6 +20,7 @@
 #include <memory>
 
 #include "device/health.h"
+#include "obs/trace.h"
 #include "query/catalog.h"
 #include "sched/scheduler.h"
 #include "sync/lock_manager.h"
@@ -38,6 +39,13 @@ struct QueryActionStats {
 
   std::uint64_t total_bad() const { return degraded + failed + no_candidate; }
 };
+
+// Receives one per-request action outcome: the originating query, the
+// virtual time the outcome was decided and a readable detail
+// ("photo on cam1: usable").
+using OutcomeSink = std::function<void(const std::string& query,
+                                       aorta::util::TimePoint at,
+                                       const std::string& detail)>;
 
 struct ActionOperatorStats {
   std::uint64_t batches = 0;
@@ -76,13 +84,11 @@ class ActionOperator {
 
   const std::string& action_name() const { return action_->name; }
 
-  // Observability hook: called with (query_id, kind, detail) at batch
-  // scheduling and per-request outcome. Query id is empty for
-  // batch-level entries.
-  using TraceFn = std::function<void(const std::string& query,
-                                     const std::string& kind,
-                                     const std::string& detail)>;
-  void set_trace(TraceFn trace) { trace_ = std::move(trace); }
+  // Per-request outcome hook (nullable = off).
+  void set_outcome_sink(OutcomeSink sink) { outcome_sink_ = std::move(sink); }
+  // Span tracing (nullable = off): a `batch` instant per scheduling round
+  // and an `outcome` instant per request outcome.
+  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   // Deposit one instantiated request (already tagged with its query id).
   void enqueue(sched::ActionRequest request);
@@ -107,6 +113,11 @@ class ActionOperator {
   void run_batch(std::vector<sched::ActionRequest> batch,
                  std::vector<sync::ProbeInfo> probes, std::function<void()> done,
                  int attempt);
+  // Outcome details are only formatted when a sink or live tracer listens.
+  bool outcomes_observed() const {
+    return outcome_sink_ || AORTA_TRACE_ENABLED(tracer_);
+  }
+  void report_outcome(const std::string& query, const std::string& detail);
 
   const ActionDef* action_;
   sync::Prober* prober_;
@@ -123,7 +134,8 @@ class ActionOperator {
   ActionOperatorStats stats_;
   std::map<std::string, QueryActionStats> query_stats_;
   std::vector<sched::ScheduleResult> schedule_history_;
-  TraceFn trace_;
+  OutcomeSink outcome_sink_;
+  obs::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace aorta::query

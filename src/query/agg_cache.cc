@@ -496,21 +496,23 @@ void AggregateCache::on_batch(std::uint64_t entry_id,
   // of the closing sample's tick.
   if ((sample + 1) % entry.slide != 0) return;
   const std::uint64_t pane = sample / entry.slide;
-  std::vector<std::pair<Subscriber*, TimestampedRow>> out;
+  std::vector<std::pair<std::uint64_t, TimestampedRow>> out;
   close_pane(entry, pane, &out);
   // Deliveries run after all state mutation: an on_row hook may drop or
-  // register AQs, so each staged row re-resolves its subscriber first.
-  for (auto& [sub, row] : out) {
-    auto sit = subs_by_gen_.find(sub->generation);
-    if (sit == subs_by_gen_.end() || sit->second.get() != sub) continue;
+  // register AQs, so each staged row re-resolves its subscriber by
+  // generation first.
+  for (auto& [generation, row] : out) {
+    auto sit = subs_by_gen_.find(generation);
+    if (sit == subs_by_gen_.end()) continue;
+    Subscriber& sub = *sit->second;
     ++stats_.emissions;
-    sub->emit(sub->name, row);
+    sub.emit(sub.name, row);
   }
 }
 
 void AggregateCache::close_pane(
     Entry& entry, std::uint64_t pane,
-    std::vector<std::pair<Subscriber*, TimestampedRow>>* out) {
+    std::vector<std::pair<std::uint64_t, TimestampedRow>>* out) {
   ++stats_.panes_closed;
   const std::uint64_t low_pane =
       pane + 1 >= entry.window_panes ? pane + 1 - entry.window_panes : 0;
@@ -569,7 +571,8 @@ void AggregateCache::close_pane(
       for (const SubItem& item : sub->items) {
         row.emplace_back(item.label, finalize(group, item, &degraded));
       }
-      out->emplace_back(sub, TimestampedRow{now, std::move(row), degraded});
+      out->emplace_back(generation,
+                        TimestampedRow{now, std::move(row), degraded});
     }
   }
 }

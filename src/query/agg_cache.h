@@ -204,8 +204,9 @@ class AggregateCache {
 
   void on_batch(std::uint64_t entry_id, const std::vector<comm::Tuple>& tuples,
                 std::uint64_t issue_tick);
+  // Stages (subscriber generation, row) emissions into `out`.
   void close_pane(Entry& entry, std::uint64_t pane,
-                  std::vector<std::pair<Subscriber*, TimestampedRow>>* out);
+                  std::vector<std::pair<std::uint64_t, TimestampedRow>>* out);
   device::Value finalize(const GroupState& group, const SubItem& item,
                          bool* degraded) const;
 

@@ -78,19 +78,17 @@ ContinuousQueryExecutor::ContinuousQueryExecutor(
                                << "', falling back to SRFAE";
     scheduler_ = sched::make_scheduler("SRFAE");
   }
-  if (options_.predicate_index) {
-    // Staged group batches are processed at each broker batch's delivery
-    // epilogue: the same virtual time as the fan-out, before the tick
-    // barrier can flush action operators.
-    broker_->set_delivery_epilogue([this]() { process_staged(); });
-  }
+  // Staged group batches are processed at each broker batch's delivery
+  // epilogue: the same virtual time as the fan-out, before the tick
+  // barrier can flush action operators.
+  broker_->set_delivery_epilogue([this]() { process_staged(); });
   agg_cache_ = std::make_unique<AggregateCache>(
       broker_, loop_, catalog_,
       AggregateCache::Options{options_.aggregate_cache});
 }
 
 ContinuousQueryExecutor::~ContinuousQueryExecutor() {
-  if (options_.predicate_index) broker_->set_delivery_epilogue({});
+  broker_->set_delivery_epilogue({});
 }
 
 Status ContinuousQueryExecutor::register_aq(const std::string& name,
@@ -140,32 +138,23 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
   if (has_agg) {
     // Continuous aggregate: evaluation and window emission live in the
     // shared AggregateCache (one broker subscription + one incremental
-    // accumulation per canonical query hash), not in a delivery group or
-    // private subscription. The emit callback re-resolves the query by
-    // name + generation: a drop + re-register between pane close and
-    // delivery must not feed the new registration.
-    aq->agg = true;
+    // accumulation per canonical query hash), not in a delivery group. The
+    // emit callback re-resolves the query by generation: a drop +
+    // re-register between pane close and delivery must not feed the new
+    // registration.
     Status attached = agg_cache_->attach(
         name, aq->generation, aq->compiled, aq->epoch_ticks,
         static_cast<double>(aq->epoch_ticks) * options_.epoch.to_seconds(),
-        [this, generation = aq->generation](const std::string& qname,
+        [this, generation = aq->generation](const std::string&,
                                             const TimestampedRow& row) {
-          auto found = queries_.find(qname);
-          if (found == queries_.end() ||
-              found->second->generation != generation) {
-            return;
-          }
-          Aq& owner = *found->second;
-          ++owner.stats.events;
-          if (owner.hooks.on_row) owner.hooks.on_row(qname, row);
-          owner.results.push_back(row);
-          while (owner.results.size() > kResultCap) owner.results.pop_front();
+          deliver_agg_row(generation, row);
         });
     if (!attached.is_ok()) return attached;
     AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kRegister, "register:" + name,
                         loop_->now(),
                         "aggregate every " + std::to_string(aq->epoch_ticks) +
                             " tick(s)");
+    by_generation_.emplace(aq->generation, aq.get());
     queries_.emplace(name, std::move(aq));
     return Status::ok();
   }
@@ -184,82 +173,55 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
   auto it = aq->compiled.needed_attrs.find(aq->compiled.event_alias);
   if (it != aq->compiled.needed_attrs.end()) needed = it->second;
 
-  if (options_.predicate_index) {
-    // Indexed path: AQs with the same (type, period, phase, needed) share
-    // one subscription + one compiled-predicate index. The phase mirrors
-    // what a fresh subscription would get (tick_count % period), so a
-    // member joins an existing group only when that group's batches fire
-    // exactly when its own private subscription would have.
-    device::DeviceTypeId type = aq->compiled.event_type();
-    std::uint64_t phase = broker_->tick_count() % aq->epoch_ticks;
-    GroupKey key{type, aq->epoch_ticks, phase, needed};
-    auto git = groups_.find(key);
-    if (git == groups_.end()) {
-      auto group = std::make_unique<DeliveryGroup>();
-      group->key = key;
-      group->type = type;
-      group->subscription = broker_->subscribe(
-          type, std::move(needed), aq->epoch_ticks,
-          [this, g = group.get()](const std::vector<comm::Tuple>& tuples,
-                                  std::uint64_t issue_tick) {
-            stage_group_batch(*g, tuples, issue_tick);
-          });
-      if (index_metrics_.live() && index_metric_types_.insert(type).second) {
-        index_metrics_.enroll_gauge(
-            "types." + obs::MetricsRegistry::sanitize_component(type) +
-                ".entries",
-            [this, type]() {
-              std::int64_t n = 0;
-              for (const auto& [k, g] : groups_) {
-                if (g->type == type) n += static_cast<std::int64_t>(
-                    g->index.size());
-              }
-              return n;
-            });
-      }
-      git = groups_.emplace(std::move(key), std::move(group)).first;
-    }
-    DeliveryGroup* group = git->second.get();
-    aq->group = group;
-    aq->subscription = group->subscription;
-    aq->join_tick = broker_->tick_count();
-    // Discount deliveries that predate this member — including batches
-    // already in flight, which the join_tick guard will skip.
-    aq->epochs_base =
-        group->deliveries + broker_->pending_batches(group->subscription);
-    const IndexableConjunct* conjunct =
-        aq->compiled.index_conjunct ? &*aq->compiled.index_conjunct : nullptr;
-    aq->index_exact = conjunct != nullptr && conjunct->exact;
-    group->index.add(aq->generation, conjunct);
-    group->members.emplace(aq->generation, aq.get());
-    by_generation_.emplace(aq->generation, aq.get());
-  } else {
-    // Exhaustive ablation: one private subscription per AQ, every program
-    // runs on every tuple. The query may be dropped while a batch is in
-    // flight: re-resolve it by name at delivery instead of holding a
-    // pointer into queries_. The generation check also covers a drop +
-    // immediate re-register under the same name — a stale batch's tuples
-    // must not feed the new query.
-    aq->subscription = broker_->subscribe(
-        aq->compiled.event_type(), std::move(needed), aq->epoch_ticks,
-        [this, name, generation = aq->generation](
-            const std::vector<comm::Tuple>& tuples, std::uint64_t) {
-          auto found = queries_.find(name);
-          if (found == queries_.end() ||
-              found->second->generation != generation) {
-            return;
-          }
-          ++found->second->stats.epochs;
-          for (const comm::Tuple& tuple : tuples) {
-            process_event_tuple(*found->second, tuple);
-          }
-          // Synchronous evaluation takes zero virtual time; the span is an
-          // instant marking which AQ consumed which batch.
-          AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kEval, "eval:" + name,
-                              loop_->now(),
-                              std::to_string(tuples.size()) + " tuple(s)");
+  // AQs with the same (type, period, phase, needed) share one
+  // subscription + one compiled-predicate index. The phase mirrors what a
+  // fresh subscription would get (tick_count % period), so a member joins
+  // an existing group only when that group's batches fire exactly when its
+  // own subscription would have.
+  device::DeviceTypeId type = aq->compiled.event_type();
+  std::uint64_t phase = broker_->tick_count() % aq->epoch_ticks;
+  GroupKey key{type, aq->epoch_ticks, phase, needed};
+  auto git = groups_.find(key);
+  if (git == groups_.end()) {
+    auto group = std::make_unique<DeliveryGroup>();
+    group->key = key;
+    group->type = type;
+    group->subscription = broker_->subscribe(
+        type, std::move(needed), aq->epoch_ticks,
+        [this, g = group.get()](const std::vector<comm::Tuple>& tuples,
+                                std::uint64_t issue_tick) {
+          stage_group_batch(*g, tuples, issue_tick);
         });
+    if (index_metrics_.live() && index_metric_types_.insert(type).second) {
+      index_metrics_.enroll_gauge(
+          "types." + obs::MetricsRegistry::sanitize_component(type) +
+              ".entries",
+          [this, type]() {
+            std::int64_t n = 0;
+            for (const auto& [k, g] : groups_) {
+              if (g->type == type) n += static_cast<std::int64_t>(
+                  g->index.size());
+            }
+            return n;
+          });
+    }
+    git = groups_.emplace(std::move(key), std::move(group)).first;
   }
+  DeliveryGroup* group = git->second.get();
+  aq->group = group;
+  aq->join_tick = broker_->tick_count();
+  // Discount deliveries that predate this member — including batches
+  // already in flight, which the join_tick guard will skip.
+  aq->epochs_base =
+      group->deliveries + broker_->pending_batches(group->subscription);
+  // With the index off every member joins with no constraint, i.e. on the
+  // residual list: it runs its programs on every tuple.
+  if (options_.predicate_index && aq->compiled.index_conjunct) {
+    aq->conjunct = &*aq->compiled.index_conjunct;
+  }
+  group->index.add(aq->generation, aq->conjunct);
+  group->members.emplace(aq->generation, aq.get());
+  by_generation_.emplace(aq->generation, aq.get());
 
   AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kRegister, "register:" + name,
                       loop_->now(),
@@ -274,19 +236,17 @@ Status ContinuousQueryExecutor::drop_aq(const std::string& name) {
     return aorta::util::not_found_error("no such query: " + name);
   }
   Aq& aq = *it->second;
-  if (aq.agg) {
+  by_generation_.erase(aq.generation);
+  if (aq.group == nullptr) {
     // Aggregate path: the cache tears down the subscriber, and the entry +
     // subscription with it when this was the last co-hashed AQ.
     agg_cache_->detach(aq.generation);
-  } else if (aq.group != nullptr) {
-    // Indexed path: remove this member's index entry and directory rows;
-    // tear the group down only when its last member leaves.
+  } else {
+    // Remove this member's index entry and directory rows; tear the group
+    // down only when its last member leaves.
     DeliveryGroup* group = aq.group;
-    group->index.remove(aq.generation, aq.compiled.index_conjunct
-                                           ? &*aq.compiled.index_conjunct
-                                           : nullptr);
+    group->index.remove(aq.generation, aq.conjunct);
     group->members.erase(aq.generation);
-    by_generation_.erase(aq.generation);
     if (group->members.empty()) {
       broker_->unsubscribe(group->subscription);
       // A batch staged for this group but not yet processed (drop from a
@@ -298,8 +258,6 @@ Status ContinuousQueryExecutor::drop_aq(const std::string& name) {
                     staged_.end());
       groups_.erase(group->key);
     }
-  } else {
-    broker_->unsubscribe(aq.subscription);
   }
   queries_.erase(it);
   return Status::ok();
@@ -334,13 +292,21 @@ ActionOperator* ContinuousQueryExecutor::operator_for(const ActionDef* action) {
   auto op = std::make_unique<ActionOperator>(action, prober_, locks_, registry_,
                                              loop_, scheduler_.get(),
                                              rng_.fork(), op_options);
-  op->set_trace([this](const std::string& query, const std::string& kind,
-                       const std::string& detail) {
-    record_trace(TraceEntry{loop_->now(), query, kind, detail});
-  });
+  op->set_outcome_sink(outcome_sink_);
+  op->set_tracer(tracer_);
   ActionOperator* raw = op.get();
   operators_.emplace(action->name, std::move(op));
   return raw;
+}
+
+void ContinuousQueryExecutor::set_outcome_sink(OutcomeSink sink) {
+  outcome_sink_ = std::move(sink);
+  for (auto& [name, op] : operators_) op->set_outcome_sink(outcome_sink_);
+}
+
+void ContinuousQueryExecutor::set_tracer(obs::Tracer* tracer) {
+  tracer_ = tracer;
+  for (auto& [name, op] : operators_) op->set_tracer(tracer_);
 }
 
 void ContinuousQueryExecutor::start() {
@@ -399,39 +365,7 @@ void ContinuousQueryExecutor::on_tick() {
   loop_->schedule(options_.epoch, [this]() { on_tick(); });
 }
 
-void ContinuousQueryExecutor::process_event_tuple(Aq& aq,
-                                                  const comm::Tuple& tuple) {
-  const CompiledQuery& cq = aq.compiled;
-  BindingFrame frame;
-  frame.size = cq.binding_aliases.size();
-  frame.set(cq.event_binding, &tuple);
-
-  bool satisfied = true;
-  for (std::size_t i = 0; i < cq.event_predicates.size(); ++i) {
-    if (!eval_pred(cq.event_programs[i], *cq.event_predicates[i], frame,
-                   cq.binding_aliases)) {
-      satisfied = false;
-      break;
-    }
-  }
-
-  // Edge detection: an event fires when the predicates become true for a
-  // device that previously did not satisfy them (the object *started*
-  // moving). Level-triggered queries (no sensory predicates) fire every
-  // epoch while satisfied.
-  bool fire;
-  if (aq.compiled.edge_triggered) {
-    bool& last = aq.last_state[tuple.source_device()];
-    fire = satisfied && !last;
-    last = satisfied;
-  } else {
-    fire = satisfied;
-  }
-  if (!fire) return;
-  fire_event(aq, tuple, frame);
-}
-
-// ---- indexed matching path -----------------------------------------------
+// ---- delivery-group matching -----------------------------------------------
 
 void ContinuousQueryExecutor::stage_group_batch(
     DeliveryGroup& group, const std::vector<comm::Tuple>& tuples,
@@ -459,8 +393,9 @@ void ContinuousQueryExecutor::process_staged() {
   staged_.clear();
 
   // Probe each tuple, then evaluate the (member, tuple) pairs in global
-  // (generation, tuple) order — the exhaustive path's per-subscription
-  // order, since subscription ids were handed out in generation order.
+  // (generation, tuple) order: registration order, whichever members the
+  // index let through. With the index off the probe is skipped and every
+  // member is a residual pair.
   struct Pair {
     std::uint64_t generation;
     std::uint32_t batch;
@@ -474,14 +409,16 @@ void ContinuousQueryExecutor::process_staged() {
     std::size_t indexed =
         s.group->index.size() - s.group->index.residual_size();
     for (std::size_t t = 0; t < s.tuples.size(); ++t) {
-      candidates.clear();
-      s.group->index.probe(s.tuples[t], &candidates);
-      ++index_stats_.probes;
-      index_stats_.candidates += candidates.size();
-      index_stats_.pruned += indexed - candidates.size();
-      for (PredicateIndex::Handle h : candidates) {
-        pairs.push_back({h, static_cast<std::uint32_t>(b),
-                         static_cast<std::uint32_t>(t), true});
+      if (options_.predicate_index) {
+        candidates.clear();
+        s.group->index.probe(s.tuples[t], &candidates);
+        ++index_stats_.probes;
+        index_stats_.candidates += candidates.size();
+        index_stats_.pruned += indexed - candidates.size();
+        for (PredicateIndex::Handle h : candidates) {
+          pairs.push_back({h, static_cast<std::uint32_t>(b),
+                           static_cast<std::uint32_t>(t), true});
+        }
       }
       for (PredicateIndex::Handle h : s.group->index.residuals()) {
         pairs.push_back({h, static_cast<std::uint32_t>(b),
@@ -495,19 +432,17 @@ void ContinuousQueryExecutor::process_staged() {
   });
 
   for (const Pair& p : pairs) {
-    // Re-resolve per pair: an earlier pair's hooks (row delivery, action
-    // traces) may have dropped or replaced members of any group.
-    auto it = by_generation_.find(p.generation);
-    if (it == by_generation_.end()) continue;
-    Aq& aq = *it->second;
+    // Re-resolve per pair: an earlier pair's row hook may have dropped or
+    // replaced members of any group.
+    Aq* aq = live_aq(p.generation);
+    if (aq == nullptr) continue;
     const StagedBatch& s = staged[p.batch];
-    if (aq.join_tick >= s.issue_tick) continue;  // joined after issue
-    process_event_tuple_indexed(aq, s.tuples[p.tuple], s.seqs[p.tuple],
-                                p.candidate);
+    if (aq->join_tick >= s.issue_tick) continue;  // joined after issue
+    process_event_tuple(*aq, s.tuples[p.tuple], s.seqs[p.tuple], p.candidate);
   }
 }
 
-void ContinuousQueryExecutor::process_event_tuple_indexed(
+void ContinuousQueryExecutor::process_event_tuple(
     Aq& aq, const comm::Tuple& tuple, std::uint64_t seq, bool candidate) {
   const CompiledQuery& cq = aq.compiled;
   BindingFrame frame;
@@ -515,7 +450,7 @@ void ContinuousQueryExecutor::process_event_tuple_indexed(
   frame.set(cq.event_binding, &tuple);
 
   bool satisfied;
-  if (candidate && aq.index_exact) {
+  if (candidate && aq.conjunct->exact) {
     // The index constraint covers the whole predicate set: candidacy IS
     // the verdict.
     satisfied = true;
@@ -532,11 +467,12 @@ void ContinuousQueryExecutor::process_event_tuple_indexed(
     }
   }
 
+  // Edge detection: an event fires when this row satisfies the predicates
+  // and the device's previous delivered row did not (the object *started*
+  // moving; see Aq::last_true_seq). Level-triggered queries (no sensory
+  // predicates) fire every epoch while satisfied.
   bool fire;
   if (cq.edge_triggered) {
-    // Seq-based edge detection (see Aq::last_true_seq): fire when this
-    // row satisfies the predicates and the previous delivered row for the
-    // device did not.
     auto it = aq.last_true_seq.find(tuple.source_device());
     fire = satisfied &&
            (it == aq.last_true_seq.end() || it->second + 1 != seq);
@@ -551,20 +487,21 @@ void ContinuousQueryExecutor::process_event_tuple_indexed(
     fire = satisfied;
   }
   if (!fire) return;
-  fire_event(aq, tuple, frame);
+  fire_event(&aq, tuple, frame);
 }
 
-void ContinuousQueryExecutor::fire_event(Aq& aq, const comm::Tuple& tuple,
+void ContinuousQueryExecutor::fire_event(Aq* aq, const comm::Tuple& tuple,
                                          const BindingFrame& frame) {
-  const CompiledQuery& cq = aq.compiled;
-  ++aq.stats.events;
-  record_trace(TraceEntry{loop_->now(), aq.name, "event",
-                          "device " + tuple.source_device() +
-                              (tuple.degraded() ? " (degraded)" : "")});
+  ++aq->stats.events;
+  AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kEval, "event:" + aq->name,
+                      loop_->now(),
+                      "device " + tuple.source_device() +
+                          (tuple.degraded() ? " (degraded)" : ""));
 
   // Materialize the query's projections against the event tuple — the
   // continuous result stream of a monitoring query.
-  if (!cq.projections.empty()) {
+  if (!aq->compiled.projections.empty()) {
+    const CompiledQuery& cq = aq->compiled;
     Row row;
     for (std::size_t i = 0; i < cq.projections.size(); ++i) {
       auto v = eval_expr(cq.projection_programs[i], *cq.projections[i], frame,
@@ -573,11 +510,17 @@ void ContinuousQueryExecutor::fire_event(Aq& aq, const comm::Tuple& tuple,
                        v.is_ok() ? std::move(v).value() : device::Value{});
     }
     TimestampedRow stamped{loop_->now(), std::move(row), tuple.degraded()};
-    if (aq.hooks.on_row) aq.hooks.on_row(aq.name, stamped);
-    aq.results.push_back(std::move(stamped));
-    while (aq.results.size() > kResultCap) aq.results.pop_front();
+    if (aq->hooks.on_row) {
+      const std::uint64_t generation = aq->generation;
+      aq->hooks.on_row(aq->name, stamped);
+      aq = live_aq(generation);  // the hook may have dropped it
+      if (aq == nullptr) return;
+    }
+    aq->results.push_back(std::move(stamped));
+    while (aq->results.size() > kResultCap) aq->results.pop_front();
   }
 
+  const CompiledQuery& cq = aq->compiled;
   for (const auto& call : cq.actions) {
     // Candidate schema for binding candidate tuples.
     const device::DeviceTypeId& cand_type =
@@ -594,14 +537,14 @@ void ContinuousQueryExecutor::fire_event(Aq& aq, const comm::Tuple& tuple,
     }
 
     std::vector<device::DeviceId> candidates =
-        enumerate_candidates(aq, call, frame, *schema_it->second);
+        enumerate_candidates(*aq, call, frame, *schema_it->second);
     if (candidates.empty()) continue;  // no device covers this event
 
     // Instantiate the request. Arguments are evaluated against the event
     // tuple; the binding argument (which identifies the executing device)
     // is finalized per selected device at execution time.
     sched::ActionRequest request;
-    request.query_id = aq.name;
+    request.query_id = aq->name;
     request.candidates = std::move(candidates);
     for (std::size_t a = 0; a < call.args.size(); ++a) {
       if (a == call.action->binding_param) {
@@ -616,17 +559,38 @@ void ContinuousQueryExecutor::fire_event(Aq& aq, const comm::Tuple& tuple,
       Status s = call.action->request_params(request.action_args, &request);
       if (!s.is_ok()) {
         AORTA_LOG(kWarn, "query")
-            << aq.name << ": request_params failed: " << s.to_string();
+            << aq->name << ": request_params failed: " << s.to_string();
         continue;
       }
     }
-    ++aq.stats.requests_issued;
-    record_trace(TraceEntry{loop_->now(), aq.name, "request",
-                            call.action->name + " with " +
-                                std::to_string(request.candidates.size()) +
-                                " candidate(s)"});
+    ++aq->stats.requests_issued;
+    AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kAction, "request:" + aq->name,
+                        loop_->now(),
+                        call.action->name + " with " +
+                            std::to_string(request.candidates.size()) +
+                            " candidate(s)");
     operator_for(call.action)->enqueue(std::move(request));
   }
+}
+
+void ContinuousQueryExecutor::deliver_agg_row(std::uint64_t generation,
+                                              const TimestampedRow& row) {
+  Aq* owner = live_aq(generation);
+  if (owner == nullptr) return;
+  ++owner->stats.events;
+  if (owner->hooks.on_row) {
+    owner->hooks.on_row(owner->name, row);
+    owner = live_aq(generation);  // the hook may have dropped it
+    if (owner == nullptr) return;
+  }
+  owner->results.push_back(row);
+  while (owner->results.size() > kResultCap) owner->results.pop_front();
+}
+
+ContinuousQueryExecutor::Aq* ContinuousQueryExecutor::live_aq(
+    std::uint64_t generation) const {
+  auto it = by_generation_.find(generation);
+  return it == by_generation_.end() ? nullptr : it->second;
 }
 
 std::vector<device::DeviceId> ContinuousQueryExecutor::enumerate_candidates(
@@ -671,8 +635,8 @@ const QueryStats* ContinuousQueryExecutor::query_stats(
   if (it == queries_.end()) return nullptr;
   const Aq& aq = *it->second;
   if (aq.group != nullptr) {
-    // Indexed path: epochs derives from the group's delivery count so
-    // per-tick work stays O(groups), not O(members). The base discounts
+    // Epochs derives from the group's delivery count so per-tick work
+    // stays O(groups), not O(members). The base discounts
     // deliveries that predate this member; the clamp covers the window
     // where a discounted in-flight batch has not landed yet.
     std::uint64_t delivered = aq.group->deliveries;
@@ -750,12 +714,6 @@ std::vector<TimestampedRow> ContinuousQueryExecutor::recent_results(
   auto it = queries_.find(name);
   if (it == queries_.end()) return {};
   return {it->second->results.begin(), it->second->results.end()};
-}
-
-void ContinuousQueryExecutor::record_trace(TraceEntry entry) {
-  if (trace_sink_) trace_sink_(entry);
-  trace_.push_back(std::move(entry));
-  while (trace_.size() > kTraceCap) trace_.pop_front();
 }
 
 std::vector<const ActionOperator*> ContinuousQueryExecutor::operators() const {

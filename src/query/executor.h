@@ -3,10 +3,11 @@
 // Action-embedded queries are "event-driven continuous queries" (Section
 // 2.2). The executor samples each registered query's event table every
 // epoch through the communication layer's shared acquisition plane (the
-// ScanBroker): each AQ is a broker subscription carrying its needed
-// attributes and epoch period, so co-located queries over the same device
-// table share one batched sensory sweep per epoch. Events are detected as
-// rising edges of the sensory event predicates (an object starts moving);
+// ScanBroker): AQs with the same event table, epoch period, phase and
+// needed attributes form one delivery group on one broker subscription,
+// so co-located queries share one batched sensory sweep per epoch. Events
+// are detected as rising edges of the sensory event predicates (an object
+// starts moving);
 // candidate devices for each embedded action are enumerated by evaluating
 // the join predicates (coverage(...)); instantiated action requests are
 // deposited into the per-action shared operators. At the end of each
@@ -72,15 +73,6 @@ struct TimestampedRow {
   bool degraded = false;
 };
 
-// One entry of the engine's event trace (observability: what happened,
-// when, for which query).
-struct TraceEntry {
-  aorta::util::TimePoint at;
-  std::string query;   // owning query id ("" for engine-level entries)
-  std::string kind;    // "event", "request", "batch", "outcome", ...
-  std::string detail;
-};
-
 class ContinuousQueryExecutor {
  public:
   struct Options {
@@ -94,12 +86,12 @@ class ContinuousQueryExecutor {
     // Worker shard index this executor runs on (-1 = unsharded engine),
     // forwarded to action operators so requests carry their owning shard.
     int shard = -1;
-    // Predicate-index matching (the sub-linear fan-out path): AQs with the
-    // same (type, period, phase, needed-attrs) share one broker
-    // subscription and a compiled-predicate index; each delivered tuple
-    // probes the index and only candidate AQs run their programs. false =
-    // exhaustive ablation: one subscription per AQ, every program runs on
-    // every tuple (the pre-index behaviour, byte-identical output).
+    // Predicate-index matching (the sub-linear fan-out path): each
+    // delivered tuple probes its delivery group's compiled-predicate index
+    // and only candidate AQs run their programs. false = ablation: members
+    // join the same groups with no index constraint (all on the residual
+    // list), the probe is skipped and every program runs on every tuple
+    // (byte-identical output).
     bool predicate_index = true;
     // Shared-aggregate cache (query/agg_cache.h): continuous aggregate AQs
     // with the same canonical query hash share one broker subscription and
@@ -112,7 +104,9 @@ class ContinuousQueryExecutor {
   // Multi-tenant hooks a query can be registered with (src/server): an
   // owner tag identifying the registering session/tenant, and a callback
   // receiving every projected row at event time (in addition to the
-  // bounded ring served by recent_results).
+  // bounded ring served by recent_results). `on_row` may drop AQs, its own
+  // included; its `name` argument (and then the hook itself) dies with the
+  // AQ, so it must touch neither after dropping its own AQ.
   struct AqHooks {
     std::string owner;
     std::function<void(const std::string& name, const TimestampedRow& row)>
@@ -156,27 +150,23 @@ class ContinuousQueryExecutor {
   // (bounded ring, newest last). Empty for queries with no projections.
   std::vector<TimestampedRow> recent_results(const std::string& name) const;
 
-  // The engine's recent trace (bounded ring, newest last).
-  const std::deque<TraceEntry>& trace() const { return trace_; }
-  void record_trace(TraceEntry entry);
+  // Receives every action outcome of every query (the server layer routes
+  // them to the owning session's mailbox; a worker relays them to the
+  // czar). Nullable = off.
+  void set_outcome_sink(OutcomeSink sink);
 
-  // Observer invoked on every trace entry as it is recorded (the server
-  // layer routes "outcome" entries to the owning session's mailbox).
-  void set_trace_sink(std::function<void(const TraceEntry&)> sink) {
-    trace_sink_ = std::move(sink);
-  }
-
-  // Span tracing (nullable = off): registration instants, per-AQ eval
-  // spans, per-operator action-flush spans and one `epoch` span bracketing
-  // each tick's processing window.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
+  // Span tracing (nullable = off): registration instants, per-batch eval
+  // instants, `event` instants per fired AQ, `request`/`batch`/`outcome`
+  // action instants, per-operator action-flush spans and one `epoch` span
+  // bracketing each tick's processing window.
+  void set_tracer(obs::Tracer* tracer);
 
   // ---- statistics --------------------------------------------------------
   const QueryStats* query_stats(const std::string& name) const;
   const EvalStats& eval_stats() const { return eval_stats_; }
   const IndexStats& index_stats() const { return index_stats_; }
-  // Predicate-index entries across all delivery groups (== registered AQs
-  // on the indexed path) and the number of groups (broker subscriptions).
+  // Predicate-index entries across all delivery groups (== registered
+  // non-aggregate AQs) and the number of groups (broker subscriptions).
   std::size_t index_entries() const;
   std::size_t index_group_count() const { return groups_.size(); }
 
@@ -213,36 +203,30 @@ class ContinuousQueryExecutor {
     AqHooks hooks;
     std::string source_sql;
     CompiledQuery compiled;
-    // The query's subscription on the shared acquisition plane. On the
-    // indexed path this is the owning group's shared subscription.
-    comm::ScanBroker::SubscriptionId subscription = 0;
     std::uint64_t epoch_ticks = 1;  // evaluate every N engine epochs
-    // Event-predicate state per event device for edge detection
-    // (exhaustive path only; the indexed path uses last_true_seq).
-    std::map<device::DeviceId, bool> last_state;
-    // ---- indexed-path state ------------------------------------------
-    DeliveryGroup* group = nullptr;  // null on the exhaustive path
+    // ---- delivery-group state -----------------------------------------
+    // Null for continuous aggregates, whose evaluation lives in the shared
+    // AggregateCache instead.
+    DeliveryGroup* group = nullptr;
     // Broker tick at registration: batches issued at or before it predate
     // this member and are skipped (mirrors never-recycled sub ids).
     std::uint64_t join_tick = 0;
     // Group deliveries to discount when deriving this member's epochs
     // stat (deliveries before the join, plus batches then in flight).
     std::uint64_t epochs_base = 0;
-    // The index constraint covers the whole predicate set: candidacy
-    // alone proves a match, no residual program run needed.
-    bool index_exact = false;
+    // The constraint filed in the group index (null = residual list). An
+    // `exact` one covers the whole predicate set: candidacy alone proves a
+    // match, no residual program run needed.
+    const IndexableConjunct* conjunct = nullptr;
     // Edge detection under pruning: the group row sequence of the last
     // row that satisfied the predicates, per device. A fire requires the
     // immediately preceding delivered row to NOT have satisfied them —
     // i.e. the stored seq is absent or != current seq - 1. Rows the
     // index prunes are guaranteed unsatisfied and need no bookkeeping;
-    // rows the broker skips (unreachable devices) advance no sequence,
-    // exactly like the exhaustive path's untouched last_state.
+    // rows the broker skips (unreachable devices) advance no sequence, so
+    // a device's edge state survives its absence.
     std::map<device::DeviceId, std::uint64_t> last_true_seq;
-    // Continuous aggregate query: evaluation lives in the shared
-    // AggregateCache, not in a delivery group or private subscription.
-    bool agg = false;
-    // epochs is derived lazily on the indexed path (query_stats()).
+    // epochs is derived lazily from the group (query_stats()).
     mutable QueryStats stats;
     // Projection outputs at event time (bounded ring).
     std::deque<TimestampedRow> results;
@@ -251,9 +235,9 @@ class ContinuousQueryExecutor {
   // AQs sharing (event type, period, phase, needed attrs) are
   // interchangeable from the broker's point of view: one subscription
   // feeds them all, and a per-group PredicateIndex picks which members'
-  // programs each tuple runs. The key reproduces exactly the subscription
-  // the exhaustive path would have created per AQ, so due-ness, tuple
-  // projection and unreachable-device semantics are identical.
+  // programs each tuple runs. The key is exactly the subscription each AQ
+  // would need on its own, so due-ness, tuple projection and
+  // unreachable-device semantics are per-AQ semantics.
   using GroupKey = std::tuple<device::DeviceTypeId, std::uint64_t,
                               std::uint64_t, std::set<std::string>>;
 
@@ -269,9 +253,9 @@ class ContinuousQueryExecutor {
   };
 
   // One group's share of a broker batch, staged until the batch's
-  // delivery epilogue: members across all groups of the batch must be
-  // processed in one global generation-ordered pass to reproduce the
-  // exhaustive path's per-subscription side-effect order.
+  // delivery epilogue: members across all groups of the batch are
+  // processed in one global generation-ordered pass, so side effects
+  // follow registration order whatever the grouping.
   struct StagedBatch {
     DeliveryGroup* group;
     std::vector<comm::Tuple> tuples;
@@ -280,23 +264,26 @@ class ContinuousQueryExecutor {
   };
 
   static constexpr std::size_t kResultCap = 256;
-  static constexpr std::size_t kTraceCap = 1024;
 
   void on_tick();
-  void process_event_tuple(Aq& aq, const comm::Tuple& tuple);
-  // Indexed-path variants: stage a group's batch at fan-out, process all
-  // staged batches at the broker's delivery epilogue, evaluate one
-  // (member, tuple) pair. `candidate` distinguishes index candidates
-  // (constraint satisfied; maybe exact) from residual-list members.
+  // Stage a group's batch at fan-out, process all staged batches at the
+  // broker's delivery epilogue, evaluate one (member, tuple) pair.
+  // `candidate` distinguishes index candidates (constraint satisfied;
+  // maybe exact) from residual-list members.
   void stage_group_batch(DeliveryGroup& group,
                          const std::vector<comm::Tuple>& tuples,
                          std::uint64_t issue_tick);
   void process_staged();
-  void process_event_tuple_indexed(Aq& aq, const comm::Tuple& tuple,
-                                   std::uint64_t seq, bool candidate);
-  // Shared event tail (trace + projections + action fan-out), used by
-  // both matching paths once a fire is decided.
-  void fire_event(Aq& aq, const comm::Tuple& tuple, const BindingFrame& frame);
+  void process_event_tuple(Aq& aq, const comm::Tuple& tuple,
+                           std::uint64_t seq, bool candidate);
+  // Event tail once a fire is decided: trace, projections (row hook),
+  // action fan-out.
+  void fire_event(Aq* aq, const comm::Tuple& tuple, const BindingFrame& frame);
+  // Aggregate-cache emission for the AQ registered as `generation`.
+  void deliver_agg_row(std::uint64_t generation, const TimestampedRow& row);
+  // The live AQ registered as `generation`, or null once dropped. User
+  // hooks can drop AQs: re-resolve here before touching one after a hook.
+  Aq* live_aq(std::uint64_t generation) const;
 
   // Candidate device enumeration for one action call of one event tuple.
   // `frame` carries the event tuple; the candidate slot is rebound per
@@ -330,10 +317,10 @@ class ContinuousQueryExecutor {
 
   std::unique_ptr<sched::Scheduler> scheduler_;
   std::map<std::string, std::unique_ptr<Aq>> queries_;
-  // Indexed-path state: delivery groups (one broker subscription + one
-  // PredicateIndex each), the generation directory for epilogue-time
-  // re-resolution (user hooks may drop AQs mid-pass), and the batches
-  // staged between fan-out and the delivery epilogue.
+  // Delivery groups (one broker subscription + one PredicateIndex each),
+  // the generation directory of every live AQ (re-resolution after user
+  // hooks, which may drop AQs mid-pass), and the batches staged between
+  // fan-out and the delivery epilogue.
   std::map<GroupKey, std::unique_ptr<DeliveryGroup>> groups_;
   std::map<std::uint64_t, Aq*> by_generation_;
   std::vector<StagedBatch> staged_;
@@ -351,9 +338,8 @@ class ContinuousQueryExecutor {
   std::uint64_t next_generation_ = 1;
   std::uint64_t tick_no_ = 0;
   obs::Tracer* tracer_ = nullptr;
+  OutcomeSink outcome_sink_;
   EvalStats eval_stats_;
-  std::deque<TraceEntry> trace_;
-  std::function<void(const TraceEntry&)> trace_sink_;
 };
 
 }  // namespace aorta::query

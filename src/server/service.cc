@@ -40,19 +40,17 @@ QueryService::QueryService(core::Aorta* system, ServiceConfig config)
     po.heartbeat_interval = config_.shard_heartbeat_interval;
     po.miss_threshold = config_.shard_miss_threshold;
     plane_ = std::make_unique<shard::Plane>(system_, po);
-    // Action outcomes arrive relayed from the workers through the czar.
-    plane_->czar().set_outcome_sink(
-        [this](const std::string& query, aorta::util::TimePoint at,
-               const std::string& detail) {
-          deliver_outcome(query, at, detail);
-        });
+  }
+  // Route action outcomes of session-owned queries to their mailboxes:
+  // relayed from the workers through the czar when sharded, straight from
+  // the executor otherwise.
+  query::OutcomeSink route_outcome =
+      [this](const std::string& query, aorta::util::TimePoint at,
+             const std::string& detail) { deliver_outcome(query, at, detail); };
+  if (plane_ != nullptr) {
+    plane_->czar().set_outcome_sink(std::move(route_outcome));
   } else {
-    // Route action outcomes of session-owned queries to their mailboxes.
-    system_->executor().set_trace_sink(
-        [this](const query::TraceEntry& entry) {
-          if (entry.kind != "outcome" || entry.query.empty()) return;
-          deliver_outcome(entry.query, entry.at, entry.detail);
-        });
+    system_->executor().set_outcome_sink(std::move(route_outcome));
   }
   auto alive = alive_;
   system_->loop().schedule(config_.dispatch_interval, [this, alive]() {
@@ -100,7 +98,7 @@ void QueryService::drop_query(const std::string& prefixed_name) {
 
 QueryService::~QueryService() {
   if (plane_ != nullptr) plane_->czar().set_outcome_sink({});
-  system_->executor().set_trace_sink({});
+  system_->executor().set_outcome_sink({});
   // The service dies before the system: withdraw its registry sections so
   // a later stats snapshot cannot read freed counters.
   metrics_->unenroll_prefix("sessions.");

@@ -652,14 +652,14 @@ void Czar::on_message(const net::Message& msg) {
     ++stats_.stale_gen_msgs;
     return;
   }
-  if (reliable_ && seq < s.next_seq) {
+  if (seq < s.next_seq) {
     // Already consumed: a chaos-duplicated copy or a NACK retransmission
-    // that crossed paths with the original.
+    // that crossed paths with the original (either backplane mode).
     ++stats_.dup_msgs_dropped;
     return;
   }
   if (seq != s.next_seq) {
-    if (reliable_ && s.ooo.count(seq) > 0) {
+    if (s.ooo.count(seq) > 0) {
       ++stats_.dup_msgs_dropped;
       return;
     }

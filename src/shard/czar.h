@@ -101,11 +101,9 @@ class Czar : public net::Endpoint {
   };
 
   // Action outcomes relayed from the workers (the service layer routes
-  // them to the owning session's mailbox, exactly like the unsharded
-  // executor's trace-sink path).
-  using OutcomeSink = std::function<void(
-      const std::string& query, aorta::util::TimePoint at,
-      const std::string& detail)>;
+  // them to the owning session's mailbox through the same sink it installs
+  // on an unsharded executor).
+  using OutcomeSink = query::OutcomeSink;
 
   Czar(core::Aorta* host, Options options);
   ~Czar() override;

@@ -106,10 +106,6 @@ Worker::Worker(core::Aorta* host, Options options)
     health_->set_transition_hook(
         [this](const device::DeviceId& id, core::HealthState from,
                core::HealthState to) {
-          executor_->record_trace(query::TraceEntry{
-              loop_->now(), "", "health",
-              id + ": " + std::string(core::health_state_name(from)) +
-                  " -> " + std::string(core::health_state_name(to))});
           AORTA_TRACE_INSTANT(
               tracer_, obs::SpanCat::kHealth,
               node_id_ + ":transition:" + id, loop_->now(),
@@ -123,9 +119,9 @@ Worker::Worker(core::Aorta* host, Options options)
   comm_->engine().rpc().set_tracer(tracer_);
   // Action outcomes are forwarded to the czar (where the service layer
   // routes them to the owning session's mailbox).
-  executor_->set_trace_sink([this](const query::TraceEntry& entry) {
-    if (entry.kind == "outcome" && !entry.query.empty()) send_outcome(entry);
-  });
+  executor_->set_outcome_sink(
+      [this](const std::string& query, aorta::util::TimePoint at,
+             const std::string& detail) { send_outcome(query, at, detail); });
 
   (void)registry_->register_type(devices::camera_type_info());
   (void)registry_->register_type(devices::sensor_type_info());
@@ -204,7 +200,7 @@ Worker::Worker(core::Aorta* host, Options options)
 
 Worker::~Worker() {
   comm_->engine().set_push_handler({});
-  executor_->set_trace_sink({});
+  executor_->set_outcome_sink({});
   metrics_.unenroll_all();
   *alive_ = false;
 }
@@ -533,13 +529,14 @@ void Worker::flush_rows() {
   }
 }
 
-void Worker::send_outcome(const query::TraceEntry& entry) {
+void Worker::send_outcome(const std::string& query, aorta::util::TimePoint at,
+                          const std::string& detail) {
   net::Message msg;
   msg.kind = kFragmentResults;
   msg.set("type", "outcome");
-  msg.set("query", entry.query);
-  msg.set("detail", entry.detail);
-  msg.set_int("at_us", entry.at.to_micros());
+  msg.set("query", query);
+  msg.set("detail", detail);
+  msg.set_int("at_us", at.to_micros());
   send_sequenced(std::move(msg));
 }
 

@@ -150,7 +150,8 @@ class Worker {
 
   void on_aq_row(const std::string& query, const query::TimestampedRow& row);
   void flush_rows();
-  void send_outcome(const query::TraceEntry& entry);
+  void send_outcome(const std::string& query, aorta::util::TimePoint at,
+                    const std::string& detail);
   void send_heartbeat();
   // Stamp (shard, gen, seq) onto an outbound one-way message and send it.
   void send_sequenced(net::Message msg);

@@ -237,6 +237,28 @@ TEST(ChaosBackplaneTest, AblationFlagRestoresFailFastStall) {
   EXPECT_GT(lossy.czar.ooo_buffered, 0u);
 }
 
+TEST(ChaosBackplaneTest, AblationDropsStaleDuplicates) {
+  // Duplicate suppression is not a reliability feature: with
+  // Config::reliable_backplane = false a chaos-duplicated stream message
+  // whose seq was already consumed must be dropped, not parked in the
+  // out-of-order buffer until the next generation bump. Factor 2 copies
+  // every message, so originals keep their order and every later copy is
+  // stale (a fractional factor duplicates only some messages, which can
+  // genuinely reorder two sent at the same instant).
+  const std::string dup =
+      "<fault_plan>"
+      "<event at=\"3\" kind=\"duplicate\" device=\"czar\" factor=\"2\""
+      " for=\"7\"/>"
+      "</fault_plan>";
+  ChaosRun clean = run_sharded(42, "", 14.0, 14.0, /*reliable=*/false);
+  ChaosRun duped = run_sharded(42, dup, 14.0, 14.0, /*reliable=*/false);
+
+  ASSERT_FALSE(clean.events.empty());
+  EXPECT_GT(duped.czar.dup_msgs_dropped, 0u);
+  EXPECT_EQ(duped.czar.ooo_buffered, 0u);
+  EXPECT_EQ(duped.events, clean.events);
+}
+
 // ---- idempotent dispatch ---------------------------------------------------
 
 // A bare network peer speaking the fragment protocol straight at a worker,

@@ -1,8 +1,8 @@
 // Tests for the uniform data communication layer: schemas/tuples, the
-// basic communication methods, and the scan operators over virtual tables.
+// basic communication methods, and scans over virtual tables.
 #include <gtest/gtest.h>
 
-#include "comm/scan_operator.h"
+#include "comm/scan_broker.h"
 #include "devices/camera.h"
 #include "devices/mote.h"
 #include "devices/phone.h"
@@ -167,15 +167,22 @@ TEST_F(CommFixture, ReadAttrSurfacesDeviceErrors) {
   EXPECT_TRUE(failed);
 }
 
-// --------------------------------------------------------- scan operator
+// ------------------------------------------------------------------ scans
+
+// Section 3.2's scan over a virtual device table runs through the shared
+// acquisition plane; these pin the per-scan contract on a one-shot
+// acquisition. Subscription fan-out, unreachable devices and empty tables
+// are covered in scan_broker_test.cc.
 
 TEST_F(CommFixture, ScanProducesOneTuplePerDevice) {
   add_mote("m1", 20.0);
   add_mote("m2", 30.0);
-  comm::ScanOperator scan(&registry, &comm, "sensor");
+  comm::ScanBroker broker(&registry, &comm, &loop);
 
   std::vector<comm::Tuple> tuples;
-  scan.scan([&](std::vector<comm::Tuple> out) { tuples = std::move(out); });
+  broker.acquire_once("sensor", {}, [&](std::vector<comm::Tuple> out) {
+    tuples = std::move(out);
+  });
   loop.run_all();
 
   ASSERT_EQ(tuples.size(), 2u);
@@ -188,16 +195,19 @@ TEST_F(CommFixture, ScanProducesOneTuplePerDevice) {
     ASSERT_TRUE(device::value_as_double(tuple.get("temp"), &temp));
     EXPECT_TRUE(temp == 20.0 || temp == 30.0);
   }
-  EXPECT_EQ(scan.stats().tuples_produced, 2u);
-  EXPECT_GT(scan.stats().sensory_reads, 0u);
+  EXPECT_EQ(broker.stats().at("sensor").tuples_delivered, 2u);
+  EXPECT_GT(broker.stats().at("sensor").rpcs_issued, 0u);
 }
 
 TEST_F(CommFixture, ProjectionPushdownFetchesOnlyNeededAttrs) {
   add_mote("m1");
-  comm::ScanOperator scan(&registry, &comm, "sensor", {"temp", "loc"});
+  comm::ScanBroker broker(&registry, &comm, &loop);
 
   std::vector<comm::Tuple> tuples;
-  scan.scan([&](std::vector<comm::Tuple> out) { tuples = std::move(out); });
+  broker.acquire_once("sensor", {"temp", "loc"},
+                      [&](std::vector<comm::Tuple> out) {
+                        tuples = std::move(out);
+                      });
   loop.run_all();
 
   ASSERT_EQ(tuples.size(), 1u);
@@ -205,68 +215,9 @@ TEST_F(CommFixture, ProjectionPushdownFetchesOnlyNeededAttrs) {
   EXPECT_FALSE(std::holds_alternative<std::monostate>(tuples[0].get("temp")));
   EXPECT_TRUE(std::holds_alternative<std::monostate>(tuples[0].get("accel_x")));
   EXPECT_TRUE(std::holds_alternative<std::monostate>(tuples[0].get("light")));
-  // Exactly two sensory reads: temp and battery? No: only temp is needed
-  // and sensory (loc is non-sensory, cache-only).
-  EXPECT_EQ(scan.stats().sensory_reads, 1u);
-}
-
-TEST_F(CommFixture, UnreachableDeviceYieldsNoTuple) {
-  add_mote("m1");
-  devices::Mica2Mote* dead = add_mote("m2");
-  dead->set_online(false);
-
-  comm::ScanOperator scan(&registry, &comm, "sensor", {"temp"});
-  std::vector<comm::Tuple> tuples;
-  scan.scan([&](std::vector<comm::Tuple> out) { tuples = std::move(out); });
-  loop.run_all();
-
-  ASSERT_EQ(tuples.size(), 1u);
-  EXPECT_EQ(tuples[0].source_device(), "m1");
-  EXPECT_EQ(scan.stats().devices_skipped, 1u);
-  EXPECT_GT(scan.stats().sensory_read_failures, 0u);
-}
-
-TEST_F(CommFixture, ScanOfEmptyTableCompletesImmediately) {
-  comm::ScanOperator scan(&registry, &comm, "camera");
-  bool done = false;
-  scan.scan([&](std::vector<comm::Tuple> out) {
-    done = true;
-    EXPECT_TRUE(out.empty());
-  });
-  EXPECT_TRUE(done);  // synchronous for an empty table
-}
-
-TEST_F(CommFixture, ScanDeviceFetchesSingleTuple) {
-  add_mote("m1", 25.0);
-  comm::ScanOperator scan(&registry, &comm, "sensor", {"temp"});
-
-  bool done = false;
-  scan.scan_device("m1", [&](util::Result<comm::Tuple> tuple) {
-    done = true;
-    ASSERT_TRUE(tuple.is_ok());
-    EXPECT_TRUE(device::value_equal(tuple.value().get("temp"), Value{25.0}));
-  });
-  loop.run_all();
-  EXPECT_TRUE(done);
-
-  bool missing = false;
-  scan.scan_device("ghost", [&](util::Result<comm::Tuple> tuple) {
-    missing = !tuple.is_ok();
-  });
-  loop.run_all();
-  EXPECT_TRUE(missing);
-}
-
-TEST_F(CommFixture, ScanDeviceReportsUnreachable) {
-  devices::Mica2Mote* mote = add_mote("m1");
-  mote->set_online(false);
-  comm::ScanOperator scan(&registry, &comm, "sensor", {"temp"});
-  bool unavailable = false;
-  scan.scan_device("m1", [&](util::Result<comm::Tuple> tuple) {
-    unavailable = tuple.status().code() == util::StatusCode::kUnavailable;
-  });
-  loop.run_all();
-  EXPECT_TRUE(unavailable);
+  // Exactly one sensory read: only temp is needed and sensory (loc is
+  // non-sensory, cache-only).
+  EXPECT_EQ(broker.stats().at("sensor").rpcs_issued, 1u);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // unreliable".
 #include <gtest/gtest.h>
 
-#include "comm/scan_operator.h"
+#include "comm/scan_broker.h"
 #include "core/aorta.h"
 #include "util/strings.h"
 
@@ -37,11 +37,14 @@ TEST_P(RadioLossTest, ScanSuccessDegradesGracefullyWithLoss) {
     ASSERT_TRUE(network.set_link("m" + std::to_string(i), link).is_ok());
   }
 
-  comm::ScanOperator scan(&registry, &comm, "sensor", {"temp"});
+  comm::ScanBroker broker(&registry, &comm, &loop);
   std::size_t produced = 0;
   const int kRounds = 20;
   for (int round = 0; round < kRounds; ++round) {
-    scan.scan([&](std::vector<comm::Tuple> tuples) { produced += tuples.size(); });
+    broker.acquire_once("sensor", {"temp"},
+                        [&](std::vector<comm::Tuple> tuples) {
+                          produced += tuples.size();
+                        });
     loop.run_for(Duration::seconds(5));
   }
 
@@ -50,7 +53,7 @@ TEST_P(RadioLossTest, ScanSuccessDegradesGracefullyWithLoss) {
     EXPECT_DOUBLE_EQ(rate, 1.0);
   } else if (loss >= 1.0) {
     EXPECT_DOUBLE_EQ(rate, 0.0);
-    EXPECT_EQ(scan.stats().devices_skipped, 10u * kRounds);
+    EXPECT_EQ(broker.stats().at("sensor").devices_skipped, 10u * kRounds);
   } else {
     // Each read crosses two lossy traversals: success ~ (1-loss)^2, with
     // generous slack for sampling noise.

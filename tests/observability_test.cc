@@ -79,6 +79,7 @@ TEST_F(ResultsFixture, ContinuousAvgStreamsPerEpochWindows) {
 // ----------------------------------------------------------------- trace
 
 TEST_F(ResultsFixture, TraceRecordsEventRequestBatchOutcome) {
+  sys.tracer().set_enabled(true);
   ASSERT_TRUE(sys.add_camera("cam1", "10.0.0.1", {{0, 0, 3}, 0.0}).is_ok());
   sys.camera("cam1")->reliability().glitch_prob = 0.0;
   sys.camera("cam1")->set_fatigue_coeff(0.0);
@@ -88,23 +89,35 @@ TEST_F(ResultsFixture, TraceRecordsEventRequestBatchOutcome) {
                   .is_ok());
   sys.run_for(Duration::seconds(60));
 
+  // Query-level instants: `event:<aq>` (eval), `request:<aq>`,
+  // `batch:<action>` and `outcome:<aq>` (action).
+  std::vector<obs::Span> entries;
   std::map<std::string, int> kinds;
-  for (const auto& entry : sys.executor().trace()) ++kinds[entry.kind];
+  for (const obs::Span& span : sys.tracer().snapshot()) {
+    std::string kind = span.name.substr(0, span.name.find(':'));
+    bool query_level =
+        (span.cat == obs::SpanCat::kEval && kind == "event") ||
+        (span.cat == obs::SpanCat::kAction &&
+         (kind == "request" || kind == "batch" || kind == "outcome"));
+    if (!query_level) continue;
+    EXPECT_EQ(span.dur, Duration::zero()) << span.name;
+    ++kinds[kind];
+    entries.push_back(span);
+  }
   EXPECT_EQ(kinds["event"], 2);
   EXPECT_EQ(kinds["request"], 2);
   EXPECT_EQ(kinds["batch"], 2);
   EXPECT_EQ(kinds["outcome"], 2);
 
   // Entries are chronological and carry the owning query where relevant.
-  const auto& trace = sys.executor().trace();
-  for (std::size_t i = 1; i < trace.size(); ++i) {
-    EXPECT_LE(trace[i - 1].at, trace[i].at);
+  for (std::size_t i = 1; i < entries.size(); ++i) {
+    EXPECT_LE(entries[i - 1].start, entries[i].start);
   }
   bool saw_query = false;
-  for (const auto& entry : trace) {
-    if (entry.kind == "outcome") {
-      EXPECT_EQ(entry.query, "snap");
-      EXPECT_NE(entry.detail.find("photo on cam1"), std::string::npos);
+  for (const obs::Span& span : entries) {
+    if (span.name.rfind("outcome:", 0) == 0) {
+      EXPECT_EQ(span.name, "outcome:snap");
+      EXPECT_NE(span.detail.find("photo on cam1"), std::string::npos);
       saw_query = true;
     }
   }

@@ -1,12 +1,16 @@
 // Engine-level predicate-index tests: the index is an *optimization*, so
 // a full simulated run with Config::predicate_index on must produce the
-// same per-AQ event stream as the exhaustive evaluator — including
-// glitchy devices, edge-triggered phase assignment, mixed periods, AQs
-// dropped mid-run, residual-only predicates and contradictions. Also
-// pins the register/drop churn invariants (satellite: a 1k-cycle churn
-// storm leaves no index debris and does not perturb surviving AQs).
+// same bytes as a run with it off (every delivery-group member on the
+// residual list) — row stream, action outcomes and metrics snapshot —
+// including glitchy devices, edge-triggered phase assignment, mixed
+// periods, AQs dropped mid-run, residual-only predicates, contradictions
+// and an action AQ. Also pins the register/drop churn invariants (a
+// 1k-cycle churn storm leaves no index debris and does not perturb
+// surviving AQs), and that row hooks may drop AQs mid-delivery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,6 +19,7 @@
 
 #include "core/aorta.h"
 #include "devices/signal.h"
+#include "util/strings.h"
 #include "util/time.h"
 
 namespace aorta {
@@ -31,11 +36,44 @@ AqStats stats_of(const core::Aorta& sys, const std::string& name) {
   return {qs->events, qs->requests_issued, qs->epochs};
 }
 
+// One delivered row, rendered with everything the hook sees.
+std::string row_key(const std::string& query, const query::TimestampedRow& r) {
+  std::string key = query + "@" + std::to_string(r.at.to_micros());
+  for (const auto& [column, value] : r.row) {
+    key += "|" + column + "=" + device::value_to_string(value);
+  }
+  return r.degraded ? key + "|degraded" : key;
+}
+
+// CREATE AQ with an on_row hook (exec_async completes DDL synchronously).
+void create_aq(core::Aorta& sys, const std::string& sql,
+               std::function<void(const std::string&,
+                                  const query::TimestampedRow&)> on_row) {
+  core::ExecOptions options;
+  options.on_row = std::move(on_row);
+  bool done = false;
+  sys.exec_async(sql, std::move(options),
+                 [&](util::Result<core::ExecResult> r) {
+                   EXPECT_TRUE(r.is_ok()) << sql << ": "
+                                          << r.status().to_string();
+                   done = true;
+                 });
+  EXPECT_TRUE(done) << sql;
+}
+
+struct ScenarioRun {
+  std::map<std::string, AqStats> stats;
+  std::vector<std::string> rows;  // every on_row delivery, in order
+  std::map<std::string, std::string> actions;  // per-AQ action outcomes
+  std::string metrics;  // snapshot minus the counters the index changes
+};
+
 // One deterministic scenario, parameterized only by the index switch.
 // Four motes with staggered spike signals (default glitch probability
-// kept, so read failures and degraded tuples occur), seven AQs covering
-// every index entry kind, a drop mid-run, and a non-default period.
-std::map<std::string, AqStats> run_scenario(bool indexed) {
+// kept, so read failures and degraded tuples occur), eight AQs covering
+// every index entry kind plus an action, a drop mid-run, and a
+// non-default period.
+ScenarioRun run_scenario(bool indexed) {
   core::Config cfg;
   cfg.seed = 1309;
   cfg.predicate_index = indexed;
@@ -74,38 +112,69 @@ std::map<std::string, AqStats> run_scenario(bool indexed) {
       // dropped mid-run below
       "CREATE AQ victim AS SELECT s.id FROM sensor s "
       "WHERE s.accel_x > 250",
+      // action AQ: requests, probes, locks and outcomes
+      "CREATE AQ alarm AS SELECT beep(s.id) FROM sensor s "
+      "WHERE s.accel_x > 700",
   };
+  ScenarioRun out;
   for (const char* sql : aqs) {
-    auto r = sys.exec(sql);
-    EXPECT_TRUE(r.is_ok()) << sql << ": " << r.status().to_string();
+    create_aq(sys, sql,
+              [rows = &out.rows](const std::string& query,
+                                 const query::TimestampedRow& row) {
+                rows->push_back(row_key(query, row));
+              });
   }
 
   sys.run_for(Duration::seconds(11));
-  std::map<std::string, AqStats> out;
-  out["victim"] = stats_of(sys, "victim");  // capture before the drop
+  out.stats["victim"] = stats_of(sys, "victim");  // capture before the drop
   EXPECT_TRUE(sys.exec("DROP AQ victim").is_ok());
   sys.run_for(Duration::seconds(11));
 
   for (const char* name : {"lower", "band", "never", "strid", "resid",
-                           "slow"}) {
-    out[name] = stats_of(sys, name);
+                           "slow", "alarm"}) {
+    out.stats[name] = stats_of(sys, name);
+    query::QueryActionStats as = sys.action_stats(name);
+    out.actions[name] = util::str_format(
+        "%llu/%llu/%llu/%llu/%llu",
+        static_cast<unsigned long long>(as.requests),
+        static_cast<unsigned long long>(as.usable),
+        static_cast<unsigned long long>(as.degraded),
+        static_cast<unsigned long long>(as.failed),
+        static_cast<unsigned long long>(as.no_candidate));
   }
+  // Evaluation counts are what the index saves; everything else —
+  // including the index entry/group gauges and the broker's subscriber
+  // counts — must not depend on it.
+  for (const char* masked :
+       {"eval.compiled_evals", "eval.index.probes", "eval.index.candidates",
+        "eval.index.residual_evals", "eval.index.exact_skips",
+        "eval.index.pruned"}) {
+    EXPECT_TRUE(sys.metrics().contains(masked)) << masked;
+    sys.metrics().unenroll(masked);
+  }
+  out.metrics = sys.metrics().snapshot_json();
+
   // The scenario is only meaningful if things actually fire.
-  EXPECT_GT(std::get<0>(out["lower"]), 0u);
-  EXPECT_GT(std::get<0>(out["band"]), 0u);
-  EXPECT_GT(std::get<0>(out["resid"]), 0u);
-  EXPECT_GT(std::get<0>(out["victim"]), 0u);
-  EXPECT_EQ(std::get<0>(out["never"]), 0u);
+  EXPECT_GT(std::get<0>(out.stats["lower"]), 0u);
+  EXPECT_GT(std::get<0>(out.stats["band"]), 0u);
+  EXPECT_GT(std::get<0>(out.stats["resid"]), 0u);
+  EXPECT_GT(std::get<0>(out.stats["victim"]), 0u);
+  EXPECT_EQ(std::get<0>(out.stats["never"]), 0u);
+  EXPECT_GT(std::get<1>(out.stats["alarm"]), 0u);
+  EXPECT_FALSE(out.rows.empty());
   return out;
 }
 
 TEST(PredicateIndexIntegrationTest, IndexedRunMatchesExhaustiveRun) {
-  std::map<std::string, AqStats> off = run_scenario(/*indexed=*/false);
-  std::map<std::string, AqStats> on = run_scenario(/*indexed=*/true);
-  ASSERT_EQ(on.size(), off.size());
-  for (const auto& [name, expected] : off) {
-    EXPECT_EQ(on.at(name), expected) << name;
+  ScenarioRun off = run_scenario(/*indexed=*/false);
+  ScenarioRun on = run_scenario(/*indexed=*/true);
+  ASSERT_EQ(on.stats.size(), off.stats.size());
+  for (const auto& [name, expected] : off.stats) {
+    EXPECT_EQ(on.stats.at(name), expected) << name;
   }
+  EXPECT_EQ(on.rows, off.rows);
+  EXPECT_EQ(on.actions, off.actions);
+  EXPECT_EQ(on.metrics, off.metrics);
 }
 
 // ------------------------------------------------------------------ churn
@@ -175,6 +244,127 @@ TEST(PredicateIndexIntegrationTest, ThousandCycleChurnLeavesNoDebris) {
   ChurnRun control(/*churn=*/false);
   EXPECT_EQ(stats_of(*churn.sys, "keeper"), stats_of(*control.sys, "keeper"));
   EXPECT_GT(std::get<0>(stats_of(*churn.sys, "keeper")), 0u);
+}
+
+// ------------------------------------------------------ drops from hooks
+
+// Row hooks may drop AQs while the executor is delivering: their own AQ,
+// another member of the same delivery group, an AQ of another group due
+// in the same broker batch, and the same three shapes on the shared
+// aggregate cache. Every link is perfect and every device glitch-free, so
+// the drops change no read outcome and the survivors must see exactly
+// the rows of a run without the drops.
+struct HookDropRun {
+  explicit HookDropRun(bool drops) {
+    core::Config cfg;
+    cfg.seed = 11;
+    sys = std::make_unique<core::Aorta>(cfg);
+    (void)sys->network().set_link(comm::EngineNode::kNodeId,
+                                  net::LinkModel::perfect());
+    for (int i = 0; i < 3; ++i) {
+      std::string id = "m" + std::to_string(i);
+      EXPECT_TRUE(
+          sys->add_mote(id, {static_cast<double>(2 * i), 0, 1}).is_ok());
+      sys->mote(id)->reliability().glitch_prob = 0.0;
+      (void)sys->network().set_link(id, net::LinkModel::perfect());
+      (void)sys->mote(id)->set_signal(
+          "accel_x", devices::periodic_spike_signal(
+                         0.0, 900.0, Duration::seconds(5),
+                         Duration::seconds(2), Duration::seconds(i)));
+    }
+
+    auto logger = [this](const std::string& query,
+                         const query::TimestampedRow& row) {
+      log.push_back(row_key(query, row));
+    };
+    // Drops `victims` on its first row.
+    auto killer = [this, drops](std::vector<std::string> victims) {
+      return [this, drops, victims, fired = false](
+                 const std::string& query,
+                 const query::TimestampedRow& row) mutable {
+        log.push_back(row_key(query, row));
+        if (!drops || fired) return;
+        fired = true;
+        for (const std::string& victim : victims) {
+          log.push_back("DROP " + victim);
+          EXPECT_TRUE(sys->executor().drop_aq(victim).is_ok()) << victim;
+        }
+      };
+    };
+    // Drops its own AQ on its first row. The drop destroys this hook and
+    // `query`, so it copies what it needs and touches nothing afterwards.
+    auto suicide = [this, drops](const std::string& query,
+                                 const query::TimestampedRow& row) {
+      HookDropRun* run = this;
+      run->log.push_back(row_key(query, row));
+      if (!drops) return;
+      std::string name = query;
+      run->log.push_back("DROP " + name);
+      bool dropped = run->sys->executor().drop_aq(name).is_ok();
+      EXPECT_TRUE(dropped) << name;
+    };
+
+    const std::string g1 = "AS SELECT s.id, s.accel_x FROM sensor s WHERE ";
+    const std::string agg = "AS SELECT max(s.accel_x) FROM sensor s";
+    create_aq(*sys, "CREATE AQ keep " + g1 + "s.accel_x > 500", logger);
+    create_aq(*sys, "CREATE AQ killer " + g1 + "s.accel_x > 300",
+              killer({"same", "other"}));
+    create_aq(*sys,
+              "CREATE AQ self AS SELECT s.id, s.accel_x, beep(s.id) "
+              "FROM sensor s WHERE s.accel_x > 400",
+              suicide);
+    create_aq(*sys, "CREATE AQ same " + g1 + "s.accel_x > 200", logger);
+    create_aq(*sys,
+              "CREATE AQ other AS SELECT s.accel_x FROM sensor s "
+              "WHERE s.accel_x > 100",
+              logger);
+    create_aq(*sys, "CREATE AQ aggkill " + agg, killer({"aggvictim"}));
+    create_aq(*sys, "CREATE AQ aggvictim " + agg, logger);
+    create_aq(*sys, "CREATE AQ aggself " + agg, suicide);
+    sys->run_for(Duration::seconds(16));
+  }
+
+  // Log entries of `query` ("DROP" markers included), in order.
+  std::vector<std::string> of(const std::string& query) const {
+    std::vector<std::string> out;
+    for (const std::string& entry : log) {
+      if (entry.rfind(query + "@", 0) == 0 || entry == "DROP " + query) {
+        out.push_back(entry);
+      }
+    }
+    return out;
+  }
+
+  std::unique_ptr<core::Aorta> sys;
+  std::vector<std::string> log;
+};
+
+TEST(DeliveryHookTest, HooksMayDropAqsMidDelivery) {
+  HookDropRun dropped(/*drops=*/true);
+  HookDropRun control(/*drops=*/false);
+
+  // Dropped AQs deliver nothing after their drop.
+  for (const char* victim : {"self", "same", "other", "aggvictim",
+                             "aggself"}) {
+    std::vector<std::string> entries = dropped.of(victim);
+    auto drop = std::find(entries.begin(), entries.end(),
+                          std::string("DROP ") + victim);
+    ASSERT_NE(drop, entries.end()) << victim;
+    EXPECT_EQ(drop + 1, entries.end()) << victim;
+    EXPECT_EQ(dropped.sys->query_stats(victim), nullptr) << victim;
+  }
+  // The self-dropping AQs delivered the row that triggered their drop.
+  EXPECT_EQ(dropped.of("self").size(), 2u);
+  EXPECT_EQ(dropped.of("aggself").size(), 2u);
+
+  // Survivors: byte-identical to the run without drops, and not vacuous.
+  for (const char* survivor : {"keep", "killer", "aggkill"}) {
+    std::vector<std::string> rows = control.of(survivor);
+    EXPECT_GT(rows.size(), 1u) << survivor;
+    std::vector<std::string> got = dropped.of(survivor);
+    EXPECT_EQ(got, rows) << survivor;
+  }
+  EXPECT_GT(control.sys->action_stats("self").requests, 1u);
 }
 
 }  // namespace

@@ -28,6 +28,7 @@ RunOutput run_once(std::uint64_t seed,
   cfg.seed = seed;
   cfg.shared_scans = true;
   cfg.scan_freshness = freshness;
+  cfg.tracing = true;
   core::Aorta sys(cfg);
   for (int i = 0; i < 3; ++i) {
     std::string id = "m" + std::to_string(i);
@@ -65,10 +66,7 @@ RunOutput run_once(std::uint64_t seed,
   RunOutput out;
   out.stats_json = service.stats_json();
   out.submitted = gen.stats().submitted;
-  for (const query::TraceEntry& e : sys.executor().trace()) {
-    out.trace += std::to_string(e.at.to_micros()) + "|" + e.query + "|" +
-                 e.kind + "|" + e.detail + "\n";
-  }
+  out.trace = sys.trace_json();
   return out;
 }
 
