@@ -142,9 +142,7 @@ void Aorta::enroll_system_metrics() {
 
   const query::EvalStats& es = executor_->eval_stats();
   metrics_.enroll_counter("eval.programs_compiled", &es.programs_compiled);
-  metrics_.enroll_counter("eval.programs_fallback", &es.programs_fallback);
   metrics_.enroll_counter("eval.compiled_evals", &es.compiled_evals);
-  metrics_.enroll_counter("eval.fallback_evals", &es.fallback_evals);
   executor_->set_index_metrics(&metrics_, "eval.index.");
   executor_->set_agg_metrics(&metrics_, "eval.agg.", "broker.agg_cache.");
 

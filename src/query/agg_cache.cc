@@ -4,12 +4,10 @@
 #include <cmath>
 
 #include "query/executor.h"
-#include "query/expr_eval.h"
 #include "util/strings.h"
 
 namespace aorta::query {
 
-using aorta::util::Result;
 using aorta::util::Status;
 using device::Value;
 
@@ -33,62 +31,14 @@ ExprPtr normalize(const Expr& expr) {
   return out;
 }
 
-std::optional<std::string> agg_name(const Expr& expr) {
-  if (expr.kind != Expr::Kind::kFuncCall) return std::nullopt;
-  std::string fn = aorta::util::to_lower(expr.func_name);
-  if (fn == "count" || fn == "sum" || fn == "avg" || fn == "min" ||
-      fn == "max") {
-    return fn;
-  }
-  return std::nullopt;
-}
-
-// Deterministic, injective encoding of a group-key value vector. Doubles
-// render with %.17g so distinct values never collide.
-void encode_value(const Value& v, std::string* out) {
-  struct Enc {
-    std::string* out;
-    void operator()(std::monostate) { *out += 'n'; }
-    void operator()(bool b) { *out += b ? "b1" : "b0"; }
-    void operator()(std::int64_t i) {
-      *out += 'i';
-      *out += std::to_string(i);
-    }
-    void operator()(double d) {
-      *out += 'd';
-      *out += aorta::util::str_format("%.17g", d);
-    }
-    void operator()(const std::string& s) {
-      *out += 's';
-      *out += std::to_string(s.size());
-      *out += ':';
-      *out += s;
-    }
-    void operator()(const device::Location& l) {
-      *out += 'l';
-      *out += aorta::util::str_format("%.17g,%.17g,%.17g", l.x, l.y, l.z);
-    }
-  };
-  std::visit(Enc{out}, v);
-  *out += ';';
-}
-
 }  // namespace
 
 AggregateCache::AggregateCache(comm::ScanBroker* broker,
-                               aorta::util::EventLoop* loop,
-                               const Catalog* catalog, Options options)
-    : broker_(broker), loop_(loop), catalog_(catalog), options_(options) {}
+                               aorta::util::EventLoop* loop, Options options)
+    : broker_(broker), loop_(loop), options_(options) {}
 
 AggregateCache::~AggregateCache() {
   for (auto& [id, entry] : entries_) broker_->unsubscribe(entry->subscription);
-}
-
-bool AggregateCache::has_aggregates(const CompiledQuery& compiled) {
-  for (const auto& proj : compiled.projections) {
-    if (agg_name(*proj).has_value()) return true;
-  }
-  return false;
 }
 
 Status AggregateCache::build_spec(const CompiledQuery& compiled,
@@ -149,68 +99,51 @@ Status AggregateCache::build_spec(const CompiledQuery& compiled,
         "WINDOW must be a multiple of EVERY");
   }
 
-  // Select list: aggregate calls + group-key columns, nothing else.
-  for (const auto& proj : compiled.projections) {
-    auto fn = agg_name(*proj);
-    if (fn.has_value()) {
-      if (proj->args.size() > 1) {
-        return aorta::util::invalid_argument_error(
-            "aggregate takes at most one argument: " + proj->to_string());
-      }
-      const Expr* arg = proj->args.empty() ? nullptr : proj->args[0].get();
-      if (arg != nullptr && arg->kind == Expr::Kind::kColumnRef &&
-          arg->column == "*") {
-        arg = nullptr;  // COUNT(*)
-      }
-      if (*fn != "count" && arg == nullptr) {
-        return aorta::util::invalid_argument_error(
-            "aggregate needs a column argument: " + proj->to_string());
-      }
-      ExprPtr norm = arg == nullptr ? nullptr : normalize(*arg);
-      std::string key = norm == nullptr ? "*" : norm->to_string();
+  // Select list: aggregate calls + group-key columns, nothing else, in
+  // output-column order (compile() records each aggregate's position).
+  std::size_t next_agg = 0;
+  std::size_t next_proj = 0;
+  const std::size_t width =
+      compiled.aggregates.size() + compiled.projections.size();
+  for (std::size_t pos = 0; pos < width; ++pos) {
+    if (next_agg < compiled.aggregates.size() &&
+        compiled.aggregates[next_agg].position == pos) {
+      const CompiledAggregate& agg = compiled.aggregates[next_agg++];
+      std::string key =
+          agg.arg == nullptr ? "*" : normalize(*agg.arg)->to_string();
       std::size_t idx = 0;
       for (; idx < spec->arg_keys.size(); ++idx) {
         if (spec->arg_keys[idx] == key) break;
       }
       if (idx == spec->arg_keys.size()) {
-        spec->arg_keys.push_back(key);
-        spec->arg_exprs.push_back(std::move(norm));
+        spec->arg_keys.push_back(std::move(key));
+        spec->arg_sources.push_back(&agg);
       }
-      SubItem item;
-      item.is_group = false;
-      item.index = idx;
-      if (*fn == "count") item.op = AggOp::kCount;
-      else if (*fn == "sum") item.op = AggOp::kSum;
-      else if (*fn == "avg") item.op = AggOp::kAvg;
-      else if (*fn == "min") item.op = AggOp::kMin;
-      else item.op = AggOp::kMax;
-      item.label = proj->to_string();
-      spec->items.push_back(std::move(item));
+      spec->items.push_back(
+          SubItem{.index = idx, .op = agg.op, .label = agg.label});
       continue;
     }
-    if (proj->kind == Expr::Kind::kColumnRef && proj->column != "*") {
+    const Expr& proj = *compiled.projections[next_proj++];
+    if (proj.kind == Expr::Kind::kColumnRef) {
       auto it = std::find(spec->group_cols.begin(), spec->group_cols.end(),
-                          proj->column);
+                          proj.column);
       if (it != spec->group_cols.end()) {
-        SubItem item;
-        item.is_group = true;
-        item.index = static_cast<std::size_t>(it - spec->group_cols.begin());
-        item.label = proj->to_string();
-        spec->items.push_back(std::move(item));
+        spec->items.push_back(SubItem{
+            .is_group = true,
+            .index = static_cast<std::size_t>(it - spec->group_cols.begin()),
+            .label = proj.to_string()});
         continue;
       }
     }
     return aorta::util::invalid_argument_error(
         "projection must be an aggregate or a GROUP BY column: " +
-        proj->to_string());
+        proj.to_string());
   }
 
   // Normalized predicate texts, sorted (conjunct order must not change
   // the hash).
   for (const auto& p : compiled.event_predicates) {
-    ExprPtr norm = normalize(*p);
-    spec->pred_keys.push_back(norm->to_string());
-    spec->preds.push_back(std::move(norm));
+    spec->pred_keys.push_back(normalize(*p)->to_string());
   }
   std::sort(spec->pred_keys.begin(), spec->pred_keys.end());
 
@@ -286,28 +219,12 @@ Status AggregateCache::attach(const std::string& name,
     owned->slide = spec.slide;
     owned->window_panes = spec.window / spec.slide;
     owned->needed = spec.needed;
-    owned->schema = compiled.schemas.at(compiled.event_alias);
-    const std::vector<std::string> aliases{kAlias};
-    const std::map<std::string, const comm::Schema*> schemas{
-        {kAlias, &owned->schema}};
-    for (auto& p : spec.preds) {
-      auto prog = EvalProgram::compile(*p, aliases, schemas,
-                                       catalog_->functions());
-      owned->pred_programs.push_back(
-          prog.is_ok() ? std::optional<EvalProgram>(std::move(prog).value())
-                       : std::nullopt);
-      owned->preds.push_back(std::move(p));
-    }
+    // Single-table plans: every program reads frame slot 0.
+    owned->preds = compiled.event_programs;
     for (std::size_t i = 0; i < spec.arg_keys.size(); ++i) {
-      ArgCol arg;
-      arg.key = spec.arg_keys[i];
-      arg.expr = std::move(spec.arg_exprs[i]);
-      if (arg.expr != nullptr) {
-        auto prog = EvalProgram::compile(*arg.expr, aliases, schemas,
-                                         catalog_->functions());
-        if (prog.is_ok()) arg.program = std::move(prog).value();
-      }
-      owned->args.push_back(std::move(arg));
+      const CompiledAggregate& src = *spec.arg_sources[i];
+      owned->args.push_back(
+          ArgCol{spec.arg_keys[i], src.arg == nullptr, src.program});
     }
     std::uint64_t id = owned->id;
     owned->subscription = broker_->subscribe(
@@ -393,32 +310,6 @@ void AggregateCache::detach(std::uint64_t generation) {
   }
 }
 
-bool AggregateCache::eval_pred(const Entry& entry, std::size_t i,
-                               const comm::Tuple& tuple) const {
-  if (entry.pred_programs[i].has_value()) {
-    BindingFrame frame;
-    frame.size = 1;
-    frame.set(0, &tuple);
-    return entry.pred_programs[i]->run_predicate(frame);
-  }
-  Env env;
-  env.bind(kAlias, &tuple);
-  return eval_predicate(*entry.preds[i], env, catalog_->functions());
-}
-
-Result<Value> AggregateCache::eval_arg(const ArgCol& arg,
-                                       const comm::Tuple& tuple) const {
-  if (arg.program.has_value()) {
-    BindingFrame frame;
-    frame.size = 1;
-    frame.set(0, &tuple);
-    return arg.program->run(frame);
-  }
-  Env env;
-  env.bind(kAlias, &tuple);
-  return eval(*arg.expr, env, catalog_->functions());
-}
-
 void AggregateCache::on_batch(std::uint64_t entry_id,
                               const std::vector<comm::Tuple>& tuples,
                               std::uint64_t issue_tick) {
@@ -428,42 +319,33 @@ void AggregateCache::on_batch(std::uint64_t entry_id,
   const std::uint64_t sample = (issue_tick - entry.phase) / entry.period;
 
   stats_.tuples_evaluated += tuples.size();
+  BindingFrame frame;
+  frame.size = 1;
+  std::vector<Value> values(entry.args.size());
   for (const comm::Tuple& tuple : tuples) {
+    frame.set(0, &tuple);
     bool pass = true;
-    for (std::size_t i = 0; i < entry.preds.size(); ++i) {
-      if (!eval_pred(entry, i, tuple)) {
+    for (const EvalProgram& pred : entry.preds) {
+      if (!pred.run_predicate(frame)) {
         pass = false;
         break;
       }
     }
     if (!pass) continue;
 
-    // Evaluate every aggregate argument once; the per-arg contribution is
-    // then folded into each grouping's matching group.
-    struct Contribution {
-      bool counts = false;   // non-null (COUNT domain)
-      bool numeric = false;  // coercible (SUM/AVG/MIN/MAX domain)
-      double x = 0.0;
-    };
-    std::vector<Contribution> contribs(entry.args.size());
+    // Evaluate every aggregate argument once; the value then folds into
+    // each grouping's matching group.
     for (std::size_t a = 0; a < entry.args.size(); ++a) {
-      Contribution& c = contribs[a];
-      if (entry.args[a].expr == nullptr) {  // COUNT(*)
-        c.counts = true;
-        continue;
-      }
-      auto v = eval_arg(entry.args[a], tuple);
-      if (!v.is_ok() || std::holds_alternative<std::monostate>(v.value())) {
-        continue;  // NULLs never contribute
-      }
-      c.counts = true;
-      c.numeric = device::value_as_double(v.value(), &c.x);
+      values[a] = Value{};
+      if (entry.args[a].star) continue;
+      auto v = entry.args[a].program.run(frame);
+      if (v.is_ok()) values[a] = std::move(v).value();
     }
 
     for (auto& grouping : entry.groupings) {
       std::string group_key;
       for (const auto& col : grouping->cols) {
-        encode_value(tuple.get(col), &group_key);
+        append_group_key(tuple.get(col), &group_key);
       }
       auto [git, inserted] = grouping->groups.try_emplace(group_key);
       GroupState& group = git->second;
@@ -474,19 +356,13 @@ void AggregateCache::on_batch(std::uint64_t entry_id,
         }
       }
       for (std::size_t a = 0; a < entry.args.size(); ++a) {
-        const Contribution& c = contribs[a];
-        ArgWindow& w = group.args[a];
-        w.cur.degraded |= tuple.degraded();
-        if (c.counts) ++w.cur.cnt;
-        if (!c.numeric) continue;
-        if (w.cur.n_num == 0) {
-          w.cur.low = c.x;
-          w.cur.high = c.x;
+        Pane& cur = group.args[a].cur;
+        cur.degraded |= tuple.degraded();
+        if (entry.args[a].star) {
+          ++cur.fold.count;
+        } else {
+          cur.fold.add(values[a]);
         }
-        w.cur.sum += c.x;
-        w.cur.low = std::min(w.cur.low, c.x);
-        w.cur.high = std::max(w.cur.high, c.x);
-        ++w.cur.n_num;
       }
     }
   }
@@ -524,19 +400,20 @@ void AggregateCache::close_pane(
       for (ArgWindow& w : group.args) {
         // Close the open pane (only when it saw data), then expire
         // everything older than the window that ends at `pane`.
-        if (w.cur.cnt > 0 || w.cur.n_num > 0 || w.cur.degraded) {
-          if (w.cur.n_num > 0) {
-            while (!w.mins.empty() && w.mins.back().second >= w.cur.low) {
+        const AggFold& f = w.cur.fold;
+        if (f.count > 0 || w.cur.degraded) {
+          if (f.n > 0) {
+            while (!w.mins.empty() && w.mins.back().second >= f.min) {
               w.mins.pop_back();
             }
-            w.mins.emplace_back(pane, w.cur.low);
-            while (!w.maxs.empty() && w.maxs.back().second <= w.cur.high) {
+            w.mins.emplace_back(pane, f.min);
+            while (!w.maxs.empty() && w.maxs.back().second <= f.max) {
               w.maxs.pop_back();
             }
-            w.maxs.emplace_back(pane, w.cur.high);
+            w.maxs.emplace_back(pane, f.max);
           }
           w.panes.emplace_back(pane, w.cur);
-          w.cur = PanePartial{};
+          w.cur = Pane{};
         }
         while (!w.panes.empty() && w.panes.front().first < low_pane) {
           w.panes.pop_front();
@@ -581,28 +458,16 @@ Value AggregateCache::finalize(const GroupState& group, const SubItem& item,
                                bool* degraded) const {
   if (item.is_group) return group.values[item.index];
   const ArgWindow& w = group.args[item.index];
-  double sum = 0.0;
-  std::uint64_t n_num = 0, cnt = 0;
-  for (const auto& [pane, partial] : w.panes) {
-    sum += partial.sum;
-    n_num += partial.n_num;
-    cnt += partial.cnt;
-    *degraded |= partial.degraded;
+  AggFold window;
+  for (const auto& [pane, p] : w.panes) {
+    window.count += p.fold.count;
+    window.n += p.fold.n;
+    window.sum += p.fold.sum;
+    *degraded |= p.degraded;
   }
-  switch (item.op) {
-    case AggOp::kCount:
-      return static_cast<std::int64_t>(cnt);
-    case AggOp::kSum:
-      return n_num == 0 ? Value{} : Value{sum};
-    case AggOp::kAvg:
-      return n_num == 0 ? Value{}
-                        : Value{sum / static_cast<double>(n_num)};
-    case AggOp::kMin:
-      return w.mins.empty() ? Value{} : Value{w.mins.front().second};
-    case AggOp::kMax:
-      return w.maxs.empty() ? Value{} : Value{w.maxs.front().second};
-  }
-  return Value{};
+  if (!w.mins.empty()) window.min = w.mins.front().second;
+  if (!w.maxs.empty()) window.max = w.maxs.front().second;
+  return window.finalize(item.op);
 }
 
 }  // namespace aorta::query

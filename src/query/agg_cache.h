@@ -18,12 +18,16 @@
 // batch): a pane is `slide` consecutive samples, a window is
 // `window/slide` consecutive panes, and emission happens at every pane
 // close, which coincides with the engine's epoch barrier for the batch
-// that completed the pane. SUM/COUNT/AVG re-fold the ≤ window/slide
-// retained pane partials at emission; MIN/MAX keep per-group monotonic
-// deques of per-pane extrema so a window extremum is a deque front, not a
-// rescan. Subscribers that join mid-stream only see windows made entirely
-// of panes after their join (min_pane warm-up), which keeps a shared
-// entry's output byte-identical to the private entry the
+// that completed the pane. Each pane folds its tuples into one AggFold per
+// aggregate argument (query/aggregate.h — the same fold the one-shot
+// SELECT uses); SUM/COUNT/AVG re-fold the ≤ window/slide retained pane
+// partials at emission; MIN/MAX keep per-group monotonic deques of
+// per-pane extrema so a window extremum is a deque front, not a rescan.
+// Predicates and arguments run as the EvalPrograms compile() lowered for
+// the entry's first subscriber (co-hashed AQs lower to the same programs
+// up to alias naming). Subscribers that join mid-stream only see windows
+// made entirely of panes after their join (min_pane warm-up), which keeps
+// a shared entry's output byte-identical to the private entry the
 // `Config::aggregate_cache=false` ablation would have built.
 #pragma once
 
@@ -32,11 +36,11 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "comm/scan_broker.h"
+#include "query/aggregate.h"
 #include "query/compile.h"
 #include "util/event_loop.h"
 
@@ -74,11 +78,8 @@ class AggregateCache {
       std::function<void(const std::string& name, const TimestampedRow& row)>;
 
   AggregateCache(comm::ScanBroker* broker, aorta::util::EventLoop* loop,
-                 const Catalog* catalog, Options options);
+                 Options options);
   ~AggregateCache();
-
-  // Does the compiled query's select list contain aggregate calls?
-  static bool has_aggregates(const CompiledQuery& compiled);
 
   // Attach a continuous aggregate AQ. `epoch_ticks` is its sample period
   // in engine ticks, `sample_period_s` the same period in seconds (window
@@ -99,18 +100,10 @@ class AggregateCache {
   std::size_t subscriber_count() const { return subs_by_gen_.size(); }
 
  private:
-  enum class AggOp : std::uint8_t { kCount, kSum, kAvg, kMin, kMax };
-
-  // One pane's accumulation for one aggregate argument of one group.
-  // `n_num` counts numeric contributions (sum/avg/min/max domain), `cnt`
-  // counts non-null contributions (count domain) — mirroring the one-shot
-  // aggregate's NULL/non-numeric skip rules exactly.
-  struct PanePartial {
-    double sum = 0.0;
-    double low = 0.0;
-    double high = 0.0;
-    std::uint64_t n_num = 0;
-    std::uint64_t cnt = 0;
+  // One pane's fold for one aggregate argument of one group, plus whether
+  // any of its tuples was degraded.
+  struct Pane {
+    AggFold fold;
     bool degraded = false;
   };
 
@@ -118,8 +111,8 @@ class AggregateCache {
   // the ring of closed panes still inside some window, and the monotonic
   // min/max deques over those panes.
   struct ArgWindow {
-    PanePartial cur;
-    std::deque<std::pair<std::uint64_t, PanePartial>> panes;
+    Pane cur;
+    std::deque<std::pair<std::uint64_t, Pane>> panes;
     std::deque<std::pair<std::uint64_t, double>> mins;  // increasing
     std::deque<std::pair<std::uint64_t, double>> maxs;  // decreasing
   };
@@ -158,12 +151,11 @@ class AggregateCache {
     Grouping* grouping = nullptr;
   };
 
-  // One normalized aggregate argument, evaluated once per passing tuple.
-  // `expr == nullptr` is the COUNT(*) pseudo-argument.
+  // One distinct aggregate argument, evaluated once per passing tuple.
   struct ArgCol {
-    std::string key;  // canonical text ("e.temp", "*")
-    ExprPtr expr;
-    std::optional<EvalProgram> program;
+    std::string key;     // canonical text ("e.temp", "*")
+    bool star = false;   // COUNT(*): counts tuples, nothing to evaluate
+    EvalProgram program;
   };
 
   struct Entry {
@@ -176,9 +168,7 @@ class AggregateCache {
     std::uint64_t slide = 1;   // in samples
     std::uint64_t window_panes = 1;  // window / slide
     std::set<std::string> needed;    // attrs the subscription acquires
-    comm::Schema schema;             // event-table schema (owned)
-    std::vector<ExprPtr> preds;      // canonicalized to alias "e"
-    std::vector<std::optional<EvalProgram>> pred_programs;
+    std::vector<EvalProgram> preds;  // the event predicates
     std::vector<ArgCol> args;
     std::vector<std::unique_ptr<Grouping>> groupings;
     std::vector<std::uint64_t> subs;  // subscriber generations, ascending
@@ -188,10 +178,9 @@ class AggregateCache {
   // The normalized shape distilled from one AQ's compiled query; feeds
   // both the hash and the entry/subscriber construction.
   struct Spec {
-    std::vector<ExprPtr> preds;             // alias-normalized clones
     std::vector<std::string> pred_keys;     // sorted canonical texts
-    std::vector<ExprPtr> arg_exprs;         // normalized distinct args
-    std::vector<std::string> arg_keys;      // parallel canonical texts
+    std::vector<std::string> arg_keys;      // distinct args' canonical texts
+    std::vector<const CompiledAggregate*> arg_sources;  // parallel
     std::vector<std::string> group_cols;    // clause order
     std::vector<SubItem> items;             // select-list rendering plan
     std::uint64_t window = 1;               // samples
@@ -210,14 +199,8 @@ class AggregateCache {
   device::Value finalize(const GroupState& group, const SubItem& item,
                          bool* degraded) const;
 
-  aorta::util::Result<device::Value> eval_arg(const ArgCol& arg,
-                                              const comm::Tuple& tuple) const;
-  bool eval_pred(const Entry& entry, std::size_t i,
-                 const comm::Tuple& tuple) const;
-
   comm::ScanBroker* broker_;
   aorta::util::EventLoop* loop_;
-  const Catalog* catalog_;
   Options options_;
 
   std::map<std::uint64_t, std::unique_ptr<Entry>> entries_;  // by entry id

@@ -59,7 +59,7 @@ bool references_sensory(const Expr& expr, const std::string& alias,
 // non-event binding, which classification should already preclude) makes
 // the result inexact but never unsound — it just stays a residual filter.
 std::optional<IndexableConjunct> distill_index_conjunct(
-    const std::vector<std::optional<EvalProgram>>& event_programs,
+    const std::vector<EvalProgram>& event_programs,
     std::size_t event_binding, const comm::Schema& event_schema) {
   struct SlotAcc {
     double lo = -std::numeric_limits<double>::infinity();
@@ -75,8 +75,7 @@ std::optional<IndexableConjunct> distill_index_conjunct(
   std::map<std::uint32_t, SlotAcc> slots;
   std::size_t hinted = 0;
   for (const auto& program : event_programs) {
-    if (!program) continue;
-    auto hint = program->index_hint();
+    auto hint = program.index_hint();
     if (!hint || hint->binding != event_binding) continue;
     ++hinted;
     SlotAcc& acc = slots[hint->slot];
@@ -281,7 +280,8 @@ Result<CompiledQuery> compile(const SelectStmt& stmt, const Catalog& catalog,
     }
   }
 
-  // ---- SELECT list: actions vs projections -------------------------------
+  // ---- SELECT list: actions, aggregates, projections ----------------------
+  std::size_t column = 0;  // output column index (aggregates + projections)
   for (const auto& item : stmt.select_list) {
     if (item->kind == Expr::Kind::kFuncCall) {
       const ActionDef* action = catalog.find_action(item->func_name);
@@ -322,35 +322,80 @@ Result<CompiledQuery> compile(const SelectStmt& stmt, const Catalog& catalog,
         continue;
       }
     }
+    if (item->kind == Expr::Kind::kColumnRef && item->column == "*") {
+      // SELECT *: every attribute of every table, labelled alias.field.
+      for (const auto& [alias, schema] : q.schemas) {
+        for (const auto& f : schema.fields()) {
+          q.projections.push_back(Expr::make_column(alias, f.name));
+          ++column;
+        }
+      }
+      continue;
+    }
+    if (auto op = agg_op(*item)) {
+      if (item->args.size() > 1) {
+        return Result<CompiledQuery>(aorta::util::invalid_argument_error(
+            "aggregate takes at most one argument: " + item->to_string()));
+      }
+      const Expr* arg = item->args.empty() ? nullptr : item->args[0].get();
+      if (arg != nullptr && arg->kind == Expr::Kind::kColumnRef &&
+          arg->column == "*") {
+        arg = nullptr;  // COUNT(*)
+      }
+      CompiledAggregate agg;
+      agg.op = *op;
+      if (arg != nullptr) agg.arg = arg->clone();
+      if (agg.op != AggOp::kCount && agg.arg == nullptr) {
+        return Result<CompiledQuery>(aorta::util::invalid_argument_error(
+            "aggregate needs a column argument: " + item->to_string()));
+      }
+      agg.label = item->to_string();
+      agg.position = column++;
+      q.aggregates.push_back(std::move(agg));
+      continue;
+    }
     q.projections.push_back(item->clone());
+    ++column;
   }
 
   // ---- compiled evaluation ------------------------------------------------
-  // Lower every hot-path expression to a slot-resolved program once.
-  // Whatever does not lower (SELECT *, aggregates, unknown functions)
-  // keeps the tree-walking evaluator as its per-row fallback.
+  // Lower every per-row expression to a slot-resolved program once, or
+  // reject the statement with the lowering error (unknown function, an
+  // aggregate nested in an expression, unknown unqualified column).
   for (std::size_t i = 0; i < q.binding_aliases.size(); ++i) {
     if (q.binding_aliases[i] == q.event_alias) q.event_binding = i;
   }
-  auto lower = [&](const Expr& e) -> std::optional<EvalProgram> {
+  auto lower = [&](const Expr& e, EvalProgram* out) -> Status {
     auto p = EvalProgram::compile(e, q.binding_aliases, schemas,
                                   catalog.functions());
-    if (!p.is_ok()) return std::nullopt;
-    return std::move(p).value();
+    if (!p.is_ok()) return p.status();
+    *out = std::move(p).value();
+    return Status::ok();
   };
-  for (const auto& p : q.event_predicates) q.event_programs.push_back(lower(*p));
-  for (const auto& p : q.join_predicates) q.join_programs.push_back(lower(*p));
-  for (const auto& p : q.projections) q.projection_programs.push_back(lower(*p));
+  auto lower_all = [&](const std::vector<ExprPtr>& exprs,
+                       std::vector<EvalProgram>* out) -> Status {
+    out->resize(exprs.size());
+    for (std::size_t i = 0; i < exprs.size(); ++i) {
+      AORTA_RETURN_IF_ERROR(lower(*exprs[i], &(*out)[i]));
+    }
+    return Status::ok();
+  };
+  RETURN_IF_ERROR_R(lower_all(q.event_predicates, &q.event_programs));
+  RETURN_IF_ERROR_R(lower_all(q.join_predicates, &q.join_programs));
+  RETURN_IF_ERROR_R(lower_all(q.projections, &q.projection_programs));
+  for (auto& agg : q.aggregates) {
+    if (agg.arg != nullptr) RETURN_IF_ERROR_R(lower(*agg.arg, &agg.program));
+  }
   for (auto& call : q.actions) {
     for (std::size_t i = 0; i < q.binding_aliases.size(); ++i) {
       if (q.binding_aliases[i] == call.candidate_alias) {
         call.candidate_binding = i;
       }
     }
+    call.arg_programs.resize(call.args.size());
     for (std::size_t a = 0; a < call.args.size(); ++a) {
-      call.arg_programs.push_back(a == call.action->binding_param
-                                      ? std::nullopt
-                                      : lower(*call.args[a]));
+      if (a == call.action->binding_param) continue;
+      RETURN_IF_ERROR_R(lower(*call.args[a], &call.arg_programs[a]));
     }
   }
 
@@ -395,40 +440,15 @@ std::map<std::string, const comm::Schema*> CompiledQuery::schema_ptrs() const {
   return out;
 }
 
-namespace {
-
-void count_programs(const std::vector<std::optional<EvalProgram>>& programs,
-                    std::size_t* compiled, std::size_t* fallback) {
-  for (const auto& p : programs) {
-    if (p.has_value()) ++*compiled;
-    else ++*fallback;
-  }
-}
-
-}  // namespace
-
 std::size_t CompiledQuery::program_count() const {
-  std::size_t compiled = 0, fallback = 0;
-  count_programs(event_programs, &compiled, &fallback);
-  count_programs(join_programs, &compiled, &fallback);
-  count_programs(projection_programs, &compiled, &fallback);
-  for (const auto& call : actions) {
-    count_programs(call.arg_programs, &compiled, &fallback);
+  std::size_t n = event_programs.size() + join_programs.size() +
+                  projection_programs.size();
+  for (const auto& agg : aggregates) {
+    if (agg.arg != nullptr) ++n;
   }
-  return compiled;
-}
-
-std::size_t CompiledQuery::fallback_count() const {
-  std::size_t compiled = 0, fallback = 0;
-  count_programs(event_programs, &compiled, &fallback);
-  count_programs(join_programs, &compiled, &fallback);
-  count_programs(projection_programs, &compiled, &fallback);
-  for (const auto& call : actions) {
-    count_programs(call.arg_programs, &compiled, &fallback);
-    // The binding-param slot is intentionally empty, not a fallback.
-    if (fallback > 0) --fallback;
-  }
-  return fallback;
+  // The binding-param slot of each action holds no program.
+  for (const auto& call : actions) n += call.arg_programs.size() - 1;
+  return n;
 }
 
 std::string CompiledQuery::describe() const {
@@ -459,22 +479,25 @@ std::string CompiledQuery::describe() const {
       out += "    " + p->to_string() + "\n";
     }
   }
+  if (!aggregates.empty()) {
+    out += "  aggregates:\n";
+    for (const auto& agg : aggregates) out += "    " + agg.label + "\n";
+  }
   std::size_t instrs = 0, folded = 0;
-  auto tally = [&](const std::vector<std::optional<EvalProgram>>& programs) {
-    for (const auto& p : programs) {
-      if (!p.has_value()) continue;
-      instrs += p->instruction_count();
-      folded += p->folded_nodes();
-    }
+  auto tally = [&](const EvalProgram& p) {
+    instrs += p.instruction_count();
+    folded += p.folded_nodes();
   };
-  tally(event_programs);
-  tally(join_programs);
-  tally(projection_programs);
-  for (const auto& call : actions) tally(call.arg_programs);
+  for (const auto& p : event_programs) tally(p);
+  for (const auto& p : join_programs) tally(p);
+  for (const auto& p : projection_programs) tally(p);
+  for (const auto& agg : aggregates) tally(agg.program);
+  for (const auto& call : actions) {
+    for (const auto& p : call.arg_programs) tally(p);
+  }
   out += "  compiled evaluation: " + std::to_string(program_count()) +
          " program(s), " + std::to_string(instrs) + " instruction(s), " +
-         std::to_string(folded) + " node(s) constant-folded, " +
-         std::to_string(fallback_count()) + " fallback expr(s)\n";
+         std::to_string(folded) + " node(s) constant-folded\n";
   out += "  scan attributes (projection pushdown):\n";
   for (const auto& [alias, attrs] : needed_attrs) {
     out += "    " + alias + ": ";

@@ -7,13 +7,18 @@
 //    device-selection optimization (e.g. camera, restricted by
 //    coverage(c.id, s.loc)),
 //  - predicate classification: event predicates (single-alias, pushed into
-//    the event scan) vs join predicates (evaluated per event x candidate).
+//    the event scan) vs join predicates (evaluated per event x candidate),
+//  - the select list as actions, aggregates and plain projections, with
+//    SELECT * expanded,
+//  - one EvalProgram per per-row expression: compile() lowers every one or
+//    rejects the statement, so nothing is interpreted at run time.
 #pragma once
 
 #include <optional>
 #include <set>
 
 #include "device/registry.h"
+#include "query/aggregate.h"
 #include "query/catalog.h"
 #include "query/eval_program.h"
 
@@ -22,10 +27,10 @@ namespace aorta::query {
 struct CompiledActionCall {
   const ActionDef* action = nullptr;
   std::vector<ExprPtr> args;    // evaluated per selected candidate device
-  // Compiled form of each argument, aligned with `args`; nullopt falls
-  // back to the tree walker. The binding-param argument is never
-  // evaluated (finalized per selected device), so its slot stays empty.
-  std::vector<std::optional<EvalProgram>> arg_programs;
+  // Compiled form of each argument, aligned with `args`. The binding-param
+  // argument is never evaluated (finalized per selected device), so its
+  // slot holds an empty program.
+  std::vector<EvalProgram> arg_programs;
   std::string candidate_alias;  // alias of the candidate table ("" = event table)
   std::size_t candidate_binding = 0;  // frame slot of candidate_alias
 };
@@ -65,6 +70,18 @@ struct IndexableConjunct {
   bool exact = false;
 };
 
+// One top-level aggregate call of the select list (query/aggregate.h),
+// lowered once; the one-shot SELECT and the AggregateCache fold it.
+struct CompiledAggregate {
+  AggOp op = AggOp::kCount;
+  ExprPtr arg;          // the argument; null for COUNT(*) / COUNT()
+  EvalProgram program;  // arg's program (empty for COUNT(*))
+  std::string label;    // the call as written, e.g. "avg(s.temp)"
+  // Output column index: aggregates and projections interleave in
+  // select-list order (with SELECT * expanded).
+  std::size_t position = 0;
+};
+
 struct CompiledQuery {
   std::string name;
   double epoch_s = 0.0;
@@ -79,7 +96,10 @@ struct CompiledQuery {
   std::vector<ExprPtr> join_predicates;   // everything else
 
   std::vector<CompiledActionCall> actions;
-  std::vector<ExprPtr> projections;  // non-action select items
+  // Non-action, non-aggregate select items; SELECT * is expanded into one
+  // qualified column ref per attribute (aliases sorted, schema order).
+  std::vector<ExprPtr> projections;
+  std::vector<CompiledAggregate> aggregates;  // select-list order
 
   // Continuous aggregation clauses, carried through from the statement
   // (the executor's AggregateCache consumes them; see DESIGN.md §15).
@@ -88,17 +108,15 @@ struct CompiledQuery {
   double every_s = 0.0;
 
   // ---- compiled evaluation (query/eval_program.h) -----------------------
-  // Frame layout: one slot per FROM alias, in FROM order. Expressions are
-  // lowered once here; per row the executor fills a BindingFrame and runs
-  // the programs instead of re-walking the trees. A nullopt program means
-  // that expression stays on the tree-walking fallback (SELECT *,
-  // aggregates, unknown functions).
+  // Frame layout: one slot per FROM alias, in FROM order. Every per-row
+  // expression is lowered here, or compile() fails; per row the executor
+  // fills a BindingFrame and runs the programs.
   std::vector<std::string> binding_aliases;
   std::size_t event_binding = 0;  // frame slot of event_alias
   std::map<std::string, comm::Schema> schemas;  // owned, per alias
-  std::vector<std::optional<EvalProgram>> event_programs;   // aligned
-  std::vector<std::optional<EvalProgram>> join_programs;    // aligned
-  std::vector<std::optional<EvalProgram>> projection_programs;  // aligned
+  std::vector<EvalProgram> event_programs;       // aligned
+  std::vector<EvalProgram> join_programs;        // aligned
+  std::vector<EvalProgram> projection_programs;  // aligned
 
   // Attributes each scan must acquire (projection pushdown).
   std::map<std::string, std::set<std::string>> needed_attrs;
@@ -115,10 +133,8 @@ struct CompiledQuery {
   // compilation input).
   std::map<std::string, const comm::Schema*> schema_ptrs() const;
 
-  // Number of expressions that compiled to programs / stayed on the
-  // tree-walking fallback.
+  // Number of programs lowered (every evaluated expression).
   std::size_t program_count() const;
-  std::size_t fallback_count() const;
 
   // Human-readable plan description (EXPLAIN output): the event table and
   // trigger mode, predicate classification, embedded actions with their
@@ -127,7 +143,12 @@ struct CompiledQuery {
 };
 
 // Compile against the catalog (action/function names) and the registry
-// (virtual table schemas). Restrictions: at most 2 tables (the event table
+// (virtual table schemas). Every per-row expression is lowered to an
+// EvalProgram or the statement is rejected with the lowering error: an
+// unknown function, an aggregate nested in an expression, an unknown or
+// ambiguous unqualified column. Top-level aggregate calls become
+// `aggregates` (at most one argument; all but COUNT need one).
+// Restrictions: at most 2 tables (the event table
 // and one candidate table — the paper's query pattern). In continuous
 // mode (`one_shot == false`), candidate-table predicates may only
 // reference non-sensory (static) attributes, because candidates are

@@ -16,10 +16,11 @@
 // Semantics contract: a program returns exactly what expr_eval's eval()
 // returns for the same expression over equivalently-bound tuples —
 // including three-valued NULL behaviour, short-circuiting past erroring
-// operands, and error statuses (byte-identical messages). The tree walker
-// stays as the reference implementation and differential-testing oracle
-// (tests/eval_program_test.cc); expressions that do not compile (unknown
-// function or column, SELECT *) simply keep using it.
+// operands, and error statuses (byte-identical messages). Programs are the
+// only runtime evaluator: compile() (query/compile.h) rejects a statement
+// whose expressions do not lower. The tree walker stays as the reference
+// implementation — constant folding runs it at compile time, and
+// tests/eval_program_test.cc uses it as the differential oracle.
 #pragma once
 
 #include <array>
@@ -102,10 +103,10 @@ class EvalProgram {
   // Lower `expr` against the statement's binding layout. `binding_aliases`
   // fixes the frame slot of each alias; `schemas` (alias -> schema)
   // resolves columns; `functions` pre-binds scalar-function pointers,
-  // which must outlive the program. Fails (caller falls back to the tree
-  // walker) on: unknown/ambiguous unqualified columns, aliases outside
-  // the binding layout, unknown functions, or more than kMaxBindings
-  // aliases.
+  // which must outlive the program. Fails (compile() rejects the
+  // statement with this error) on: unknown/ambiguous unqualified columns,
+  // unknown functions (aggregate names included: they are not scalar
+  // functions), or more than kMaxBindings aliases.
   static aorta::util::Result<EvalProgram> compile(
       const Expr& expr, const std::vector<std::string>& binding_aliases,
       const std::map<std::string, const comm::Schema*>& schemas,

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/logging.h"
-#include "util/strings.h"
 
 namespace aorta::query {
 
@@ -12,50 +11,6 @@ using aorta::util::Duration;
 using aorta::util::Result;
 using aorta::util::Status;
 using device::Value;
-
-namespace {
-
-// Rebuild a tree-walker Env from a binding frame — only for expressions
-// that did not compile to a program (SELECT *, aggregates, unknown
-// functions).
-Env env_from_frame(const BindingFrame& frame,
-                   const std::vector<std::string>& aliases) {
-  Env env;
-  for (std::size_t i = 0; i < frame.size && i < aliases.size(); ++i) {
-    if (frame.tuples[i] != nullptr) env.bind(aliases[i], frame.tuples[i]);
-  }
-  return env;
-}
-
-}  // namespace
-
-Result<Value> ContinuousQueryExecutor::eval_expr(
-    const std::optional<EvalProgram>& program, const Expr& expr,
-    const BindingFrame& frame, const std::vector<std::string>& aliases) {
-  if (program.has_value()) {
-    ++eval_stats_.compiled_evals;
-    return program->run(frame);
-  }
-  ++eval_stats_.fallback_evals;
-  return eval(expr, env_from_frame(frame, aliases), catalog_->functions());
-}
-
-bool ContinuousQueryExecutor::eval_pred(
-    const std::optional<EvalProgram>& program, const Expr& expr,
-    const BindingFrame& frame, const std::vector<std::string>& aliases) {
-  if (program.has_value()) {
-    ++eval_stats_.compiled_evals;
-    return program->run_predicate(frame);
-  }
-  ++eval_stats_.fallback_evals;
-  return eval_predicate(expr, env_from_frame(frame, aliases),
-                        catalog_->functions());
-}
-
-void ContinuousQueryExecutor::count_programs(const CompiledQuery& compiled) {
-  eval_stats_.programs_compiled += compiled.program_count();
-  eval_stats_.programs_fallback += compiled.fallback_count();
-}
 
 ContinuousQueryExecutor::ContinuousQueryExecutor(
     device::DeviceRegistry* registry, comm::CommLayer* comm,
@@ -83,8 +38,7 @@ ContinuousQueryExecutor::ContinuousQueryExecutor(
   // barrier can flush action operators.
   broker_->set_delivery_epilogue([this]() { process_staged(); });
   agg_cache_ = std::make_unique<AggregateCache>(
-      broker_, loop_, catalog_,
-      AggregateCache::Options{options_.aggregate_cache});
+      broker_, loop_, AggregateCache::Options{options_.aggregate_cache});
 }
 
 ContinuousQueryExecutor::~ContinuousQueryExecutor() {
@@ -105,7 +59,7 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
   // Continuous aggregates run on the shared-aggregate cache (attached
   // below, after the epoch is resolved). GROUP BY / WINDOW only make sense
   // over aggregate projections.
-  bool has_agg = AggregateCache::has_aggregates(compiled.value());
+  bool has_agg = !compiled.value().aggregates.empty();
   if (!has_agg && (!compiled.value().group_by.empty() ||
                    compiled.value().window_s > 0.0 ||
                    compiled.value().every_s > 0.0)) {
@@ -120,7 +74,7 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
   aq->hooks = std::move(hooks);
   aq->source_sql = std::move(source_sql);
   aq->compiled = std::move(compiled).value();
-  count_programs(aq->compiled);
+  eval_stats_.programs_compiled += aq->compiled.program_count();
 
   if (epoch_s > 0.0) {
     double engine_epoch_s = options_.epoch.to_seconds();
@@ -458,9 +412,8 @@ void ContinuousQueryExecutor::process_event_tuple(
   } else {
     if (candidate) ++index_stats_.residual_evals;
     satisfied = true;
-    for (std::size_t i = 0; i < cq.event_predicates.size(); ++i) {
-      if (!eval_pred(cq.event_programs[i], *cq.event_predicates[i], frame,
-                     cq.binding_aliases)) {
+    for (const EvalProgram& pred : cq.event_programs) {
+      if (!eval_pred(pred, frame)) {
         satisfied = false;
         break;
       }
@@ -504,8 +457,7 @@ void ContinuousQueryExecutor::fire_event(Aq* aq, const comm::Tuple& tuple,
     const CompiledQuery& cq = aq->compiled;
     Row row;
     for (std::size_t i = 0; i < cq.projections.size(); ++i) {
-      auto v = eval_expr(cq.projection_programs[i], *cq.projections[i], frame,
-                         cq.binding_aliases);
+      auto v = eval_expr(cq.projection_programs[i], frame);
       row.emplace_back(cq.projections[i]->to_string(),
                        v.is_ok() ? std::move(v).value() : device::Value{});
     }
@@ -551,8 +503,7 @@ void ContinuousQueryExecutor::fire_event(Aq* aq, const comm::Tuple& tuple,
         request.action_args.push_back(Value{});  // filled at execution
         continue;
       }
-      auto v = eval_expr(call.arg_programs[a], *call.args[a], frame,
-                         cq.binding_aliases);
+      auto v = eval_expr(call.arg_programs[a], frame);
       request.action_args.push_back(v.is_ok() ? std::move(v).value() : Value{});
     }
     if (call.action->request_params) {
@@ -617,9 +568,8 @@ std::vector<device::DeviceId> ContinuousQueryExecutor::enumerate_candidates(
 
     joined.set(call.candidate_binding, &cand);
     bool ok = true;
-    for (std::size_t i = 0; i < cq.join_predicates.size(); ++i) {
-      if (!eval_pred(cq.join_programs[i], *cq.join_predicates[i], joined,
-                     cq.binding_aliases)) {
+    for (const EvalProgram& pred : cq.join_programs) {
+      if (!eval_pred(pred, joined)) {
         ok = false;
         break;
       }
@@ -737,7 +687,14 @@ void ContinuousQueryExecutor::run_select(
     return;
   }
   auto q = std::make_shared<CompiledQuery>(std::move(compiled).value());
-  count_programs(*q);
+  eval_stats_.programs_compiled += q->program_count();
+  // Aggregates collapse the result to one row; without GROUP BY a plain
+  // projection beside them has no single value.
+  if (!q->aggregates.empty() && !q->projections.empty()) {
+    done(Result<std::vector<Row>>(aorta::util::invalid_argument_error(
+        "cannot mix aggregates with plain projections (no GROUP BY)")));
+    return;
+  }
 
   // One live acquisition per table (one-shot SELECTs read sensory
   // attributes on every table, unlike continuous candidate enumeration
@@ -754,148 +711,36 @@ void ContinuousQueryExecutor::run_select(
   multi->tuples.resize(multi->aliases.size());
   multi->outstanding = multi->aliases.size();
 
-  // Aggregate projections (COUNT/SUM/AVG/MIN/MAX) collapse the result to
-  // one row. Mixing aggregates with plain projections is rejected (no
-  // GROUP BY support).
-  struct Agg {
-    enum class Kind { kCount, kSum, kAvg, kMin, kMax };
-    Kind kind;
-    const Expr* arg;  // null for COUNT(*)
-    // Compiled form of `arg` (aggregate calls themselves never lower —
-    // count/sum/... are not scalar functions — but their argument does).
-    std::optional<EvalProgram> arg_program;
-    std::string label;
-    double acc = 0.0;
-    double low = 0.0;
-    double high = 0.0;
-    std::size_t n = 0;
-  };
-  auto aggs = std::make_shared<std::vector<Agg>>();
-  {
-    std::size_t plain = 0;
-    for (const auto& proj : q->projections) {
-      if (proj->kind != Expr::Kind::kFuncCall) {
-        ++plain;
-        continue;
-      }
-      std::string fn = aorta::util::to_lower(proj->func_name);
-      Agg agg;
-      if (fn == "count") agg.kind = Agg::Kind::kCount;
-      else if (fn == "sum") agg.kind = Agg::Kind::kSum;
-      else if (fn == "avg") agg.kind = Agg::Kind::kAvg;
-      else if (fn == "min") agg.kind = Agg::Kind::kMin;
-      else if (fn == "max") agg.kind = Agg::Kind::kMax;
-      else {
-        ++plain;
-        continue;
-      }
-      if (proj->args.size() > 1) {
-        done(Result<std::vector<Row>>(aorta::util::invalid_argument_error(
-            "aggregate takes at most one argument: " + proj->to_string())));
-        return;
-      }
-      agg.arg = proj->args.empty() ? nullptr : proj->args[0].get();
-      if (agg.arg != nullptr && agg.arg->kind == Expr::Kind::kColumnRef &&
-          agg.arg->column == "*") {
-        agg.arg = nullptr;  // COUNT(*)
-      }
-      if (agg.kind != Agg::Kind::kCount && agg.arg == nullptr) {
-        done(Result<std::vector<Row>>(aorta::util::invalid_argument_error(
-            "aggregate needs a column argument: " + proj->to_string())));
-        return;
-      }
-      if (agg.arg != nullptr) {
-        auto p = EvalProgram::compile(*agg.arg, q->binding_aliases,
-                                      q->schema_ptrs(), catalog_->functions());
-        if (p.is_ok()) {
-          agg.arg_program = std::move(p).value();
-          ++eval_stats_.programs_compiled;
-        } else {
-          ++eval_stats_.programs_fallback;
-        }
-      }
-      agg.label = proj->to_string();
-      aggs->push_back(std::move(agg));
-    }
-    if (!aggs->empty() && plain > 0) {
-      done(Result<std::vector<Row>>(aorta::util::invalid_argument_error(
-          "cannot mix aggregates with plain projections (no GROUP BY)")));
-      return;
-    }
-  }
-
-  auto finish = [this, q, multi, aggs, done = std::move(done)]() {
+  auto finish = [this, q, multi, done = std::move(done)]() {
     std::vector<Row> rows;
-
-    // SELECT * renders bindings in alias-sorted order (stable across the
-    // FROM clause's phrasing).
-    std::vector<std::size_t> star_order(multi->aliases.size());
-    for (std::size_t i = 0; i < star_order.size(); ++i) star_order[i] = i;
-    std::sort(star_order.begin(), star_order.end(),
-              [&](std::size_t a, std::size_t b) {
-                return multi->aliases[a] < multi->aliases[b];
-              });
+    std::vector<AggFold> folds(q->aggregates.size());
 
     auto emit = [&](const BindingFrame& frame) {
+      // Every conjunct runs (no short-circuit across conjuncts).
       bool ok = true;
-      for (std::size_t i = 0; i < q->event_predicates.size(); ++i) {
-        if (!eval_pred(q->event_programs[i], *q->event_predicates[i], frame,
-                       q->binding_aliases)) {
-          ok = false;
-        }
+      for (const EvalProgram& pred : q->event_programs) {
+        ok = eval_pred(pred, frame) && ok;
       }
-      for (std::size_t i = 0; i < q->join_predicates.size(); ++i) {
-        if (!eval_pred(q->join_programs[i], *q->join_predicates[i], frame,
-                       q->binding_aliases)) {
-          ok = false;
-        }
+      for (const EvalProgram& pred : q->join_programs) {
+        ok = eval_pred(pred, frame) && ok;
       }
       if (!ok) return;
-      if (!aggs->empty()) {
-        for (Agg& agg : *aggs) {
-          double x = 0.0;
-          if (agg.arg != nullptr) {
-            auto v = eval_expr(agg.arg_program, *agg.arg, frame,
-                               q->binding_aliases);
-            if (!v.is_ok() ||
-                std::holds_alternative<std::monostate>(v.value())) {
-              continue;  // NULLs never contribute
-            }
-            if (!device::value_as_double(v.value(), &x)) {
-              // Non-numeric values still count for COUNT(col).
-              if (agg.kind != Agg::Kind::kCount) continue;
-              x = 0.0;
-            }
+      if (!q->aggregates.empty()) {
+        for (std::size_t i = 0; i < q->aggregates.size(); ++i) {
+          const CompiledAggregate& agg = q->aggregates[i];
+          if (agg.arg == nullptr) {  // COUNT(*)
+            ++folds[i].count;
+            continue;
           }
-          if (agg.n == 0) {
-            agg.low = x;
-            agg.high = x;
-          }
-          agg.acc += x;
-          agg.low = std::min(agg.low, x);
-          agg.high = std::max(agg.high, x);
-          ++agg.n;
+          auto v = eval_expr(agg.program, frame);
+          if (v.is_ok()) folds[i].add(v.value());
         }
         return;
       }
       Row row;
       for (std::size_t p = 0; p < q->projections.size(); ++p) {
-        const auto& proj = q->projections[p];
-        if (proj->kind == Expr::Kind::kColumnRef && proj->column == "*") {
-          for (std::size_t k : star_order) {
-            const comm::Tuple* tuple = frame[k];
-            if (tuple == nullptr || tuple->schema() == nullptr) continue;
-            for (std::size_t i = 0; i < tuple->schema()->size(); ++i) {
-              row.emplace_back(
-                  multi->aliases[k] + "." + tuple->schema()->fields()[i].name,
-                  tuple->at(i));
-            }
-          }
-          continue;
-        }
-        auto v = eval_expr(q->projection_programs[p], *proj, frame,
-                           q->binding_aliases);
-        row.emplace_back(proj->to_string(),
+        auto v = eval_expr(q->projection_programs[p], frame);
+        row.emplace_back(q->projections[p]->to_string(),
                          v.is_ok() ? std::move(v).value() : Value{});
       }
       rows.push_back(std::move(row));
@@ -920,31 +765,12 @@ void ContinuousQueryExecutor::run_select(
         }
       }
     }
-    if (!aggs->empty()) {
+    if (!q->aggregates.empty()) {
       Row row;
-      for (const Agg& agg : *aggs) {
-        Value v;
-        switch (agg.kind) {
-          case Agg::Kind::kCount:
-            v = static_cast<std::int64_t>(agg.n);
-            break;
-          case Agg::Kind::kSum:
-            v = agg.n == 0 ? Value{} : Value{agg.acc};
-            break;
-          case Agg::Kind::kAvg:
-            v = agg.n == 0 ? Value{}
-                           : Value{agg.acc / static_cast<double>(agg.n)};
-            break;
-          case Agg::Kind::kMin:
-            v = agg.n == 0 ? Value{} : Value{agg.low};
-            break;
-          case Agg::Kind::kMax:
-            v = agg.n == 0 ? Value{} : Value{agg.high};
-            break;
-        }
-        row.emplace_back(agg.label, std::move(v));
+      for (std::size_t i = 0; i < q->aggregates.size(); ++i) {
+        row.emplace_back(q->aggregates[i].label,
+                         folds[i].finalize(q->aggregates[i].op));
       }
-      rows.clear();
       rows.push_back(std::move(row));
     }
     done(std::move(rows));

@@ -39,14 +39,11 @@ struct QueryStats {
   std::uint64_t requests_issued = 0;   // action requests deposited
 };
 
-// Engine-wide compiled-evaluation counters: how much of the per-row
-// expression work runs through slot-resolved EvalPrograms vs the
-// tree-walking fallback (query/eval_program.h).
+// Engine-wide compiled-evaluation counters (query/eval_program.h): every
+// per-row expression runs as a slot-resolved EvalProgram.
 struct EvalStats {
   std::uint64_t programs_compiled = 0;  // programs cached across queries
-  std::uint64_t programs_fallback = 0;  // expressions left on the tree walker
   std::uint64_t compiled_evals = 0;     // program executions (hot path)
-  std::uint64_t fallback_evals = 0;     // tree-walk executions (hot path)
 };
 
 // Predicate-index matching counters (query/predicate_index.h): how many
@@ -121,7 +118,8 @@ class ContinuousQueryExecutor {
   ~ContinuousQueryExecutor();
 
   // Register a compiled continuous query under `name`. Starts being
-  // evaluated from the next epoch tick.
+  // evaluated from the next epoch tick. Fails with compile()'s error when
+  // an expression does not lower (query/compile.h).
   aorta::util::Status register_aq(const std::string& name, double epoch_s,
                                   const SelectStmt& stmt,
                                   std::string source_sql, AqHooks hooks = {});
@@ -141,7 +139,9 @@ class ContinuousQueryExecutor {
   void start();
 
   // One-shot SELECT: acquires tuples, evaluates predicates, projects the
-  // non-action select items. `done` receives the rows.
+  // non-action select items (SELECT * arrives expanded) or folds the
+  // aggregates into one row with AggFold (query/aggregate.h). `done`
+  // receives the rows.
   void run_select(const SelectStmt& stmt,
                   std::function<void(aorta::util::Result<std::vector<Row>>)> done);
 
@@ -292,16 +292,16 @@ class ContinuousQueryExecutor {
       Aq& aq, const CompiledActionCall& call, const BindingFrame& frame,
       const comm::Schema& candidate_schema);
 
-  // Evaluate one compiled-or-fallback expression over a frame, counting
-  // into eval_stats_. The Env for the fallback path is rebuilt from the
-  // frame (rare: SELECT *, aggregates, unknown functions).
-  aorta::util::Result<device::Value> eval_expr(
-      const std::optional<EvalProgram>& program, const Expr& expr,
-      const BindingFrame& frame, const std::vector<std::string>& aliases);
-  bool eval_pred(const std::optional<EvalProgram>& program, const Expr& expr,
-                 const BindingFrame& frame,
-                 const std::vector<std::string>& aliases);
-  void count_programs(const CompiledQuery& compiled);
+  // Run one compiled expression over a frame, counting into eval_stats_.
+  aorta::util::Result<device::Value> eval_expr(const EvalProgram& program,
+                                               const BindingFrame& frame) {
+    ++eval_stats_.compiled_evals;
+    return program.run(frame);
+  }
+  bool eval_pred(const EvalProgram& program, const BindingFrame& frame) {
+    ++eval_stats_.compiled_evals;
+    return program.run_predicate(frame);
+  }
 
   ActionOperator* operator_for(const ActionDef* action);
 

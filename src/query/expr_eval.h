@@ -1,4 +1,10 @@
-// Expression evaluation over device tuples.
+// Expression evaluation over device tuples: the tree-walking reference
+// evaluator. No runtime path calls it per row — compile() lowers every
+// per-row expression to an EvalProgram (query/eval_program.h) or rejects
+// the statement. It stays as EvalProgram's compile-time constant folder
+// and as the oracle/baseline for tests/eval_program_test.cc and
+// bench_eval; the shared leaf semantics and the alias/column collectors
+// below are used by both evaluators and the compiler.
 #pragma once
 
 #include <functional>
@@ -34,8 +40,8 @@ class FunctionRegistry {
 
 // Binding environment: table alias -> tuple for the current row
 // combination. Unqualified columns resolve against every bound tuple and
-// must be unambiguous. This is the *fallback* evaluator's environment —
-// hot paths run compiled EvalPrograms over a flat BindingFrame instead
+// must be unambiguous. Only the reference evaluator uses it — runtime
+// paths run compiled EvalPrograms over a flat BindingFrame
 // (query/eval_program.h). Queries bind at most two aliases, so a small
 // sorted vector beats a node-based map.
 class Env {

@@ -209,52 +209,29 @@ Status shardable(const query::SelectStmt& stmt) {
   return Status::ok();
 }
 
-// Exact, deterministic group-key encoding (%.17g doubles: distinct keys
-// must never collide, mirroring the rows codec).
-std::string group_key_of(const query::Row& row,
-                         const std::vector<std::size_t>& group_cols) {
-  std::string key;
-  for (std::size_t j : group_cols) {
-    if (j >= row.size()) continue;
-    const device::Value& v = row[j].second;
-    if (std::holds_alternative<std::monostate>(v)) {
-      key += 'n';
-    } else if (const bool* b = std::get_if<bool>(&v)) {
-      key += *b ? "b1" : "b0";
-    } else if (const std::int64_t* i = std::get_if<std::int64_t>(&v)) {
-      key += 'i' + std::to_string(*i);
-    } else if (const double* d = std::get_if<double>(&v)) {
-      key += 'd' + aorta::util::str_format("%.17g", *d);
-    } else if (const std::string* s = std::get_if<std::string>(&v)) {
-      key += 's' + std::to_string(s->size()) + ':' + *s;
-    } else if (const device::Location* l = std::get_if<device::Location>(&v)) {
-      key += 'l' + aorta::util::str_format("%.17g,%.17g,%.17g", l->x, l->y,
-                                           l->z);
-    }
-    key += ';';
-  }
-  return key;
-}
-
 }  // namespace
 
-// Build the czar's merge plan for a continuous aggregate AQ: the shipped
-// column kinds mirror worker.cc's avg -> sum + appended count rewrite.
-Czar::AggPlan Czar::make_agg_plan(const query::SelectStmt& stmt) {
+// Build the czar's merge plan: the shipped column ops mirror worker.cc's
+// avg -> sum + appended count rewrite.
+std::optional<Czar::AggPlan> Czar::make_agg_plan(
+    const query::SelectStmt& stmt) {
   AggPlan plan;
   plan.select_size = stmt.select_list.size();
+  bool any = false;
   for (std::size_t j = 0; j < stmt.select_list.size(); ++j) {
-    AggKind k = agg_kind(*stmt.select_list[j]);
-    if (k == AggKind::kAvg) {
+    std::optional<query::AggOp> op = query::agg_op(*stmt.select_list[j]);
+    if (op == query::AggOp::kAvg) {
       plan.avg_cols.push_back(j);
       plan.avg_labels.push_back(stmt.select_list[j]->to_string());
-      k = AggKind::kSum;
+      op = query::AggOp::kSum;
     }
-    if (k == AggKind::kNone) plan.group_cols.push_back(j);
-    plan.kinds.push_back(k);
+    if (!op) plan.group_cols.push_back(j);
+    any |= op.has_value();
+    plan.ops.push_back(op);
   }
+  if (!any) return std::nullopt;
   for (std::size_t k = 0; k < plan.avg_cols.size(); ++k) {
-    plan.kinds.push_back(AggKind::kCount);
+    plan.ops.push_back(query::AggOp::kCount);
   }
   return plan;
 }
@@ -299,10 +276,7 @@ void Czar::exec_async(
       aq.sql = sql;
       aq.epoch_s = s.create_aq.epoch_s;
       aq.options = std::move(options);
-      bool has_avg = false;
-      if (select_has_aggregates(s.create_aq.select, &has_avg)) {
-        aq.agg = make_agg_plan(s.create_aq.select);
-      }
+      aq.agg = make_agg_plan(s.create_aq.select);
       aqs_.emplace(name, std::move(aq));
       ++stats_.aqs_registered;
 
@@ -400,15 +374,16 @@ namespace {
 
 // Fold one partial-aggregate value into the accumulator. Null partials
 // (shards with no matching devices) are skipped.
-void combine_value(device::Value& acc, const device::Value& v, AggKind kind) {
+void combine_value(device::Value& acc, const device::Value& v,
+                   query::AggOp op) {
   if (std::holds_alternative<std::monostate>(v)) return;
   if (std::holds_alternative<std::monostate>(acc)) {
     acc = v;
     return;
   }
-  switch (kind) {
-    case AggKind::kCount:
-    case AggKind::kSum: {
+  switch (op) {
+    case query::AggOp::kCount:
+    case query::AggOp::kSum: {
       const std::int64_t* ai = std::get_if<std::int64_t>(&acc);
       const std::int64_t* bi = std::get_if<std::int64_t>(&v);
       if (ai != nullptr && bi != nullptr) {
@@ -422,39 +397,68 @@ void combine_value(device::Value& acc, const device::Value& v, AggKind kind) {
       }
       return;
     }
-    case AggKind::kMin:
-    case AggKind::kMax: {
+    case query::AggOp::kMin:
+    case query::AggOp::kMax: {
+      const bool is_min = op == query::AggOp::kMin;
       const std::string* as = std::get_if<std::string>(&acc);
       const std::string* bs = std::get_if<std::string>(&v);
       bool take = false;
       if (as != nullptr && bs != nullptr) {
-        take = kind == AggKind::kMin ? *bs < *as : *as < *bs;
+        take = is_min ? *bs < *as : *as < *bs;
       } else {
         double a = 0.0, b = 0.0;
         if (!device::value_as_double(acc, &a) ||
             !device::value_as_double(v, &b)) {
           return;
         }
-        take = kind == AggKind::kMin ? b < a : a < b;
+        take = is_min ? b < a : a < b;
       }
       if (take) acc = v;
       return;
     }
-    case AggKind::kNone:
-    case AggKind::kAvg:  // folded as kSum by merge_select; unreachable
-      return;            // first non-null wins
+    case query::AggOp::kAvg:  // shipped as a sum partial; never planned
+      return;
   }
 }
 
 }  // namespace
 
+void Czar::AggPlan::fold(query::Row& acc, const query::Row& row) const {
+  for (std::size_t j = 0; j < ops.size(); ++j) {
+    if (ops[j]) combine_value(acc[j].second, row[j].second, *ops[j]);
+  }
+}
+
+void Czar::AggPlan::finalize(query::Row& row) const {
+  // count() over shards that all skipped is 0, not null.
+  for (std::size_t j = 0; j < ops.size(); ++j) {
+    if (ops[j] == query::AggOp::kCount &&
+        std::holds_alternative<std::monostate>(row[j].second)) {
+      row[j].second = std::int64_t{0};
+    }
+  }
+  // avg = sum/count from the folded partials (null over an empty union);
+  // restore the original label and drop the helper columns.
+  for (std::size_t k = 0; k < avg_cols.size(); ++k) {
+    const std::size_t j = avg_cols[k];
+    double sum = 0.0;
+    double n = 0.0;
+    if (device::value_as_double(row[select_size + k].second, &n) && n > 0.0 &&
+        device::value_as_double(row[j].second, &sum)) {
+      row[j].second = sum / n;
+    } else {
+      row[j].second = device::Value{};
+    }
+    row[j].first = avg_labels[k];
+  }
+  row.resize(select_size);
+}
+
 std::vector<query::Row> Czar::merge_select(
-    const query::SelectStmt& stmt,
-    std::vector<std::vector<query::TimestampedRow>>& partials) const {
-  bool has_avg = false;
-  bool has_agg = select_has_aggregates(stmt, &has_avg);
+    const std::optional<AggPlan>& plan,
+    std::vector<std::vector<query::TimestampedRow>>& partials) {
   std::vector<query::Row> rows;
-  if (!has_agg) {
+  if (!plan) {
     // Plain projection: union is concatenation in shard-index order.
     for (auto& partial : partials) {
       for (auto& r : partial) rows.push_back(std::move(r.row));
@@ -462,61 +466,20 @@ std::vector<query::Row> Czar::merge_select(
     return rows;
   }
   // Aggregates: one output row, columns folded across per-shard partials
-  // by position. Workers ship avg(e) as a sum(e) partial in place plus a
-  // count(e) partial appended past the select list (worker.cc's rewrite),
-  // so the expected column kinds are select-list kinds (avg folded as
-  // sum) followed by one count per avg.
-  std::vector<std::size_t> avg_cols;
-  std::vector<AggKind> kinds;
-  kinds.reserve(stmt.select_list.size());
-  for (std::size_t j = 0; j < stmt.select_list.size(); ++j) {
-    AggKind k = agg_kind(*stmt.select_list[j]);
-    if (k == AggKind::kAvg) {
-      avg_cols.push_back(j);
-      k = AggKind::kSum;
-    }
-    kinds.push_back(k);
-  }
-  for (std::size_t k = 0; k < avg_cols.size(); ++k) {
-    kinds.push_back(AggKind::kCount);
-  }
+  // by position.
   query::Row out;
   for (auto& partial : partials) {
     for (auto& r : partial) {
-      if (r.row.size() != kinds.size()) continue;  // malformed partial
+      if (r.row.size() != plan->ops.size()) continue;  // malformed partial
       if (out.empty()) {
         out = std::move(r.row);
-        continue;
-      }
-      for (std::size_t j = 0; j < out.size(); ++j) {
-        combine_value(out[j].second, r.row[j].second, kinds[j]);
+      } else {
+        plan->fold(out, r.row);
       }
     }
   }
   if (out.empty()) return rows;
-  // count() over an empty union is 0, not null.
-  for (std::size_t j = 0; j < out.size(); ++j) {
-    if (kinds[j] == AggKind::kCount &&
-        std::holds_alternative<std::monostate>(out[j].second)) {
-      out[j].second = std::int64_t{0};
-    }
-  }
-  // Finalize avg columns: sum/count from the folded partials, null over
-  // an empty union; restore the original label and drop the helpers.
-  for (std::size_t k = 0; k < avg_cols.size(); ++k) {
-    const std::size_t j = avg_cols[k];
-    const std::size_t count_col = stmt.select_list.size() + k;
-    double sum = 0.0;
-    double n = 0.0;
-    if (device::value_as_double(out[count_col].second, &n) && n > 0.0 &&
-        device::value_as_double(out[j].second, &sum)) {
-      out[j].second = sum / n;
-    } else {
-      out[j].second = device::Value{};
-    }
-    out[j].first = stmt.select_list[j]->to_string();
-  }
-  out.resize(stmt.select_list.size());
+  plan->finalize(out);
   rows.push_back(std::move(out));
   return rows;
 }
@@ -539,30 +502,24 @@ void Czar::exec_select(
     int remaining = 0;
     int answered = 0;  // shards that returned a decodable partial
     std::vector<std::vector<query::TimestampedRow>> partials;
+    std::optional<AggPlan> plan;  // the merge plan, built at dispatch
     std::string error;
     std::function<void(Result<ExecResult>)> done;
   };
   auto state = std::make_shared<SelectState>();
   state->remaining = static_cast<int>(targets.size());
   state->partials.resize(static_cast<std::size_t>(options_.num_shards));
-  state->done = std::move(done);
   // The fragments share the statement text; each worker re-parses it. The
-  // czar keeps only what the merge step needs: re-parse at the barrier
-  // (SelectStmt holds unique_ptr expressions, so it cannot be copied into
-  // the callbacks).
-  (void)stmt;
+  // czar keeps only the merge plan.
+  state->plan = make_agg_plan(stmt);
+  state->done = std::move(done);
 
   auto alive = alive_;
-  auto settle = [this, alive, sql, state]() {
+  auto settle = [this, alive, state]() {
     if (--state->remaining > 0) return;
     if (!state->error.empty()) {
       state->done(Result<ExecResult>(
           aorta::util::invalid_argument_error(state->error)));
-      return;
-    }
-    auto reparsed = query::parse(sql);
-    if (!reparsed.is_ok()) {  // cannot happen: parsed once already
-      state->done(Result<ExecResult>(reparsed.status()));
       return;
     }
     // Partial results are never silent: a SELECT some shard failed to
@@ -572,8 +529,7 @@ void Czar::exec_select(
     // wrong one.
     if (state->answered < options_.num_shards) {
       if (*alive) ++stats_.partial_selects;
-      bool has_avg = false;
-      if (select_has_aggregates(reparsed.value().select, &has_avg)) {
+      if (state->plan) {
         state->done(Result<ExecResult>(aorta::util::unavailable_error(
             aorta::util::str_format(
                 "partial aggregate: only %d of %d shard(s) answered; an "
@@ -585,7 +541,7 @@ void Czar::exec_select(
     ExecResult result;
     result.shards_answered = state->answered;
     result.shards_total = options_.num_shards;
-    result.rows = merge_select(reparsed.value().select, state->partials);
+    result.rows = merge_select(state->plan, state->partials);
     result.message = aorta::util::str_format(
         "%zu row(s)%s", result.rows.size(),
         state->answered < options_.num_shards ? " [partial]" : "");
@@ -768,8 +724,13 @@ void Czar::on_row_released(const std::string& query,
     // heartbeat), so flush_agg_windows() — run after that advance — only
     // ever sees complete windows.
     const AggPlan& plan = *it->second.agg;
-    auto key = std::make_pair(row.at.to_micros(),
-                              group_key_of(row.row, plan.group_cols));
+    std::string group_key;
+    for (std::size_t j : plan.group_cols) {
+      if (j < row.row.size()) {
+        query::append_group_key(row.row[j].second, &group_key);
+      }
+    }
+    auto key = std::make_pair(row.at.to_micros(), std::move(group_key));
     auto& buckets = agg_pending_[query];
     auto bit = buckets.find(key);
     if (bit == buckets.end()) {
@@ -778,14 +739,11 @@ void Czar::on_row_released(const std::string& query,
     }
     query::TimestampedRow& acc = bit->second;
     acc.degraded |= row.degraded;
-    if (row.row.size() != plan.kinds.size() ||
-        acc.row.size() != plan.kinds.size()) {
+    if (row.row.size() != plan.ops.size() ||
+        acc.row.size() != plan.ops.size()) {
       return;  // malformed partial
     }
-    for (std::size_t j = 0; j < plan.kinds.size(); ++j) {
-      if (plan.kinds[j] == AggKind::kNone) continue;  // group key column
-      combine_value(acc.row[j].second, row.row[j].second, plan.kinds[j]);
-    }
+    plan.fold(acc.row, row.row);
     return;
   }
   if (it->second.options.on_row) it->second.options.on_row(query, row);
@@ -801,31 +759,8 @@ void Czar::flush_agg_windows() {
     if (it == aqs_.end() || !it->second.agg.has_value()) continue;
     const AggPlan& plan = *it->second.agg;
     for (auto& [key, stamped] : buckets) {
-      query::Row& row = stamped.row;
-      if (row.size() != plan.kinds.size()) continue;  // malformed partial
-      // count() over shards that all skipped is 0, not null.
-      for (std::size_t j = 0; j < plan.kinds.size(); ++j) {
-        if (plan.kinds[j] == AggKind::kCount &&
-            std::holds_alternative<std::monostate>(row[j].second)) {
-          row[j].second = std::int64_t{0};
-        }
-      }
-      // Finalize avg columns from the folded (sum, count) partials,
-      // restore the original labels, drop the helper columns.
-      for (std::size_t k = 0; k < plan.avg_cols.size(); ++k) {
-        const std::size_t j = plan.avg_cols[k];
-        const std::size_t count_col = plan.select_size + k;
-        double sum = 0.0;
-        double n = 0.0;
-        if (device::value_as_double(row[count_col].second, &n) && n > 0.0 &&
-            device::value_as_double(row[j].second, &sum)) {
-          row[j].second = sum / n;
-        } else {
-          row[j].second = device::Value{};
-        }
-        row[j].first = plan.avg_labels[k];
-      }
-      row.resize(plan.select_size);
+      if (stamped.row.size() != plan.ops.size()) continue;  // malformed
+      plan.finalize(stamped.row);
       if (it->second.options.on_row) it->second.options.on_row(query, stamped);
     }
   }

@@ -139,17 +139,25 @@ class Czar : public net::Endpoint {
   void on_message(const net::Message& msg) override;
 
  private:
-  // Merge plan for a continuous aggregate AQ: the shape of the rows the
-  // workers ship (select-list kinds with avg folded as sum, then one
-  // appended count per avg — worker.cc's rewrite) plus what the czar
-  // needs to finalize them (avg positions + original labels, group-key
-  // column positions, the original select-list width to resize back to).
+  // Merge plan for an aggregate select list, built once at dispatch and
+  // shared by one-shot SELECTs (folded at the reply barrier) and
+  // continuous AQs (folded per window instant): the shape of the rows the
+  // workers ship (select-list ops with avg folded as sum, then one
+  // appended count per avg — worker.cc's rewrite) plus what finalize()
+  // needs (avg positions + original labels, the original select-list
+  // width to resize back to). Group-key columns carry no op.
   struct AggPlan {
-    std::vector<AggKind> kinds;           // per shipped column
+    std::vector<std::optional<query::AggOp>> ops;  // per shipped column
     std::vector<std::size_t> avg_cols;    // original avg positions
     std::vector<std::string> avg_labels;  // original avg(...) labels
-    std::vector<std::size_t> group_cols;  // kNone positions (group keys)
+    std::vector<std::size_t> group_cols;  // op-less positions (group keys)
     std::size_t select_size = 0;          // original select-list width
+
+    // Fold one shipped partial row into `acc`, column by column.
+    void fold(query::Row& acc, const query::Row& row) const;
+    // A NULL count becomes 0, avg = sum/count, the original labels are
+    // restored and the helper columns dropped.
+    void finalize(query::Row& row) const;
   };
 
   struct AqState {
@@ -171,7 +179,8 @@ class Czar : public net::Endpoint {
     aorta::util::TimePoint last_nack_at;
   };
 
-  static AggPlan make_agg_plan(const query::SelectStmt& stmt);
+  // Nullopt when the select list has no aggregate call.
+  static std::optional<AggPlan> make_agg_plan(const query::SelectStmt& stmt);
 
   net::NodeId worker_node(int shard) const {
     return "shard-" + std::to_string(shard);
@@ -186,10 +195,11 @@ class Czar : public net::Endpoint {
                    std::function<void(aorta::util::Result<core::ExecResult>)>
                        done);
   // Merge per-shard SELECT partials (indexed by shard; a missing shard's
-  // slot stays empty) into the final row set.
-  std::vector<query::Row> merge_select(
-      const query::SelectStmt& stmt,
-      std::vector<std::vector<query::TimestampedRow>>& partials) const;
+  // slot stays empty) into the final row set: concatenation without a
+  // plan, one folded and finalized row with one.
+  static std::vector<query::Row> merge_select(
+      const std::optional<AggPlan>& plan,
+      std::vector<std::vector<query::TimestampedRow>>& partials);
 
   // In-seq-order consumption of one worker message.
   void consume(int shard, const net::Message& msg);

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "util/strings.h"
-
 namespace aorta::shard {
 
 using device::Location;
@@ -212,29 +210,6 @@ std::set<std::string> needed_attributes(const query::SelectStmt& stmt) {
   collect_columns(stmt.where.get(), &out);
   out.erase("*");
   return out;
-}
-
-AggKind agg_kind(const query::Expr& expr) {
-  if (expr.kind != query::Expr::Kind::kFuncCall) return AggKind::kNone;
-  std::string name = aorta::util::to_lower(expr.func_name);
-  if (name == "count") return AggKind::kCount;
-  if (name == "sum") return AggKind::kSum;
-  if (name == "avg") return AggKind::kAvg;
-  if (name == "min") return AggKind::kMin;
-  if (name == "max") return AggKind::kMax;
-  return AggKind::kNone;
-}
-
-bool select_has_aggregates(const query::SelectStmt& stmt, bool* has_avg) {
-  bool any = false;
-  if (has_avg != nullptr) *has_avg = false;
-  for (const auto& item : stmt.select_list) {
-    AggKind kind = agg_kind(*item);
-    if (kind == AggKind::kNone) continue;
-    any = true;
-    if (kind == AggKind::kAvg && has_avg != nullptr) *has_avg = true;
-  }
-  return any;
 }
 
 }  // namespace aorta::shard

@@ -118,18 +118,8 @@ bool decode_rows(const std::string& payload,
 // qualifier stripped: the fragment's needed-attribute set. The worker
 // recomputes the authoritative set when it compiles the fragment; this one
 // parameterizes the wire format and the broker's projection pushdown
-// audit.
+// audit. (Aggregate select items are classified by query::agg_op; the
+// czar's merge plan and the worker's avg rewrite both use it.)
 std::set<std::string> needed_attributes(const query::SelectStmt& stmt);
-
-// Aggregate shape of a select list entry, for partial-aggregate merging.
-enum class AggKind { kNone, kCount, kSum, kAvg, kMin, kMax };
-AggKind agg_kind(const query::Expr& expr);
-
-// True if any select item is an aggregate call. `has_avg` reports whether
-// one of them is avg() — not directly mergeable from per-shard partials:
-// workers rewrite it into (sum, count) partials the czar finalizes at the
-// merge point (the reply barrier for one-shot SELECTs, the merge frontier
-// per window instant for continuous AQs).
-bool select_has_aggregates(const query::SelectStmt& stmt, bool* has_avg);
 
 }  // namespace aorta::shard

@@ -1,5 +1,8 @@
 #include "shard/worker.h"
 
+#include <algorithm>
+#include <optional>
+
 #include "core/builtins.h"
 #include "util/logging.h"
 
@@ -17,7 +20,16 @@ namespace {
 // and WINDOW clauses. One-shot SELECT fragments merge the partials at the
 // reply barrier; continuous aggregate fragments per window instant behind
 // the czar's merge frontier (Czar::AggPlan mirrors this column layout).
-query::SelectStmt rewrite_avg_to_partials(const query::SelectStmt& stmt) {
+// Nullopt when the select list has no avg() (nothing to rewrite).
+std::optional<query::SelectStmt> rewrite_avg_to_partials(
+    const query::SelectStmt& stmt) {
+  auto is_avg = [](const query::ExprPtr& item) {
+    return query::agg_op(*item) == query::AggOp::kAvg;
+  };
+  if (std::none_of(stmt.select_list.begin(), stmt.select_list.end(),
+                   is_avg)) {
+    return std::nullopt;
+  }
   query::SelectStmt out;
   out.from = stmt.from;
   if (stmt.where != nullptr) out.where = stmt.where->clone();
@@ -26,7 +38,7 @@ query::SelectStmt rewrite_avg_to_partials(const query::SelectStmt& stmt) {
   out.every_s = stmt.every_s;
   std::vector<query::ExprPtr> counts;
   for (const auto& item : stmt.select_list) {
-    if (agg_kind(*item) == AggKind::kAvg) {
+    if (is_avg(item)) {
       std::vector<query::ExprPtr> sum_args;
       std::vector<query::ExprPtr> count_args;
       for (const auto& a : item->args) {
@@ -141,7 +153,6 @@ Worker::Worker(core::Aorta* host, Options options)
   const query::EvalStats& es = executor_->eval_stats();
   metrics_.enroll_counter("eval.programs_compiled", &es.programs_compiled);
   metrics_.enroll_counter("eval.compiled_evals", &es.compiled_evals);
-  metrics_.enroll_counter("eval.fallback_evals", &es.fallback_evals);
   executor_->set_index_metrics(metrics_.registry(),
                                metrics_.prefix() + "eval.index.");
   executor_->set_agg_metrics(metrics_.registry(),
@@ -409,20 +420,11 @@ void Worker::handle_register(const net::Message& msg) {
   // Continuous aggregates ship per-shard window partials; avg() fragments
   // are rewritten to (sum, count) partials the czar finalizes per window
   // instant (the one-shot path's rewrite, behind the merge frontier).
-  bool has_avg = false;
-  (void)select_has_aggregates(stmt.value().create_aq.select, &has_avg);
-  Status registered;
-  if (has_avg) {
-    query::SelectStmt rewritten =
-        rewrite_avg_to_partials(stmt.value().create_aq.select);
-    registered = executor_->register_aq(spec.name,
-                                        stmt.value().create_aq.epoch_s,
-                                        rewritten, spec.sql, std::move(hooks));
-  } else {
-    registered = executor_->register_aq(
-        spec.name, stmt.value().create_aq.epoch_s,
-        stmt.value().create_aq.select, spec.sql, std::move(hooks));
-  }
+  const query::SelectStmt& select = stmt.value().create_aq.select;
+  auto rewritten = rewrite_avg_to_partials(select);
+  Status registered = executor_->register_aq(
+      spec.name, stmt.value().create_aq.epoch_s,
+      rewritten ? *rewritten : select, spec.sql, std::move(hooks));
   if (!registered.is_ok()) {
     ++stats_.bad_requests;
     reply_error(msg, registered.to_string());
@@ -451,21 +453,15 @@ void Worker::run_once_select(const net::Message& msg,
   // avg() cannot be merged from per-shard averages, but it *is* mergeable
   // from (sum, count) partials (see rewrite_avg_to_partials). The czar
   // finalizes sum/count and drops the helper columns at the merge barrier.
-  bool has_avg = false;
-  (void)select_has_aggregates(stmt, &has_avg);
-  query::SelectStmt rewritten;
-  const query::SelectStmt* to_run = &stmt;
-  if (has_avg) {
-    rewritten = rewrite_avg_to_partials(stmt);
-    to_run = &rewritten;
-  }
+  auto rewritten = rewrite_avg_to_partials(stmt);
 
   auto alive = alive_;
   // run_select compiles synchronously (cloning the statement), so the
   // rewritten form may live on this stack; completion fires once
   // acquisition finishes in simulated time.
   executor_->run_select(
-      *to_run, [this, alive, msg](Result<std::vector<query::Row>> outcome) {
+      rewritten ? *rewritten : stmt,
+      [this, alive, msg](Result<std::vector<query::Row>> outcome) {
         if (!*alive) return;
         if (!outcome.is_ok()) {
           reply_error(msg, outcome.status().to_string());

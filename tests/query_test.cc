@@ -2,6 +2,7 @@
 // evaluation and query compilation.
 #include <gtest/gtest.h>
 
+#include "core/builtins.h"
 #include "devices/camera.h"
 #include "devices/mote.h"
 #include "devices/phone.h"
@@ -272,6 +273,9 @@ struct CompileFixture : public ::testing::Test {
     (void)registry.register_type(devices::camera_type_info());
     (void)registry.register_type(devices::sensor_type_info());
     (void)registry.register_type(devices::phone_type_info());
+    // Scalar functions (coverage, distance, ...): compile() rejects calls
+    // to unregistered ones.
+    core::register_builtin_function_library(&catalog, &registry);
 
     // Minimal photo action for binding checks.
     ActionDef photo;

@@ -155,25 +155,21 @@ TEST(FragmentTest, NeededAttributesSpanSelectListAndWhere) {
 }
 
 TEST(FragmentTest, AggregateClassification) {
+  // The czar's merge plan and the worker's avg rewrite classify select
+  // items with the engine's one aggregate recogniser.
   auto stmt = query::parse(
-      "SELECT count(*), sum(s.temp), min(s.temp), max(s.temp), s.temp "
-      "FROM sensor s");
+      "SELECT count(*), sum(s.temp), min(s.temp), max(s.temp), s.temp, "
+      "AVG(s.temp), distance(s.loc, s.loc) FROM sensor s");
   ASSERT_TRUE(stmt.is_ok());
   const auto& items = stmt.value().select.select_list;
-  ASSERT_EQ(items.size(), 5u);
-  EXPECT_EQ(shard::agg_kind(*items[0]), shard::AggKind::kCount);
-  EXPECT_EQ(shard::agg_kind(*items[1]), shard::AggKind::kSum);
-  EXPECT_EQ(shard::agg_kind(*items[2]), shard::AggKind::kMin);
-  EXPECT_EQ(shard::agg_kind(*items[3]), shard::AggKind::kMax);
-  EXPECT_EQ(shard::agg_kind(*items[4]), shard::AggKind::kNone);
-
-  bool has_avg = false;
-  EXPECT_TRUE(shard::select_has_aggregates(stmt.value().select, &has_avg));
-  EXPECT_FALSE(has_avg);
-  auto avg = query::parse("SELECT avg(s.temp) FROM sensor s");
-  ASSERT_TRUE(avg.is_ok());
-  EXPECT_TRUE(shard::select_has_aggregates(avg.value().select, &has_avg));
-  EXPECT_TRUE(has_avg);
+  ASSERT_EQ(items.size(), 7u);
+  EXPECT_EQ(query::agg_op(*items[0]), query::AggOp::kCount);
+  EXPECT_EQ(query::agg_op(*items[1]), query::AggOp::kSum);
+  EXPECT_EQ(query::agg_op(*items[2]), query::AggOp::kMin);
+  EXPECT_EQ(query::agg_op(*items[3]), query::AggOp::kMax);
+  EXPECT_EQ(query::agg_op(*items[4]), std::nullopt);
+  EXPECT_EQ(query::agg_op(*items[5]), query::AggOp::kAvg);  // any case
+  EXPECT_EQ(query::agg_op(*items[6]), std::nullopt);  // scalar function
 }
 
 // -------------------------------------------------------------- merger

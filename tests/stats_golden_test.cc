@@ -101,9 +101,7 @@ TEST(StatsGoldenTest, RegistryValuesMatchPreRegistryCapture) {
   // the program ever runs (see eval.index.pruned below); the remaining
   // 4 runs belong to the one-shot SELECT.
   EXPECT_EQ(m.counter_value("eval.programs_compiled"), 5u);
-  EXPECT_EQ(m.counter_value("eval.programs_fallback"), 0u);
   EXPECT_EQ(m.counter_value("eval.compiled_evals"), 4u);
-  EXPECT_EQ(m.counter_value("eval.fallback_evals"), 0u);
 
   // predicate index: one delivery group (one AQ), every delivered tuple
   // probed. Under seed 11 no sensor sample ever exceeds 500, so the lower
