@@ -299,8 +299,9 @@ ShardedResult run_sharded() {
 //     and replayed, chaos drops counted) and the replay buffer stayed
 //     bounded;
 //   * an AQ registered mid-storm still lands (ReliableCall retries);
-//   * the ablation arm (Config::reliable_backplane = false) visibly loses
-//     rows — the fail-fast path this PR replaced.
+//   * the ablation arm (Config::reliable_backplane = false: one attempt per
+//     RPC, no replay retention, so a NACKed gap is never filled) visibly
+//     loses rows.
 
 constexpr double kStormSimSeconds = 60.0;
 // Rows produced after this instant are excluded from the identity gate:

@@ -108,8 +108,9 @@ struct Config {
   // with capped exponential backoff behind per-peer budgets and circuit
   // breakers; workers dedup requests by idempotency key and retain
   // sequenced result messages for NACK-driven retransmission until the
-  // czar acks them. false restores the fail-fast pre-§14 path (single
-  // attempt, no acks/replay) — the chaos benches' ablation arm.
+  // czar acks them. false is the chaos benches' ablation arm: the same
+  // protocol with one attempt per RPC and zero replay retention, so acks,
+  // NACKs and dedup still run but a stream gap can never be repaired.
   bool reliable_backplane = true;
 };
 

@@ -11,6 +11,22 @@ using aorta::util::Duration;
 using aorta::util::Result;
 using aorta::util::TimePoint;
 
+namespace {
+// The retry policy (DESIGN.md §14); the attempt count is the owner's.
+constexpr Duration kAttemptTimeout = Duration::seconds(1.0);
+constexpr Duration kBackoffBase = Duration::millis(100);
+constexpr Duration kBackoffCap = Duration::seconds(1.0);
+constexpr double kJitterFrac = 0.2;  // backoff scaled by uniform(1-j, 1+j)
+// Per-peer retry token bucket: a retry spends one token; tokens refill at
+// kRetryRefillPerS up to kRetryBudget.
+constexpr double kRetryBudget = 16.0;
+constexpr double kRetryRefillPerS = 4.0;
+// Per-peer circuit breaker: consecutive failures before opening, and how
+// long it stays open before admitting a half-open probe.
+constexpr int kBreakerThreshold = 4;
+constexpr Duration kBreakerOpenFor = Duration::seconds(2.0);
+}  // namespace
+
 void ReliableCall::call(NodeId dst, std::string kind,
                         std::map<std::string, std::string> fields,
                         RpcCallback callback, std::size_t payload_bytes) {
@@ -56,7 +72,7 @@ void ReliableCall::attempt(std::shared_ptr<Call> call) {
   Peer& p = peer(call->dst);
   if (p.state == BreakerState::kHalfOpen) p.probe_in_flight = true;
   auto alive = alive_;
-  rpc_->call(call->dst, call->kind, call->fields, options_.attempt_timeout,
+  rpc_->call(call->dst, call->kind, call->fields, kAttemptTimeout,
              [this, alive, call](Result<Message> result) {
                if (!*alive) return;
                on_attempt_result(call, std::move(result));
@@ -85,11 +101,11 @@ void ReliableCall::on_attempt_result(std::shared_ptr<Call> call,
   if (p.state == BreakerState::kHalfOpen) {
     open_breaker(call->dst, p);  // failed probe: back to Open
   } else if (p.state == BreakerState::kClosed &&
-             p.consecutive_failures >= options_.breaker_threshold) {
+             p.consecutive_failures >= kBreakerThreshold) {
     open_breaker(call->dst, p);
   }
 
-  if (call->attempt >= options_.max_attempts) {
+  if (call->attempt >= max_attempts_) {
     ++stats_.giveups;
     call->callback(std::move(result));
     return;
@@ -107,13 +123,10 @@ void ReliableCall::on_attempt_result(std::shared_ptr<Call> call,
   }
 
   ++stats_.retries;
-  double backoff_s = options_.backoff_base.to_seconds();
+  double backoff_s = kBackoffBase.to_seconds();
   for (int i = 1; i < call->attempt; ++i) backoff_s *= 2.0;
-  backoff_s = std::min(backoff_s, options_.backoff_cap.to_seconds());
-  if (options_.jitter_frac > 0.0) {
-    backoff_s *= rng_.uniform(1.0 - options_.jitter_frac,
-                              1.0 + options_.jitter_frac);
-  }
+  backoff_s = std::min(backoff_s, kBackoffCap.to_seconds());
+  backoff_s *= rng_.uniform(1.0 - kJitterFrac, 1.0 + kJitterFrac);
   auto alive = alive_;
   loop_->schedule(Duration::seconds(backoff_s),
                   [this, alive, call = std::move(call)]() mutable {
@@ -125,12 +138,11 @@ void ReliableCall::on_attempt_result(std::shared_ptr<Call> call,
 bool ReliableCall::take_retry_token(Peer& p) {
   const TimePoint now = loop_->now();
   if (!p.tokens_init) {
-    p.tokens = options_.retry_budget;
+    p.tokens = kRetryBudget;
     p.tokens_init = true;
   } else {
     const double elapsed_s = (now - p.last_refill).to_seconds();
-    p.tokens = std::min(options_.retry_budget,
-                        p.tokens + elapsed_s * options_.retry_refill_per_s);
+    p.tokens = std::min(kRetryBudget, p.tokens + elapsed_s * kRetryRefillPerS);
   }
   p.last_refill = now;
   if (p.tokens < 1.0) return false;
@@ -140,16 +152,11 @@ bool ReliableCall::take_retry_token(Peer& p) {
 
 void ReliableCall::open_breaker(const NodeId& dst, Peer& p) {
   p.state = BreakerState::kOpen;
-  p.open_until = loop_->now() + options_.breaker_open_for;
+  p.open_until = loop_->now() + kBreakerOpenFor;
   ++stats_.breaker_opens;
   if (peer_down_) peer_down_(dst);
 }
 
 void ReliableCall::reset_peer(const NodeId& dst) { peers_.erase(dst); }
-
-BreakerState ReliableCall::breaker_state(const NodeId& dst) const {
-  auto it = peers_.find(dst);
-  return it == peers_.end() ? BreakerState::kClosed : it->second.state;
-}
 
 }  // namespace aorta::net

@@ -5,14 +5,16 @@
 // but not for the czar<->worker backplane, where a lost fragment RPC must
 // not strand a statement. ReliableCall wraps RpcClient with:
 //
-//   * capped-exponential-backoff retries per call (deterministic jitter
-//     drawn from a dedicated, constant-derived RNG stream so retrying
-//     never perturbs any other stream);
+//   * capped-exponential-backoff retries, up to the owner's attempt count
+//     (deterministic jitter drawn from a dedicated, constant-derived RNG
+//     stream so retrying never perturbs any other stream);
 //   * a per-peer retry token bucket, so a dead peer cannot amplify load;
 //   * a per-peer circuit breaker (Closed -> Open -> HalfOpen): after
-//     `breaker_threshold` consecutive failures the peer is short-circuited
-//     for `breaker_open_for` instead of burning full timeouts, and the
+//     kBreakerThreshold consecutive failures the peer is short-circuited
+//     for kBreakerOpenFor instead of burning full timeouts, and the
 //     owner's peer-down hook fires so supervision can react immediately.
+//
+// The policy values are constants in reliable.cc.
 //
 // Retried requests re-send the exact same fields (including any
 // idempotency key) under a fresh request_id; dedup is the receiver's job
@@ -30,25 +32,6 @@
 #include "util/rng.h"
 
 namespace aorta::net {
-
-enum class BreakerState { kClosed, kOpen, kHalfOpen };
-
-struct ReliableCallOptions {
-  int max_attempts = 4;
-  aorta::util::Duration attempt_timeout = aorta::util::Duration::seconds(1.0);
-  aorta::util::Duration backoff_base = aorta::util::Duration::millis(100);
-  aorta::util::Duration backoff_cap = aorta::util::Duration::seconds(1.0);
-  double jitter_frac = 0.2;  // backoff scaled by uniform(1-j, 1+j)
-
-  // Per-peer retry token bucket: a retry spends one token; tokens refill
-  // at `retry_refill_per_s` up to `retry_budget`.
-  double retry_budget = 16.0;
-  double retry_refill_per_s = 4.0;
-
-  // Per-peer circuit breaker.
-  int breaker_threshold = 4;  // consecutive failures before opening
-  aorta::util::Duration breaker_open_for = aorta::util::Duration::seconds(2.0);
-};
 
 struct ReliableCallStats {
   std::uint64_t calls = 0;             // logical calls issued by the owner
@@ -69,9 +52,9 @@ class ReliableCall {
   using PeerDownHook = std::function<void(const NodeId&)>;
 
   ReliableCall(RpcClient* rpc, aorta::util::EventLoop* loop,
-               aorta::util::Rng rng, ReliableCallOptions options)
+               aorta::util::Rng rng, int max_attempts)
       : rpc_(rpc), loop_(loop), rng_(std::move(rng)),
-        options_(options), alive_(std::make_shared<bool>(true)) {}
+        max_attempts_(max_attempts), alive_(std::make_shared<bool>(true)) {}
   ~ReliableCall() { *alive_ = false; }
 
   ReliableCall(const ReliableCall&) = delete;
@@ -86,15 +69,16 @@ class ReliableCall {
   // Forget a peer's breaker/budget state (supervision recovered it).
   void reset_peer(const NodeId& dst);
 
-  BreakerState breaker_state(const NodeId& dst) const;
   void set_peer_down_hook(PeerDownHook hook) { peer_down_ = std::move(hook); }
   const ReliableCallStats& stats() const { return stats_; }
 
  private:
+  enum class BreakerState { kClosed, kOpen, kHalfOpen };
+
   struct Peer {
     BreakerState state = BreakerState::kClosed;
     int consecutive_failures = 0;
-    double tokens = 0.0;  // initialised to retry_budget on first use
+    double tokens = 0.0;  // initialised to the full budget on first use
     bool tokens_init = false;
     aorta::util::TimePoint last_refill;
     aorta::util::TimePoint open_until;
@@ -120,7 +104,7 @@ class ReliableCall {
   RpcClient* rpc_;
   aorta::util::EventLoop* loop_;
   aorta::util::Rng rng_;
-  ReliableCallOptions options_;
+  int max_attempts_;
   std::shared_ptr<bool> alive_;
   PeerDownHook peer_down_;
   std::map<NodeId, Peer> peers_;

@@ -35,11 +35,8 @@ QueryService::QueryService(core::Aorta* system, ServiceConfig config)
   });
 
   if (config_.num_shards > 0) {
-    shard::Plane::Options po;
-    po.num_shards = config_.num_shards;
-    po.heartbeat_interval = config_.shard_heartbeat_interval;
-    po.miss_threshold = config_.shard_miss_threshold;
-    plane_ = std::make_unique<shard::Plane>(system_, po);
+    plane_ = std::make_unique<shard::Plane>(
+        system_, shard::Plane::Options{.num_shards = config_.num_shards});
   }
   // Route action outcomes of session-owned queries to their mailboxes:
   // relayed from the workers through the czar when sharded, straight from

@@ -46,10 +46,6 @@ struct ServiceConfig {
   // Aorta. 0 = the classic direct single-engine path; 1 = the sharded
   // machinery with one worker (the ablation baseline).
   int num_shards = 0;
-  // Worker heartbeat cadence / czar silence threshold (sharded mode only).
-  aorta::util::Duration shard_heartbeat_interval =
-      aorta::util::Duration::seconds(1.0);
-  int shard_miss_threshold = 3;
 };
 
 // Per-tenant service counters.

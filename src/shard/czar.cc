@@ -25,12 +25,12 @@ Czar::Czar(core::Aorta* host, Options options)
       loop_(&host->loop()),
       network_(&host->network()),
       tracer_(&host->tracer()),
-      rpc_(network_, options_.node_id),
-      reliable_(host->config().reliable_backplane),
+      rpc_(network_, kCzarNode),
       reliable_call_(&rpc_, loop_,
                      aorta::util::Rng(host->config().seed ^ kRetryJitterSalt),
-                     options_.reliable) {
-  (void)network_->attach(options_.node_id, this, options_.interconnect);
+                     host->config().reliable_backplane ? kDispatchAttempts
+                                                       : 1) {
+  (void)network_->attach(kCzarNode, this, backplane_link());
   rpc_.set_tracer(tracer_);
   reliable_call_.set_peer_down_hook([this](const net::NodeId& node) {
     // Breaker opened: the peer burned through consecutive attempts. Mark
@@ -122,7 +122,7 @@ Czar::Czar(core::Aorta* host, Options options)
   }
 
   auto alive = alive_;
-  loop_->schedule(options_.heartbeat_interval, [this, alive]() {
+  loop_->schedule(kHeartbeatInterval, [this, alive]() {
     if (*alive) check_liveness();
   });
 }
@@ -131,21 +131,16 @@ Czar::~Czar() {
   *alive_ = false;
   metrics_.unenroll_all();
   reliable_metrics_.unenroll_all();
-  (void)network_->detach(options_.node_id);
+  (void)network_->detach(kCzarNode);
 }
 
 FragmentSpec Czar::make_spec(const std::string& name, const std::string& sql,
-                             double epoch_s, bool once, int shard) const {
+                             bool once, int shard) const {
   FragmentSpec spec;
   spec.name = name;
   spec.sql = sql;
-  spec.epoch_s = epoch_s;
   spec.once = once;
-  spec.shard = shard;
-  spec.num_shards = options_.num_shards;
   spec.gen = shards_[static_cast<std::size_t>(shard)].gen;
-  spec.device_slice = "fnv1a(id) mod " + std::to_string(options_.num_shards) +
-                      " == " + std::to_string(shard);
   return spec;
 }
 
@@ -153,34 +148,21 @@ void Czar::send_register(int shard, const FragmentSpec& spec,
                          net::RpcCallback callback) {
   net::Message tmp;
   fragment_to_fields(spec, &tmp);
-  tmp.set_int(kIdemGenField, static_cast<std::int64_t>(
-                                 shards_[static_cast<std::size_t>(shard)].gen));
   tmp.set_int(kIdemSeqField, static_cast<std::int64_t>(dispatch_seq_++));
   AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kFragment,
                       "czar:dispatch:" + worker_node(shard), loop_->now(),
                       spec.once ? "select" : spec.name);
-  if (reliable_) {
-    reliable_call_.call(worker_node(shard), kFragmentRegister,
-                        std::move(tmp.fields), std::move(callback),
-                        64 + spec.sql.size());
-    return;
-  }
-  rpc_.call(worker_node(shard), kFragmentRegister, std::move(tmp.fields),
-            options_.rpc_timeout, std::move(callback), 64 + spec.sql.size());
+  reliable_call_.call(worker_node(shard), kFragmentRegister,
+                      std::move(tmp.fields), std::move(callback),
+                      64 + spec.sql.size());
 }
 
 void Czar::send_drop(int shard, const std::string& name) {
   std::map<std::string, std::string> fields{{"name", name}};
-  fields[kIdemGenField] =
-      std::to_string(shards_[static_cast<std::size_t>(shard)].gen);
+  fields["gen"] = std::to_string(shards_[static_cast<std::size_t>(shard)].gen);
   fields[kIdemSeqField] = std::to_string(dispatch_seq_++);
-  if (reliable_) {
-    reliable_call_.call(worker_node(shard), kFragmentDrop, std::move(fields),
-                        [](Result<net::Message>) {});
-    return;
-  }
-  rpc_.call(worker_node(shard), kFragmentDrop, std::move(fields),
-            options_.rpc_timeout, [](Result<net::Message>) {});
+  reliable_call_.call(worker_node(shard), kFragmentDrop, std::move(fields),
+                      [](Result<net::Message>) {});
 }
 
 std::vector<std::string> Czar::aq_names() const {
@@ -274,7 +256,6 @@ void Czar::exec_async(
       AqState aq;
       aq.name = name;
       aq.sql = sql;
-      aq.epoch_s = s.create_aq.epoch_s;
       aq.options = std::move(options);
       aq.agg = make_agg_plan(s.create_aq.select);
       aqs_.emplace(name, std::move(aq));
@@ -320,8 +301,7 @@ void Czar::exec_async(
       }
       for (int i : targets) {
         const AqState& stored = aqs_.at(name);
-        send_register(i, make_spec(name, stored.sql, stored.epoch_s,
-                                   /*once=*/false, i),
+        send_register(i, make_spec(name, stored.sql, /*once=*/false, i),
                       [barrier, settle](Result<net::Message> reply) {
                         if (reply.is_ok() &&
                             reply.value().kind == kFragmentError &&
@@ -399,21 +379,14 @@ void combine_value(device::Value& acc, const device::Value& v,
     }
     case query::AggOp::kMin:
     case query::AggOp::kMax: {
-      const bool is_min = op == query::AggOp::kMin;
-      const std::string* as = std::get_if<std::string>(&acc);
-      const std::string* bs = std::get_if<std::string>(&v);
-      bool take = false;
-      if (as != nullptr && bs != nullptr) {
-        take = is_min ? *bs < *as : *as < *bs;
-      } else {
-        double a = 0.0, b = 0.0;
-        if (!device::value_as_double(acc, &a) ||
-            !device::value_as_double(v, &b)) {
-          return;
-        }
-        take = is_min ? b < a : a < b;
+      // Partials come from query::AggFold::finalize, which folds min/max
+      // numerically and ships a double (or NULL, skipped above).
+      double a = 0.0, b = 0.0;
+      if (!device::value_as_double(acc, &a) ||
+          !device::value_as_double(v, &b)) {
+        return;
       }
-      if (take) acc = v;
+      if (op == query::AggOp::kMin ? b < a : a < b) acc = v;
       return;
     }
     case query::AggOp::kAvg:  // shipped as a sum partial; never planned
@@ -559,7 +532,7 @@ void Czar::exec_select(
   };
   for (int i : targets) {
     send_register(
-        i, make_spec("", sql, 0.0, /*once=*/true, i),
+        i, make_spec("", sql, /*once=*/true, i),
         [i, state, settle](Result<net::Message> reply) {
           if (reply.is_ok()) {
             const net::Message& msg = reply.value();
@@ -576,7 +549,7 @@ void Czar::exec_select(
             // kFragmentStale (a generation raced the dispatch) settles
             // without an error; the shard counts as unanswered.
           }
-          // Timeout / unreachable (after retries, if reliable): the
+          // Timeout / unreachable after the last attempt: the
           // shard's partial stays empty and the result is marked partial;
           // supervision marks the shard down on silence.
           settle();
@@ -610,7 +583,7 @@ void Czar::on_message(const net::Message& msg) {
   }
   if (seq < s.next_seq) {
     // Already consumed: a chaos-duplicated copy or a NACK retransmission
-    // that crossed paths with the original (either backplane mode).
+    // that crossed paths with the original.
     ++stats_.dup_msgs_dropped;
     return;
   }
@@ -621,7 +594,7 @@ void Czar::on_message(const net::Message& msg) {
     }
     s.ooo.emplace(seq, msg);
     ++stats_.ooo_buffered;
-    if (reliable_) maybe_nack(shard);
+    maybe_nack(shard);
     return;
   }
   bool saw_heartbeat = msg.kind == kShardHeartbeat;
@@ -637,13 +610,13 @@ void Czar::on_message(const net::Message& msg) {
   // Heartbeat instants double as ack points: tell the worker everything
   // below next_seq is consumed so it can trim its replay buffer. (Acking
   // every message would double backplane traffic for no extra safety.)
-  if (reliable_ && saw_heartbeat) send_ack(shard);
+  if (saw_heartbeat) send_ack(shard);
 }
 
 void Czar::send_ack(int shard) {
   const ShardState& s = shards_[static_cast<std::size_t>(shard)];
   net::Message ack;
-  ack.src = options_.node_id;
+  ack.src = kCzarNode;
   ack.dst = worker_node(shard);
   ack.kind = kShardAck;
   ack.set_int("gen", static_cast<std::int64_t>(s.gen));
@@ -657,13 +630,13 @@ void Czar::maybe_nack(int shard) {
   if (s.ooo.empty()) return;
   const std::uint64_t from = s.next_seq;
   if (s.last_nack_from == from &&
-      loop_->now() - s.last_nack_at < options_.nack_interval) {
+      loop_->now() - s.last_nack_at < kNackInterval) {
     return;  // this gap was already NACKed moments ago
   }
   s.last_nack_from = from;
   s.last_nack_at = loop_->now();
   net::Message nack;
-  nack.src = options_.node_id;
+  nack.src = kCzarNode;
   nack.dst = worker_node(shard);
   nack.kind = kShardNack;
   nack.set_int("gen", static_cast<std::int64_t>(s.gen));
@@ -791,14 +764,14 @@ void Czar::mark_down(int shard) {
 
 void Czar::check_liveness() {
   const Duration silence_bound =
-      options_.heartbeat_interval * static_cast<double>(options_.miss_threshold);
+      kHeartbeatInterval * static_cast<double>(kMissThreshold);
   for (int i = 0; i < options_.num_shards; ++i) {
     ShardState& s = shards_[static_cast<std::size_t>(i)];
     if (!s.live) continue;
     if (loop_->now() - s.last_msg > silence_bound) mark_down(i);
   }
   auto alive = alive_;
-  loop_->schedule(options_.heartbeat_interval, [this, alive]() {
+  loop_->schedule(kHeartbeatInterval, [this, alive]() {
     if (*alive) check_liveness();
   });
 }
@@ -818,11 +791,10 @@ void Czar::recover_shard(int shard) {
                       "gen " + std::to_string(s.gen));
   // Fresh-slate handshake: the worker drops every fragment and resets its
   // outbound stream, then each live AQ is re-registered.
-  send_register(shard, make_spec("", "", 0.0, /*once=*/false, shard),
+  send_register(shard, make_spec("", "", /*once=*/false, shard),
                 [](Result<net::Message>) {});
   for (const auto& [name, aq] : aqs_) {
-    send_register(shard,
-                  make_spec(name, aq.sql, aq.epoch_s, /*once=*/false, shard),
+    send_register(shard, make_spec(name, aq.sql, /*once=*/false, shard),
                   [](Result<net::Message>) {});
   }
 }

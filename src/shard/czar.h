@@ -11,20 +11,21 @@
 // the select list aggregates.
 //
 // Per-shard supervision: every worker message refreshes its shard's
-// liveness; a shard silent for miss_threshold heartbeat intervals is
+// liveness; a shard silent for kMissThreshold heartbeat intervals is
 // marked down (its rows stop holding back the merge frontier). The first
 // message after that marks it up again and triggers recovery: the czar
 // bumps the shard's generation — a fresh-slate handshake that makes the
 // worker drop every fragment and reset its outbound seq counter — and
 // re-registers every live AQ on it.
 //
-// Reliable backplane (DESIGN.md §14, Config::reliable_backplane): fragment
-// RPCs go through net::ReliableCall (retries + budgets + per-peer circuit
-// breakers; an opened breaker marks the shard down immediately), every
-// request carries an idempotency key, and the worker result streams are
-// consumed exactly once: duplicate seqs are dropped, gaps are NACKed for
-// retransmission, and consumed-heartbeat instants piggyback a cumulative
-// ack that lets the worker trim its replay buffer.
+// Reliable backplane (DESIGN.md §14): fragment RPCs go through
+// net::ReliableCall (retries + budgets + per-peer circuit breakers; an
+// opened breaker marks the shard down immediately), every request carries
+// an idempotency key, and the worker result streams are consumed exactly
+// once: duplicate seqs are dropped, gaps are NACKed for retransmission,
+// and consumed-heartbeat instants piggyback a cumulative ack that lets the
+// worker trim its replay buffer. Config::reliable_backplane = false only
+// cuts the RPC attempts to one (and the workers' replay retention to zero).
 //
 // Continuous aggregates (DESIGN.md §15): each worker's AggregateCache
 // emits per-shard window partials (avg() rewritten to sum + an appended
@@ -80,24 +81,6 @@ class Czar : public net::Endpoint {
  public:
   struct Options {
     int num_shards = 1;
-    net::NodeId node_id = "czar";
-    // Workers heartbeat at this cadence (Worker::Options mirrors it); a
-    // shard silent for miss_threshold intervals is marked down.
-    aorta::util::Duration heartbeat_interval =
-        aorta::util::Duration::seconds(1.0);
-    int miss_threshold = 3;
-    // Fragment RPC timeout for the fail-fast path
-    // (Config::reliable_backplane = false). With the reliable backplane
-    // each *attempt* uses ReliableCallOptions::attempt_timeout instead,
-    // and lost RPCs are retried rather than run out.
-    aorta::util::Duration rpc_timeout = aorta::util::Duration::seconds(5.0);
-    // Retry/breaker policy for the reliable path.
-    net::ReliableCallOptions reliable;
-    // Minimum spacing between NACKs for the same seq gap (the first
-    // out-of-order arrival NACKs immediately; repeats are rate-limited).
-    aorta::util::Duration nack_interval = aorta::util::Duration::millis(100);
-    // The czar's own link on the backplane (matches the workers').
-    net::LinkModel interconnect;
   };
 
   // Action outcomes relayed from the workers (the service layer routes
@@ -130,7 +113,6 @@ class Czar : public net::Endpoint {
   std::vector<std::string> aq_names() const;
   const CzarStats& stats() const { return stats_; }
   const Merger& merger() const { return *merger_; }
-  net::RpcClient& rpc() { return rpc_; }
   const net::ReliableCallStats& reliable_stats() const {
     return reliable_call_.stats();
   }
@@ -163,7 +145,6 @@ class Czar : public net::Endpoint {
   struct AqState {
     std::string name;  // full (session-prefixed) name
     std::string sql;
-    double epoch_s = 0.0;
     core::ExecOptions options;  // owner + on_row
     std::optional<AggPlan> agg;  // set when the select list aggregates
   };
@@ -182,11 +163,8 @@ class Czar : public net::Endpoint {
   // Nullopt when the select list has no aggregate call.
   static std::optional<AggPlan> make_agg_plan(const query::SelectStmt& stmt);
 
-  net::NodeId worker_node(int shard) const {
-    return "shard-" + std::to_string(shard);
-  }
   FragmentSpec make_spec(const std::string& name, const std::string& sql,
-                         double epoch_s, bool once, int shard) const;
+                         bool once, int shard) const;
   void send_register(int shard, const FragmentSpec& spec,
                      net::RpcCallback callback);
   void send_drop(int shard, const std::string& name);
@@ -209,7 +187,7 @@ class Czar : public net::Endpoint {
   // invariant above); called after each frontier advance.
   void flush_agg_windows();
 
-  // Reliable backplane: cumulative acks and gap NACKs (DESIGN.md §14).
+  // Cumulative acks and gap NACKs (DESIGN.md §14).
   void send_ack(int shard);
   void maybe_nack(int shard);
 
@@ -225,9 +203,7 @@ class Czar : public net::Endpoint {
   net::Network* network_;
   obs::Tracer* tracer_;
   net::RpcClient rpc_;
-  // Reliable dispatch over rpc_ (retries, budgets, breakers); active when
-  // Config::reliable_backplane (the ablation flag routes around it).
-  bool reliable_ = true;
+  // Every fragment RPC goes through here (retries, budgets, breakers).
   net::ReliableCall reliable_call_;
   std::uint64_t dispatch_seq_ = 0;  // czar-global idempotency-key counter
 

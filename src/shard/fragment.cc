@@ -18,29 +18,28 @@ std::uint64_t fnv1a64(std::string_view s) {
   return h;
 }
 
+net::LinkModel backplane_link() {
+  net::LinkModel link;
+  link.latency_mean_s = 0.0002;
+  link.latency_jitter_s = 0.0;
+  link.loss_prob = 0.0;
+  link.bandwidth_bytes_per_s = 1e9;
+  return link;
+}
+
 void fragment_to_fields(const FragmentSpec& spec, net::Message* msg) {
   msg->set("name", spec.name);
   msg->set("sql", spec.sql);
-  msg->set_double("epoch_s", spec.epoch_s);
   msg->set_int("once", spec.once ? 1 : 0);
-  msg->set_int("shard", spec.shard);
-  msg->set_int("num_shards", spec.num_shards);
   msg->set_int("gen", static_cast<std::int64_t>(spec.gen));
-  msg->set("attrs", spec.needed_attrs);
-  msg->set("devices", spec.device_slice);
 }
 
 FragmentSpec fragment_from_fields(const net::Message& msg) {
   FragmentSpec spec;
   spec.name = msg.field("name");
   spec.sql = msg.field("sql");
-  spec.epoch_s = msg.field_double("epoch_s");
   spec.once = msg.field_int("once") != 0;
-  spec.shard = static_cast<int>(msg.field_int("shard"));
-  spec.num_shards = static_cast<int>(msg.field_int("num_shards", 1));
   spec.gen = static_cast<std::uint64_t>(msg.field_int("gen"));
-  spec.needed_attrs = msg.field("attrs");
-  spec.device_slice = msg.field("devices");
   return spec;
 }
 
@@ -177,39 +176,6 @@ bool decode_rows(const std::string& payload,
     out->push_back(std::move(row));
   }
   return in.empty();
-}
-
-// ---- czar-side plan analysis --------------------------------------------
-
-namespace {
-
-void collect_columns(const query::Expr* e, std::set<std::string>* out) {
-  if (e == nullptr) return;
-  switch (e->kind) {
-    case query::Expr::Kind::kColumnRef:
-      out->insert(e->column);
-      break;
-    case query::Expr::Kind::kFuncCall:
-      for (const auto& arg : e->args) collect_columns(arg.get(), out);
-      break;
-    case query::Expr::Kind::kBinary:
-    case query::Expr::Kind::kNot:
-      collect_columns(e->lhs.get(), out);
-      collect_columns(e->rhs.get(), out);
-      break;
-    case query::Expr::Kind::kLiteral:
-      break;
-  }
-}
-
-}  // namespace
-
-std::set<std::string> needed_attributes(const query::SelectStmt& stmt) {
-  std::set<std::string> out;
-  for (const auto& item : stmt.select_list) collect_columns(item.get(), &out);
-  collect_columns(stmt.where.get(), &out);
-  out.erase("*");
-  return out;
 }
 
 }  // namespace aorta::shard

@@ -1,12 +1,11 @@
 // Query fragments: the wire format of the sharded czar/worker plane.
 //
-// The czar compiles each AQ / one-shot SELECT into N fragments sharing one
-// plan template (the SQL text plus epoch cadence) and per-shard parameter
-// tuples: the shard's device-id slice (a residue class in FNV-1a hash
-// space — the same partition function Plane uses to place devices), the
-// syntactically-derived needed-attribute set, and a registration
-// generation. Fragments travel as net::Message RPCs between the czar node
-// and the worker engines:
+// The czar turns each AQ / one-shot SELECT into one fragment per shard: the
+// statement text (each worker re-parses it; the epoch cadence is part of
+// the text), the AQ name, the once flag and the shard's registration
+// generation. The worker needs nothing else: its device slice is its own
+// registry (the Plane placed each device with shard_of). Fragments travel
+// as net::Message RPCs between the czar node and the worker engines:
 //
 //   fragment_register  czar -> worker   register an AQ fragment, or (with
 //                                       once=1) run a one-shot SELECT whose
@@ -28,9 +27,9 @@
 // seq order (rows are flushed by a zero-delay event at production time, so
 // only rows stamped exactly at the heartbeat instant can trail it).
 //
-// Reliable backplane (DESIGN.md §14). Every czar -> worker request also
-// carries an idempotency key (`idem_gen`, `idem_seq`): the shard's
-// registration generation plus a czar-global dispatch counter. Workers
+// Reliable backplane (DESIGN.md §14). Every czar -> worker request carries
+// the shard's registration generation `gen` and a czar-global dispatch
+// counter `idem_seq`; the pair is the request's idempotency key. Workers
 // keep a bounded dedup window keyed by that pair — which survives
 // generation bumps, since the gen is part of the key — and replay the
 // cached reply for duplicates, so a retried or chaos-duplicated
@@ -39,9 +38,15 @@
 // it; a shard_nack retransmits the stored messages verbatim (same gen,
 // same seq), and the czar drops any seq it has already consumed or
 // buffered — together: exactly-once, in-order consumption over a lossy,
-// duplicating, reordering backplane. A register carrying a generation
-// older than the worker's current one is answered with fragment_stale
-// and otherwise ignored.
+// duplicating, reordering backplane, as long as a gap is repaired before
+// its message is evicted. A register or drop carrying a generation older
+// than the worker's current one is answered with fragment_stale and
+// otherwise ignored.
+//
+// There is one protocol. The ablation (Config::reliable_backplane = false)
+// only sets two of its values: one attempt per fragment RPC and zero
+// replay retention, so acks, NACKs and request dedup still run but a gap
+// can never be repaired.
 //
 // Rows are encoded with length-prefixed tokens and %.17g doubles — NOT
 // device::value_to_string, whose %.6g rendering is lossy; byte-identical
@@ -49,13 +54,13 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "net/message.h"
-#include "query/ast.h"
+#include "net/network.h"
 #include "query/executor.h"
+#include "util/time.h"
 
 namespace aorta::shard {
 
@@ -72,9 +77,30 @@ inline constexpr const char* kFragmentError = "fragment_error";
 inline constexpr const char* kFragmentSelectResult = "fragment_select_result";
 inline constexpr const char* kFragmentStale = "fragment_stale";
 
-// Czar -> worker idempotency-key field names (see file comment).
-inline constexpr const char* kIdemGenField = "idem_gen";
+// Czar -> worker idempotency-key field: the dispatch counter paired with
+// the request's `gen` (see file comment).
 inline constexpr const char* kIdemSeqField = "idem_seq";
+
+// Backplane node ids: the czar, and worker <i>.
+inline constexpr const char* kCzarNode = "czar";
+inline net::NodeId worker_node(int shard) {
+  return "shard-" + std::to_string(shard);
+}
+
+// Workers heartbeat at this cadence; the czar marks a shard down after
+// kMissThreshold intervals of silence.
+inline constexpr aorta::util::Duration kHeartbeatInterval =
+    aorta::util::Duration::seconds(1.0);
+inline constexpr int kMissThreshold = 3;
+// Minimum spacing between NACKs for the same seq gap (the first
+// out-of-order arrival NACKs immediately; repeats are rate-limited).
+inline constexpr aorta::util::Duration kNackInterval =
+    aorta::util::Duration::millis(100);
+// net::ReliableCall attempts per fragment RPC; the ablation makes it 1.
+inline constexpr int kDispatchAttempts = 4;
+
+// The czar<->worker link: LAN-class latency, no jitter, no loss.
+net::LinkModel backplane_link();
 
 // FNV-1a 64-bit: the deterministic device partition function. std::hash is
 // implementation-defined; the partition must be stable across toolchains
@@ -87,17 +113,12 @@ inline int shard_of(std::string_view device_id, int num_shards) {
                           static_cast<std::uint64_t>(num_shards));
 }
 
-// One fragment: the shared plan template plus this shard's parameters.
+// One fragment, as the worker reads it.
 struct FragmentSpec {
   std::string name;        // prefixed AQ name ("" for one-shot SELECTs)
-  std::string sql;         // plan template: the statement text
-  double epoch_s = 0.0;    // epoch cadence (0 = engine default)
+  std::string sql;         // the statement text
   bool once = false;       // one-shot SELECT: rows ride the RPC reply
-  int shard = 0;           // this fragment's shard index
-  int num_shards = 1;
   std::uint64_t gen = 0;   // registration generation (see file comment)
-  std::string needed_attrs;  // czar's syntactic attr set, comma-joined
-  std::string device_slice;  // e.g. "fnv1a(id) mod 4 == 2" (informational)
 };
 
 // Field-level encode/decode (message kind is set by the caller).
@@ -111,15 +132,5 @@ FragmentSpec fragment_from_fields(const net::Message& msg);
 std::string encode_rows(const std::vector<query::TimestampedRow>& rows);
 bool decode_rows(const std::string& payload,
                  std::vector<query::TimestampedRow>* out);
-
-// ---- czar-side plan analysis --------------------------------------------
-
-// Column names referenced anywhere in the statement (select list + WHERE),
-// qualifier stripped: the fragment's needed-attribute set. The worker
-// recomputes the authoritative set when it compiles the fragment; this one
-// parameterizes the wire format and the broker's projection pushdown
-// audit. (Aggregate select items are classified by query::agg_op; the
-// czar's merge plan and the worker's avg rewrite both use it.)
-std::set<std::string> needed_attributes(const query::SelectStmt& stmt);
 
 }  // namespace aorta::shard

@@ -6,32 +6,15 @@ namespace aorta::shard {
 
 using aorta::util::Status;
 
-net::LinkModel Plane::backplane() {
-  net::LinkModel link;
-  link.latency_mean_s = 0.0002;
-  link.latency_jitter_s = 0.0;
-  link.loss_prob = 0.0;
-  link.bandwidth_bytes_per_s = 1e9;
-  return link;
-}
-
 Plane::Plane(core::Aorta* host, Options options)
     : host_(host), options_(std::move(options)) {
   workers_.reserve(static_cast<std::size_t>(options_.num_shards));
   for (int i = 0; i < options_.num_shards; ++i) {
-    Worker::Options wo;
-    wo.index = i;
-    wo.heartbeat_interval = options_.heartbeat_interval;
-    wo.config = host->config();
-    wo.interconnect = options_.interconnect;
-    workers_.push_back(std::make_unique<Worker>(host, wo));
+    workers_.push_back(
+        std::make_unique<Worker>(host, Worker::Options{.index = i}));
   }
-  Czar::Options co;
-  co.num_shards = options_.num_shards;
-  co.heartbeat_interval = options_.heartbeat_interval;
-  co.miss_threshold = options_.miss_threshold;
-  co.interconnect = options_.interconnect;
-  czar_ = std::make_unique<Czar>(host, co);
+  czar_ = std::make_unique<Czar>(
+      host, Czar::Options{.num_shards = options_.num_shards});
 
   metrics_ = host->metrics().scoped("net.reliable.");
   metrics_.enroll_gauge("replay_depth", [this]() {

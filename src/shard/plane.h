@@ -5,7 +5,7 @@
 // hash-partitioned across the workers with the same FNV-1a function the
 // czar's fragment planner uses (shard_of), so a fragment's device slice is
 // exactly the worker's registry. The czar<->worker interconnect is the
-// zero-loss "backplane" link — machine-room fabric, not a device radio.
+// zero-loss backplane_link() — machine-room fabric, not a device radio.
 //
 // The host Aorta keeps its own (idle) unsharded engine; the plane reuses
 // only its substrate: loop, network, RNG forks, metrics registry, tracer.
@@ -26,14 +26,7 @@ class Plane {
  public:
   struct Options {
     int num_shards = 1;
-    aorta::util::Duration heartbeat_interval =
-        aorta::util::Duration::seconds(1.0);
-    int miss_threshold = 3;
-    net::LinkModel interconnect = backplane();
   };
-
-  // The czar<->worker link: LAN-class latency, no jitter, no loss.
-  static net::LinkModel backplane();
 
   Plane(core::Aorta* host, Options options);
   ~Plane();

@@ -56,13 +56,23 @@ std::optional<query::SelectStmt> rewrite_avg_to_partials(
   return out;
 }
 
+// A request's idempotency key (gen, idem_seq); nullopt when unkeyed.
+std::optional<std::pair<std::uint64_t, std::uint64_t>> idem_key(
+    const net::Message& msg) {
+  if (msg.fields.count(kIdemSeqField) == 0) return std::nullopt;
+  return std::make_pair(
+      static_cast<std::uint64_t>(msg.field_int("gen")),
+      static_cast<std::uint64_t>(msg.field_int(kIdemSeqField)));
+}
+
 }  // namespace
 
 Worker::Worker(core::Aorta* host, Options options)
     : options_(std::move(options)),
-      node_id_("shard-" + std::to_string(options_.index)),
+      node_id_(worker_node(options_.index)),
       rng_(host->fork_rng()),
-      reliable_(options_.config.reliable_backplane) {
+      replay_limit_(host->config().reliable_backplane ? kReplayLimit : 0) {
+  const core::Config& config = host->config();
   // This worker's own event loop and network segment: everything below —
   // devices, comm, broker, executor — lives on them, so between epoch
   // barriers the whole stack runs without touching shared state.
@@ -71,8 +81,8 @@ Worker::Worker(core::Aorta* host, Options options)
   segment_ = std::make_unique<net::Network>(loop_, rng_.fork());
   segment_->join_fabric(&host->fabric(), loop_index_);
   network_ = segment_.get();
-  tracer_own_ = std::make_unique<obs::Tracer>(options_.config.trace_capacity);
-  tracer_own_->set_enabled(options_.config.tracing);
+  tracer_own_ = std::make_unique<obs::Tracer>(config.trace_capacity);
+  tracer_own_->set_enabled(config.tracing);
   tracer_ = tracer_own_.get();
   host->register_tracer(tracer_);
 
@@ -82,35 +92,35 @@ Worker::Worker(core::Aorta* host, Options options)
                                             node_id_);
   // The engine attach used the default LAN link; workers sit on the
   // zero-loss backplane instead (czar traffic must not be droppable).
-  (void)network_->set_link(node_id_, options_.interconnect);
+  (void)network_->set_link(node_id_, backplane_link());
 
   comm::ScanBroker::Options broker_options;
-  broker_options.coalesce = options_.config.shared_scans;
-  broker_options.freshness = options_.config.scan_freshness;
-  broker_options.degraded_staleness = options_.config.degraded_staleness;
+  broker_options.coalesce = config.shared_scans;
+  broker_options.freshness = config.scan_freshness;
+  broker_options.degraded_staleness = config.degraded_staleness;
   scan_broker_ = std::make_unique<comm::ScanBroker>(
       registry_.get(), comm_.get(), loop_, broker_options);
   locks_ = std::make_unique<sync::LockManager>(loop_);
   prober_ = std::make_unique<sync::Prober>(comm_.get(), registry_.get(),
                                            loop_);
-  if (options_.config.health_supervision) {
+  if (config.health_supervision) {
     health_ = std::make_unique<core::HealthSupervisor>(
-        registry_.get(), comm_.get(), loop_, options_.config.health);
+        registry_.get(), comm_.get(), loop_, config.health);
     comm_->set_health(health_.get());
     scan_broker_->set_health(health_.get());
   }
   catalog_ = std::make_unique<query::Catalog>();
 
   query::ContinuousQueryExecutor::Options exec_options;
-  exec_options.epoch = options_.config.epoch;
-  exec_options.scheduler_name = options_.config.scheduler;
-  exec_options.use_probing = options_.config.use_probing;
-  exec_options.use_locks = options_.config.use_locks;
-  exec_options.max_retries = options_.config.max_retries;
+  exec_options.epoch = config.epoch;
+  exec_options.scheduler_name = config.scheduler;
+  exec_options.use_probing = config.use_probing;
+  exec_options.use_locks = config.use_locks;
+  exec_options.max_retries = config.max_retries;
   exec_options.health = health_.get();
   exec_options.shard = options_.index;
-  exec_options.predicate_index = options_.config.predicate_index;
-  exec_options.aggregate_cache = options_.config.aggregate_cache;
+  exec_options.predicate_index = config.predicate_index;
+  exec_options.aggregate_cache = config.aggregate_cache;
   executor_ = std::make_unique<query::ContinuousQueryExecutor>(
       registry_.get(), comm_.get(), scan_broker_.get(), prober_.get(),
       locks_.get(), loop_, catalog_.get(), rng_.fork(), exec_options);
@@ -204,7 +214,7 @@ Worker::Worker(core::Aorta* host, Options options)
 
   executor_->start();
   auto alive = alive_;
-  loop_->schedule(options_.heartbeat_interval, [this, alive]() {
+  loop_->schedule(kHeartbeatInterval, [this, alive]() {
     if (*alive) send_heartbeat();
   });
 }
@@ -256,7 +266,7 @@ void Worker::on_push(const net::Message& msg) {
     // A device-initiated push; no current protocol uses them.
     return;
   }
-  if (reliable_ && !begin_idem(msg)) return;  // duplicate, fully handled
+  if (!begin_idem(msg)) return;  // duplicate, fully handled
   if (msg.kind == kFragmentRegister) {
     handle_register(msg);
   } else {
@@ -265,16 +275,12 @@ void Worker::on_push(const net::Message& msg) {
 }
 
 bool Worker::begin_idem(const net::Message& msg) {
-  if (msg.fields.count(kIdemGenField) == 0 ||
-      msg.fields.count(kIdemSeqField) == 0) {
-    return true;  // unkeyed request (direct test traffic): just process
-  }
-  const IdemKey key{static_cast<std::uint64_t>(msg.field_int(kIdemGenField)),
-                    static_cast<std::uint64_t>(msg.field_int(kIdemSeqField))};
-  auto it = idem_.find(key);
+  const auto key = idem_key(msg);
+  if (!key) return true;  // unkeyed request: just process
+  auto it = idem_.find(*key);
   if (it == idem_.end()) {
-    idem_.emplace(key, IdemEntry{});
-    idem_fifo_.push_back(key);
+    idem_.emplace(*key, IdemEntry{});
+    idem_fifo_.push_back(*key);
     if (idem_fifo_.size() > kIdemWindow) {
       idem_.erase(idem_fifo_.front());
       idem_fifo_.pop_front();
@@ -300,22 +306,17 @@ bool Worker::begin_idem(const net::Message& msg) {
 }
 
 void Worker::send_reply(const net::Message& request, net::Message reply) {
-  if (reliable_ && request.fields.count(kIdemGenField) > 0 &&
-      request.fields.count(kIdemSeqField) > 0) {
-    const IdemKey key{
-        static_cast<std::uint64_t>(request.field_int(kIdemGenField)),
-        static_cast<std::uint64_t>(request.field_int(kIdemSeqField))};
-    auto it = idem_.find(key);
-    if (it != idem_.end()) {
-      it->second.ready = true;
-      it->second.reply = reply;
-      for (std::uint64_t waiter : it->second.waiters) {
-        net::Message dup = reply;
-        dup.request_id = waiter;
-        network_->send(std::move(dup));
-      }
-      it->second.waiters.clear();
+  const auto key = idem_key(request);
+  auto it = key ? idem_.find(*key) : idem_.end();
+  if (it != idem_.end()) {
+    it->second.ready = true;
+    it->second.reply = reply;
+    for (std::uint64_t waiter : it->second.waiters) {
+      net::Message dup = reply;
+      dup.request_id = waiter;
+      network_->send(std::move(dup));
     }
+    it->second.waiters.clear();
   }
   network_->send(std::move(reply));
 }
@@ -364,15 +365,19 @@ void Worker::adopt_gen(std::uint64_t gen) {
   replay_.clear();
 }
 
+void Worker::reply_stale(const net::Message& request) {
+  ++stats_.stale_gen_requests;
+  net::Message reply = net::make_reply(request, kFragmentStale, 64);
+  reply.set_int("gen", static_cast<std::int64_t>(gen_));
+  send_reply(request, std::move(reply));
+}
+
 void Worker::handle_register(const net::Message& msg) {
   FragmentSpec spec = fragment_from_fields(msg);
   if (spec.gen < gen_) {
     // A delayed retry or chaos duplicate from before a generation bump:
     // adopting it would roll the stream back. Refuse, identify ourselves.
-    ++stats_.stale_gen_requests;
-    net::Message reply = net::make_reply(msg, kFragmentStale, 64);
-    reply.set_int("gen", static_cast<std::int64_t>(gen_));
-    send_reply(msg, std::move(reply));
+    reply_stale(msg);
     return;
   }
   if (spec.gen > gen_) adopt_gen(spec.gen);
@@ -392,7 +397,7 @@ void Worker::handle_register(const net::Message& msg) {
   }
   AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kFragment,
                       node_id_ + ":register:" + spec.name, loop_->now(),
-                      spec.once ? "once" : spec.device_slice);
+                      spec.once ? "once" : "gen " + std::to_string(spec.gen));
   if (spec.once) {
     if (stmt.value().kind != query::Statement::Kind::kSelect) {
       ++stats_.bad_requests;
@@ -438,6 +443,12 @@ void Worker::handle_register(const net::Message& msg) {
 }
 
 void Worker::handle_drop(const net::Message& msg) {
+  if (static_cast<std::uint64_t>(msg.field_int("gen")) < gen_) {
+    // A delayed drop from before a generation bump: the same name may
+    // already be registered again under the new generation.
+    reply_stale(msg);
+    return;
+  }
   std::string name = msg.field("name");
   if (fragments_.erase(name) > 0) {
     (void)executor_->drop_aq(name);
@@ -543,31 +554,28 @@ void Worker::send_heartbeat() {
   ++stats_.heartbeats_sent;
   send_sequenced(std::move(msg));
   auto alive = alive_;
-  loop_->schedule(options_.heartbeat_interval, [this, alive]() {
+  loop_->schedule(kHeartbeatInterval, [this, alive]() {
     if (*alive) send_heartbeat();
   });
 }
 
 void Worker::send_sequenced(net::Message msg) {
   msg.src = node_id_;
-  msg.dst = options_.czar;
+  msg.dst = kCzarNode;
   msg.set_int("shard", options_.index);
   msg.set_int("gen", static_cast<std::int64_t>(gen_));
   const std::uint64_t seq = seq_++;
   msg.set_int("seq", static_cast<std::int64_t>(seq));
-  if (reliable_) {
-    // Retain a verbatim copy until a cumulative ack covers it. The bound
-    // protects memory if the czar goes silent; overflow drops the oldest
-    // (supervision will eventually bump the generation anyway).
-    replay_.emplace(seq, msg);
-    if (replay_.size() > kReplayLimit) {
-      replay_.erase(replay_.begin());
-      ++stats_.replay_overflow;
-    }
-    if (replay_.size() > stats_.replay_hwm) {
-      stats_.replay_hwm = replay_.size();
-    }
+  // Retain a verbatim copy until a cumulative ack covers it. The bound
+  // protects memory if the czar goes silent; overflow drops the oldest
+  // (supervision will eventually bump the generation anyway). With zero
+  // retention (the ablation) every message is evicted at once.
+  replay_.emplace(seq, msg);
+  if (replay_.size() > replay_limit_) {
+    replay_.erase(replay_.begin());
+    ++stats_.replay_overflow;
   }
+  if (replay_.size() > stats_.replay_hwm) stats_.replay_hwm = replay_.size();
   network_->send(std::move(msg));
 }
 

@@ -14,22 +14,23 @@
 //   * fragment_register (once=1): run the one-shot SELECT locally and ride
 //     the partial rows back on the RPC reply.
 //   * fragment_drop: drop the fragment.
-//   * shard_heartbeat every heartbeat_interval: liveness + watermark (the
+//   * shard_heartbeat every kHeartbeatInterval: liveness + watermark (the
 //     merge frontier's input).
 //
 // A register carrying a new generation resets the worker's seq counter and
 // re-registers over any existing fragment of the same name — the czar's
-// recovery path after this worker was partitioned away and healed. One
-// carrying an *older* generation (a delayed retry or chaos duplicate from
-// before a bump) is answered fragment_stale and otherwise ignored.
+// recovery path after this worker was partitioned away and healed. A
+// register or drop carrying an *older* generation (a delayed retry or
+// chaos duplicate from before a bump) is answered fragment_stale and
+// otherwise ignored.
 //
-// Reliable backplane (DESIGN.md §14, Config::reliable_backplane): requests
-// are deduplicated by their (idem_gen, idem_seq) key through a bounded
-// window that caches the reply — duplicates get the cached reply verbatim,
-// or queue as waiters while the first copy is still executing (one-shot
-// SELECTs reply asynchronously). Sequenced result messages are retained in
-// a bounded replay buffer until a shard_ack covers them; a shard_nack
-// retransmits the stored range byte-for-byte.
+// Reliable backplane (DESIGN.md §14): requests are deduplicated by their
+// (gen, idem_seq) key through a bounded window that caches the reply —
+// duplicates get the cached reply verbatim, or queue as waiters while the
+// first copy is still executing (one-shot SELECTs reply asynchronously).
+// Sequenced result messages are retained in a bounded replay buffer until
+// a shard_ack covers them; a shard_nack retransmits the stored range
+// byte-for-byte. Config::reliable_backplane = false retains nothing.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +57,7 @@ struct WorkerStats {
   std::uint64_t bad_requests = 0;  // malformed / unparsable fragments
   // Reliable backplane (DESIGN.md §14).
   std::uint64_t dup_requests = 0;       // idempotency-window hits
-  std::uint64_t stale_gen_requests = 0; // registers from a superseded gen
+  std::uint64_t stale_gen_requests = 0; // requests from a superseded gen
   std::uint64_t acks_received = 0;
   std::uint64_t nacks_received = 0;
   std::uint64_t replay_sent = 0;        // messages retransmitted on NACK
@@ -67,20 +68,13 @@ struct WorkerStats {
 class Worker {
  public:
   struct Options {
-    int index = 0;                 // shard index; node id is "shard-<index>"
-    net::NodeId czar = "czar";     // where results and heartbeats go
-    aorta::util::Duration heartbeat_interval =
-        aorta::util::Duration::seconds(1.0);
-    // Engine knobs, copied from the host system's Config by the Plane.
-    core::Config config;
-    // The czar<->worker backplane link (zero loss: the machine-room TCP
-    // fabric, not a device radio).
-    net::LinkModel interconnect;
+    int index = 0;  // shard index; node id is worker_node(index)
   };
 
   // Builds the worker stack on its *own* runtime loop and network segment
   // (allocated from the host's LoopGroup / Fabric, see DESIGN.md §12) with
-  // its own span tracer, registered with the host for merged export.
+  // its own span tracer, registered with the host for merged export. The
+  // engine knobs come from the host's Config.
   // Metrics are enrolled under "shard.<index>." on the host registry, plus
   // "runtime.<loop>." for the worker's loop.
   Worker(core::Aorta* host, Options options);
@@ -143,6 +137,8 @@ class Worker {
   // (the czar re-registers the ones that should survive) and the outbound
   // seq counter restarts at 0.
   void adopt_gen(std::uint64_t gen);
+  // A request from a superseded generation: refuse it with fragment_stale.
+  void reply_stale(const net::Message& request);
   void handle_register(const net::Message& msg);
   void handle_drop(const net::Message& msg);
   void run_once_select(const net::Message& msg, const query::SelectStmt& stmt);
@@ -184,7 +180,7 @@ class Worker {
   std::set<std::string> fragments_;  // registered AQ fragment names
   std::uint64_t gen_ = 0;            // adopted czar generation
   std::uint64_t seq_ = 0;            // next outbound sequence number
-  bool reliable_ = true;             // Config::reliable_backplane
+  std::size_t replay_limit_ = 0;     // kReplayLimit, or 0 (the ablation)
   // Request dedup window. Keys embed the czar generation, so the window
   // deliberately survives adopt_gen: a pre-bump duplicate arriving after
   // the bump still hits its cached reply instead of re-executing.

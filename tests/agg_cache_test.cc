@@ -359,7 +359,7 @@ std::vector<std::string> run_sharded_agg(int runtime_threads,
     devices::Mica2Mote* mote = service.plane()->mote(id);
     mote->reliability().glitch_prob = 0.0;
     (void)mote->set_signal("temp", devices::constant_signal(15.0 + i));
-    (void)sys.network().set_link(id, Plane::backplane());
+    (void)sys.network().set_link(id, shard::backplane_link());
   }
 
   SessionId id = service.connect("acme");

@@ -6,8 +6,9 @@
 // retry/ack/replay machinery (ReliableCall retries, idempotency-window
 // dedup, replay buffers trimmed by cumulative acks, gap NACKs) must make a
 // lossy run deliver byte-identical events to a lossless run of the same
-// seed; the ablation flag must restore the old fail-fast behaviour where a
-// single dropped stream message stalls delivery.
+// seed. The ablation flag keeps the same protocol with one attempt per RPC
+// and zero replay retention, so a single dropped stream message stalls
+// delivery and a lost RPC is given up at once.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -105,7 +106,7 @@ ChaosRun run_sharded(std::uint64_t seed, const std::string& fault_plan_xml,
         devices::periodic_spike_signal(0.0, 900.0, Duration::seconds(3.0),
                                        Duration::seconds(1.0),
                                        Duration::seconds(0.25 * i)));
-    (void)sys.network().set_link(id, Plane::backplane());
+    (void)sys.network().set_link(id, shard::backplane_link());
   }
 
   SessionId id = service.connect("acme");
@@ -214,10 +215,11 @@ TEST(ChaosBackplaneTest, RegistrationRetriesThroughALossyBackplane) {
 }
 
 TEST(ChaosBackplaneTest, AblationFlagRestoresFailFastStall) {
-  // Config::reliable_backplane = false routes around ReliableCall, acks,
-  // NACKs and replay: the first chaos-dropped stream message leaves a
-  // permanent seq gap, in-seq consumption stalls behind it, and delivery
-  // dries up — visibly fewer events than the lossless ablation run.
+  // Config::reliable_backplane = false retains nothing for replay: the
+  // first chaos-dropped stream message leaves a permanent seq gap (the
+  // czar NACKs it, but the worker has nothing to resend), in-seq
+  // consumption stalls behind it, and delivery dries up — visibly fewer
+  // events than the lossless ablation run.
   const std::string storm =
       "<fault_plan>"
       "<event at=\"2\" kind=\"loss\" device=\"czar\" prob=\"0.25\""
@@ -228,11 +230,14 @@ TEST(ChaosBackplaneTest, AblationFlagRestoresFailFastStall) {
 
   ASSERT_FALSE(clean.events.empty());
   EXPECT_LT(lossy.events.size(), clean.events.size());
-  // The reliability machinery stayed ablated on both sides.
   EXPECT_EQ(clean.czar.nacks_sent, 0u);
-  EXPECT_EQ(lossy.czar.nacks_sent, 0u);
-  EXPECT_EQ(lossy.czar.acks_sent, 0u);
+  // The policy: gaps are NACKed, but nothing was retained to answer them,
+  // and every fragment RPC got exactly one attempt.
+  EXPECT_GT(lossy.czar.nacks_sent, 0u);
+  EXPECT_EQ(lossy.replay_hwm, 0u);
   EXPECT_EQ(lossy.replay_sent, 0u);
+  EXPECT_EQ(lossy.reliable.retries, 0u);
+  EXPECT_EQ(lossy.reliable.attempts, lossy.reliable.calls);
   // The stall is observable: out-of-order messages piled up behind the gap.
   EXPECT_GT(lossy.czar.ooo_buffered, 0u);
 }
@@ -272,24 +277,35 @@ class TestPeer : public net::Endpoint {
     if (rpc_.on_reply(msg)) return;
   }
 
-  // Send a fragment_register carrying an explicit (spec.gen, idem key) and
-  // collect the reply kind into `replies`.
-  void send_register(const shard::FragmentSpec& spec, std::uint64_t idem_gen,
-                     std::uint64_t idem_seq,
+  // Send a fragment_register whose idempotency key is (spec.gen, idem_seq)
+  // and collect the reply kind into `replies`.
+  void send_register(const shard::FragmentSpec& spec, std::uint64_t idem_seq,
                      std::vector<std::string>* replies) {
     net::Message tmp;
     shard::fragment_to_fields(spec, &tmp);
-    tmp.set_int(shard::kIdemGenField, static_cast<std::int64_t>(idem_gen));
+    send(shard::kFragmentRegister, tmp, idem_seq, replies);
+  }
+
+  // Same for a fragment_drop of `name` at generation `gen`.
+  void send_drop(const std::string& name, std::uint64_t gen,
+                 std::uint64_t idem_seq, std::vector<std::string>* replies) {
+    net::Message tmp;
+    tmp.set("name", name);
+    tmp.set_int("gen", static_cast<std::int64_t>(gen));
+    send(shard::kFragmentDrop, tmp, idem_seq, replies);
+  }
+
+ private:
+  void send(const char* kind, net::Message tmp, std::uint64_t idem_seq,
+            std::vector<std::string>* replies) {
     tmp.set_int(shard::kIdemSeqField, static_cast<std::int64_t>(idem_seq));
-    rpc_.call("shard-0", shard::kFragmentRegister, tmp.fields,
-              Duration::seconds(2.0),
+    rpc_.call("shard-0", kind, tmp.fields, Duration::seconds(2.0),
               [replies](util::Result<net::Message> reply) {
                 replies->push_back(reply.is_ok() ? reply.value().kind
                                                  : reply.status().to_string());
               });
   }
 
- private:
   net::NodeId self_;
   net::RpcClient rpc_;
 };
@@ -304,19 +320,17 @@ TEST(ChaosBackplaneTest, IdempotencyWindowDedupsAcrossGenerationBumps) {
 
   TestPeer peer(&sys.network(), "tester");
   ASSERT_TRUE(
-      sys.network().attach("tester", &peer, Plane::backplane()).is_ok());
+      sys.network().attach("tester", &peer, shard::backplane_link()).is_ok());
   sys.run_for(Duration::millis(200));
 
   shard::FragmentSpec spec;
   spec.name = "q1";
   spec.sql = "CREATE AQ q1 AS SELECT s.temp FROM sensor s";
-  spec.shard = 0;
-  spec.num_shards = 1;
   spec.gen = 1;
   std::vector<std::string> replies;
 
   // First copy executes; the worker adopts generation 1.
-  peer.send_register(spec, /*idem_gen=*/1, /*idem_seq=*/0, &replies);
+  peer.send_register(spec, /*idem_seq=*/0, &replies);
   sys.run_for(Duration::millis(300));
   ASSERT_EQ(replies, std::vector<std::string>{shard::kFragmentAck});
   EXPECT_EQ(worker.stats().fragments_registered, 1u);
@@ -324,7 +338,7 @@ TEST(ChaosBackplaneTest, IdempotencyWindowDedupsAcrossGenerationBumps) {
 
   // A retry/chaos duplicate of the same key: served from the idempotency
   // window — the cached ack comes back, nothing re-executes.
-  peer.send_register(spec, 1, 0, &replies);
+  peer.send_register(spec, 0, &replies);
   sys.run_for(Duration::millis(300));
   ASSERT_EQ(replies.size(), 2u);
   EXPECT_EQ(replies[1], shard::kFragmentAck);
@@ -336,7 +350,7 @@ TEST(ChaosBackplaneTest, IdempotencyWindowDedupsAcrossGenerationBumps) {
   spec2.name = "q2";
   spec2.sql = "CREATE AQ q2 AS SELECT s.temp FROM sensor s";
   spec2.gen = 2;
-  peer.send_register(spec2, /*idem_gen=*/2, /*idem_seq=*/1, &replies);
+  peer.send_register(spec2, /*idem_seq=*/1, &replies);
   sys.run_for(Duration::millis(300));
   ASSERT_EQ(replies.size(), 3u);
   EXPECT_EQ(replies[2], shard::kFragmentAck);
@@ -346,7 +360,7 @@ TEST(ChaosBackplaneTest, IdempotencyWindowDedupsAcrossGenerationBumps) {
   // A straggling duplicate from *before* the bump still hits its cached
   // reply: the window's keys embed the generation, so it survives the
   // bump instead of re-registering a stale fragment.
-  peer.send_register(spec, 1, 0, &replies);
+  peer.send_register(spec, 0, &replies);
   sys.run_for(Duration::millis(300));
   ASSERT_EQ(replies.size(), 4u);
   EXPECT_EQ(replies[3], shard::kFragmentAck);
@@ -360,12 +374,22 @@ TEST(ChaosBackplaneTest, IdempotencyWindowDedupsAcrossGenerationBumps) {
   spec3.name = "q3";
   spec3.sql = "CREATE AQ q3 AS SELECT s.temp FROM sensor s";
   spec3.gen = 1;
-  peer.send_register(spec3, /*idem_gen=*/1, /*idem_seq=*/7, &replies);
+  peer.send_register(spec3, /*idem_seq=*/7, &replies);
   sys.run_for(Duration::millis(300));
   ASSERT_EQ(replies.size(), 5u);
   EXPECT_EQ(replies[4], shard::kFragmentStale);
   EXPECT_EQ(worker.stats().stale_gen_requests, 1u);
   EXPECT_EQ(worker.fragment_count(), 1u);
+
+  // So is a drop from the superseded generation: q2 was registered under
+  // generation 2, and a delayed generation-1 drop must not delete it.
+  peer.send_drop("q2", /*gen=*/1, /*idem_seq=*/8, &replies);
+  sys.run_for(Duration::millis(300));
+  ASSERT_EQ(replies.size(), 6u);
+  EXPECT_EQ(replies[5], shard::kFragmentStale);
+  EXPECT_EQ(worker.fragment_count(), 1u);
+  EXPECT_EQ(worker.stats().stale_gen_requests, 2u);
+  EXPECT_EQ(worker.stats().fragments_dropped, 0u);
 
   ASSERT_TRUE(sys.network().detach("tester").is_ok());
 }
@@ -386,7 +410,7 @@ TEST(ChaosBackplaneTest, PartialSelectIsMarkedAndAggregatesAreRejected) {
     service.plane()->mote(id)->reliability().glitch_prob = 0.0;
     (void)service.plane()->mote(id)->set_signal(
         "temp", devices::constant_signal(20.0 + i));
-    (void)sys.network().set_link(id, Plane::backplane());
+    (void)sys.network().set_link(id, shard::backplane_link());
   }
   SessionId id = service.connect("acme");
   sys.run_for(Duration::seconds(1.5));
@@ -433,6 +457,53 @@ TEST(ChaosBackplaneTest, PartialSelectIsMarkedAndAggregatesAreRejected) {
     saw_error = true;
   }
   EXPECT_TRUE(saw_error);
+}
+
+TEST(ChaosBackplaneTest, AblationSelectGivesUpAfterOneAttempt) {
+  // The ablation dispatches through the same ReliableCall with a single
+  // attempt: the register RPC to a partitioned shard fails after one 1 s
+  // attempt timeout with no retry, and the SELECT settles as partial.
+  core::Config config;
+  config.seed = 42;
+  config.reliable_backplane = false;
+  core::Aorta sys(config);
+  ServiceConfig cfg;
+  cfg.num_shards = 2;
+  cfg.mailbox_capacity = 1 << 20;
+  QueryService service(&sys, cfg);
+  for (int i = 0; i < 8; ++i) {
+    std::string id = "m" + std::to_string(i);
+    ASSERT_TRUE(service.plane()->add_mote(id, {double(i), 0, 1}).is_ok());
+    service.plane()->mote(id)->reliability().glitch_prob = 0.0;
+    (void)service.plane()->mote(id)->set_signal(
+        "temp", devices::constant_signal(20.0 + i));
+    (void)sys.network().set_link(id, shard::backplane_link());
+  }
+  SessionId id = service.connect("acme");
+  sys.run_for(Duration::seconds(1.5));
+
+  sys.network().partition("shard-1");
+  auto plain = service.submit(id, "SELECT s.temp FROM sensor s");
+  ASSERT_TRUE(plain.is_ok());
+  sys.run_for(Duration::seconds(2.0));
+
+  bool saw_partial = false;
+  for (const Delivery& d : service.session(id)->drain()) {
+    if (d.kind != Delivery::Kind::kResult ||
+        d.statement_id != plain.value()) {
+      continue;
+    }
+    saw_partial = true;
+    EXPECT_EQ(d.shards_answered, 1);
+    EXPECT_EQ(d.shards_total, 2);
+    EXPECT_NE(d.message.find("[partial]"), std::string::npos) << d.message;
+  }
+  EXPECT_TRUE(saw_partial);
+  const net::ReliableCallStats& rs = service.plane()->czar().reliable_stats();
+  EXPECT_GE(rs.calls, 2u);
+  EXPECT_EQ(rs.retries, 0u);
+  EXPECT_EQ(rs.attempts, rs.calls);
+  EXPECT_GE(rs.giveups, 1u);
 }
 
 }  // namespace

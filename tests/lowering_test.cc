@@ -87,7 +87,7 @@ void add_motes(core::Aorta& sys, shard::Plane* plane) {
     if (plane != nullptr) {
       ASSERT_TRUE(plane->add_mote(id, {double(i), 0, 1}).is_ok());
       mote = plane->mote(id);
-      (void)sys.network().set_link(id, shard::Plane::backplane());
+      (void)sys.network().set_link(id, shard::backplane_link());
     } else {
       ASSERT_TRUE(sys.add_mote(id, {double(i), 0, 1}).is_ok());
       mote = sys.mote(id);

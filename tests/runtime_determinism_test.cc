@@ -93,7 +93,7 @@ RunOutput run_workload(int runtime_threads, std::uint64_t seed,
         devices::periodic_spike_signal(0.0, 900.0, Duration::seconds(3.0),
                                        Duration::seconds(1.0),
                                        Duration::seconds(0.25 * i)));
-    (void)sys.network().set_link(id, Plane::backplane());
+    (void)sys.network().set_link(id, shard::backplane_link());
   }
 
   SessionId id = service.connect("acme");

@@ -84,7 +84,7 @@ void build_world(QueryService& service, core::Aorta& sys) {
         devices::periodic_spike_signal(0.0, 900.0, Duration::seconds(4.0),
                                        Duration::seconds(1.2),
                                        Duration::seconds(0.5 * i)));
-    (void)sys.network().set_link(id, Plane::backplane());
+    (void)sys.network().set_link(id, shard::backplane_link());
   }
 }
 

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <variant>
 #include <vector>
@@ -59,25 +58,16 @@ TEST(FragmentTest, SpecFieldsRoundTrip) {
   FragmentSpec spec;
   spec.name = "s1/push";
   spec.sql = "SELECT s.temp FROM sensor s WHERE s.temp > 30";
-  spec.epoch_s = 2.5;
   spec.once = true;
-  spec.shard = 3;
-  spec.num_shards = 4;
   spec.gen = 7;
-  spec.needed_attrs = "temp";
-  spec.device_slice = "fnv1a(id) mod 4 == 3";
 
   net::Message msg;
   shard::fragment_to_fields(spec, &msg);
   FragmentSpec back = shard::fragment_from_fields(msg);
   EXPECT_EQ(back.name, spec.name);
   EXPECT_EQ(back.sql, spec.sql);
-  EXPECT_DOUBLE_EQ(back.epoch_s, spec.epoch_s);
   EXPECT_EQ(back.once, spec.once);
-  EXPECT_EQ(back.shard, spec.shard);
-  EXPECT_EQ(back.num_shards, spec.num_shards);
   EXPECT_EQ(back.gen, spec.gen);
-  EXPECT_EQ(back.needed_attrs, spec.needed_attrs);
 }
 
 TEST(FragmentTest, RowsCodecRoundTripsEveryValueType) {
@@ -139,19 +129,6 @@ TEST(FragmentTest, RowsCodecRejectsMalformedPayloads) {
   EXPECT_TRUE(shard::decode_rows(good, &out));
   EXPECT_FALSE(
       shard::decode_rows(good.substr(0, good.size() - 2), &out));  // truncated
-}
-
-TEST(FragmentTest, NeededAttributesSpanSelectListAndWhere) {
-  auto stmt = query::parse(
-      "SELECT s.temp FROM sensor s WHERE s.accel_x > 500 AND s.temp < 40");
-  ASSERT_TRUE(stmt.is_ok());
-  auto attrs = shard::needed_attributes(stmt.value().select);
-  EXPECT_EQ(attrs, (std::set<std::string>{"accel_x", "temp"}));
-
-  auto agg = query::parse("SELECT count(*) FROM sensor s WHERE s.temp > 0");
-  ASSERT_TRUE(agg.is_ok());
-  auto agg_attrs = shard::needed_attributes(agg.value().select);
-  EXPECT_EQ(agg_attrs, (std::set<std::string>{"temp"}));  // no "*"
 }
 
 TEST(FragmentTest, AggregateClassification) {
@@ -319,7 +296,7 @@ struct PlaneWorld {
           "accel_x", devices::periodic_spike_signal(
                          0.0, 900.0, Duration::seconds(2.0),
                          Duration::seconds(0.5), Duration::zero()));
-      (void)sys.network().set_link(id, Plane::backplane());
+      (void)sys.network().set_link(id, shard::backplane_link());
     }
   }
   static void ASSERT_OK(const util::Status& s) { ASSERT_TRUE(s.is_ok()) << s.message(); }
@@ -515,7 +492,7 @@ TEST(ShardPlaneTest, PartitionedWorkerIsMarkedDownAndRecoveredOnHeal) {
   ASSERT_TRUE(w.plane->czar().worker_live(0));
   ASSERT_TRUE(w.plane->czar().worker_live(1));
 
-  // Kill worker 0's network: its heartbeats stop; after miss_threshold
+  // Kill worker 0's network: its heartbeats stop; after kMissThreshold
   // silent intervals the czar marks the shard down, and the dead shard's
   // watermark stops gating the merge frontier.
   w.sys.network().partition("shard-0");
@@ -559,7 +536,7 @@ TEST(ShardServiceTest, SessionsRouteThroughTheCzar) {
     service.plane()->mote(id)->reliability().glitch_prob = 0.0;
     (void)service.plane()->mote(id)->set_signal(
         "temp", devices::constant_signal(20.0 + i));
-    (void)sys.network().set_link(id, Plane::backplane());
+    (void)sys.network().set_link(id, shard::backplane_link());
   }
 
   SessionId id = service.connect("acme");
@@ -609,7 +586,7 @@ TEST(ShardServiceTest, SingleShardAblationServesTheSameInterface) {
   service.plane()->mote("m1")->reliability().glitch_prob = 0.0;
   (void)service.plane()->mote("m1")->set_signal(
       "temp", devices::constant_signal(25.0));
-  (void)sys.network().set_link("m1", Plane::backplane());
+  (void)sys.network().set_link("m1", shard::backplane_link());
 
   SessionId id = service.connect("acme");
   ASSERT_TRUE(service.submit(id, "SELECT s.temp FROM sensor s").is_ok());
