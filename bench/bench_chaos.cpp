@@ -372,12 +372,15 @@ StormResult run_storm(bool storm, bool reliable, bool midstorm_aq) {
                    });
   if (midstorm_aq) {
     // Registered from inside the storm window: the fragment RPCs must be
-    // retried through the chaos loss to ever produce a row. Several
-    // registrations spread across the window so at least one round trip
-    // meets a chaos drop. Kept out of the identity scenario — a
+    // retried through the chaos loss to ever produce a row. A round trip
+    // crosses the czar link twice, so it meets a chaos drop with
+    // probability 0.19; 22 registrations spread over t=[6, 48] make 44
+    // RPCs, so some retry whatever the chaos stream drew before them
+    // (none is dropped with probability 0.81^44, about 1e-4). Kept out
+    // of the identity scenario — a
     // registration instant (and thus its first epoch) legitimately
     // depends on how many retries it took.
-    for (double at_s : {20.0, 26.0, 32.0, 38.0}) {
+    for (int at_s = 6; at_s <= 48; at_s += 2) {
       sys.loop().schedule(Duration::seconds(at_s), [&plane, &m, at_s]() {
         aorta::core::ExecOptions late;
         late.on_row = [&m](const std::string&,
@@ -385,7 +388,7 @@ StormResult run_storm(bool storm, bool reliable, bool midstorm_aq) {
           ++m.late_rows;
         };
         plane.exec_async(
-            "CREATE AQ late" + std::to_string(static_cast<int>(at_s)) +
+            "CREATE AQ late" + std::to_string(at_s) +
                 " AS SELECT s.temp FROM sensor s WHERE s.temp > 21",
             std::move(late),
             [](aorta::util::Result<aorta::core::ExecResult>) {});

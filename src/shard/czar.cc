@@ -646,6 +646,16 @@ void Czar::maybe_nack(int shard) {
   nack.set_int("to", static_cast<std::int64_t>(s.ooo.rbegin()->first));
   ++stats_.nacks_sent;
   network_->send(std::move(nack));
+  // A lost NACK or replay must not wait for the worker's next message,
+  // which may be a second away now that a flush is one message: ask
+  // again after kNackInterval while the gap stays open.
+  auto alive = alive_;
+  const std::uint64_t gen = s.gen;
+  loop_->schedule(kNackInterval, [this, alive, shard, gen]() {
+    if (*alive && shards_[static_cast<std::size_t>(shard)].gen == gen) {
+      maybe_nack(shard);
+    }
+  });
 }
 
 void Czar::consume(int shard, const net::Message& msg) {
@@ -664,25 +674,26 @@ void Czar::consume(int shard, const net::Message& msg) {
     }
     return;
   }
-  const std::string type = msg.field("type");
-  const std::string query = msg.field("query");
-  if (type == "outcome") {
+  if (msg.field("type") == "outcome") {
     ++stats_.outcomes_received;
     if (outcome_sink_) {
-      outcome_sink_(query, TimePoint::from_micros(msg.field_int("at_us")),
+      outcome_sink_(msg.field("query"),
+                    TimePoint::from_micros(msg.field_int("at_us")),
                     msg.field("detail"));
     }
     return;
   }
-  std::vector<query::TimestampedRow> rows;
-  if (!decode_rows(msg.field("rows"), &rows)) return;
-  if (aqs_.count(query) == 0) {
-    stats_.stale_query_rows += rows.size();
-    return;
-  }
-  for (auto& row : rows) {
-    ++stats_.rows_received;
-    merger_->add(shard, query, std::move(row));
+  // One flush: per-query groups in the order the worker produced them.
+  // A dropped AQ's group is stale; the rest of the message still delivers.
+  std::vector<RowGroup> groups;
+  if (!decode_row_groups(msg.field("rows"), &groups)) return;
+  for (RowGroup& g : groups) {
+    if (aqs_.count(g.query) == 0) {
+      stats_.stale_query_rows += g.rows.size();
+      continue;
+    }
+    stats_.rows_received += g.rows.size();
+    for (auto& row : g.rows) merger_->add(shard, g.query, std::move(row));
   }
 }
 

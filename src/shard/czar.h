@@ -22,8 +22,9 @@
 // net::ReliableCall (retries + budgets + per-peer circuit breakers; an
 // opened breaker marks the shard down immediately), every request carries
 // an idempotency key, and the worker result streams are consumed exactly
-// once: duplicate seqs are dropped, gaps are NACKed for retransmission,
-// and consumed-heartbeat instants piggyback a cumulative ack that lets the
+// once: duplicate seqs are dropped, gaps are NACKed for retransmission
+// (again every kNackInterval while they stay open), and
+// consumed-heartbeat instants piggyback a cumulative ack that lets the
 // worker trim its replay buffer. Config::reliable_backplane = false only
 // cuts the RPC attempts to one (and the workers' replay retention to zero).
 //

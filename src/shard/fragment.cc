@@ -47,6 +47,13 @@ FragmentSpec fragment_from_fields(const net::Message& msg) {
 
 namespace {
 
+// Smallest encodings, which bound the counts a payload can claim: a row is
+// at least three 1-byte tokens ("1:0"), a field an empty name token ("0:")
+// plus a 1-byte value token, a group an empty name token plus a row count.
+constexpr std::size_t kMinRowBytes = 9;
+constexpr std::size_t kMinFieldBytes = 5;
+constexpr std::size_t kMinGroupBytes = 5;
+
 // Every token is "<len>:<bytes>": self-delimiting regardless of content.
 void put_token(std::string& out, std::string_view data) {
   out += std::to_string(data.size());
@@ -54,19 +61,39 @@ void put_token(std::string& out, std::string_view data) {
   out += data;
 }
 
+// 1-19 decimal digits (so the value cannot overflow), nothing else.
+bool parse_count(std::string_view digits, std::size_t* out) {
+  if (digits.empty() || digits.size() > 19) return false;
+  std::size_t n = 0;
+  for (char c : digits) {
+    if (c < '0' || c > '9') return false;
+    n = n * 10 + static_cast<std::size_t>(c - '0');
+  }
+  *out = n;
+  return true;
+}
+
 bool take_token(std::string_view& in, std::string& out) {
   std::size_t colon = in.find(':');
-  if (colon == std::string_view::npos || colon == 0) return false;
   std::size_t len = 0;
-  for (char c : in.substr(0, colon)) {
-    if (c < '0' || c > '9') return false;
-    len = len * 10 + static_cast<std::size_t>(c - '0');
+  if (colon == std::string_view::npos ||
+      !parse_count(in.substr(0, colon), &len)) {
+    return false;
   }
   in.remove_prefix(colon + 1);
   if (in.size() < len) return false;
   out.assign(in.substr(0, len));
   in.remove_prefix(len);
   return true;
+}
+
+// A count token, rejected when the rest of the payload cannot hold that
+// many items of at least `min_item_bytes` each.
+bool take_count(std::string_view& in, std::size_t min_item_bytes,
+                std::size_t* n) {
+  std::string token;
+  return take_token(in, token) && parse_count(token, n) &&
+         *n <= in.size() / min_item_bytes;
 }
 
 // Exact value rendering: one type character + payload. Doubles use %.17g
@@ -131,10 +158,8 @@ bool decode_value(const std::string& token, Value* out) {
   }
 }
 
-}  // namespace
-
-std::string encode_rows(const std::vector<query::TimestampedRow>& rows) {
-  std::string out;
+void put_rows(std::string& out,
+              const std::vector<query::TimestampedRow>& rows) {
   put_token(out, std::to_string(rows.size()));
   for (const query::TimestampedRow& r : rows) {
     put_token(out, std::to_string(r.at.to_micros()));
@@ -145,17 +170,14 @@ std::string encode_rows(const std::vector<query::TimestampedRow>& rows) {
       put_token(out, encode_value(value));
     }
   }
-  return out;
 }
 
-bool decode_rows(const std::string& payload,
-                 std::vector<query::TimestampedRow>* out) {
-  std::string_view in = payload;
-  std::string token;
-  if (!take_token(in, token)) return false;
-  std::size_t n_rows = std::strtoull(token.c_str(), nullptr, 10);
+bool take_rows(std::string_view& in, std::vector<query::TimestampedRow>* out) {
+  std::size_t n_rows = 0;
+  if (!take_count(in, kMinRowBytes, &n_rows)) return false;
   out->clear();
   out->reserve(n_rows);
+  std::string token;
   for (std::size_t i = 0; i < n_rows; ++i) {
     query::TimestampedRow row;
     if (!take_token(in, token)) return false;
@@ -163,8 +185,8 @@ bool decode_rows(const std::string& payload,
         std::strtoll(token.c_str(), nullptr, 10));
     if (!take_token(in, token)) return false;
     row.degraded = token == "1";
-    if (!take_token(in, token)) return false;
-    std::size_t n_fields = std::strtoull(token.c_str(), nullptr, 10);
+    std::size_t n_fields = 0;
+    if (!take_count(in, kMinFieldBytes, &n_fields)) return false;
     for (std::size_t f = 0; f < n_fields; ++f) {
       std::string name;
       if (!take_token(in, name)) return false;
@@ -174,6 +196,44 @@ bool decode_rows(const std::string& payload,
       row.row.emplace_back(std::move(name), std::move(value));
     }
     out->push_back(std::move(row));
+  }
+  return true;
+}
+
+}  // namespace
+
+std::string encode_rows(const std::vector<query::TimestampedRow>& rows) {
+  std::string out;
+  put_rows(out, rows);
+  return out;
+}
+
+bool decode_rows(const std::string& payload,
+                 std::vector<query::TimestampedRow>* out) {
+  std::string_view in = payload;
+  return take_rows(in, out) && in.empty();
+}
+
+std::string encode_row_groups(const std::vector<RowGroup>& groups) {
+  std::string out;
+  put_token(out, std::to_string(groups.size()));
+  for (const RowGroup& g : groups) {
+    put_token(out, g.query);
+    put_rows(out, g.rows);
+  }
+  return out;
+}
+
+bool decode_row_groups(const std::string& payload,
+                       std::vector<RowGroup>* out) {
+  std::string_view in = payload;
+  std::size_t n_groups = 0;
+  if (!take_count(in, kMinGroupBytes, &n_groups)) return false;
+  out->clear();
+  out->reserve(n_groups);
+  for (std::size_t i = 0; i < n_groups; ++i) {
+    RowGroup& g = out->emplace_back();
+    if (!take_token(in, g.query) || !take_rows(in, &g.rows)) return false;
   }
   return in.empty();
 }

@@ -11,8 +11,9 @@
 //                                       once=1) run a one-shot SELECT whose
 //                                       rows ride the RPC reply
 //   fragment_drop      czar -> worker   drop an AQ fragment
-//   fragment_results   worker -> czar   one-way burst of continuous rows
-//                                       (or an action outcome), sequenced
+//   fragment_results   worker -> czar   one-way, sequenced: every
+//                                       continuous row of one flush, or one
+//                                       action outcome
 //   shard_heartbeat    worker -> czar   liveness + result-stream watermark
 //   shard_ack          czar -> worker   one-way cumulative ack: the czar
 //                                       has consumed every seq < `cum`
@@ -48,9 +49,21 @@
 // replay retention, so acks, NACKs and request dedup still run but a gap
 // can never be repaired.
 //
+// A worker flushes every row its fragments produced at one instant as ONE
+// fragment_results message, not one per query: thousands of standing AQs
+// fire at the same instant, and per-query messages would each pay for a
+// field map, a replay-buffer copy and a cross-loop post, and would
+// overflow the replay buffer between two acks. Inside the message the
+// rows are grouped by query name, groups in the order their first row was
+// produced; the czar adds them to the Merger in that order, which is the
+// per-shard arrival order of the merge key. The czar resolves each
+// group's AQ once; a dropped AQ's group is counted as stale and the other
+// groups of the message still deliver.
+//
 // Rows are encoded with length-prefixed tokens and %.17g doubles — NOT
 // device::value_to_string, whose %.6g rendering is lossy; byte-identical
-// same-seed runs need exact round-trips.
+// same-seed runs need exact round-trips. Decoding is bounded by the
+// payload: a count larger than the remaining bytes can hold is malformed.
 #pragma once
 
 #include <cstdint>
@@ -93,7 +106,8 @@ inline constexpr aorta::util::Duration kHeartbeatInterval =
     aorta::util::Duration::seconds(1.0);
 inline constexpr int kMissThreshold = 3;
 // Minimum spacing between NACKs for the same seq gap (the first
-// out-of-order arrival NACKs immediately; repeats are rate-limited).
+// out-of-order arrival NACKs immediately; repeats are rate-limited), and
+// the interval at which a gap that stays open is NACKed again.
 inline constexpr aorta::util::Duration kNackInterval =
     aorta::util::Duration::millis(100);
 // net::ReliableCall attempts per fragment RPC; the ablation makes it 1.
@@ -132,5 +146,17 @@ FragmentSpec fragment_from_fields(const net::Message& msg);
 std::string encode_rows(const std::vector<query::TimestampedRow>& rows);
 bool decode_rows(const std::string& payload,
                  std::vector<query::TimestampedRow>* out);
+
+// One query's rows inside a flush's fragment_results message.
+struct RowGroup {
+  std::string query;
+  std::vector<query::TimestampedRow> rows;
+};
+
+// A whole flush: each group is the query name followed by its rows in the
+// encode_rows format, groups in the given order.
+std::string encode_row_groups(const std::vector<RowGroup>& groups);
+bool decode_row_groups(const std::string& payload,
+                       std::vector<RowGroup>* out);
 
 }  // namespace aorta::shard

@@ -359,7 +359,8 @@ void Worker::adopt_gen(std::uint64_t gen) {
   seq_ = 0;
   for (const std::string& name : fragments_) (void)executor_->drop_aq(name);
   fragments_.clear();
-  pending_rows_.clear();
+  pending_.clear();
+  pending_index_.clear();
   // The superseded stream's unacked messages die with it; the idempotency
   // window survives (its keys embed the generation).
   replay_.clear();
@@ -488,7 +489,6 @@ void Worker::run_once_select(const net::Message& msg,
         ++stats_.selects_served;
         net::Message reply =
             net::make_reply(msg, kFragmentSelectResult, 64 + payload.size());
-        reply.set_int("count", static_cast<std::int64_t>(rows.size()));
         reply.set("rows", std::move(payload));
         send_reply(msg, std::move(reply));
       });
@@ -496,7 +496,10 @@ void Worker::run_once_select(const net::Message& msg,
 
 void Worker::on_aq_row(const std::string& query,
                        const query::TimestampedRow& row) {
-  pending_rows_.emplace_back(query, row);
+  // Group by query, groups in first-appearance order (deterministic).
+  auto [it, inserted] = pending_index_.try_emplace(query, pending_.size());
+  if (inserted) pending_.push_back(RowGroup{query, {}});
+  pending_[it->second].rows.push_back(row);
   if (flush_scheduled_) return;
   flush_scheduled_ = true;
   auto alive = alive_;
@@ -510,30 +513,19 @@ void Worker::on_aq_row(const std::string& query,
 
 void Worker::flush_rows() {
   flush_scheduled_ = false;
-  std::vector<std::pair<std::string, query::TimestampedRow>> rows;
-  rows.swap(pending_rows_);
-  // One message per query, in first-appearance order (deterministic).
-  std::vector<std::string> order;
-  std::map<std::string, std::vector<query::TimestampedRow>> by_query;
-  for (auto& [query, row] : rows) {
-    auto [it, inserted] = by_query.try_emplace(query);
-    if (inserted) order.push_back(query);
-    it->second.push_back(std::move(row));
-  }
-  for (const std::string& query : order) {
-    std::vector<query::TimestampedRow>& batch = by_query[query];
-    std::string payload = encode_rows(batch);
-    net::Message msg;
-    msg.kind = kFragmentResults;
-    msg.set("type", "rows");
-    msg.set("query", query);
-    msg.set_int("count", static_cast<std::int64_t>(batch.size()));
-    msg.payload_bytes = 64 + payload.size();
-    msg.set("rows", std::move(payload));
-    stats_.rows_sent += batch.size();
-    ++stats_.results_msgs;
-    send_sequenced(std::move(msg));
-  }
+  pending_index_.clear();
+  std::vector<RowGroup> groups;
+  groups.swap(pending_);
+  if (groups.empty()) return;  // a generation bump discarded them
+  for (const RowGroup& g : groups) stats_.rows_sent += g.rows.size();
+  std::string payload = encode_row_groups(groups);
+  net::Message msg;
+  msg.kind = kFragmentResults;
+  msg.set("type", "rows");
+  msg.payload_bytes = 64 + payload.size();
+  msg.set("rows", std::move(payload));
+  ++stats_.results_msgs;
+  send_sequenced(std::move(msg));
 }
 
 void Worker::send_outcome(const std::string& query, aorta::util::TimePoint at,

@@ -10,7 +10,7 @@
 //   * fragment_register (once=0): compile + register the AQ fragment on
 //     the local executor; its rows are buffered and shipped to the czar as
 //     sequenced fragment_results bursts (a zero-delay event coalesces all
-//     rows produced at one instant into one message per query).
+//     rows produced at one instant into one message, grouped by query).
 //   * fragment_register (once=1): run the one-shot SELECT locally and ride
 //     the partial rows back on the RPC reply.
 //   * fragment_drop: drop the fragment.
@@ -39,6 +39,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -189,7 +190,10 @@ class Worker {
   // Sequenced messages awaiting a cumulative ack, keyed by seq; cleared on
   // adopt_gen (a new generation restarts the stream from seq 0).
   std::map<std::uint64_t, net::Message> replay_;
-  std::vector<std::pair<std::string, query::TimestampedRow>> pending_rows_;
+  // Rows awaiting the flush event, grouped by query in first-appearance
+  // order; pending_index_ maps a query name to its group.
+  std::vector<RowGroup> pending_;
+  std::unordered_map<std::string, std::size_t> pending_index_;
   bool flush_scheduled_ = false;
   WorkerStats stats_;
   obs::MetricsRegistry::Scoped metrics_;

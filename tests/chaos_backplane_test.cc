@@ -23,6 +23,7 @@
 #include "net/rpc.h"
 #include "server/service.h"
 #include "server/session.h"
+#include "shard/czar.h"
 #include "shard/fragment.h"
 #include "shard/plane.h"
 #include "util/fault_plan.h"
@@ -392,6 +393,66 @@ TEST(ChaosBackplaneTest, IdempotencyWindowDedupsAcrossGenerationBumps) {
   EXPECT_EQ(worker.stats().fragments_dropped, 0u);
 
   ASSERT_TRUE(sys.network().detach("tester").is_ok());
+}
+
+// ---- gap repair ------------------------------------------------------------
+
+// A bare endpoint standing in for worker 0's result stream: it sends
+// sequenced heartbeats to the czar and records the NACKs that come back,
+// answering none of them.
+class FakeWorkerStream : public net::Endpoint {
+ public:
+  explicit FakeWorkerStream(net::Network* network) : network_(network) {}
+
+  void on_message(const net::Message& msg) override {
+    if (msg.kind == shard::kShardNack) nacks.push_back(msg.field_int("from"));
+  }
+
+  void send_heartbeat(std::uint64_t seq) {
+    net::Message msg;
+    msg.src = shard::worker_node(0);
+    msg.dst = shard::kCzarNode;
+    msg.kind = shard::kShardHeartbeat;
+    msg.set_int("shard", 0);
+    msg.set_int("gen", 0);
+    msg.set_int("seq", static_cast<std::int64_t>(seq));
+    msg.set_int("watermark_us", 0);
+    network_->send(std::move(msg));
+  }
+
+  std::vector<std::int64_t> nacks;  // the `from` of each NACK received
+
+ private:
+  net::Network* network_;
+};
+
+TEST(ChaosBackplaneTest, OpenGapIsNackedAgainWithoutFurtherStreamTraffic) {
+  // A worker whose flushes are one message each may send nothing for a
+  // second, so a gap whose NACK or replay is lost must be asked for again
+  // on a timer, not only when the next message arrives.
+  core::Aorta sys(core::Config{});
+  shard::Czar czar(&sys, shard::Czar::Options{});  // one shard
+  FakeWorkerStream worker(&sys.network());
+  ASSERT_TRUE(sys.network()
+                  .attach(shard::worker_node(0), &worker,
+                          shard::backplane_link())
+                  .is_ok());
+
+  // seq 0 never arrives; seq 1 opens the gap [0, 1). It is NACKed on
+  // arrival and again every kNackInterval (100 ms) while it stays open.
+  worker.send_heartbeat(1);
+  sys.run_for(Duration::millis(350));
+  EXPECT_EQ(worker.nacks, (std::vector<std::int64_t>{0, 0, 0, 0}));
+  EXPECT_EQ(czar.stats().heartbeats_received, 0u);
+  EXPECT_EQ(czar.stats().nacks_sent, 4u);
+
+  // The retransmission closes the gap: both heartbeats are consumed and
+  // the NACKs stop.
+  worker.send_heartbeat(0);
+  sys.run_for(Duration::millis(500));
+  EXPECT_EQ(czar.stats().heartbeats_received, 2u);
+  EXPECT_EQ(czar.stats().nacks_sent, 4u);
+  ASSERT_TRUE(sys.network().detach(shard::worker_node(0)).is_ok());
 }
 
 // ---- partial SELECT surfacing ----------------------------------------------

@@ -1,11 +1,13 @@
 // Tests for the sharded czar/worker query plane (src/shard): the fragment
-// wire format (spec fields, exact rows codec, FNV-1a partition), the
-// deterministic merger, the czar's planning limits, end-to-end SELECT
-// partial merging and continuous-row delivery across shards, worker
-// failure/recovery supervision, and the QueryService num_shards routing.
+// wire format (spec fields, exact rows and row-group codecs, FNV-1a
+// partition), the deterministic merger, the czar's planning limits,
+// end-to-end SELECT partial merging and continuous-row delivery across
+// shards (one results message per worker flush), worker failure/recovery
+// supervision, and the QueryService num_shards routing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <variant>
@@ -129,6 +131,56 @@ TEST(FragmentTest, RowsCodecRejectsMalformedPayloads) {
   EXPECT_TRUE(shard::decode_rows(good, &out));
   EXPECT_FALSE(
       shard::decode_rows(good.substr(0, good.size() - 2), &out));  // truncated
+  EXPECT_FALSE(shard::decode_rows(good + "1:x", &out));  // trailing bytes
+
+  // Counts the remaining bytes cannot hold are rejected before anything is
+  // reserved: a row takes at least 9 bytes, a field at least 5.
+  EXPECT_FALSE(shard::decode_rows("19:1152921504606846976", &out));
+  EXPECT_FALSE(shard::decode_rows("1:2" "1:0" "1:0" "1:0", &out));
+  EXPECT_FALSE(shard::decode_rows(
+      "1:1" "1:0" "1:0" "19:1152921504606846976" "0:" "1:n", &out));
+  EXPECT_FALSE(shard::decode_rows("20:18446744073709551616", &out));
+  EXPECT_FALSE(shard::decode_rows("1:-", &out));
+  EXPECT_FALSE(shard::decode_rows(std::string(24, '9') + ":", &out));
+  EXPECT_TRUE(shard::decode_rows("1:1" "1:0" "1:0" "1:0", &out));
+  EXPECT_EQ(out.size(), 1u);
+
+  std::vector<shard::RowGroup> groups;
+  EXPECT_FALSE(shard::decode_row_groups("garbage", &groups));
+  EXPECT_FALSE(shard::decode_row_groups("19:1152921504606846976", &groups));
+  EXPECT_FALSE(shard::decode_row_groups(
+      "1:1" "1:q" "19:1152921504606846976", &groups));
+  EXPECT_FALSE(shard::decode_row_groups("1:2" "1:q" "1:0", &groups));
+  const std::string flush = shard::encode_row_groups({{"q", {r}}});
+  EXPECT_TRUE(shard::decode_row_groups(flush, &groups));
+  EXPECT_FALSE(shard::decode_row_groups(flush.substr(0, flush.size() - 1),
+                                        &groups));
+  EXPECT_FALSE(shard::decode_row_groups(flush + "0:", &groups));
+}
+
+TEST(FragmentTest, RowGroupsRoundTripInOrder) {
+  // One flush: groups keep their order (first appearance at the worker),
+  // each group's rows use the encode_rows format behind the query name.
+  query::TimestampedRow a;
+  a.at = TimePoint() + Duration::millis(2000);
+  a.row = {{"s.id", device::Value{std::string("m1")}}};
+  query::TimestampedRow b = a;
+  b.degraded = true;
+  b.row = {{"temp", device::Value{0.1}}, {"n", device::Value{}}};
+  std::vector<shard::RowGroup> groups{
+      {"t/zeta", {a, b}}, {"t/alpha", {b}}, {"", {}}};
+
+  const std::string payload = shard::encode_row_groups(groups);
+  std::vector<shard::RowGroup> back;
+  ASSERT_TRUE(shard::decode_row_groups(payload, &back));
+  ASSERT_EQ(back.size(), 3u);
+  EXPECT_EQ(back[0].query, "t/zeta");
+  EXPECT_EQ(back[1].query, "t/alpha");
+  EXPECT_EQ(back[2].query, "");
+  EXPECT_TRUE(back[2].rows.empty());
+  EXPECT_EQ(shard::encode_rows(back[0].rows), shard::encode_rows({a, b}));
+  EXPECT_EQ(shard::encode_rows(back[1].rows), shard::encode_rows({b}));
+  EXPECT_EQ(shard::encode_row_groups(back), payload);
 }
 
 TEST(FragmentTest, AggregateClassification) {
@@ -520,6 +572,87 @@ TEST(ShardPlaneTest, PartitionedWorkerIsMarkedDownAndRecoveredOnHeal) {
   std::size_t after_heal = rows.size();
   w.sys.run_for(Duration::seconds(3.0));
   EXPECT_GT(rows.size(), after_heal);
+}
+
+// Identical edge-triggered AQs co0..co<n-1>: every one fires on every
+// mote at the same instants. Released rows are counted per query.
+void register_cofiring(PlaneWorld& w, int n,
+                       std::map<std::string, std::uint64_t>* rows) {
+  for (int k = 0; k < n; ++k) {
+    core::ExecOptions opts;
+    opts.on_row = [rows](const std::string& q, const query::TimestampedRow&) {
+      ++(*rows)[q];
+    };
+    w.plane->exec_async(
+        "CREATE AQ co" + std::to_string(k) +
+            " AS SELECT s.id FROM sensor s WHERE s.accel_x > 100",
+        std::move(opts), [](util::Result<core::ExecResult> r) {
+          ASSERT_TRUE(r.is_ok()) << r.status().message();
+        });
+  }
+}
+
+// Steps the plane in 100 µs slices until some worker has sent its first
+// results message.
+void run_to_first_flush(PlaneWorld& w) {
+  auto sent = [&w]() {
+    return w.plane->worker(0).stats().results_msgs +
+           w.plane->worker(1).stats().results_msgs;
+  };
+  for (int i = 0; i < 100000 && sent() == 0; ++i) {
+    w.sys.run_for(Duration::micros(100));
+  }
+  ASSERT_GT(sent(), 0u);
+}
+
+TEST(ShardPlaneTest, CoFiringAqsShareOneResultsMessagePerFlush) {
+  // More co-firing AQs than a worker's replay buffer holds (4096): one
+  // message per query per flush would overflow it on this loss-free link.
+  constexpr int kAqs = 4200;
+  PlaneWorld one(2);
+  std::map<std::string, std::uint64_t> one_rows;
+  register_cofiring(one, 1, &one_rows);
+  run_to_first_flush(one);
+  one.sys.run_for(Duration::seconds(10.0));
+
+  PlaneWorld many(2);
+  std::map<std::string, std::uint64_t> rows;
+  register_cofiring(many, kAqs, &rows);
+  run_to_first_flush(many);
+  // The first flush is on the wire: drop one AQ at the czar before the
+  // message carrying its rows (and everyone else's) arrives.
+  const shard::CzarStats& cs = many.plane->czar().stats();
+  ASSERT_EQ(cs.rows_received, 0u) << "the first flush must be in flight";
+  const std::uint64_t in_flight = many.plane->worker(0).stats().rows_sent +
+                                  many.plane->worker(1).stats().rows_sent;
+  ASSERT_GT(in_flight, 0u);
+  ASSERT_EQ(in_flight % kAqs, 0u) << "every AQ fires on the same motes";
+  ASSERT_TRUE(many.plane->czar().drop_aq("co0").is_ok());
+  many.sys.run_for(Duration::seconds(10.0));
+
+  // One message per flush, whatever the AQ count.
+  for (int i = 0; i < 2; ++i) {
+    const shard::WorkerStats& ws = many.plane->worker(i).stats();
+    EXPECT_GT(ws.results_msgs, 0u) << "shard " << i;
+    EXPECT_EQ(ws.results_msgs, one.plane->worker(i).stats().results_msgs)
+        << "shard " << i;
+    EXPECT_EQ(ws.replay_overflow, 0u) << "shard " << i;
+  }
+  EXPECT_LE(many.sys.metrics().gauge_value("net.reliable.replay_hwm"), 16);
+  EXPECT_EQ(cs.nacks_sent, 0u);
+  EXPECT_EQ(cs.workers_marked_down, 0u);
+
+  // Only the dropped AQ's group of the in-flight message went stale; the
+  // other groups of that message were delivered, so every surviving AQ got
+  // exactly the rows the lone AQ got.
+  EXPECT_EQ(cs.stale_query_rows, in_flight / kAqs);
+  EXPECT_EQ(rows.count("co0"), 0u);
+  ASSERT_EQ(one_rows.size(), 1u);
+  ASSERT_GT(one_rows["co0"], 0u);
+  EXPECT_EQ(rows.size(), static_cast<std::size_t>(kAqs - 1));
+  for (const auto& [query, n] : rows) {
+    EXPECT_EQ(n, one_rows["co0"]) << query;
+  }
 }
 
 // ------------------------------------------- service-layer num_shards
