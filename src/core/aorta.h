@@ -128,11 +128,13 @@ struct ExecResult {
 // Session-scoped execution options for the multi-tenant service layer
 // (src/server). `name_prefix` isolates a session's AQ namespace (CREATE AQ
 // and DROP AQ names are prefixed before reaching the executor); `owner`
-// tags the registered query; `on_row` receives its continuous rows.
+// tags the registered query; `on_row` receives its continuous rows, each
+// handed over by value (a hook that keeps a row moves it; one declared
+// with a `const query::TimestampedRow&` parameter binds as well).
 struct ExecOptions {
   std::string owner;
   std::string name_prefix;
-  std::function<void(const std::string& query, const query::TimestampedRow&)>
+  std::function<void(const std::string& query, query::TimestampedRow row)>
       on_row;
 };
 

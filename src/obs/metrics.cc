@@ -50,32 +50,39 @@ void LatencyHistogram::write_json(aorta::util::JsonWriter& w,
 
 void MetricsRegistry::enroll_counter(std::string name,
                                      const std::uint64_t* counter) {
+  std::lock_guard<std::mutex> lock(mu_);
   metrics_[std::move(name)] = Entry{counter, false};
 }
 
 void MetricsRegistry::enroll_gauge(std::string name, GaugeFn fn) {
+  std::lock_guard<std::mutex> lock(mu_);
   metrics_[std::move(name)] = Entry{std::move(fn), false};
 }
 
 void MetricsRegistry::enroll_gauge_bool(std::string name, BoolGaugeFn fn) {
+  std::lock_guard<std::mutex> lock(mu_);
   metrics_[std::move(name)] = Entry{std::move(fn), false};
 }
 
 void MetricsRegistry::enroll_histogram(std::string name,
                                        const LatencyHistogram* hist) {
+  std::lock_guard<std::mutex> lock(mu_);
   metrics_[std::move(name)] = Entry{hist, false};
 }
 
 void MetricsRegistry::mark_volatile(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = metrics_.find(name);
   if (it != metrics_.end()) it->second.volatile_metric = true;
 }
 
 void MetricsRegistry::unenroll(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
   metrics_.erase(name);
 }
 
 void MetricsRegistry::unenroll_prefix(std::string_view prefix) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = metrics_.lower_bound(std::string(prefix));
   while (it != metrics_.end() &&
          std::string_view(it->first).substr(0, prefix.size()) == prefix) {
@@ -84,6 +91,7 @@ void MetricsRegistry::unenroll_prefix(std::string_view prefix) {
 }
 
 std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = metrics_.find(name);
   if (it == metrics_.end()) return 0;
   if (const auto* c = std::get_if<const std::uint64_t*>(&it->second.metric)) {
@@ -93,6 +101,7 @@ std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
 }
 
 std::int64_t MetricsRegistry::gauge_value(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = metrics_.find(name);
   if (it == metrics_.end()) return 0;
   if (const auto* g = std::get_if<GaugeFn>(&it->second.metric)) return (*g)();
@@ -105,6 +114,7 @@ std::int64_t MetricsRegistry::gauge_value(const std::string& name) const {
 void MetricsRegistry::write_json(aorta::util::JsonWriter& w,
                                  bool include_buckets,
                                  bool include_volatile) const {
+  std::lock_guard<std::mutex> lock(mu_);
   w.begin_object();
   // `open` is the stack of object components currently open; dotted names
   // arrive in sorted order, so shared prefixes nest naturally.

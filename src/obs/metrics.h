@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -146,8 +147,12 @@ class MetricsRegistry {
 
   Scoped scoped(std::string prefix) { return Scoped(this, std::move(prefix)); }
 
-  std::size_t size() const { return metrics_.size(); }
+  std::size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return metrics_.size();
+  }
   bool contains(const std::string& name) const {
+    std::lock_guard<std::mutex> lock(mu_);
     return metrics_.count(name) > 0;
   }
 
@@ -175,6 +180,11 @@ class MetricsRegistry {
     Metric metric;
     bool volatile_metric = false;  // wall-clock dependent; see mark_volatile
   };
+  // Worker loops enroll metrics lazily (new device types, index gauges)
+  // on their own threads between epoch barriers, so every access to the
+  // map takes the lock. Gauge callbacks run under it and must not call
+  // back into the registry.
+  mutable std::mutex mu_;
   std::map<std::string, Entry> metrics_;
 };
 

@@ -103,9 +103,7 @@ Status AggregateCache::build_spec(const CompiledQuery& compiled,
   // output-column order (compile() records each aggregate's position).
   std::size_t next_agg = 0;
   std::size_t next_proj = 0;
-  const std::size_t width =
-      compiled.aggregates.size() + compiled.projections.size();
-  for (std::size_t pos = 0; pos < width; ++pos) {
+  for (std::size_t pos = 0; pos < compiled.labels.size(); ++pos) {
     if (next_agg < compiled.aggregates.size() &&
         compiled.aggregates[next_agg].position == pos) {
       const CompiledAggregate& agg = compiled.aggregates[next_agg++];
@@ -131,7 +129,7 @@ Status AggregateCache::build_spec(const CompiledQuery& compiled,
         spec->items.push_back(SubItem{
             .is_group = true,
             .index = static_cast<std::size_t>(it - spec->group_cols.begin()),
-            .label = proj.to_string()});
+            .label = compiled.labels[pos]});
         continue;
       }
     }
@@ -382,7 +380,7 @@ void AggregateCache::on_batch(std::uint64_t entry_id,
     if (sit == subs_by_gen_.end()) continue;
     Subscriber& sub = *sit->second;
     ++stats_.emissions;
-    sub.emit(sub.name, row);
+    sub.emit(sub.name, std::move(row));
   }
 }
 

@@ -73,9 +73,9 @@ class AggregateCache {
   };
 
   // Receives every emitted window row for the named AQ (the executor
-  // routes it into hooks.on_row and the bounded results ring).
+  // routes it into hooks.on_row or the bounded results ring).
   using EmitFn =
-      std::function<void(const std::string& name, const TimestampedRow& row)>;
+      std::function<void(const std::string& name, TimestampedRow row)>;
 
   AggregateCache(comm::ScanBroker* broker, aorta::util::EventLoop* loop,
                  Options options);

@@ -281,7 +281,6 @@ Result<CompiledQuery> compile(const SelectStmt& stmt, const Catalog& catalog,
   }
 
   // ---- SELECT list: actions, aggregates, projections ----------------------
-  std::size_t column = 0;  // output column index (aggregates + projections)
   for (const auto& item : stmt.select_list) {
     if (item->kind == Expr::Kind::kFuncCall) {
       const ActionDef* action = catalog.find_action(item->func_name);
@@ -327,7 +326,7 @@ Result<CompiledQuery> compile(const SelectStmt& stmt, const Catalog& catalog,
       for (const auto& [alias, schema] : q.schemas) {
         for (const auto& f : schema.fields()) {
           q.projections.push_back(Expr::make_column(alias, f.name));
-          ++column;
+          q.labels.push_back(q.projections.back()->to_string());
         }
       }
       continue;
@@ -350,12 +349,13 @@ Result<CompiledQuery> compile(const SelectStmt& stmt, const Catalog& catalog,
             "aggregate needs a column argument: " + item->to_string()));
       }
       agg.label = item->to_string();
-      agg.position = column++;
+      agg.position = q.labels.size();
+      q.labels.push_back(agg.label);
       q.aggregates.push_back(std::move(agg));
       continue;
     }
     q.projections.push_back(item->clone());
-    ++column;
+    q.labels.push_back(item->to_string());
   }
 
   // ---- compiled evaluation ------------------------------------------------

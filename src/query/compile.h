@@ -100,6 +100,10 @@ struct CompiledQuery {
   // qualified column ref per attribute (aliases sorted, schema order).
   std::vector<ExprPtr> projections;
   std::vector<CompiledAggregate> aggregates;  // select-list order
+  // Output column labels, rendered once here: aggregates and projections
+  // interleaved in select-list order (so projections[i] is labels[i] when
+  // there is no aggregate). Every row the query produces copies them.
+  std::vector<std::string> labels;
 
   // Continuous aggregation clauses, carried through from the statement
   // (the executor's AggregateCache consumes them; see DESIGN.md §15).

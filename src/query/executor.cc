@@ -100,8 +100,8 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
         name, aq->generation, aq->compiled, aq->epoch_ticks,
         static_cast<double>(aq->epoch_ticks) * options_.epoch.to_seconds(),
         [this, generation = aq->generation](const std::string&,
-                                            const TimestampedRow& row) {
-          deliver_agg_row(generation, row);
+                                            TimestampedRow row) {
+          deliver_agg_row(generation, std::move(row));
         });
     if (!attached.is_ok()) return attached;
     AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kRegister, "register:" + name,
@@ -456,20 +456,22 @@ void ContinuousQueryExecutor::fire_event(Aq* aq, const comm::Tuple& tuple,
   if (!aq->compiled.projections.empty()) {
     const CompiledQuery& cq = aq->compiled;
     Row row;
+    row.reserve(cq.projections.size());
     for (std::size_t i = 0; i < cq.projections.size(); ++i) {
       auto v = eval_expr(cq.projection_programs[i], frame);
-      row.emplace_back(cq.projections[i]->to_string(),
+      row.emplace_back(cq.labels[i],
                        v.is_ok() ? std::move(v).value() : device::Value{});
     }
     TimestampedRow stamped{loop_->now(), std::move(row), tuple.degraded()};
     if (aq->hooks.on_row) {
       const std::uint64_t generation = aq->generation;
-      aq->hooks.on_row(aq->name, stamped);
+      aq->hooks.on_row(aq->name, std::move(stamped));
       aq = live_aq(generation);  // the hook may have dropped it
       if (aq == nullptr) return;
+    } else {
+      aq->results.push_back(std::move(stamped));
+      while (aq->results.size() > kResultCap) aq->results.pop_front();
     }
-    aq->results.push_back(std::move(stamped));
-    while (aq->results.size() > kResultCap) aq->results.pop_front();
   }
 
   const CompiledQuery& cq = aq->compiled;
@@ -525,16 +527,15 @@ void ContinuousQueryExecutor::fire_event(Aq* aq, const comm::Tuple& tuple,
 }
 
 void ContinuousQueryExecutor::deliver_agg_row(std::uint64_t generation,
-                                              const TimestampedRow& row) {
+                                              TimestampedRow row) {
   Aq* owner = live_aq(generation);
   if (owner == nullptr) return;
   ++owner->stats.events;
   if (owner->hooks.on_row) {
-    owner->hooks.on_row(owner->name, row);
-    owner = live_aq(generation);  // the hook may have dropped it
-    if (owner == nullptr) return;
+    owner->hooks.on_row(owner->name, std::move(row));
+    return;
   }
-  owner->results.push_back(row);
+  owner->results.push_back(std::move(row));
   while (owner->results.size() > kResultCap) owner->results.pop_front();
 }
 
@@ -738,9 +739,10 @@ void ContinuousQueryExecutor::run_select(
         return;
       }
       Row row;
+      row.reserve(q->projections.size());
       for (std::size_t p = 0; p < q->projections.size(); ++p) {
         auto v = eval_expr(q->projection_programs[p], frame);
-        row.emplace_back(q->projections[p]->to_string(),
+        row.emplace_back(q->labels[p],
                          v.is_ok() ? std::move(v).value() : Value{});
       }
       rows.push_back(std::move(row));

@@ -100,14 +100,15 @@ class ContinuousQueryExecutor {
 
   // Multi-tenant hooks a query can be registered with (src/server): an
   // owner tag identifying the registering session/tenant, and a callback
-  // receiving every projected row at event time (in addition to the
-  // bounded ring served by recent_results). `on_row` may drop AQs, its own
-  // included; its `name` argument (and then the hook itself) dies with the
-  // AQ, so it must touch neither after dropping its own AQ.
+  // that takes every projected row at event time. The row is handed over
+  // by value: a hooked query's rows belong to its hook, and only hook-less
+  // queries keep the bounded ring served by recent_results. `on_row` may
+  // drop AQs, its own included; its `name` argument (and then the hook
+  // itself) dies with the AQ, so it must touch neither after dropping its
+  // own AQ.
   struct AqHooks {
     std::string owner;
-    std::function<void(const std::string& name, const TimestampedRow& row)>
-        on_row;
+    std::function<void(const std::string& name, TimestampedRow row)> on_row;
   };
 
   ContinuousQueryExecutor(device::DeviceRegistry* registry,
@@ -147,7 +148,8 @@ class ContinuousQueryExecutor {
 
   // ---- results / observability --------------------------------------------
   // Rows a continuous query's projections produced at its last events
-  // (bounded ring, newest last). Empty for queries with no projections.
+  // (bounded ring, newest last). Empty for queries with no projections
+  // and for queries registered with an on_row hook (the hook owns them).
   std::vector<TimestampedRow> recent_results(const std::string& name) const;
 
   // Receives every action outcome of every query (the server layer routes
@@ -228,7 +230,7 @@ class ContinuousQueryExecutor {
     std::map<device::DeviceId, std::uint64_t> last_true_seq;
     // epochs is derived lazily from the group (query_stats()).
     mutable QueryStats stats;
-    // Projection outputs at event time (bounded ring).
+    // Projection outputs at event time (bounded ring; hook-less AQs only).
     std::deque<TimestampedRow> results;
   };
 
@@ -280,7 +282,7 @@ class ContinuousQueryExecutor {
   // action fan-out.
   void fire_event(Aq* aq, const comm::Tuple& tuple, const BindingFrame& frame);
   // Aggregate-cache emission for the AQ registered as `generation`.
-  void deliver_agg_row(std::uint64_t generation, const TimestampedRow& row);
+  void deliver_agg_row(std::uint64_t generation, TimestampedRow row);
   // The live AQ registered as `generation`, or null once dropped. User
   // hooks can drop AQs: re-resolve here before touching one after a hook.
   Aq* live_aq(std::uint64_t generation) const;

@@ -318,9 +318,11 @@ void QueryService::dispatch(Submission submission) {
   core::ExecOptions options;
   options.owner = s->name_prefix();
   options.name_prefix = s->name_prefix();
-  options.on_row = [this, alive = alive_, session_id = submission.session](
-                       const std::string& query,
-                       const query::TimestampedRow& row) {
+  // Tenant entries are never erased, so the row hook keeps a pointer to
+  // its tenant's stats instead of looking the tenant up per row.
+  options.on_row = [this, alive = alive_, session_id = submission.session,
+                    row_ts = &ts](const std::string& query,
+                                  query::TimestampedRow row) {
     if (!*alive) return;
     auto it = sessions_.find(session_id);
     if (it == sessions_.end() || it->second->state() == SessionState::kClosed) {
@@ -330,14 +332,13 @@ void QueryService::dispatch(Submission submission) {
     d.kind = Delivery::Kind::kRow;
     d.at = row.at;
     d.query = query;
-    d.rows.push_back(row.row);
+    d.rows.push_back(std::move(row.row));
     d.degraded = row.degraded;
     AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kDelivery, "row:" + query,
                         row.at, std::string());
     it->second->deliver(std::move(d));
-    TenantStats& row_ts = tenant_entry(it->second->tenant());
-    ++row_ts.rows_delivered;
-    if (row.degraded) ++row_ts.rows_degraded;
+    ++row_ts->rows_delivered;
+    if (row.degraded) ++row_ts->rows_degraded;
   };
 
   auto alive = alive_;

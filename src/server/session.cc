@@ -24,8 +24,8 @@ void Session::deliver(Delivery delivery) {
     case Delivery::Kind::kRow: ++stats_.rows; break;
     case Delivery::Kind::kOutcome: ++stats_.outcomes; break;
   }
-  mailbox_.push(delivery);  // kShedOldest: never fails, sheds + counts
-  if (notify_) notify_(delivery);
+  mailbox_.push(std::move(delivery));  // kShedOldest: never fails
+  if (notify_) notify_(mailbox_.back());
 }
 
 std::vector<Delivery> Session::drain() {

@@ -84,8 +84,9 @@ class Session {
   std::size_t mailbox_size() const { return mailbox_.size(); }
   std::uint64_t mailbox_dropped() const { return mailbox_.shed(); }
 
-  // Observer invoked after each delivery is buffered (closed-loop workload
-  // clients use it to pace their next submission).
+  // Observer invoked after each delivery is buffered, with the buffered
+  // item (closed-loop workload clients use it to pace their next
+  // submission). It must not deliver to this session.
   void set_notify(std::function<void(const Delivery&)> notify) {
     notify_ = std::move(notify);
   }

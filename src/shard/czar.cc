@@ -1,6 +1,7 @@
 #include "shard/czar.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "util/strings.h"
@@ -42,8 +43,8 @@ Czar::Czar(core::Aorta* host, Options options)
   for (ShardState& s : shards_) s.last_msg = loop_->now();
   merger_ = std::make_unique<Merger>(
       options_.num_shards,
-      [this](const std::string& query, const query::TimestampedRow& row) {
-        on_row_released(query, row);
+      [this](std::uint64_t id, query::TimestampedRow& row) {
+        on_row_released(id, row);
       });
 
   metrics_ = host->metrics().scoped("shard.czar.");
@@ -57,6 +58,7 @@ Czar::Czar(core::Aorta* host, Options options)
   metrics_.enroll_counter("stale_gen_msgs", &stats_.stale_gen_msgs);
   metrics_.enroll_counter("ooo_buffered", &stats_.ooo_buffered);
   metrics_.enroll_counter("stale_query_rows", &stats_.stale_query_rows);
+  metrics_.enroll_counter("rejected_groups", &stats_.rejected_groups);
   metrics_.enroll_counter("workers_marked_down", &stats_.workers_marked_down);
   metrics_.enroll_counter("reregistrations", &stats_.reregistrations);
   metrics_.enroll_counter("dup_msgs_dropped", &stats_.dup_msgs_dropped);
@@ -135,12 +137,13 @@ Czar::~Czar() {
 }
 
 FragmentSpec Czar::make_spec(const std::string& name, const std::string& sql,
-                             bool once, int shard) const {
+                             bool once, int shard, std::uint64_t id) const {
   FragmentSpec spec;
   spec.name = name;
   spec.sql = sql;
   spec.once = once;
   spec.gen = shards_[static_cast<std::size_t>(shard)].gen;
+  spec.id = id;
   return spec;
 }
 
@@ -157,8 +160,9 @@ void Czar::send_register(int shard, const FragmentSpec& spec,
                       64 + spec.sql.size());
 }
 
-void Czar::send_drop(int shard, const std::string& name) {
+void Czar::send_drop(int shard, const std::string& name, std::uint64_t id) {
   std::map<std::string, std::string> fields{{"name", name}};
+  fields["id"] = std::to_string(id);
   fields["gen"] = std::to_string(shards_[static_cast<std::size_t>(shard)].gen);
   fields[kIdemSeqField] = std::to_string(dispatch_seq_++);
   reliable_call_.call(worker_node(shard), kFragmentDrop, std::move(fields),
@@ -167,8 +171,8 @@ void Czar::send_drop(int shard, const std::string& name) {
 
 std::vector<std::string> Czar::aq_names() const {
   std::vector<std::string> names;
-  names.reserve(aqs_.size());
-  for (const auto& [name, aq] : aqs_) names.push_back(name);
+  names.reserve(ids_.size());
+  for (const auto& [name, id] : ids_) names.push_back(name);
   return names;
 }
 
@@ -248,17 +252,21 @@ void Czar::exec_async(
         return;
       }
       std::string name = options.name_prefix + s.create_aq.name;
-      if (aqs_.count(name) > 0) {
+      if (ids_.count(name) > 0) {
         done(Result<ExecResult>(aorta::util::already_exists_error(
             "continuous query already registered: " + name)));
         return;
       }
+      const std::uint64_t id = next_id_++;
       AqState aq;
       aq.name = name;
       aq.sql = sql;
       aq.options = std::move(options);
       aq.agg = make_agg_plan(s.create_aq.select);
-      aqs_.emplace(name, std::move(aq));
+      aq.announced.assign(static_cast<std::size_t>(options_.num_shards),
+                          false);
+      aqs_.emplace(id, std::move(aq));
+      ids_.emplace(name, id);
       ++stats_.aqs_registered;
 
       // Fan out to the live shards; barrier on all replies settling. A
@@ -277,13 +285,16 @@ void Czar::exec_async(
       }
       barrier->remaining = static_cast<int>(targets.size());
       auto alive = alive_;
-      auto settle = [this, alive, name, barrier]() {
+      auto settle = [this, alive, name, id, barrier]() {
         if (--barrier->remaining > 0) return;
         if (!barrier->error.empty()) {
-          if (*alive && aqs_.erase(name) > 0) {
+          if (*alive && aqs_.erase(id) > 0) {
+            ids_.erase(name);
             ++stats_.fragment_errors;
             for (int i = 0; i < options_.num_shards; ++i) {
-              if (shards_[static_cast<std::size_t>(i)].live) send_drop(i, name);
+              if (shards_[static_cast<std::size_t>(i)].live) {
+                send_drop(i, name, id);
+              }
             }
           }
           barrier->done(Result<ExecResult>(
@@ -300,8 +311,7 @@ void Czar::exec_async(
         return;
       }
       for (int i : targets) {
-        const AqState& stored = aqs_.at(name);
-        send_register(i, make_spec(name, stored.sql, /*once=*/false, i),
+        send_register(i, make_spec(name, sql, /*once=*/false, i, id),
                       [barrier, settle](Result<net::Message> reply) {
                         if (reply.is_ok() &&
                             reply.value().kind == kFragmentError &&
@@ -336,14 +346,18 @@ void Czar::exec_async(
 }
 
 Status Czar::drop_aq(const std::string& name) {
-  if (aqs_.erase(name) == 0) {
+  auto it = ids_.find(name);
+  if (it == ids_.end()) {
     return aorta::util::not_found_error("unknown continuous query: " + name);
   }
+  const std::uint64_t id = it->second;
+  ids_.erase(it);
+  aqs_.erase(id);
   ++stats_.aqs_dropped;
-  merger_->forget_query(name);
-  agg_pending_.erase(name);
+  merger_->forget_query(id);
+  agg_pending_.erase(id);
   for (int i = 0; i < options_.num_shards; ++i) {
-    if (shards_[static_cast<std::size_t>(i)].live) send_drop(i, name);
+    if (shards_[static_cast<std::size_t>(i)].live) send_drop(i, name, id);
   }
   return Status::ok();
 }
@@ -674,40 +688,66 @@ void Czar::consume(int shard, const net::Message& msg) {
     }
     return;
   }
-  if (msg.field("type") == "outcome") {
-    ++stats_.outcomes_received;
-    if (outcome_sink_) {
-      outcome_sink_(msg.field("query"),
-                    TimePoint::from_micros(msg.field_int("at_us")),
-                    msg.field("detail"));
-    }
+  consume_flush(shard, msg);
+}
+
+void Czar::consume_flush(int shard, const net::Message& msg) {
+  auto field = msg.fields.find("flush");
+  Flush flush;
+  if (field == msg.fields.end() || !decode_flush(field->second, &flush)) {
     return;
   }
-  // One flush: per-query groups in the order the worker produced them.
-  // A dropped AQ's group is stale; the rest of the message still delivers.
-  std::vector<RowGroup> groups;
-  if (!decode_row_groups(msg.field("rows"), &groups)) return;
-  for (RowGroup& g : groups) {
-    if (aqs_.count(g.query) == 0) {
-      stats_.stale_query_rows += g.rows.size();
+  // Row groups in the order the worker produced them. A dropped AQ's group
+  // is stale; the rest of the message still delivers.
+  auto next = flush.rows.begin();
+  for (RowGroup& g : flush.groups) {
+    const auto rows = std::span(next, g.rows);
+    next += static_cast<std::ptrdiff_t>(g.rows);
+    auto it = aqs_.find(g.id);
+    if (it == aqs_.end()) {
+      stats_.stale_query_rows += rows.size();
       continue;
     }
-    stats_.rows_received += g.rows.size();
-    for (auto& row : g.rows) merger_->add(shard, g.query, std::move(row));
+    AqState& aq = it->second;
+    std::vector<bool>::reference announced =
+        aq.announced[static_cast<std::size_t>(shard)];
+    if (!g.labels.empty()) {
+      if (aq.labels.empty()) aq.labels = std::move(g.labels);
+      announced = true;
+    }
+    // Schema-once rows: an id-only group needs this shard's announcement,
+    // and every row must fit the announced labels.
+    const std::size_t width = aq.labels.size();
+    if (!announced || std::any_of(rows.begin(), rows.end(),
+                                  [width](const query::TimestampedRow& r) {
+                                    return r.row.size() != width;
+                                  })) {
+      ++stats_.rejected_groups;
+      continue;
+    }
+    stats_.rows_received += rows.size();
+    for (query::TimestampedRow& row : rows) {
+      for (std::size_t j = 0; j < width; ++j) row.row[j].first = aq.labels[j];
+      merger_->add(shard, g.id, std::move(row));
+    }
+  }
+  for (const OutcomeRecord& o : flush.outcomes) {
+    ++stats_.outcomes_received;
+    if (outcome_sink_) outcome_sink_(o.query, o.at, o.detail);
   }
 }
 
-void Czar::on_row_released(const std::string& query,
-                           const query::TimestampedRow& row) {
-  auto it = aqs_.find(query);
+void Czar::on_row_released(std::uint64_t id, query::TimestampedRow& row) {
+  auto it = aqs_.find(id);
   if (it == aqs_.end()) return;
-  if (it->second.agg.has_value()) {
+  AqState& aq = it->second;
+  if (aq.agg.has_value()) {
     // Per-shard window partial: fold into the (instant, group key) bucket.
     // All shards' partials for an instant release in the same frontier
     // advance (the watermark promise orders every row before its shard's
     // heartbeat), so flush_agg_windows() — run after that advance — only
     // ever sees complete windows.
-    const AggPlan& plan = *it->second.agg;
+    const AggPlan& plan = *aq.agg;
     std::string group_key;
     for (std::size_t j : plan.group_cols) {
       if (j < row.row.size()) {
@@ -715,10 +755,10 @@ void Czar::on_row_released(const std::string& query,
       }
     }
     auto key = std::make_pair(row.at.to_micros(), std::move(group_key));
-    auto& buckets = agg_pending_[query];
+    auto& buckets = agg_pending_[id];
     auto bit = buckets.find(key);
     if (bit == buckets.end()) {
-      buckets.emplace(std::move(key), row);
+      buckets.emplace(std::move(key), std::move(row));
       return;
     }
     query::TimestampedRow& acc = bit->second;
@@ -730,25 +770,35 @@ void Czar::on_row_released(const std::string& query,
     plan.fold(acc.row, row.row);
     return;
   }
-  if (it->second.options.on_row) it->second.options.on_row(query, row);
+  if (aq.options.on_row) aq.options.on_row(aq.name, std::move(row));
 }
 
 void Czar::flush_agg_windows() {
   if (agg_pending_.empty()) return;
+  auto pending = std::move(agg_pending_);
+  agg_pending_.clear();
   // Deterministic delivery order: query name, then (instant, group key) —
   // the bucket map's own order.
-  for (auto& [query, buckets] : agg_pending_) {
-    auto it = aqs_.find(query);
-    // Dropped (or replaced by a non-aggregate) with buffered windows.
-    if (it == aqs_.end() || !it->second.agg.has_value()) continue;
-    const AggPlan& plan = *it->second.agg;
-    for (auto& [key, stamped] : buckets) {
+  std::vector<std::pair<std::string_view, std::uint64_t>> order;
+  for (const auto& [id, buckets] : pending) {
+    auto it = aqs_.find(id);
+    if (it != aqs_.end()) order.emplace_back(it->second.name, id);
+  }
+  std::sort(order.begin(), order.end());
+  for (const auto& entry : order) {
+    const std::uint64_t id = entry.second;
+    for (auto& [key, stamped] : pending[id]) {
+      // Re-resolve per row: an on_row hook may drop AQs.
+      auto it = aqs_.find(id);
+      if (it == aqs_.end()) break;
+      const AggPlan& plan = *it->second.agg;
       if (stamped.row.size() != plan.ops.size()) continue;  // malformed
       plan.finalize(stamped.row);
-      if (it->second.options.on_row) it->second.options.on_row(query, stamped);
+      if (it->second.options.on_row) {
+        it->second.options.on_row(it->second.name, std::move(stamped));
+      }
     }
   }
-  agg_pending_.clear();
 }
 
 // ---- supervision ----------------------------------------------------------
@@ -804,8 +854,10 @@ void Czar::recover_shard(int shard) {
   // outbound stream, then each live AQ is re-registered.
   send_register(shard, make_spec("", "", /*once=*/false, shard),
                 [](Result<net::Message>) {});
-  for (const auto& [name, aq] : aqs_) {
-    send_register(shard, make_spec(name, aq.sql, /*once=*/false, shard),
+  for (const auto& [name, id] : ids_) {
+    AqState& aq = aqs_.at(id);
+    aq.announced[static_cast<std::size_t>(shard)] = false;
+    send_register(shard, make_spec(name, aq.sql, /*once=*/false, shard, id),
                   [](Result<net::Message>) {});
   }
 }

@@ -48,6 +48,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -69,6 +70,7 @@ struct CzarStats {
   std::uint64_t stale_gen_msgs = 0;     // dropped: superseded generation
   std::uint64_t ooo_buffered = 0;       // messages held for seq reordering
   std::uint64_t stale_query_rows = 0;   // rows for queries no longer known
+  std::uint64_t rejected_groups = 0;    // unannounced or misshapen groups
   std::uint64_t workers_marked_down = 0;
   std::uint64_t reregistrations = 0;    // recovery fan-outs (gen bumps)
   // Reliable backplane (DESIGN.md §14).
@@ -148,6 +150,11 @@ class Czar : public net::Endpoint {
     std::string sql;
     core::ExecOptions options;  // owner + on_row
     std::optional<AggPlan> agg;  // set when the select list aggregates
+    // The shipped rows' labels, from the first announcement (every shard
+    // announces the same ones), and which shards announced them in their
+    // current generation.
+    std::vector<std::string> labels;
+    std::vector<bool> announced;
   };
 
   struct ShardState {
@@ -165,10 +172,10 @@ class Czar : public net::Endpoint {
   static std::optional<AggPlan> make_agg_plan(const query::SelectStmt& stmt);
 
   FragmentSpec make_spec(const std::string& name, const std::string& sql,
-                         bool once, int shard) const;
+                         bool once, int shard, std::uint64_t id = 0) const;
   void send_register(int shard, const FragmentSpec& spec,
                      net::RpcCallback callback);
-  void send_drop(int shard, const std::string& name);
+  void send_drop(int shard, const std::string& name, std::uint64_t id);
 
   void exec_select(const query::SelectStmt& stmt, const std::string& sql,
                    std::function<void(aorta::util::Result<core::ExecResult>)>
@@ -182,8 +189,12 @@ class Czar : public net::Endpoint {
 
   // In-seq-order consumption of one worker message.
   void consume(int shard, const net::Message& msg);
-  void on_row_released(const std::string& query,
-                       const query::TimestampedRow& row);
+  // One flush: row groups into the Merger, outcomes to the sink.
+  void consume_flush(int shard, const net::Message& msg);
+  // A row the merge frontier released: to the AQ's on_row (by move; the
+  // hook's name argument is the AQ's own and dies if the hook drops it),
+  // or into its aggregate window bucket.
+  void on_row_released(std::uint64_t id, query::TimestampedRow& row);
   // Deliver every buffered aggregate window (all complete by the release
   // invariant above); called after each frontier advance.
   void flush_agg_windows();
@@ -208,10 +219,14 @@ class Czar : public net::Endpoint {
   net::ReliableCall reliable_call_;
   std::uint64_t dispatch_seq_ = 0;  // czar-global idempotency-key counter
 
-  std::map<std::string, AqState> aqs_;
-  // Released-but-unfinalized aggregate partials: query -> (window instant
-  // in micros, encoded group key) -> positionally folded row.
-  std::map<std::string,
+  // Live AQs by fragment id (never reused; the key of every row-path
+  // lookup), and the name directory (statements, recovery order).
+  std::unordered_map<std::uint64_t, AqState> aqs_;
+  std::map<std::string, std::uint64_t> ids_;
+  std::uint64_t next_id_ = 1;
+  // Released-but-unfinalized aggregate partials: fragment id -> (window
+  // instant in micros, encoded group key) -> positionally folded row.
+  std::map<std::uint64_t,
            std::map<std::pair<std::int64_t, std::string>,
                     query::TimestampedRow>>
       agg_pending_;

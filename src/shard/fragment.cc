@@ -1,8 +1,7 @@
 #include "shard/fragment.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
+#include <bit>
 
 namespace aorta::shard {
 
@@ -32,6 +31,7 @@ void fragment_to_fields(const FragmentSpec& spec, net::Message* msg) {
   msg->set("sql", spec.sql);
   msg->set_int("once", spec.once ? 1 : 0);
   msg->set_int("gen", static_cast<std::int64_t>(spec.gen));
+  msg->set_int("id", static_cast<std::int64_t>(spec.id));
 }
 
 FragmentSpec fragment_from_fields(const net::Message& msg) {
@@ -40,6 +40,7 @@ FragmentSpec fragment_from_fields(const net::Message& msg) {
   spec.sql = msg.field("sql");
   spec.once = msg.field_int("once") != 0;
   spec.gen = static_cast<std::uint64_t>(msg.field_int("gen"));
+  spec.id = static_cast<std::uint64_t>(msg.field_int("id"));
   return spec;
 }
 
@@ -47,155 +48,231 @@ FragmentSpec fragment_from_fields(const net::Message& msg) {
 
 namespace {
 
-// Smallest encodings, which bound the counts a payload can claim: a row is
-// at least three 1-byte tokens ("1:0"), a field an empty name token ("0:")
-// plus a 1-byte value token, a group an empty name token plus a row count.
-constexpr std::size_t kMinRowBytes = 9;
-constexpr std::size_t kMinFieldBytes = 5;
-constexpr std::size_t kMinGroupBytes = 5;
+// Value tags.
+enum Tag : std::uint8_t {
+  kNull = 0,
+  kFalse = 1,
+  kTrue = 2,
+  kInt = 3,
+  kDouble = 4,
+  kString = 5,
+  kLocation = 6,
+};
 
-// Every token is "<len>:<bytes>": self-delimiting regardless of content.
-void put_token(std::string& out, std::string_view data) {
-  out += std::to_string(data.size());
-  out += ':';
-  out += data;
+// Smallest encodings, which bound the counts a payload can claim: a value
+// is at least its tag, a labelled field an empty label plus a tag, a row
+// its timestamp, degraded byte and field count, a group its id, label
+// count and row count, an outcome two empty strings and a timestamp.
+constexpr std::size_t kMinValueBytes = 1;
+constexpr std::size_t kMinLabelBytes = 1;
+constexpr std::size_t kMinFieldBytes = 2;
+constexpr std::size_t kMinRowBytes = 3;
+constexpr std::size_t kMinGroupBytes = 3;
+constexpr std::size_t kMinOutcomeBytes = 3;
+
+std::uint64_t zigzag(std::int64_t v) {
+  return (static_cast<std::uint64_t>(v) << 1) ^
+         static_cast<std::uint64_t>(v >> 63);
 }
 
-// 1-19 decimal digits (so the value cannot overflow), nothing else.
-bool parse_count(std::string_view digits, std::size_t* out) {
-  if (digits.empty() || digits.size() > 19) return false;
+std::int64_t unzigzag(std::uint64_t u) {
+  return static_cast<std::int64_t>(u >> 1) ^
+         -static_cast<std::int64_t>(u & 1);
+}
+
+void put_varint(std::string& out, std::uint64_t v) {
+  char buf[10];
   std::size_t n = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return false;
-    n = n * 10 + static_cast<std::size_t>(c - '0');
+  while (v >= 0x80) {
+    buf[n++] = static_cast<char>(v | 0x80);
+    v >>= 7;
   }
-  *out = n;
-  return true;
+  buf[n++] = static_cast<char>(v);
+  out.append(buf, n);
 }
 
-bool take_token(std::string_view& in, std::string& out) {
-  std::size_t colon = in.find(':');
-  std::size_t len = 0;
-  if (colon == std::string_view::npos ||
-      !parse_count(in.substr(0, colon), &len)) {
+void put_f64(std::string& out, double d) {
+  const auto bits = std::bit_cast<std::uint64_t>(d);
+  char buf[8];
+  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>(bits >> (8 * i));
+  out.append(buf, 8);
+}
+
+void put_string(std::string& out, std::string_view s) {
+  put_varint(out, s.size());
+  out.append(s);
+}
+
+void put_value(std::string& out, const Value& v) {
+  switch (v.index()) {
+    case 0:
+      out += static_cast<char>(kNull);
+      return;
+    case 1:
+      out += static_cast<char>(std::get<bool>(v) ? kTrue : kFalse);
+      return;
+    case 2:
+      out += static_cast<char>(kInt);
+      put_varint(out, zigzag(std::get<std::int64_t>(v)));
+      return;
+    case 3:
+      out += static_cast<char>(kDouble);
+      put_f64(out, std::get<double>(v));
+      return;
+    case 4:
+      out += static_cast<char>(kString);
+      put_string(out, std::get<std::string>(v));
+      return;
+    default: {
+      const Location& loc = std::get<Location>(v);
+      out += static_cast<char>(kLocation);
+      put_f64(out, loc.x);
+      put_f64(out, loc.y);
+      put_f64(out, loc.z);
+      return;
+    }
+  }
+}
+
+// The header every row shares: timestamp and degraded marker.
+void put_row_header(std::string& out, const query::TimestampedRow& r) {
+  put_varint(out, zigzag(r.at.to_micros()));
+  out += static_cast<char>(r.degraded ? 1 : 0);
+}
+
+// Bounded, canonical reads over one payload. Every read fails rather
+// than run past the end; varints must be minimal, so a payload that
+// decodes re-encodes to the same bytes.
+class Reader {
+ public:
+  explicit Reader(std::string_view in) : in_(in) {}
+
+  bool done() const { return in_.empty(); }
+
+  bool byte(std::uint8_t* out) {
+    if (in_.empty()) return false;
+    *out = static_cast<std::uint8_t>(in_.front());
+    in_.remove_prefix(1);
+    return true;
+  }
+
+  bool varint(std::uint64_t* out) {
+    std::uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      std::uint8_t b = 0;
+      if (!byte(&b)) return false;
+      if (shift == 63 && b > 1) return false;       // overflows 64 bits
+      if (shift > 0 && b == 0) return false;        // not minimal
+      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) {
+        *out = v;
+        return true;
+      }
+    }
     return false;
   }
-  in.remove_prefix(colon + 1);
-  if (in.size() < len) return false;
-  out.assign(in.substr(0, len));
-  in.remove_prefix(len);
+
+  // A count of items of at least `min_item_bytes` each: rejected when the
+  // rest of the payload cannot hold that many.
+  bool count(std::size_t min_item_bytes, std::size_t* n) {
+    std::uint64_t v = 0;
+    if (!varint(&v) || v > in_.size() / min_item_bytes) return false;
+    *n = static_cast<std::size_t>(v);
+    return true;
+  }
+
+  bool f64(double* out) {
+    if (in_.size() < 8) return false;
+    std::uint64_t bits = 0;
+    for (int i = 0; i < 8; ++i) {
+      bits |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(in_[i]))
+              << (8 * i);
+    }
+    in_.remove_prefix(8);
+    *out = std::bit_cast<double>(bits);
+    return true;
+  }
+
+  bool string(std::string* out) {
+    std::size_t n = 0;
+    if (!count(1, &n)) return false;
+    out->assign(in_.substr(0, n));
+    in_.remove_prefix(n);
+    return true;
+  }
+
+  bool value(Value* out) {
+    std::uint8_t tag = 0;
+    if (!byte(&tag)) return false;
+    switch (tag) {
+      case kNull:
+        *out = std::monostate{};
+        return true;
+      case kFalse:
+      case kTrue:
+        *out = tag == kTrue;
+        return true;
+      case kInt: {
+        std::uint64_t u = 0;
+        if (!varint(&u)) return false;
+        *out = unzigzag(u);
+        return true;
+      }
+      case kDouble: {
+        double d = 0.0;
+        if (!f64(&d)) return false;
+        *out = d;
+        return true;
+      }
+      case kString:
+        return string(&out->emplace<std::string>());
+      case kLocation: {
+        Location loc;
+        if (!f64(&loc.x) || !f64(&loc.y) || !f64(&loc.z)) return false;
+        *out = loc;
+        return true;
+      }
+      default:
+        return false;
+    }
+  }
+
+  bool row_header(query::TimestampedRow* r) {
+    std::uint64_t at = 0;
+    std::uint8_t degraded = 0;
+    if (!varint(&at) || !byte(&degraded) || degraded > 1) return false;
+    r->at = aorta::util::TimePoint::from_micros(unzigzag(at));
+    r->degraded = degraded == 1;
+    return true;
+  }
+
+ private:
+  std::string_view in_;
+};
+
+// Fields of one row: labelled (encode_rows) or values only (a flush).
+bool take_fields(Reader& in, bool labelled, query::Row* row) {
+  std::size_t n = 0;
+  if (!in.count(labelled ? kMinFieldBytes : kMinValueBytes, &n)) return false;
+  row->resize(n);
+  for (auto& [label, value] : *row) {
+    if (labelled && !in.string(&label)) return false;
+    if (!in.value(&value)) return false;
+  }
   return true;
 }
 
-// A count token, rejected when the rest of the payload cannot hold that
-// many items of at least `min_item_bytes` each.
-bool take_count(std::string_view& in, std::size_t min_item_bytes,
-                std::size_t* n) {
-  std::string token;
-  return take_token(in, token) && parse_count(token, n) &&
-         *n <= in.size() / min_item_bytes;
-}
-
-// Exact value rendering: one type character + payload. Doubles use %.17g
-// so every IEEE double round-trips bit-exactly.
-std::string encode_value(const Value& v) {
-  if (std::holds_alternative<std::monostate>(v)) return "n";
-  if (const bool* b = std::get_if<bool>(&v)) return *b ? "b1" : "b0";
-  if (const std::int64_t* i = std::get_if<std::int64_t>(&v)) {
-    return "i" + std::to_string(*i);
-  }
-  if (const double* d = std::get_if<double>(&v)) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "d%.17g", *d);
-    return buf;
-  }
-  if (const std::string* s = std::get_if<std::string>(&v)) return "s" + *s;
-  const Location& loc = std::get<Location>(v);
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "l%.17g,%.17g,%.17g", loc.x, loc.y, loc.z);
-  return buf;
-}
-
-bool decode_value(const std::string& token, Value* out) {
-  if (token.empty()) return false;
-  std::string payload = token.substr(1);
-  switch (token[0]) {
-    case 'n':
-      *out = std::monostate{};
-      return true;
-    case 'b':
-      *out = payload == "1";
-      return true;
-    case 'i': {
-      char* end = nullptr;
-      std::int64_t i = std::strtoll(payload.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') return false;
-      *out = i;
-      return true;
-    }
-    case 'd': {
-      char* end = nullptr;
-      double d = std::strtod(payload.c_str(), &end);
-      if (end == nullptr || *end != '\0') return false;
-      *out = d;
-      return true;
-    }
-    case 's':
-      *out = std::move(payload);
-      return true;
-    case 'l': {
-      Location loc;
-      char rest = '\0';
-      if (std::sscanf(payload.c_str(), "%lf,%lf,%lf%c", &loc.x, &loc.y,
-                      &loc.z, &rest) != 3) {
-        return false;
-      }
-      *out = loc;
-      return true;
-    }
-    default:
+// A row count, then that many rows appended to `out`.
+bool take_rows(Reader& in, bool labelled,
+               std::vector<query::TimestampedRow>* out, std::size_t* n) {
+  if (!in.count(kMinRowBytes, n)) return false;
+  const std::size_t first = out->size();
+  out->resize(first + *n);
+  for (auto r = out->begin() + static_cast<std::ptrdiff_t>(first);
+       r != out->end(); ++r) {
+    if (!in.row_header(&*r) || !take_fields(in, labelled, &r->row)) {
       return false;
-  }
-}
-
-void put_rows(std::string& out,
-              const std::vector<query::TimestampedRow>& rows) {
-  put_token(out, std::to_string(rows.size()));
-  for (const query::TimestampedRow& r : rows) {
-    put_token(out, std::to_string(r.at.to_micros()));
-    put_token(out, r.degraded ? "1" : "0");
-    put_token(out, std::to_string(r.row.size()));
-    for (const auto& [name, value] : r.row) {
-      put_token(out, name);
-      put_token(out, encode_value(value));
     }
-  }
-}
-
-bool take_rows(std::string_view& in, std::vector<query::TimestampedRow>* out) {
-  std::size_t n_rows = 0;
-  if (!take_count(in, kMinRowBytes, &n_rows)) return false;
-  out->clear();
-  out->reserve(n_rows);
-  std::string token;
-  for (std::size_t i = 0; i < n_rows; ++i) {
-    query::TimestampedRow row;
-    if (!take_token(in, token)) return false;
-    row.at = aorta::util::TimePoint::from_micros(
-        std::strtoll(token.c_str(), nullptr, 10));
-    if (!take_token(in, token)) return false;
-    row.degraded = token == "1";
-    std::size_t n_fields = 0;
-    if (!take_count(in, kMinFieldBytes, &n_fields)) return false;
-    for (std::size_t f = 0; f < n_fields; ++f) {
-      std::string name;
-      if (!take_token(in, name)) return false;
-      if (!take_token(in, token)) return false;
-      Value value;
-      if (!decode_value(token, &value)) return false;
-      row.row.emplace_back(std::move(name), std::move(value));
-    }
-    out->push_back(std::move(row));
   }
   return true;
 }
@@ -204,38 +281,81 @@ bool take_rows(std::string_view& in, std::vector<query::TimestampedRow>* out) {
 
 std::string encode_rows(const std::vector<query::TimestampedRow>& rows) {
   std::string out;
-  put_rows(out, rows);
+  out.reserve(8 + rows.size() * 32);
+  put_varint(out, rows.size());
+  for (const query::TimestampedRow& r : rows) {
+    put_row_header(out, r);
+    put_varint(out, r.row.size());
+    for (const auto& [label, value] : r.row) {
+      put_string(out, label);
+      put_value(out, value);
+    }
+  }
   return out;
 }
 
 bool decode_rows(const std::string& payload,
                  std::vector<query::TimestampedRow>* out) {
-  std::string_view in = payload;
-  return take_rows(in, out) && in.empty();
+  Reader in(payload);
+  std::size_t n = 0;
+  out->clear();
+  return take_rows(in, /*labelled=*/true, out, &n) && in.done();
 }
 
-std::string encode_row_groups(const std::vector<RowGroup>& groups) {
+std::string encode_flush(const Flush& flush) {
   std::string out;
-  put_token(out, std::to_string(groups.size()));
-  for (const RowGroup& g : groups) {
-    put_token(out, g.query);
-    put_rows(out, g.rows);
+  out.reserve(16 + flush.groups.size() * 8 + flush.rows.size() * 24);
+  put_varint(out, flush.groups.size());
+  auto row = flush.rows.begin();
+  for (const RowGroup& g : flush.groups) {
+    const std::size_t n = std::min<std::size_t>(
+        g.rows, static_cast<std::size_t>(flush.rows.end() - row));
+    put_varint(out, g.id);
+    put_varint(out, g.labels.size());
+    for (const std::string& label : g.labels) put_string(out, label);
+    put_varint(out, n);
+    for (auto end = row + static_cast<std::ptrdiff_t>(n); row != end; ++row) {
+      put_row_header(out, *row);
+      put_varint(out, row->row.size());
+      for (const auto& field : row->row) put_value(out, field.second);
+    }
+  }
+  put_varint(out, flush.outcomes.size());
+  for (const OutcomeRecord& o : flush.outcomes) {
+    put_string(out, o.query);
+    put_varint(out, zigzag(o.at.to_micros()));
+    put_string(out, o.detail);
   }
   return out;
 }
 
-bool decode_row_groups(const std::string& payload,
-                       std::vector<RowGroup>* out) {
-  std::string_view in = payload;
-  std::size_t n_groups = 0;
-  if (!take_count(in, kMinGroupBytes, &n_groups)) return false;
-  out->clear();
-  out->reserve(n_groups);
-  for (std::size_t i = 0; i < n_groups; ++i) {
-    RowGroup& g = out->emplace_back();
-    if (!take_token(in, g.query) || !take_rows(in, &g.rows)) return false;
+bool decode_flush(std::string_view payload, Flush* out) {
+  Reader in(payload);
+  std::size_t n = 0;
+  if (!in.count(kMinGroupBytes, &n)) return false;
+  out->groups.clear();
+  out->groups.resize(n);
+  out->rows.clear();
+  for (RowGroup& g : out->groups) {
+    std::size_t labels = 0;
+    if (!in.varint(&g.id) || !in.count(kMinLabelBytes, &labels)) return false;
+    g.labels.resize(labels);
+    for (std::string& label : g.labels) {
+      if (!in.string(&label)) return false;
+    }
+    if (!take_rows(in, /*labelled=*/false, &out->rows, &g.rows)) return false;
   }
-  return in.empty();
+  if (!in.count(kMinOutcomeBytes, &n)) return false;
+  out->outcomes.clear();
+  out->outcomes.resize(n);
+  for (OutcomeRecord& o : out->outcomes) {
+    std::uint64_t at = 0;
+    if (!in.string(&o.query) || !in.varint(&at) || !in.string(&o.detail)) {
+      return false;
+    }
+    o.at = aorta::util::TimePoint::from_micros(unzigzag(at));
+  }
+  return in.done();
 }
 
 }  // namespace aorta::shard

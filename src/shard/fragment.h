@@ -2,18 +2,19 @@
 //
 // The czar turns each AQ / one-shot SELECT into one fragment per shard: the
 // statement text (each worker re-parses it; the epoch cadence is part of
-// the text), the AQ name, the once flag and the shard's registration
-// generation. The worker needs nothing else: its device slice is its own
-// registry (the Plane placed each device with shard_of). Fragments travel
-// as net::Message RPCs between the czar node and the worker engines:
+// the text), the AQ name, the once flag, the shard's registration
+// generation and, for a continuous AQ, a czar-assigned fragment id. The
+// worker needs nothing else: its device slice is its own registry (the
+// Plane placed each device with shard_of). Fragments travel as
+// net::Message RPCs between the czar node and the worker engines:
 //
 //   fragment_register  czar -> worker   register an AQ fragment, or (with
 //                                       once=1) run a one-shot SELECT whose
 //                                       rows ride the RPC reply
-//   fragment_drop      czar -> worker   drop an AQ fragment
+//   fragment_drop      czar -> worker   drop an AQ fragment (name + id)
 //   fragment_results   worker -> czar   one-way, sequenced: every
-//                                       continuous row of one flush, or one
-//                                       action outcome
+//                                       continuous row and action outcome
+//                                       of one flush
 //   shard_heartbeat    worker -> czar   liveness + result-stream watermark
 //   shard_ack          czar -> worker   one-way cumulative ack: the czar
 //                                       has consumed every seq < `cum`
@@ -49,25 +50,39 @@
 // replay retention, so acks, NACKs and request dedup still run but a gap
 // can never be repaired.
 //
-// A worker flushes every row its fragments produced at one instant as ONE
-// fragment_results message, not one per query: thousands of standing AQs
-// fire at the same instant, and per-query messages would each pay for a
-// field map, a replay-buffer copy and a cross-loop post, and would
-// overflow the replay buffer between two acks. Inside the message the
-// rows are grouped by query name, groups in the order their first row was
-// produced; the czar adds them to the Merger in that order, which is the
-// per-shard arrival order of the merge key. The czar resolves each
-// group's AQ once; a dropped AQ's group is counted as stale and the other
-// groups of the message still deliver.
+// Flushes. A worker ships everything its fragments produced at one
+// instant as ONE fragment_results message: thousands of standing AQs fire
+// at the same instant, and per-query messages would each pay for a field
+// map, a replay-buffer copy and a cross-loop post. The message holds the
+// rows grouped by fragment id, groups in the order their first row was
+// produced (the czar adds them to the Merger in that order, which is the
+// per-shard arrival order of the merge key), then the instant's action
+// outcomes in production order.
 //
-// Rows are encoded with length-prefixed tokens and %.17g doubles — NOT
-// device::value_to_string, whose %.6g rendering is lossy; byte-identical
-// same-seed runs need exact round-trips. Decoding is bounded by the
-// payload: a count larger than the remaining bytes can hold is malformed.
+// Fragment ids and schema-once rows. A group names its fragment by the
+// czar-assigned id, never by the query name, so rows of a dropped
+// registration can never reach a same-named successor: the czar counts
+// an unknown id's rows as stale. Row labels are fixed per fragment (the
+// compiled select list), so they cross the backplane once per (shard,
+// generation): in the fragment's first group on the stream. The czar
+// consumes the stream in seq order, so it sees that announcement before
+// any id-only group, stores the labels with the AQ and stamps them back
+// onto every later row. An id-only group for an id the shard never
+// announced is counted and rejected.
+//
+// The row codec is binary: one tag byte per value, raw little-endian
+// 8-byte doubles (bit-exact, NaN payloads included; byte-identical
+// same-seed runs need exact round-trips), LEB128 varints for counts,
+// lengths, ids and zigzag-coded integers and timestamps. Decoding is
+// bounded by the payload — every count or length larger than the
+// remaining bytes can hold is malformed, so nothing is reserved beyond
+// what the input could fill — and canonical: a payload that decodes
+// re-encodes to the same bytes.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/message.h"
@@ -133,6 +148,7 @@ struct FragmentSpec {
   std::string sql;         // the statement text
   bool once = false;       // one-shot SELECT: rows ride the RPC reply
   std::uint64_t gen = 0;   // registration generation (see file comment)
+  std::uint64_t id = 0;    // czar-assigned fragment id of a continuous AQ
 };
 
 // Field-level encode/decode (message kind is set by the caller).
@@ -141,22 +157,38 @@ FragmentSpec fragment_from_fields(const net::Message& msg);
 
 // ---- rows codec ----------------------------------------------------------
 
-// Exact, deterministic encoding of a burst of timestamped rows. Returns
-// the payload string; decode returns false on any malformed token.
+// A burst of timestamped rows with their labels (a one-shot SELECT's
+// partial rows). decode returns false on any malformed input.
 std::string encode_rows(const std::vector<query::TimestampedRow>& rows);
 bool decode_rows(const std::string& payload,
                  std::vector<query::TimestampedRow>* out);
 
-// One query's rows inside a flush's fragment_results message.
+// One fragment's rows inside a flush. `labels` is set only in the
+// fragment's first group on a (shard, generation) stream.
 struct RowGroup {
-  std::string query;
-  std::vector<query::TimestampedRow> rows;
+  std::uint64_t id = 0;
+  std::vector<std::string> labels;
+  std::size_t rows = 0;  // the group's share of Flush::rows
 };
 
-// A whole flush: each group is the query name followed by its rows in the
-// encode_rows format, groups in the given order.
-std::string encode_row_groups(const std::vector<RowGroup>& groups);
-bool decode_row_groups(const std::string& payload,
-                       std::vector<RowGroup>* out);
+// One action outcome, relayed to the czar's outcome sink by query name.
+struct OutcomeRecord {
+  std::string query;
+  aorta::util::TimePoint at;
+  std::string detail;
+};
+
+// A worker flush: the row groups; every group's rows, in group order, in
+// one flat vector (the rows carry values only: encoding ignores their
+// labels and decoding leaves them empty for the czar to stamp); then the
+// outcomes in production order.
+struct Flush {
+  std::vector<RowGroup> groups;
+  std::vector<query::TimestampedRow> rows;
+  std::vector<OutcomeRecord> outcomes;
+};
+
+std::string encode_flush(const Flush& flush);
+bool decode_flush(std::string_view payload, Flush* out);
 
 }  // namespace aorta::shard

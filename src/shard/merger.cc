@@ -11,16 +11,10 @@ Merger::Merger(int num_shards, Emit emit)
     : emit_(std::move(emit)),
       shards_(static_cast<std::size_t>(num_shards)) {}
 
-void Merger::add(int shard, const std::string& query,
-                 query::TimestampedRow row) {
+void Merger::add(int shard, std::uint64_t id, query::TimestampedRow row) {
   Shard& s = shards_[static_cast<std::size_t>(shard)];
-  Entry e;
-  e.at = row.at;
-  e.shard = shard;
-  e.arrival = s.next_arrival++;
-  e.query = query;
-  e.row = std::move(row);
-  buffer_.push_back(std::move(e));
+  const aorta::util::TimePoint at = row.at;
+  buffer_.push_back(Entry{at, shard, s.next_arrival++, id, std::move(row)});
   ++stats_.rows_in;
 }
 
@@ -35,8 +29,8 @@ void Merger::set_live(int shard, bool live) {
   if (!live) release();  // the frontier may have advanced past its hold-back
 }
 
-void Merger::forget_query(const std::string& query) {
-  std::erase_if(buffer_, [&](const Entry& e) { return e.query == query; });
+void Merger::forget_query(std::uint64_t id) {
+  std::erase_if(buffer_, [id](const Entry& e) { return e.id == id; });
 }
 
 TimePoint Merger::frontier() const {
@@ -67,7 +61,7 @@ void Merger::release() {
   ++stats_.release_passes;
   for (auto it = buffer_.begin(); it != eligible; ++it) {
     ++stats_.rows_out;
-    emit_(it->query, it->row);
+    emit_(it->id, it->row);
   }
   buffer_.erase(buffer_.begin(), eligible);
 }

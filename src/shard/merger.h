@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "query/executor.h"
@@ -34,15 +33,16 @@ struct MergerStats {
 
 class Merger {
  public:
-  // `emit` receives each released row exactly once, in merge order.
-  using Emit = std::function<void(const std::string& query,
-                                  const query::TimestampedRow& row)>;
+  // `emit` receives each released row exactly once, in merge order, with
+  // the fragment id it was added under; the row is the emitter's to move.
+  using Emit =
+      std::function<void(std::uint64_t id, query::TimestampedRow& row)>;
 
   Merger(int num_shards, Emit emit);
 
-  // Buffer one row from `shard` (arrival order within a shard is the
-  // czar's seq order, already linearized).
-  void add(int shard, const std::string& query, query::TimestampedRow row);
+  // Buffer one row of fragment `id` from `shard` (arrival order within a
+  // shard is the czar's seq order, already linearized).
+  void add(int shard, std::uint64_t id, query::TimestampedRow row);
 
   // Advance a shard's watermark; releases every buffered row with
   // at < min(watermark over live shards).
@@ -53,8 +53,8 @@ class Merger {
   void set_live(int shard, bool live);
   bool live(int shard) const { return shards_[static_cast<std::size_t>(shard)].live; }
 
-  // Drop a query's buffered rows (AQ dropped before its tail flushed).
-  void forget_query(const std::string& query);
+  // Drop a fragment's buffered rows (AQ dropped before its tail flushed).
+  void forget_query(std::uint64_t id);
 
   aorta::util::TimePoint frontier() const;
   std::size_t buffered() const { return buffer_.size(); }
@@ -70,7 +70,7 @@ class Merger {
     aorta::util::TimePoint at;
     int shard = 0;
     std::uint64_t arrival = 0;
-    std::string query;
+    std::uint64_t id = 0;
     query::TimestampedRow row;
   };
 

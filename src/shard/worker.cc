@@ -139,11 +139,11 @@ Worker::Worker(core::Aorta* host, Options options)
   scan_broker_->set_tracer(tracer_);
   executor_->set_tracer(tracer_);
   comm_->engine().rpc().set_tracer(tracer_);
-  // Action outcomes are forwarded to the czar (where the service layer
-  // routes them to the owning session's mailbox).
+  // Action outcomes ride the flush of their instant to the czar (where
+  // the service layer routes them to the owning session's mailbox).
   executor_->set_outcome_sink(
       [this](const std::string& query, aorta::util::TimePoint at,
-             const std::string& detail) { send_outcome(query, at, detail); });
+             const std::string& detail) { on_outcome(query, at, detail); });
 
   (void)registry_->register_type(devices::camera_type_info());
   (void)registry_->register_type(devices::sensor_type_info());
@@ -357,10 +357,12 @@ void Worker::reply_error(const net::Message& request,
 void Worker::adopt_gen(std::uint64_t gen) {
   gen_ = gen;
   seq_ = 0;
-  for (const std::string& name : fragments_) (void)executor_->drop_aq(name);
+  for (const auto& [name, fragment] : fragments_) {
+    (void)executor_->drop_aq(name);
+  }
   fragments_.clear();
-  pending_.clear();
-  pending_index_.clear();
+  pending_ = Flush{};
+  pending_group_.clear();
   // The superseded stream's unacked messages die with it; the idempotency
   // window survives (its keys embed the generation).
   replay_.clear();
@@ -413,15 +415,18 @@ void Worker::handle_register(const net::Message& msg) {
     reply_error(msg, "fragment must be a CREATE AQ statement");
     return;
   }
-  if (fragments_.count(spec.name) > 0) {
+  if (auto it = fragments_.find(spec.name); it != fragments_.end()) {
     (void)executor_->drop_aq(spec.name);  // re-register replaces
+    fragments_.erase(it);
   }
+  Fragment* fragment = &fragments_[spec.name];
+  fragment->id = spec.id;
   query::ContinuousQueryExecutor::AqHooks hooks;
   hooks.owner = "czar";
   auto alive = alive_;
-  hooks.on_row = [this, alive](const std::string& query,
-                               const query::TimestampedRow& row) {
-    if (*alive) on_aq_row(query, row);
+  hooks.on_row = [this, alive, fragment](const std::string&,
+                                         query::TimestampedRow row) {
+    if (*alive) on_aq_row(*fragment, std::move(row));
   };
   // Continuous aggregates ship per-shard window partials; avg() fragments
   // are rewritten to (sum, count) partials the czar finalizes per window
@@ -432,11 +437,11 @@ void Worker::handle_register(const net::Message& msg) {
       spec.name, stmt.value().create_aq.epoch_s,
       rewritten ? *rewritten : select, spec.sql, std::move(hooks));
   if (!registered.is_ok()) {
+    fragments_.erase(spec.name);
     ++stats_.bad_requests;
     reply_error(msg, registered.to_string());
     return;
   }
-  fragments_.insert(spec.name);
   ++stats_.fragments_registered;
   net::Message reply = net::make_reply(msg, kFragmentAck, 64);
   reply.set_int("gen", static_cast<std::int64_t>(gen_));
@@ -451,8 +456,11 @@ void Worker::handle_drop(const net::Message& msg) {
     return;
   }
   std::string name = msg.field("name");
-  if (fragments_.erase(name) > 0) {
-    (void)executor_->drop_aq(name);
+  const auto id = static_cast<std::uint64_t>(msg.field_int("id"));
+  if (auto it = fragments_.find(name);
+      it != fragments_.end() && it->second.id == id) {
+    (void)executor_->drop_aq(name);  // the row hook goes first
+    fragments_.erase(it);
     ++stats_.fragments_dropped;
   }
   AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kFragment,
@@ -494,48 +502,69 @@ void Worker::run_once_select(const net::Message& msg,
       });
 }
 
-void Worker::on_aq_row(const std::string& query,
-                       const query::TimestampedRow& row) {
-  // Group by query, groups in first-appearance order (deterministic).
-  auto [it, inserted] = pending_index_.try_emplace(query, pending_.size());
-  if (inserted) pending_.push_back(RowGroup{query, {}});
-  pending_[it->second].rows.push_back(row);
+void Worker::on_aq_row(Fragment& fragment, query::TimestampedRow row) {
+  // Group by fragment, groups in first-appearance order (deterministic).
+  if (fragment.group_flush != flushes_) {
+    fragment.group_flush = flushes_;
+    fragment.group = pending_.groups.size();
+    RowGroup& g = pending_.groups.emplace_back();
+    g.id = fragment.id;
+    // Labels cross once per (shard, generation): with the fragment's first
+    // group. Every row of a fragment has the same labels.
+    if (!fragment.announced) {
+      fragment.announced = true;
+      for (const auto& field : row.row) g.labels.push_back(field.first);
+    }
+  }
+  ++pending_.groups[fragment.group].rows;
+  pending_group_.push_back(fragment.group);
+  pending_.rows.push_back(std::move(row));
+  schedule_flush();
+}
+
+void Worker::on_outcome(const std::string& query, aorta::util::TimePoint at,
+                        const std::string& detail) {
+  pending_.outcomes.push_back(OutcomeRecord{query, at, detail});
+  schedule_flush();
+}
+
+void Worker::schedule_flush() {
   if (flush_scheduled_) return;
   flush_scheduled_ = true;
   auto alive = alive_;
-  // Zero-delay event: every row produced at this instant ships in one
-  // burst, and ships before any later heartbeat can advance the watermark
-  // past it (see shard/fragment.h on ordering).
+  // Zero-delay event: everything produced at this instant ships in one
+  // message, and ships before any later heartbeat can advance the
+  // watermark past it (see shard/fragment.h on ordering).
   loop_->schedule(Duration::zero(), [this, alive]() {
-    if (*alive) flush_rows();
+    if (*alive) flush();
   });
 }
 
-void Worker::flush_rows() {
+void Worker::flush() {
   flush_scheduled_ = false;
-  pending_index_.clear();
-  std::vector<RowGroup> groups;
-  groups.swap(pending_);
-  if (groups.empty()) return;  // a generation bump discarded them
-  for (const RowGroup& g : groups) stats_.rows_sent += g.rows.size();
-  std::string payload = encode_row_groups(groups);
+  ++flushes_;
+  Flush out = std::exchange(pending_, {});
+  const std::vector<std::size_t> group_of = std::exchange(pending_group_, {});
+  if (out.groups.empty() && out.outcomes.empty()) {
+    return;  // a generation bump discarded them
+  }
+  // Counting sort of the rows into group order, stable within a group.
+  std::vector<std::size_t> next(out.groups.size());
+  for (std::size_t g = 1; g < out.groups.size(); ++g) {
+    next[g] = next[g - 1] + out.groups[g - 1].rows;
+  }
+  std::vector<query::TimestampedRow> rows(out.rows.size());
+  for (std::size_t i = 0; i < out.rows.size(); ++i) {
+    rows[next[group_of[i]]++] = std::move(out.rows[i]);
+  }
+  out.rows = std::move(rows);
+  stats_.rows_sent += out.rows.size();
+  std::string payload = encode_flush(out);
   net::Message msg;
   msg.kind = kFragmentResults;
-  msg.set("type", "rows");
   msg.payload_bytes = 64 + payload.size();
-  msg.set("rows", std::move(payload));
+  msg.fields.emplace("flush", std::move(payload));
   ++stats_.results_msgs;
-  send_sequenced(std::move(msg));
-}
-
-void Worker::send_outcome(const std::string& query, aorta::util::TimePoint at,
-                          const std::string& detail) {
-  net::Message msg;
-  msg.kind = kFragmentResults;
-  msg.set("type", "outcome");
-  msg.set("query", query);
-  msg.set("detail", detail);
-  msg.set_int("at_us", at.to_micros());
   send_sequenced(std::move(msg));
 }
 

@@ -8,12 +8,14 @@
 // fragment protocol (shard/fragment.h) with the czar:
 //
 //   * fragment_register (once=0): compile + register the AQ fragment on
-//     the local executor; its rows are buffered and shipped to the czar as
-//     sequenced fragment_results bursts (a zero-delay event coalesces all
-//     rows produced at one instant into one message, grouped by query).
+//     the local executor; its rows and action outcomes are buffered and
+//     shipped to the czar as sequenced fragment_results flushes (a
+//     zero-delay event coalesces everything produced at one instant into
+//     one message, rows grouped by fragment id).
 //   * fragment_register (once=1): run the one-shot SELECT locally and ride
 //     the partial rows back on the RPC reply.
-//   * fragment_drop: drop the fragment.
+//   * fragment_drop: drop the fragment, if it is still the registration
+//     the drop names (a delayed drop never hits a same-named successor).
 //   * shard_heartbeat every kHeartbeatInterval: liveness + watermark (the
 //     merge frontier's input).
 //
@@ -37,9 +39,7 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -116,6 +116,18 @@ class Worker {
   static constexpr std::size_t kIdemWindow = 256;
   static constexpr std::size_t kReplayLimit = 4096;
 
+  // A registered AQ fragment. Its row hook holds a pointer to it (map
+  // nodes are stable; the hook dies with the executor AQ, before the
+  // fragment is erased).
+  struct Fragment {
+    std::uint64_t id = 0;
+    // Labels already on this generation's stream (see shard/fragment.h).
+    bool announced = false;
+    // Its group in pending_ while flushes_ still equals group_flush.
+    std::size_t group = 0;
+    std::uint64_t group_flush = ~std::uint64_t{0};
+  };
+
   // One idempotency-window entry: the cached reply once ready, else the
   // request_ids of duplicates waiting for the first copy to finish.
   struct IdemEntry {
@@ -145,10 +157,12 @@ class Worker {
   void run_once_select(const net::Message& msg, const query::SelectStmt& stmt);
   void reply_error(const net::Message& request, const std::string& message);
 
-  void on_aq_row(const std::string& query, const query::TimestampedRow& row);
-  void flush_rows();
-  void send_outcome(const std::string& query, aorta::util::TimePoint at,
-                    const std::string& detail);
+  void on_aq_row(Fragment& fragment, query::TimestampedRow row);
+  void on_outcome(const std::string& query, aorta::util::TimePoint at,
+                  const std::string& detail);
+  // Arrange for flush() to run at the current instant, once.
+  void schedule_flush();
+  void flush();
   void send_heartbeat();
   // Stamp (shard, gen, seq) onto an outbound one-way message and send it.
   void send_sequenced(net::Message msg);
@@ -178,7 +192,7 @@ class Worker {
   std::unique_ptr<query::Catalog> catalog_;
   std::unique_ptr<query::ContinuousQueryExecutor> executor_;
 
-  std::set<std::string> fragments_;  // registered AQ fragment names
+  std::map<std::string, Fragment> fragments_;  // by AQ name
   std::uint64_t gen_ = 0;            // adopted czar generation
   std::uint64_t seq_ = 0;            // next outbound sequence number
   std::size_t replay_limit_ = 0;     // kReplayLimit, or 0 (the ablation)
@@ -190,10 +204,12 @@ class Worker {
   // Sequenced messages awaiting a cumulative ack, keyed by seq; cleared on
   // adopt_gen (a new generation restarts the stream from seq 0).
   std::map<std::uint64_t, net::Message> replay_;
-  // Rows awaiting the flush event, grouped by query in first-appearance
-  // order; pending_index_ maps a query name to its group.
-  std::vector<RowGroup> pending_;
-  std::unordered_map<std::string, std::size_t> pending_index_;
+  // Rows and outcomes awaiting the flush event: groups in first-appearance
+  // order, rows in production order with their group index beside them
+  // (the flush sorts them into group order), outcomes in production order.
+  Flush pending_;
+  std::vector<std::size_t> pending_group_;
+  std::uint64_t flushes_ = 0;  // flush events run (Fragment::group_flush)
   bool flush_scheduled_ = false;
   WorkerStats stats_;
   obs::MetricsRegistry::Scoped metrics_;

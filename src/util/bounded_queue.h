@@ -48,6 +48,8 @@ class BoundedQueue {
   }
 
   const T* front() const { return items_.empty() ? nullptr : &items_.front(); }
+  // The newest item; the queue must not be empty.
+  const T& back() const { return items_.back(); }
 
   std::size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }

@@ -6,7 +6,10 @@
 // supervision, and the QueryService num_shards routing.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -16,10 +19,13 @@
 #include "core/aorta.h"
 #include "server/service.h"
 #include "server/session.h"
+#include "net/rpc.h"
+#include "shard/czar.h"
 #include "shard/fragment.h"
 #include "shard/merger.h"
 #include "shard/plane.h"
 #include "query/parser.h"
+#include "util/rng.h"
 
 namespace aorta {
 namespace {
@@ -62,6 +68,7 @@ TEST(FragmentTest, SpecFieldsRoundTrip) {
   spec.sql = "SELECT s.temp FROM sensor s WHERE s.temp > 30";
   spec.once = true;
   spec.gen = 7;
+  spec.id = 42;
 
   net::Message msg;
   shard::fragment_to_fields(spec, &msg);
@@ -70,6 +77,7 @@ TEST(FragmentTest, SpecFieldsRoundTrip) {
   EXPECT_EQ(back.sql, spec.sql);
   EXPECT_EQ(back.once, spec.once);
   EXPECT_EQ(back.gen, spec.gen);
+  EXPECT_EQ(back.id, spec.id);
 }
 
 TEST(FragmentTest, RowsCodecRoundTripsEveryValueType) {
@@ -79,7 +87,7 @@ TEST(FragmentTest, RowsCodecRoundTripsEveryValueType) {
   r1.row = {{"flag", device::Value{true}},
             {"count", device::Value{std::int64_t{-42}}},
             {"temp", device::Value{0.1}},  // not exactly representable: the
-                                           // %.17g round-trip must hold
+                                           // raw-bits round-trip must hold
             {"name", device::Value{std::string("a:b,c 7:d")}},
             {"none", device::Value{}}};
   rows.push_back(r1);
@@ -123,6 +131,7 @@ TEST(FragmentTest, RowsCodecRoundTripsEveryValueType) {
 TEST(FragmentTest, RowsCodecRejectsMalformedPayloads) {
   std::vector<query::TimestampedRow> out;
   EXPECT_FALSE(shard::decode_rows("garbage", &out));
+  EXPECT_FALSE(shard::decode_rows("", &out));
 
   query::TimestampedRow r;
   r.at = TimePoint() + Duration::seconds(1.0);
@@ -131,56 +140,220 @@ TEST(FragmentTest, RowsCodecRejectsMalformedPayloads) {
   EXPECT_TRUE(shard::decode_rows(good, &out));
   EXPECT_FALSE(
       shard::decode_rows(good.substr(0, good.size() - 2), &out));  // truncated
-  EXPECT_FALSE(shard::decode_rows(good + "1:x", &out));  // trailing bytes
+  EXPECT_FALSE(shard::decode_rows(good + "x", &out));  // trailing bytes
 
   // Counts the remaining bytes cannot hold are rejected before anything is
-  // reserved: a row takes at least 9 bytes, a field at least 5.
-  EXPECT_FALSE(shard::decode_rows("19:1152921504606846976", &out));
-  EXPECT_FALSE(shard::decode_rows("1:2" "1:0" "1:0" "1:0", &out));
+  // reserved: a row takes at least 3 bytes, a labelled field at least 2.
+  const std::string huge = "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01";  // 2^63
+  EXPECT_FALSE(shard::decode_rows(huge, &out));
+  EXPECT_FALSE(shard::decode_rows(std::string("\x02\x00\x00\x00", 4), &out));
   EXPECT_FALSE(shard::decode_rows(
-      "1:1" "1:0" "1:0" "19:1152921504606846976" "0:" "1:n", &out));
-  EXPECT_FALSE(shard::decode_rows("20:18446744073709551616", &out));
-  EXPECT_FALSE(shard::decode_rows("1:-", &out));
-  EXPECT_FALSE(shard::decode_rows(std::string(24, '9') + ":", &out));
-  EXPECT_TRUE(shard::decode_rows("1:1" "1:0" "1:0" "1:0", &out));
+      std::string("\x01\x00\x00", 3) + huge + std::string("\x00\x00", 2),
+      &out));
+  // Varints are minimal and fit 64 bits.
+  EXPECT_FALSE(shard::decode_rows(std::string("\x81\x00", 2), &out));
+  EXPECT_FALSE(shard::decode_rows(std::string(10, '\xff') + "\x01", &out));
+  // Unknown value tags and degraded bytes other than 0/1.
+  EXPECT_FALSE(shard::decode_rows(std::string("\x01\x00\x00\x01\x00\x07", 6),
+                                  &out));
+  EXPECT_FALSE(shard::decode_rows(std::string("\x01\x00\x02\x00", 4), &out));
+  EXPECT_TRUE(shard::decode_rows(std::string("\x01\x00\x00\x00", 4), &out));
   EXPECT_EQ(out.size(), 1u);
 
-  std::vector<shard::RowGroup> groups;
-  EXPECT_FALSE(shard::decode_row_groups("garbage", &groups));
-  EXPECT_FALSE(shard::decode_row_groups("19:1152921504606846976", &groups));
-  EXPECT_FALSE(shard::decode_row_groups(
-      "1:1" "1:q" "19:1152921504606846976", &groups));
-  EXPECT_FALSE(shard::decode_row_groups("1:2" "1:q" "1:0", &groups));
-  const std::string flush = shard::encode_row_groups({{"q", {r}}});
-  EXPECT_TRUE(shard::decode_row_groups(flush, &groups));
-  EXPECT_FALSE(shard::decode_row_groups(flush.substr(0, flush.size() - 1),
-                                        &groups));
-  EXPECT_FALSE(shard::decode_row_groups(flush + "0:", &groups));
+  shard::Flush flush;
+  EXPECT_FALSE(shard::decode_flush("garbage", &flush));
+  EXPECT_FALSE(shard::decode_flush(huge, &flush));
+  EXPECT_FALSE(shard::decode_flush(
+      std::string("\x01\x07", 2) + huge, &flush));  // label count
+  EXPECT_FALSE(shard::decode_flush(
+      std::string("\x01\x07\x00", 3) + huge, &flush));  // row count
+  EXPECT_FALSE(shard::decode_flush(std::string("\x00", 1) + huge, &flush));
+  const std::string wire =
+      shard::encode_flush({{{7, {"temp"}, 1}}, {r}, {{"q", r.at, "ok"}}});
+  EXPECT_TRUE(shard::decode_flush(wire, &flush));
+  EXPECT_FALSE(shard::decode_flush(wire.substr(0, wire.size() - 1), &flush));
+  EXPECT_FALSE(shard::decode_flush(wire + '\0', &flush));
 }
 
 TEST(FragmentTest, RowGroupsRoundTripInOrder) {
   // One flush: groups keep their order (first appearance at the worker),
-  // each group's rows use the encode_rows format behind the query name.
+  // labels travel only where set, rows carry values only, and outcomes
+  // follow in production order.
   query::TimestampedRow a;
   a.at = TimePoint() + Duration::millis(2000);
   a.row = {{"s.id", device::Value{std::string("m1")}}};
   query::TimestampedRow b = a;
   b.degraded = true;
   b.row = {{"temp", device::Value{0.1}}, {"n", device::Value{}}};
-  std::vector<shard::RowGroup> groups{
-      {"t/zeta", {a, b}}, {"t/alpha", {b}}, {"", {}}};
+  shard::Flush flush;
+  flush.groups = {{9, {"temp", "n"}, 2}, {3, {}, 1}, {5, {}, 0}};
+  flush.rows = {b, b, a};
+  flush.outcomes = {{"t/zeta", a.at, "usable"}, {"t/alpha", b.at, "failed"}};
 
-  const std::string payload = shard::encode_row_groups(groups);
-  std::vector<shard::RowGroup> back;
-  ASSERT_TRUE(shard::decode_row_groups(payload, &back));
+  const std::string payload = shard::encode_flush(flush);
+  shard::Flush back;
+  ASSERT_TRUE(shard::decode_flush(payload, &back));
+  ASSERT_EQ(back.groups.size(), 3u);
+  EXPECT_EQ(back.groups[0].id, 9u);
+  EXPECT_EQ(back.groups[0].labels, (std::vector<std::string>{"temp", "n"}));
+  EXPECT_EQ(back.groups[1].id, 3u);
+  EXPECT_TRUE(back.groups[1].labels.empty());
+  EXPECT_EQ(back.groups[2].id, 5u);
+  EXPECT_EQ(back.groups[0].rows, 2u);
+  EXPECT_EQ(back.groups[1].rows, 1u);
+  EXPECT_EQ(back.groups[2].rows, 0u);
+  ASSERT_EQ(back.rows.size(), 3u);
+  EXPECT_EQ(std::get<std::string>(back.rows[2].row[0].second), "m1");
+  const query::TimestampedRow& got = back.rows[1];
+  EXPECT_EQ(got.at, b.at);
+  EXPECT_TRUE(got.degraded);
+  ASSERT_EQ(got.row.size(), 2u);
+  EXPECT_EQ(got.row[0].first, "");  // the czar stamps the labels
+  EXPECT_EQ(std::get<double>(got.row[0].second), 0.1);
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(got.row[1].second));
+  ASSERT_EQ(back.outcomes.size(), 2u);
+  EXPECT_EQ(back.outcomes[0].query, "t/zeta");
+  EXPECT_EQ(back.outcomes[1].query, "t/alpha");
+  EXPECT_EQ(back.outcomes[1].detail, "failed");
+  EXPECT_EQ(back.outcomes[1].at, b.at);
+  EXPECT_EQ(shard::encode_flush(back), payload);
+}
+
+// ---- decoder robustness under mutation ---------------------------------
+
+// Rows holding every Value kind, the edge values included. The NaN carries
+// a payload: the codec ships doubles as raw bits.
+std::vector<query::TimestampedRow> edge_rows() {
+  const double nan = std::bit_cast<double>(0x7ff80000deadbeefULL);
+  query::TimestampedRow a;
+  a.at = TimePoint() + Duration::micros(1234567);
+  a.row = {{"s.id", device::Value{std::string("m1")}},
+           {"none", device::Value{}},
+           {"lo", device::Value{std::numeric_limits<std::int64_t>::min()}},
+           {"hi", device::Value{std::numeric_limits<std::int64_t>::max()}},
+           {"t", device::Value{true}},
+           {"f", device::Value{false}}};
+  query::TimestampedRow b;
+  b.at = TimePoint() + Duration::seconds(3.0);
+  b.degraded = true;
+  b.row = {{"pz", device::Value{0.0}},
+           {"nz", device::Value{-0.0}},
+           {"pinf", device::Value{std::numeric_limits<double>::infinity()}},
+           {"ninf", device::Value{-std::numeric_limits<double>::infinity()}},
+           {"nan", device::Value{nan}}};
+  query::TimestampedRow c;
+  c.at = TimePoint() + Duration::micros(-5);
+  c.row = {{"", device::Value{std::string()}},
+           {"kb", device::Value{std::string(1024, 'k')}},
+           {"loc", device::Value{device::Location{1.5, -2.25, nan}}}};
+  return {a, b, c};
+}
+
+std::string varint_bytes(std::uint64_t v) {
+  std::string out;
+  while (v >= 0x80) {
+    out += static_cast<char>(v | 0x80);
+    v >>= 7;
+  }
+  out += static_cast<char>(v);
+  return out;
+}
+
+// One to three stacked mutations: truncation, bit flips, byte insert or
+// delete, or a count/length field inflated up to 2^63.
+std::string mutate(std::string m, util::Rng& rng) {
+  const int n = static_cast<int>(rng.uniform_int(1, 3));
+  for (int k = 0; k < n && !m.empty(); ++k) {
+    const std::size_t at = rng.index(m.size());
+    switch (rng.uniform_int(0, 4)) {
+      case 0:
+        m.resize(at);
+        break;
+      case 1:
+        m[at] = static_cast<char>(m[at] ^ (1 << rng.uniform_int(0, 7)));
+        break;
+      case 2:
+        m.insert(at, 1, static_cast<char>(rng.uniform_int(0, 255)));
+        break;
+      case 3:
+        m.erase(at, 1);
+        break;
+      default: {
+        const int bits = static_cast<int>(rng.uniform_int(7, 63));
+        const std::uint64_t big = bits == 63
+                                      ? std::uint64_t{1} << 63
+                                      : (std::uint64_t{1} << bits) +
+                                            static_cast<std::uint64_t>(
+                                                rng.uniform_int(0, 255));
+        m.replace(at, 1, varint_bytes(big));
+        break;
+      }
+    }
+  }
+  return m;
+}
+
+TEST(FragmentTest, DecodersSurviveMutatedPayloads) {
+  const std::vector<query::TimestampedRow> rows = edge_rows();
+  const std::string rows_wire = shard::encode_rows(rows);
+  shard::Flush flush;
+  flush.groups = {{7, {"s.id", "none", "lo", "hi", "t", "f"}, 1},
+                  {8, {}, 2},
+                  {9, {"x"}, 0}};
+  flush.rows = rows;
+  flush.outcomes = {{"s1/q", rows[0].at, "usable"}, {"", rows[2].at, ""}};
+  const std::string flush_wire = shard::encode_flush(flush);
+
+  // The unmutated payloads round-trip bit-exactly, NaN payloads included.
+  std::vector<query::TimestampedRow> back;
+  ASSERT_TRUE(shard::decode_rows(rows_wire, &back));
   ASSERT_EQ(back.size(), 3u);
-  EXPECT_EQ(back[0].query, "t/zeta");
-  EXPECT_EQ(back[1].query, "t/alpha");
-  EXPECT_EQ(back[2].query, "");
-  EXPECT_TRUE(back[2].rows.empty());
-  EXPECT_EQ(shard::encode_rows(back[0].rows), shard::encode_rows({a, b}));
-  EXPECT_EQ(shard::encode_rows(back[1].rows), shard::encode_rows({b}));
-  EXPECT_EQ(shard::encode_row_groups(back), payload);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(std::get<double>(back[1].row[4].second)),
+            0x7ff80000deadbeefULL);
+  EXPECT_TRUE(std::signbit(std::get<double>(back[1].row[1].second)));
+  EXPECT_EQ(std::get<std::string>(back[2].row[1].second).size(), 1024u);
+  EXPECT_EQ(back[2].at, rows[2].at);
+  shard::Flush flush_back;
+  ASSERT_TRUE(shard::decode_flush(flush_wire, &flush_back));
+  EXPECT_EQ(shard::encode_flush(flush_back), flush_wire);
+
+  util::Rng rng(0x5eed);
+  std::size_t decoded = 0;
+  constexpr int kMutants = 60000;  // per payload kind
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string m = mutate(rows_wire, rng);
+    std::vector<query::TimestampedRow> out;
+    const bool ok = shard::decode_rows(m, &out);
+    // Nothing is reserved beyond what the input could fill.
+    ASSERT_LE(out.capacity(), m.size());
+    for (const auto& r : out) ASSERT_LE(r.row.capacity(), m.size());
+    if (!ok) continue;
+    ++decoded;
+    const std::string again = shard::encode_rows(out);
+    EXPECT_EQ(again, m);  // canonical: decoding is the encoder's inverse
+    std::vector<query::TimestampedRow> twice;
+    ASSERT_TRUE(shard::decode_rows(again, &twice));
+    ASSERT_EQ(shard::encode_rows(twice), again);
+  }
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string m = mutate(flush_wire, rng);
+    shard::Flush out;
+    const bool ok = shard::decode_flush(m, &out);
+    ASSERT_LE(out.groups.capacity(), m.size());
+    ASSERT_LE(out.rows.capacity(), m.size());
+    ASSERT_LE(out.outcomes.capacity(), m.size());
+    for (const auto& r : out.rows) ASSERT_LE(r.row.capacity(), m.size());
+    for (const auto& g : out.groups) ASSERT_LE(g.labels.capacity(), m.size());
+    if (!ok) continue;
+    ++decoded;
+    const std::string again = shard::encode_flush(out);
+    EXPECT_EQ(again, m);
+    shard::Flush twice;
+    ASSERT_TRUE(shard::decode_flush(again, &twice));
+    ASSERT_EQ(shard::encode_flush(twice), again);
+  }
+  // Some mutants (a flipped value bit, say) are still valid encodings.
+  EXPECT_GT(decoded, 0u);
 }
 
 TEST(FragmentTest, AggregateClassification) {
@@ -210,6 +383,12 @@ struct Released {
   std::int64_t tag = 0;
 };
 
+struct ReleasedId {
+  std::uint64_t id = 0;
+  TimePoint at;
+  std::int64_t tag = 0;
+};
+
 query::TimestampedRow tagged_row(double at_s, std::int64_t tag) {
   query::TimestampedRow r;
   r.at = TimePoint() + Duration::seconds(at_s);
@@ -218,16 +397,16 @@ query::TimestampedRow tagged_row(double at_s, std::int64_t tag) {
 }
 
 TEST(MergerTest, ReleasesInTimestampShardArrivalOrder) {
-  std::vector<Released> out;
-  Merger m(2, [&](const std::string& q, const query::TimestampedRow& row) {
-    out.push_back({q, row.at, std::get<std::int64_t>(row.row[0].second)});
+  std::vector<ReleasedId> out;
+  Merger m(2, [&](std::uint64_t id, query::TimestampedRow& row) {
+    out.push_back({id, row.at, std::get<std::int64_t>(row.row[0].second)});
   });
 
   // Arrival order deliberately scrambled across shards and timestamps.
-  m.add(1, "q", tagged_row(2.0, 3));
-  m.add(0, "q", tagged_row(1.0, 1));
-  m.add(0, "q", tagged_row(2.0, 2));
-  m.add(1, "q", tagged_row(2.0, 4));  // same (at, shard): arrival breaks tie
+  m.add(1, 1, tagged_row(2.0, 3));
+  m.add(0, 1, tagged_row(1.0, 1));
+  m.add(0, 1, tagged_row(2.0, 2));
+  m.add(1, 1, tagged_row(2.0, 4));  // same (at, shard): arrival breaks tie
   EXPECT_EQ(m.buffered(), 4u);
   EXPECT_TRUE(out.empty());  // both watermarks still at 0
 
@@ -242,7 +421,7 @@ TEST(MergerTest, ReleasesInTimestampShardArrivalOrder) {
 
   // The frontier bound is strict: a row stamped exactly at the watermark
   // stays buffered (the worker may still emit more rows at that instant).
-  m.add(0, "q", tagged_row(5.0, 5));
+  m.add(0, 1, tagged_row(5.0, 5));
   m.watermark(1, TimePoint() + Duration::seconds(6.0));
   EXPECT_EQ(m.buffered(), 1u);
   m.watermark(0, TimePoint() + Duration::seconds(5.5));
@@ -251,11 +430,11 @@ TEST(MergerTest, ReleasesInTimestampShardArrivalOrder) {
 }
 
 TEST(MergerTest, DownShardStopsGatingTheFrontier) {
-  std::vector<Released> out;
-  Merger m(2, [&](const std::string& q, const query::TimestampedRow& row) {
-    out.push_back({q, row.at, std::get<std::int64_t>(row.row[0].second)});
+  std::vector<ReleasedId> out;
+  Merger m(2, [&](std::uint64_t id, query::TimestampedRow& row) {
+    out.push_back({id, row.at, std::get<std::int64_t>(row.row[0].second)});
   });
-  m.add(0, "q", tagged_row(1.0, 1));
+  m.add(0, 1, tagged_row(1.0, 1));
   m.watermark(0, TimePoint() + Duration::seconds(10.0));
   EXPECT_TRUE(out.empty());  // shard 1 never heartbeated
 
@@ -267,25 +446,26 @@ TEST(MergerTest, DownShardStopsGatingTheFrontier) {
 
   // Back up: its (stale) watermark gates the frontier again.
   m.set_live(1, true);
-  m.add(0, "q", tagged_row(2.0, 2));
+  m.add(0, 1, tagged_row(2.0, 2));
   EXPECT_EQ(out.size(), 1u);
   m.watermark(1, TimePoint() + Duration::seconds(10.0));
   EXPECT_EQ(out.size(), 2u);
 }
 
 TEST(MergerTest, ForgetQueryDropsBufferedRows) {
-  std::vector<Released> out;
-  Merger m(1, [&](const std::string& q, const query::TimestampedRow& row) {
-    out.push_back({q, row.at, std::get<std::int64_t>(row.row[0].second)});
+  std::vector<ReleasedId> out;
+  Merger m(1, [&](std::uint64_t id, query::TimestampedRow& row) {
+    out.push_back({id, row.at, std::get<std::int64_t>(row.row[0].second)});
   });
-  m.add(0, "dead", tagged_row(1.0, 1));
-  m.add(0, "live", tagged_row(1.0, 2));
-  m.add(0, "dead", tagged_row(2.0, 3));
-  m.forget_query("dead");
+  constexpr std::uint64_t kDead = 4, kLive = 5;
+  m.add(0, kDead, tagged_row(1.0, 1));
+  m.add(0, kLive, tagged_row(1.0, 2));
+  m.add(0, kDead, tagged_row(2.0, 3));
+  m.forget_query(kDead);
   EXPECT_EQ(m.buffered(), 1u);
   m.watermark(0, TimePoint() + Duration::seconds(5.0));
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].query, "live");
+  EXPECT_EQ(out[0].id, kLive);
 }
 
 // ------------------------------------------------- czar planning limits
@@ -653,6 +833,149 @@ TEST(ShardPlaneTest, CoFiringAqsShareOneResultsMessagePerFlush) {
   for (const auto& [query, n] : rows) {
     EXPECT_EQ(n, one_rows["co0"]) << query;
   }
+}
+
+TEST(ShardPlaneTest, DroppedRegistrationsRowsNeverReachItsSuccessor) {
+  // DROP and CREATE of the same name at one instant, while a flush of the
+  // old registration's rows is on the wire (and the other shard's may still
+  // be pending on its worker). The czar attributes rows by fragment id, so
+  // the old rows count as stale and the successor sees only its own.
+  PlaneWorld w(2);
+  std::size_t old_rows = 0;
+  core::ExecOptions first;
+  first.on_row = [&old_rows](const std::string&, const query::TimestampedRow&) {
+    ++old_rows;
+  };
+  w.plane->exec_async(
+      "CREATE AQ q AS SELECT s.id FROM sensor s WHERE s.accel_x > 100",
+      std::move(first), [](util::Result<core::ExecResult> r) {
+        ASSERT_TRUE(r.is_ok()) << r.status().message();
+      });
+  run_to_first_flush(w);
+  // Still on the wire a moment later, so the old rows predate the
+  // successor's registration.
+  w.sys.run_for(Duration::micros(100));
+  const shard::CzarStats& cs = w.plane->czar().stats();
+  ASSERT_EQ(cs.rows_received, 0u) << "the first flush must be in flight";
+  const std::uint64_t in_flight = w.plane->worker(0).stats().rows_sent +
+                                  w.plane->worker(1).stats().rows_sent;
+  ASSERT_GT(in_flight, 0u);
+
+  const TimePoint registered = w.sys.loop().now();
+  std::vector<TimePoint> successor_rows;
+  w.plane->exec_async("DROP AQ q", {}, [](util::Result<core::ExecResult> r) {
+    ASSERT_TRUE(r.is_ok()) << r.status().message();
+  });
+  core::ExecOptions second;
+  second.on_row = [&successor_rows](const std::string& q,
+                                    const query::TimestampedRow& r) {
+    EXPECT_EQ(q, "q");
+    successor_rows.push_back(r.at);
+  };
+  w.plane->exec_async(
+      "CREATE AQ q AS SELECT s.id FROM sensor s WHERE s.accel_x > 100",
+      std::move(second), [](util::Result<core::ExecResult> r) {
+        ASSERT_TRUE(r.is_ok()) << r.status().message();
+      });
+  w.sys.run_for(Duration::seconds(7.5));  // ends between flushes
+
+  EXPECT_EQ(old_rows, 0u);
+  ASSERT_FALSE(successor_rows.empty());
+  for (const TimePoint& at : successor_rows) EXPECT_GE(at, registered);
+  EXPECT_GE(cs.stale_query_rows, in_flight);
+  EXPECT_EQ(cs.rejected_groups, 0u);
+  EXPECT_EQ(cs.rows_received + cs.stale_query_rows,
+            w.plane->worker(0).stats().rows_sent +
+                w.plane->worker(1).stats().rows_sent);
+}
+
+// A bare endpoint standing in for worker 0: it acks every fragment RPC so
+// the czar registers AQs, and the test writes the result stream itself.
+class ScriptedWorker : public net::Endpoint {
+ public:
+  explicit ScriptedWorker(net::Network* network) : network_(network) {}
+
+  void on_message(const net::Message& msg) override {
+    if (msg.is_request) network_->send(net::make_reply(msg, shard::kFragmentAck));
+  }
+
+  // The next sequenced message of shard 0's generation-0 stream.
+  net::Message next(const char* kind) {
+    net::Message msg;
+    msg.src = shard::worker_node(0);
+    msg.dst = shard::kCzarNode;
+    msg.kind = kind;
+    msg.set_int("shard", 0);
+    msg.set_int("gen", 0);
+    msg.set_int("seq", static_cast<std::int64_t>(seq_++));
+    return msg;
+  }
+  net::Message flush(const shard::Flush& f) {
+    net::Message msg = next(shard::kFragmentResults);
+    msg.fields["flush"] = shard::encode_flush(f);
+    return msg;
+  }
+
+ private:
+  net::Network* network_;
+  std::uint64_t seq_ = 0;
+};
+
+query::TimestampedRow value_row(double at_s, std::vector<device::Value> values) {
+  query::TimestampedRow r;
+  r.at = TimePoint() + Duration::seconds(at_s);
+  for (auto& v : values) r.row.emplace_back("", std::move(v));
+  return r;
+}
+
+TEST(CzarStreamTest, IdOnlyGroupsNeedTheShardsAnnouncement) {
+  core::Aorta sys(core::Config{});
+  ScriptedWorker worker(&sys.network());
+  ASSERT_TRUE(sys.network()
+                  .attach(shard::worker_node(0), &worker,
+                          shard::backplane_link())
+                  .is_ok());
+  shard::Czar czar(&sys, shard::Czar::Options{.num_shards = 1});
+  std::vector<query::TimestampedRow> delivered;
+  core::ExecOptions opts;
+  opts.on_row = [&delivered](const std::string&, query::TimestampedRow r) {
+    delivered.push_back(std::move(r));
+  };
+  bool ok = false;
+  czar.exec_async("CREATE AQ q AS SELECT s.temp FROM sensor s",
+                  std::move(opts),
+                  [&ok](util::Result<core::ExecResult> r) { ok = r.is_ok(); });
+  sys.run_for(Duration::millis(10));
+  ASSERT_TRUE(ok);
+  const std::uint64_t id = 1;  // the czar's first fragment id
+  const shard::CzarStats& cs = czar.stats();
+
+  // Id-only before the announcement: counted and rejected.
+  czar.on_message(worker.flush({{{id, {}, 1}}, {value_row(0.1, {1.0})}, {}}));
+  EXPECT_EQ(cs.rejected_groups, 1u);
+  EXPECT_EQ(cs.rows_received, 0u);
+  // The announcement, then id-only groups that fit it.
+  czar.on_message(
+      worker.flush({{{id, {"s.temp"}, 1}}, {value_row(0.2, {2.0})}, {}}));
+  czar.on_message(worker.flush({{{id, {}, 1}}, {value_row(0.3, {3.0})}, {}}));
+  EXPECT_EQ(cs.rows_received, 2u);
+  // A row that does not fit the labels, and an unknown fragment id.
+  czar.on_message(
+      worker.flush({{{id, {}, 1}}, {value_row(0.4, {4.0, 5.0})}, {}}));
+  czar.on_message(worker.flush({{{99, {"x"}, 1}}, {value_row(0.5, {6.0})}, {}}));
+  EXPECT_EQ(cs.rejected_groups, 2u);
+  EXPECT_EQ(cs.stale_query_rows, 1u);
+  EXPECT_EQ(cs.rows_received, 2u);
+
+  net::Message hb = worker.next(shard::kShardHeartbeat);
+  hb.set_int("watermark_us", 1000000);
+  czar.on_message(hb);
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(delivered[0].row[0].first, "s.temp");  // stamped by the czar
+  EXPECT_EQ(std::get<double>(delivered[0].row[0].second), 2.0);
+  EXPECT_EQ(delivered[1].row[0].first, "s.temp");
+  EXPECT_EQ(std::get<double>(delivered[1].row[0].second), 3.0);
+  ASSERT_TRUE(sys.network().detach(shard::worker_node(0)).is_ok());
 }
 
 // ------------------------------------------- service-layer num_shards

@@ -6,7 +6,9 @@
 //   * the exported file is valid Chrome trace-event JSON (CI re-validates
 //     the artifact with tools/validate_trace.py);
 //   * a disabled tracer adds zero allocations on the sweep path — the
-//     instrumentation sites cost one branch, nothing else.
+//     instrumentation sites cost one branch, nothing else;
+//   * a delivered row costs a bounded number of allocations from fire to
+//     mailbox through a 2-shard plane (the schema-once row path).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +23,9 @@
 
 #include "core/aorta.h"
 #include "obs/trace.h"
+#include "server/service.h"
+#include "shard/fragment.h"
+#include "shard/plane.h"
 #include "util/time.h"
 
 // ---- counting allocator -----------------------------------------------------
@@ -42,10 +47,26 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// every allocation must come from, and return to, the same malloc.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  return std::malloc(size ? size : 1);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  return std::malloc(size ? size : 1);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace aorta {
 namespace {
@@ -169,6 +190,59 @@ TEST(TracePipelineTest, DisabledTracerAddsZeroAllocationsOnSweepPath) {
   const std::uint64_t detached_allocs = g_allocations.load() - before_detached;
 
   EXPECT_EQ(attached_allocs, detached_allocs);
+}
+
+TEST(TracePipelineTest, ShardedRowPathStaysWithinAllocationBudget) {
+  // Steady state of a small 2-shard plane: 64 level-triggered AQs over 8
+  // motes, so 512 rows per epoch go worker -> backplane -> czar merge ->
+  // session mailbox. Every allocation of the process counts (sweeps,
+  // RPCs, heartbeats too), divided by the rows that reached a mailbox.
+  // The schema-once row path makes 4.1 per row here; the text-codec,
+  // name-keyed path before it made 11.4.
+  core::Config cfg;
+  cfg.seed = 7;
+  core::Aorta sys(cfg);
+  server::ServiceConfig sc;
+  sc.num_shards = 2;
+  sc.mailbox_capacity = 1 << 16;
+  server::QueryService service(&sys, sc);
+  for (int i = 0; i < 8; ++i) {
+    const std::string id = "m" + std::to_string(i);
+    ASSERT_TRUE(service.plane()->add_mote(id, {double(i), 0, 1}).is_ok());
+    service.plane()->mote(id)->reliability().glitch_prob = 0.0;
+    (void)sys.network().set_link(id, shard::backplane_link());
+  }
+  std::vector<server::SessionId> sessions;
+  for (int s = 0; s < 4; ++s) {
+    sessions.push_back(service.connect("t" + std::to_string(s)));
+    for (int k = 0; k < 16; ++k) {
+      ASSERT_TRUE(service
+                      .submit(sessions.back(),
+                              "CREATE AQ q" + std::to_string(k) +
+                                  " AS SELECT s.id, s.temp FROM sensor s "
+                                  "WHERE s.hops = 1")
+                      .is_ok());
+    }
+  }
+  auto rows = [&]() {
+    std::uint64_t n = 0;
+    for (server::SessionId id : sessions) n += service.session(id)->stats().rows;
+    return n;
+  };
+  sys.run_for(Duration::seconds(3));
+  for (server::SessionId id : sessions) (void)service.session(id)->drain();
+
+  const std::uint64_t rows_before = rows();
+  const std::uint64_t allocs_before = g_allocations.load();
+  sys.run_for(Duration::seconds(10));
+  const std::uint64_t allocs = g_allocations.load() - allocs_before;
+  const std::uint64_t delivered = rows() - rows_before;
+
+  ASSERT_GE(delivered, 4000u);
+  const double per_row =
+      static_cast<double>(allocs) / static_cast<double>(delivered);
+  EXPECT_LE(per_row, 5.0) << allocs << " allocations for " << delivered
+                          << " delivered rows";
 }
 
 }  // namespace
