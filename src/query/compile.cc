@@ -53,24 +53,25 @@ bool references_sensory(const Expr& expr, const std::string& alias,
   return false;
 }
 
-// Distill the event programs' IndexHints into one per-slot constraint and
-// keep the most selective slot (see IndexableConjunct in compile.h). Works
-// purely on compiled shapes: any predicate without a hint (or hinting a
-// non-event binding, which classification should already preclude) makes
-// the result inexact but never unsound — it just stays a residual filter.
+// Distill the event programs' IndexHints into one constraint per hinted
+// slot, file the entry under the most selective one and carry the others
+// as checks (see IndexableConjunct in compile.h). Works purely on
+// compiled shapes: any predicate without a hint (or hinting a non-event
+// binding, which classification should already preclude) makes the
+// result inexact but never unsound — it just stays a residual filter.
 std::optional<IndexableConjunct> distill_index_conjunct(
     const std::vector<EvalProgram>& event_programs,
     std::size_t event_binding, const comm::Schema& event_schema) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   struct SlotAcc {
-    double lo = -std::numeric_limits<double>::infinity();
-    double hi = std::numeric_limits<double>::infinity();
+    double lo = -kInf;
+    double hi = kInf;
     bool lo_strict = false;
     bool hi_strict = false;
     bool has_num = false;
     bool has_str = false;
     bool never = false;
     std::string str;
-    std::size_t hints = 0;
   };
   std::map<std::uint32_t, SlotAcc> slots;
   std::size_t hinted = 0;
@@ -79,7 +80,6 @@ std::optional<IndexableConjunct> distill_index_conjunct(
     if (!hint || hint->binding != event_binding) continue;
     ++hinted;
     SlotAcc& acc = slots[hint->slot];
-    ++acc.hints;
     if (hint->is_string) {
       if (acc.has_str && acc.str != hint->str) acc.never = true;
       acc.has_str = true;
@@ -128,7 +128,10 @@ std::optional<IndexableConjunct> distill_index_conjunct(
   }
   if (slots.empty()) return std::nullopt;
 
-  std::optional<IndexableConjunct> best;
+  // One constraint per slot, ranked. An infinite bound still excludes
+  // NaN and non-numbers; only an inclusive one at its own infinity
+  // excludes no number, so only that counts as "no bound".
+  std::vector<IndexableConjunct> ranked;
   for (const auto& [slot, acc] : slots) {
     IndexableConjunct c;
     c.slot = slot;
@@ -143,6 +146,8 @@ std::optional<IndexableConjunct> distill_index_conjunct(
     bool empty_interval =
         acc.lo > acc.hi ||
         (acc.lo == acc.hi && (acc.lo_strict || acc.hi_strict));
+    bool no_lo = acc.lo == -kInf && !acc.lo_strict;
+    bool no_hi = acc.hi == kInf && !acc.hi_strict;
     if (acc.never || (acc.has_num && acc.has_str) ||
         (acc.has_num && empty_interval)) {
       // Contradiction (two distinct strings, string && numeric bound on
@@ -156,24 +161,44 @@ std::optional<IndexableConjunct> distill_index_conjunct(
     } else if (acc.lo == acc.hi) {  // both inclusive, else empty_interval
       c.kind = IndexableConjunct::Kind::kPointEq;
       c.selectivity = 0.01;
-    } else if (std::isinf(acc.lo) && std::isinf(acc.hi)) {
-      continue;  // no usable bound on this slot (cannot happen today)
-    } else if (std::isinf(acc.hi)) {
+    } else if (no_lo && no_hi) {
+      c.kind = IndexableConjunct::Kind::kRange;  // any number at all
+      c.selectivity = 1.0;
+    } else if (no_hi) {
       c.kind = IndexableConjunct::Kind::kLower;
       c.selectivity = 0.4;
-    } else if (std::isinf(acc.lo)) {
+    } else if (no_lo) {
       c.kind = IndexableConjunct::Kind::kUpper;
       c.selectivity = 0.4;
     } else {
       c.kind = IndexableConjunct::Kind::kRange;
       c.selectivity = 0.2;
     }
-    // All hints on the winning slot + nothing unhinted = the constraint
-    // IS the predicate set: candidacy alone proves a match.
-    c.exact = !event_programs.empty() && hinted == event_programs.size() &&
-              acc.hints == hinted;
-    if (!best || c.selectivity < best->selectivity) best = c;
+    ranked.push_back(std::move(c));
   }
+  // Most selective first; ties keep slot order.
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const IndexableConjunct& a, const IndexableConjunct& b) {
+                     return a.selectivity < b.selectivity;
+                   });
+  IndexableConjunct best = std::move(ranked.front());
+  if (best.kind != IndexableConjunct::Kind::kNever) {
+    for (std::size_t i = 1; i < ranked.size(); ++i) {
+      const IndexableConjunct& other = ranked[i];
+      SlotCheck check;
+      check.slot = other.slot;
+      check.is_string = other.kind == IndexableConjunct::Kind::kStrEq;
+      check.lo = other.lo;
+      check.hi = other.hi;
+      check.lo_strict = other.lo_strict;
+      check.hi_strict = other.hi_strict;
+      check.str = other.str;
+      best.checks.push_back(std::move(check));
+    }
+  }
+  // Every slot's constraint is checked, so with nothing unhinted the
+  // entry IS the predicate set: candidacy alone proves a match.
+  best.exact = hinted == event_programs.size();
   return best;
 }
 

@@ -35,16 +35,35 @@ struct CompiledActionCall {
   std::size_t candidate_binding = 0;  // frame slot of candidate_alias
 };
 
+// A constraint on one event-schema slot other than the entry's primary
+// one: a numeric interval (a point is lo == hi, both inclusive; an
+// absent bound is an infinity, inclusive) or a string equality. A tuple
+// satisfies it under compare_values' coercion: bool and int compare as
+// doubles; NULL, Location, NaN and mistyped values satisfy nothing.
+struct SlotCheck {
+  std::uint32_t slot = 0;
+  bool is_string = false;
+  bool lo_strict = false;
+  bool hi_strict = false;
+  double lo = 0.0;
+  double hi = 0.0;
+  std::string str;  // valid when is_string
+
+  bool operator==(const SlotCheck&) const = default;
+};
+
 // The predicate-index entry distilled from a continuous query's event
 // predicates (see predicate_index.h). The compile pass intersects every
 // IndexHint that lands on one event-schema slot into a single interval
-// (or string-equality) constraint on that slot, then keeps the most
-// selective slot. The constraint is a *necessary* condition: every tuple
-// the full predicate set accepts satisfies it, so probing the index for
-// it yields a candidate superset and the residual EvalProgram run
-// preserves exact semantics. When `exact` is set the constraint is also
-// *sufficient* (all event predicates hinted onto this one slot) and the
-// executor may skip the residual run entirely.
+// (or string-equality) constraint on that slot. The most selective slot
+// by static rank is the *primary* one the entry is filed under; every
+// other hinted slot's constraint rides along in `checks`, which the
+// probe tests before it emits the entry. Together they are a *necessary*
+// condition: every tuple the full predicate set accepts satisfies them,
+// so probing yields a candidate superset and the residual EvalProgram
+// run preserves exact semantics. When `exact` is set (every event
+// predicate is hinted) they are also *sufficient* and the executor skips
+// the residual run entirely.
 struct IndexableConjunct {
   enum class Kind : std::uint8_t {
     kNever,    // contradictory conjuncts (x > 5 && x < 3): matches nothing
@@ -67,6 +86,9 @@ struct IndexableConjunct {
   // (equality is assumed more selective than a range, a range more than
   // a half-line). Falls out of the peephole pass: no data statistics.
   double selectivity = 1.0;
+  // The other hinted slots' constraints, most selective first (empty for
+  // kNever, which matches nothing whatever they say).
+  std::vector<SlotCheck> checks;
   bool exact = false;
 };
 
@@ -125,7 +147,7 @@ struct CompiledQuery {
   // Attributes each scan must acquire (projection pushdown).
   std::map<std::string, std::set<std::string>> needed_attrs;
 
-  // Best indexable constraint over the event predicates, if any hinted
+  // Indexable constraint over the event predicates, if any hinted
   // (continuous compiles only; nullopt puts the AQ on the residual list).
   std::optional<IndexableConjunct> index_conjunct;
 

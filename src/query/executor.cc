@@ -93,22 +93,25 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
     // Continuous aggregate: evaluation and window emission live in the
     // shared AggregateCache (one broker subscription + one incremental
     // accumulation per canonical query hash), not in a delivery group. The
-    // emit callback re-resolves the query by generation: a drop +
+    // emit callback re-resolves the query by slot and generation: a drop +
     // re-register between pane close and delivery must not feed the new
     // registration.
+    claim_slot(aq.get());
     Status attached = agg_cache_->attach(
         name, aq->generation, aq->compiled, aq->epoch_ticks,
         static_cast<double>(aq->epoch_ticks) * options_.epoch.to_seconds(),
-        [this, generation = aq->generation](const std::string&,
-                                            TimestampedRow row) {
-          deliver_agg_row(generation, std::move(row));
+        [this, slot = aq->slot, generation = aq->generation](
+            const std::string&, TimestampedRow row) {
+          deliver_agg_row(slot, generation, std::move(row));
         });
-    if (!attached.is_ok()) return attached;
+    if (!attached.is_ok()) {
+      release_slot(aq->slot);
+      return attached;
+    }
     AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kRegister, "register:" + name,
                         loop_->now(),
                         "aggregate every " + std::to_string(aq->epoch_ticks) +
                             " tick(s)");
-    by_generation_.emplace(aq->generation, aq.get());
     queries_.emplace(name, std::move(aq));
     return Status::ok();
   }
@@ -173,9 +176,8 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
   if (options_.predicate_index && aq->compiled.index_conjunct) {
     aq->conjunct = &*aq->compiled.index_conjunct;
   }
-  group->index.add(aq->generation, aq->conjunct);
-  group->members.emplace(aq->generation, aq.get());
-  by_generation_.emplace(aq->generation, aq.get());
+  claim_slot(aq.get());
+  group->index.add(aq->slot, aq->conjunct);
 
   AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kRegister, "register:" + name,
                       loop_->now(),
@@ -190,18 +192,16 @@ Status ContinuousQueryExecutor::drop_aq(const std::string& name) {
     return aorta::util::not_found_error("no such query: " + name);
   }
   Aq& aq = *it->second;
-  by_generation_.erase(aq.generation);
   if (aq.group == nullptr) {
     // Aggregate path: the cache tears down the subscriber, and the entry +
     // subscription with it when this was the last co-hashed AQ.
     agg_cache_->detach(aq.generation);
   } else {
-    // Remove this member's index entry and directory rows; tear the group
-    // down only when its last member leaves.
+    // Remove this member's index entry; tear the group down only when its
+    // last member leaves.
     DeliveryGroup* group = aq.group;
-    group->index.remove(aq.generation, aq.conjunct);
-    group->members.erase(aq.generation);
-    if (group->members.empty()) {
+    group->index.remove(aq.slot, aq.conjunct);
+    if (group->index.size() == 0) {
       broker_->unsubscribe(group->subscription);
       // A batch staged for this group but not yet processed (drop from a
       // hook mid-epilogue) must not be walked after the group dies.
@@ -213,8 +213,33 @@ Status ContinuousQueryExecutor::drop_aq(const std::string& name) {
       groups_.erase(group->key);
     }
   }
+  release_slot(aq.slot);
   queries_.erase(it);
   return Status::ok();
+}
+
+void ContinuousQueryExecutor::claim_slot(Aq* aq) {
+  // Entries past the end were trimmed away; skip them.
+  while (!free_slots_.empty() && free_slots_.back() >= live_.size()) {
+    free_slots_.pop_back();
+  }
+  if (free_slots_.empty()) {
+    aq->slot = static_cast<std::uint32_t>(live_.size());
+    live_.emplace_back();
+  } else {
+    aq->slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  live_[aq->slot] = LiveSlot{aq->generation, aq};
+}
+
+void ContinuousQueryExecutor::release_slot(std::uint32_t slot) {
+  live_[slot] = LiveSlot{};
+  free_slots_.push_back(slot);
+  // Trim free slots off the end, so the table shrinks back once the AQs
+  // that grew it are gone (claim_slot skips the stale free-list entries).
+  while (!live_.empty() && live_.back().aq == nullptr) live_.pop_back();
+  if (live_.empty()) free_slots_.clear();
 }
 
 std::vector<std::string> ContinuousQueryExecutor::aq_names() const {
@@ -328,16 +353,22 @@ void ContinuousQueryExecutor::stage_group_batch(
   StagedBatch staged;
   staged.group = &group;
   staged.tuples = tuples;  // the broker's fan-out copy dies with the call
+  staged.devices.reserve(tuples.size());
   staged.seqs.reserve(tuples.size());
   for (const comm::Tuple& tuple : tuples) {
-    staged.seqs.push_back(++group.row_seq[tuple.source_device()]);
+    auto [it, fresh] = group.device_numbers.try_emplace(
+        tuple.source_device(),
+        static_cast<std::uint32_t>(group.device_numbers.size()));
+    if (fresh) group.row_seq.push_back(0);
+    staged.devices.push_back(it->second);
+    staged.seqs.push_back(++group.row_seq[it->second]);
   }
   staged.issue_tick = issue_tick;
   staged_.push_back(std::move(staged));
   AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kEval, "eval:" + group.type,
                       loop_->now(),
                       std::to_string(tuples.size()) + " tuple(s), " +
-                          std::to_string(group.members.size()) +
+                          std::to_string(group.index.size()) +
                           " member(s)");
 }
 
@@ -349,15 +380,24 @@ void ContinuousQueryExecutor::process_staged() {
   // Probe each tuple, then evaluate the (member, tuple) pairs in global
   // (generation, tuple) order: registration order, whichever members the
   // index let through. With the index off the probe is skipped and every
-  // member is a residual pair.
+  // member is a residual pair. Index handles are member-table slots; each
+  // pair records its slot's generation now, before any hook runs.
   struct Pair {
     std::uint64_t generation;
+    std::uint32_t slot;
     std::uint32_t batch;
     std::uint32_t tuple;
     bool candidate;
   };
   std::vector<Pair> pairs;
   std::vector<PredicateIndex::Handle> candidates;
+  auto add_pair = [&](PredicateIndex::Handle h, std::size_t b, std::size_t t,
+                      bool candidate) {
+    const auto slot = static_cast<std::uint32_t>(h);
+    pairs.push_back({live_[slot].generation, slot,
+                     static_cast<std::uint32_t>(b),
+                     static_cast<std::uint32_t>(t), candidate});
+  };
   for (std::size_t b = 0; b < staged.size(); ++b) {
     const StagedBatch& s = staged[b];
     std::size_t indexed =
@@ -369,14 +409,10 @@ void ContinuousQueryExecutor::process_staged() {
         ++index_stats_.probes;
         index_stats_.candidates += candidates.size();
         index_stats_.pruned += indexed - candidates.size();
-        for (PredicateIndex::Handle h : candidates) {
-          pairs.push_back({h, static_cast<std::uint32_t>(b),
-                           static_cast<std::uint32_t>(t), true});
-        }
+        for (PredicateIndex::Handle h : candidates) add_pair(h, b, t, true);
       }
       for (PredicateIndex::Handle h : s.group->index.residuals()) {
-        pairs.push_back({h, static_cast<std::uint32_t>(b),
-                         static_cast<std::uint32_t>(t), false});
+        add_pair(h, b, t, false);
       }
     }
   }
@@ -385,19 +421,22 @@ void ContinuousQueryExecutor::process_staged() {
     return a.tuple < b.tuple;
   });
 
+  // From here on, hooks run: they may drop any member (its slot then
+  // fails the generation check, even once reused) and destroy whole
+  // groups, so nothing below reads group state.
   for (const Pair& p : pairs) {
-    // Re-resolve per pair: an earlier pair's row hook may have dropped or
-    // replaced members of any group.
-    Aq* aq = live_aq(p.generation);
+    Aq* aq = live_aq(p.slot, p.generation);
     if (aq == nullptr) continue;
     const StagedBatch& s = staged[p.batch];
     if (aq->join_tick >= s.issue_tick) continue;  // joined after issue
-    process_event_tuple(*aq, s.tuples[p.tuple], s.seqs[p.tuple], p.candidate);
+    process_event_tuple(*aq, s.tuples[p.tuple], s.devices[p.tuple],
+                        s.seqs[p.tuple], p.candidate);
   }
 }
 
 void ContinuousQueryExecutor::process_event_tuple(
-    Aq& aq, const comm::Tuple& tuple, std::uint64_t seq, bool candidate) {
+    Aq& aq, const comm::Tuple& tuple, std::uint32_t device_number,
+    std::uint64_t seq, bool candidate) {
   const CompiledQuery& cq = aq.compiled;
   BindingFrame frame;
   frame.size = cq.binding_aliases.size();
@@ -424,22 +463,15 @@ void ContinuousQueryExecutor::process_event_tuple(
   // and the device's previous delivered row did not (the object *started*
   // moving; see Aq::last_true_seq). Level-triggered queries (no sensory
   // predicates) fire every epoch while satisfied.
-  bool fire;
+  if (!satisfied) return;
   if (cq.edge_triggered) {
-    auto it = aq.last_true_seq.find(tuple.source_device());
-    fire = satisfied &&
-           (it == aq.last_true_seq.end() || it->second + 1 != seq);
-    if (satisfied) {
-      if (it != aq.last_true_seq.end()) {
-        it->second = seq;
-      } else {
-        aq.last_true_seq.emplace(tuple.source_device(), seq);
-      }
-    }
-  } else {
-    fire = satisfied;
+    std::vector<std::uint64_t>& last = aq.last_true_seq;
+    if (device_number >= last.size()) last.resize(device_number + 1, 0);
+    std::uint64_t& prev = last[device_number];
+    const bool fire = prev == 0 || prev + 1 != seq;
+    prev = seq;
+    if (!fire) return;
   }
-  if (!fire) return;
   fire_event(&aq, tuple, frame);
 }
 
@@ -464,9 +496,10 @@ void ContinuousQueryExecutor::fire_event(Aq* aq, const comm::Tuple& tuple,
     }
     TimestampedRow stamped{loop_->now(), std::move(row), tuple.degraded()};
     if (aq->hooks.on_row) {
+      const std::uint32_t slot = aq->slot;
       const std::uint64_t generation = aq->generation;
       aq->hooks.on_row(aq->name, std::move(stamped));
-      aq = live_aq(generation);  // the hook may have dropped it
+      aq = live_aq(slot, generation);  // the hook may have dropped it
       if (aq == nullptr) return;
     } else {
       aq->results.push_back(std::move(stamped));
@@ -526,9 +559,10 @@ void ContinuousQueryExecutor::fire_event(Aq* aq, const comm::Tuple& tuple,
   }
 }
 
-void ContinuousQueryExecutor::deliver_agg_row(std::uint64_t generation,
+void ContinuousQueryExecutor::deliver_agg_row(std::uint32_t slot,
+                                              std::uint64_t generation,
                                               TimestampedRow row) {
-  Aq* owner = live_aq(generation);
+  Aq* owner = live_aq(slot, generation);
   if (owner == nullptr) return;
   ++owner->stats.events;
   if (owner->hooks.on_row) {
@@ -537,12 +571,6 @@ void ContinuousQueryExecutor::deliver_agg_row(std::uint64_t generation,
   }
   owner->results.push_back(std::move(row));
   while (owner->results.size() > kResultCap) owner->results.pop_front();
-}
-
-ContinuousQueryExecutor::Aq* ContinuousQueryExecutor::live_aq(
-    std::uint64_t generation) const {
-  auto it = by_generation_.find(generation);
-  return it == by_generation_.end() ? nullptr : it->second;
 }
 
 std::vector<device::DeviceId> ContinuousQueryExecutor::enumerate_candidates(

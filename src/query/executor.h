@@ -21,6 +21,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "comm/scan_broker.h"
@@ -171,6 +172,10 @@ class ContinuousQueryExecutor {
   // non-aggregate AQs) and the number of groups (broker subscriptions).
   std::size_t index_entries() const;
   std::size_t index_group_count() const { return groups_.size(); }
+  // Length of the member table that resolves staged pairs and hook
+  // callers to live AQs: bounded by the AQs live at once, so it returns
+  // to its size before a register/drop cycle once the cycle is over.
+  std::size_t member_table_size() const { return live_.size(); }
 
   // Enroll `eval.index.*`-style counters/gauges under `prefix`. Per-type
   // entry gauges ("<prefix>types.<type>.entries") enroll lazily as device
@@ -202,6 +207,9 @@ class ContinuousQueryExecutor {
     // never-recycled subscription ids give the same guarantee one layer
     // down).
     std::uint64_t generation = 0;
+    // This AQ's entry in the member table (live_), and, for a delivery
+    // group member, its handle in the group index.
+    std::uint32_t slot = 0;
     AqHooks hooks;
     std::string source_sql;
     CompiledQuery compiled;
@@ -220,14 +228,17 @@ class ContinuousQueryExecutor {
     // `exact` one covers the whole predicate set: candidacy alone proves a
     // match, no residual program run needed.
     const IndexableConjunct* conjunct = nullptr;
-    // Edge detection under pruning: the group row sequence of the last
-    // row that satisfied the predicates, per device. A fire requires the
-    // immediately preceding delivered row to NOT have satisfied them —
-    // i.e. the stored seq is absent or != current seq - 1. Rows the
-    // index prunes are guaranteed unsatisfied and need no bookkeeping;
-    // rows the broker skips (unreachable devices) advance no sequence, so
-    // a device's edge state survives its absence.
-    std::map<device::DeviceId, std::uint64_t> last_true_seq;
+    // Edge detection under pruning, indexed by the group's device number
+    // (DeliveryGroup::device_numbers): the group row sequence of the
+    // device's last row that satisfied the predicates, 0 = none yet
+    // (sequences start at 1). A fire requires the immediately preceding
+    // delivered row to NOT have satisfied them, i.e. the stored seq is 0
+    // or != current seq - 1. Rows the index prunes are guaranteed
+    // unsatisfied and need no bookkeeping; rows the broker skips
+    // (unreachable devices) advance no sequence, so a device's edge state
+    // survives its absence. Grows only to the highest device number that
+    // satisfied the predicates.
+    std::vector<std::uint64_t> last_true_seq;
     // epochs is derived lazily from the group (query_stats()).
     mutable QueryStats stats;
     // Projection outputs at event time (bounded ring; hook-less AQs only).
@@ -247,22 +258,38 @@ class ContinuousQueryExecutor {
     GroupKey key;
     device::DeviceTypeId type;
     comm::ScanBroker::SubscriptionId subscription = 0;
+    // One entry per member; handles are member-table slots.
     PredicateIndex index;
-    std::map<std::uint64_t, Aq*> members;  // generation -> query
-    std::uint64_t deliveries = 0;          // batches fanned out so far
-    // Per-device count of rows delivered to this group (edge detection).
-    std::map<device::DeviceId, std::uint64_t> row_seq;
+    std::uint64_t deliveries = 0;  // batches fanned out so far
+    // Dense device numbers, in first-delivery order: each staged tuple's
+    // device is numbered once, and members index their edge state by it.
+    std::unordered_map<device::DeviceId, std::uint32_t> device_numbers;
+    // Per device number, the rows delivered to this group so far (edge
+    // detection).
+    std::vector<std::uint64_t> row_seq;
   };
 
   // One group's share of a broker batch, staged until the batch's
   // delivery epilogue: members across all groups of the batch are
   // processed in one global generation-ordered pass, so side effects
-  // follow registration order whatever the grouping.
+  // follow registration order whatever the grouping. Everything the pass
+  // needs per tuple is copied here, because a hook may destroy the group
+  // mid-pass.
   struct StagedBatch {
-    DeliveryGroup* group;
+    DeliveryGroup* group;  // read only while probing, before any hook
     std::vector<comm::Tuple> tuples;
-    std::vector<std::uint64_t> seqs;  // row_seq assigned to each tuple
+    std::vector<std::uint32_t> devices;  // group device number per tuple
+    std::vector<std::uint64_t> seqs;     // row_seq assigned to each tuple
     std::uint64_t issue_tick = 0;
+  };
+
+  // A member-table entry: the live AQ in a slot and its generation. A
+  // slot is reused after a drop, so a reference taken earlier (a staged
+  // pair, a hook's caller) holds the generation too and finds its AQ
+  // gone when the two differ.
+  struct LiveSlot {
+    std::uint64_t generation = 0;  // 0 = free
+    Aq* aq = nullptr;
   };
 
   static constexpr std::size_t kResultCap = 256;
@@ -270,22 +297,34 @@ class ContinuousQueryExecutor {
   void on_tick();
   // Stage a group's batch at fan-out, process all staged batches at the
   // broker's delivery epilogue, evaluate one (member, tuple) pair.
-  // `candidate` distinguishes index candidates (constraint satisfied;
-  // maybe exact) from residual-list members.
+  // `device_number` is the tuple's device in the member's group;
+  // `candidate` distinguishes index candidates (constraint and checks
+  // satisfied; maybe exact) from residual-list members.
   void stage_group_batch(DeliveryGroup& group,
                          const std::vector<comm::Tuple>& tuples,
                          std::uint64_t issue_tick);
   void process_staged();
   void process_event_tuple(Aq& aq, const comm::Tuple& tuple,
-                           std::uint64_t seq, bool candidate);
+                           std::uint32_t device_number, std::uint64_t seq,
+                           bool candidate);
   // Event tail once a fire is decided: trace, projections (row hook),
   // action fan-out.
   void fire_event(Aq* aq, const comm::Tuple& tuple, const BindingFrame& frame);
-  // Aggregate-cache emission for the AQ registered as `generation`.
-  void deliver_agg_row(std::uint64_t generation, TimestampedRow row);
-  // The live AQ registered as `generation`, or null once dropped. User
-  // hooks can drop AQs: re-resolve here before touching one after a hook.
-  Aq* live_aq(std::uint64_t generation) const;
+  // Aggregate-cache emission for the AQ registered as `generation` in
+  // member-table slot `slot`.
+  void deliver_agg_row(std::uint32_t slot, std::uint64_t generation,
+                       TimestampedRow row);
+  // The live AQ registered as `generation` in `slot`, or null once
+  // dropped. User hooks can drop AQs: re-resolve here before touching one
+  // after a hook.
+  Aq* live_aq(std::uint32_t slot, std::uint64_t generation) const {
+    if (slot >= live_.size()) return nullptr;  // trimmed since
+    const LiveSlot& live = live_[slot];
+    return live.generation == generation ? live.aq : nullptr;
+  }
+  // Member-table bookkeeping: take a slot for `aq`, give it back.
+  void claim_slot(Aq* aq);
+  void release_slot(std::uint32_t slot);
 
   // Candidate device enumeration for one action call of one event tuple.
   // `frame` carries the event tuple; the candidate slot is rebound per
@@ -320,11 +359,13 @@ class ContinuousQueryExecutor {
   std::unique_ptr<sched::Scheduler> scheduler_;
   std::map<std::string, std::unique_ptr<Aq>> queries_;
   // Delivery groups (one broker subscription + one PredicateIndex each),
-  // the generation directory of every live AQ (re-resolution after user
-  // hooks, which may drop AQs mid-pass), and the batches staged between
-  // fan-out and the delivery epilogue.
+  // the member table of every live AQ (re-resolution after user hooks,
+  // which may drop AQs mid-pass; free slots are reused and trailing ones
+  // trimmed, so it ends at the highest live slot), and the batches staged
+  // between fan-out and the delivery epilogue.
   std::map<GroupKey, std::unique_ptr<DeliveryGroup>> groups_;
-  std::map<std::uint64_t, Aq*> by_generation_;
+  std::vector<LiveSlot> live_;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<StagedBatch> staged_;
   IndexStats index_stats_;
   obs::MetricsRegistry::Scoped index_metrics_;

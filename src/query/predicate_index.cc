@@ -23,7 +23,60 @@ void erase_handle(std::vector<PredicateIndex::Handle>* v,
   if (it != v->end()) v->erase(it);
 }
 
+// A slot value's verdict under one check, with the coercion rules the
+// probe applies to the primary slot (see probe()).
+bool passes(const SlotCheck& check, const device::Value& v) {
+  if (check.is_string) {
+    const std::string* s = std::get_if<std::string>(&v);
+    return s != nullptr && *s == check.str;
+  }
+  double x;
+  if (!device::value_as_double(v, &x) || std::isnan(x)) return false;
+  return (x > check.lo || (x == check.lo && !check.lo_strict)) &&
+         (x < check.hi || (x == check.hi && !check.hi_strict));
+}
+
+bool passes_all(const std::vector<SlotCheck>& checks,
+                const comm::Tuple& tuple) {
+  for (const SlotCheck& check : checks) {
+    if (!passes(check, tuple.at(check.slot))) return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+// ---- buckets -------------------------------------------------------------
+
+void PredicateIndex::Bucket::add(Handle handle,
+                                 const std::vector<SlotCheck>& checks) {
+  for (Part& part : parts) {
+    if (part.checks == checks) {
+      part.handles.push_back(handle);
+      return;
+    }
+  }
+  parts.push_back(Part{checks, {handle}});
+}
+
+void PredicateIndex::Bucket::remove(Handle handle,
+                                    const std::vector<SlotCheck>& checks) {
+  for (auto part = parts.begin(); part != parts.end(); ++part) {
+    if (part->checks != checks) continue;
+    erase_handle(&part->handles, handle);
+    if (part->handles.empty()) parts.erase(part);
+    return;
+  }
+}
+
+void PredicateIndex::Bucket::emit(const comm::Tuple& tuple,
+                                  std::vector<Handle>* out) const {
+  for (const Part& part : parts) {
+    if (passes_all(part.checks, tuple)) {
+      out->insert(out->end(), part.handles.begin(), part.handles.end());
+    }
+  }
+}
 
 // ---- interval treap ------------------------------------------------------
 
@@ -121,18 +174,21 @@ std::unique_ptr<PredicateIndex::RangeNode> PredicateIndex::range_remove(
 }
 
 void PredicateIndex::range_probe(const RangeNode* node, double x,
+                                 const comm::Tuple& tuple,
                                  std::vector<Handle>* out) {
   // Prune whole subtrees whose every high bound lies strictly below x.
   // (max_hi == x with a strict bound survives the prune; the node-level
   // check below rejects it exactly.)
   if (node == nullptr || node->max_hi < x) return;
-  range_probe(node->left.get(), x, out);
+  range_probe(node->left.get(), x, tuple, out);
   // Nodes (and right descendants) with lo > x cannot contain x.
   if (node->lo > x) return;
   bool lo_ok = x > node->lo || (x == node->lo && !node->lo_strict);
   bool hi_ok = x < node->hi || (x == node->hi && !node->hi_strict);
-  if (lo_ok && hi_ok) out->push_back(node->handle);
-  range_probe(node->right.get(), x, out);
+  if (lo_ok && hi_ok && passes_all(node->checks, tuple)) {
+    out->push_back(node->handle);
+  }
+  range_probe(node->right.get(), x, tuple, out);
 }
 
 // ---- add / remove --------------------------------------------------------
@@ -150,21 +206,22 @@ void PredicateIndex::add(Handle handle, const IndexableConjunct* conjunct) {
   }
   SlotIndex& s = slots_[conjunct->slot];
   ++s.entries;
+  const std::vector<SlotCheck>& checks = conjunct->checks;
   switch (conjunct->kind) {
     case Kind::kPointEq:
-      s.eq[conjunct->lo].push_back(handle);
+      s.eq[conjunct->lo].add(handle, checks);
       break;
     case Kind::kStrEq:
-      s.str_eq[conjunct->str].push_back(handle);
+      s.str_eq[conjunct->str].add(handle, checks);
       break;
     case Kind::kLower: {
       Bound& b = s.lower[conjunct->lo];
-      (conjunct->lo_strict ? b.strict : b.incl).push_back(handle);
+      (conjunct->lo_strict ? b.strict : b.incl).add(handle, checks);
       break;
     }
     case Kind::kUpper: {
       Bound& b = s.upper[conjunct->hi];
-      (conjunct->hi_strict ? b.strict : b.incl).push_back(handle);
+      (conjunct->hi_strict ? b.strict : b.incl).add(handle, checks);
       break;
     }
     case Kind::kRange: {
@@ -176,6 +233,7 @@ void PredicateIndex::add(Handle handle, const IndexableConjunct* conjunct) {
       node->handle = handle;
       node->priority = priority_of(handle);
       node->max_hi = conjunct->hi;
+      node->checks = checks;
       s.ranges = range_insert(std::move(s.ranges), std::move(node));
       break;
     }
@@ -199,11 +257,12 @@ void PredicateIndex::remove(Handle handle, const IndexableConjunct* conjunct) {
   if (sit == slots_.end()) return;
   SlotIndex& s = sit->second;
   if (s.entries > 0) --s.entries;
+  const std::vector<SlotCheck>& checks = conjunct->checks;
   switch (conjunct->kind) {
     case Kind::kPointEq: {
       auto it = s.eq.find(conjunct->lo);
       if (it != s.eq.end()) {
-        erase_handle(&it->second, handle);
+        it->second.remove(handle, checks);
         if (it->second.empty()) s.eq.erase(it);
       }
       break;
@@ -211,7 +270,7 @@ void PredicateIndex::remove(Handle handle, const IndexableConjunct* conjunct) {
     case Kind::kStrEq: {
       auto it = s.str_eq.find(conjunct->str);
       if (it != s.str_eq.end()) {
-        erase_handle(&it->second, handle);
+        it->second.remove(handle, checks);
         if (it->second.empty()) s.str_eq.erase(it);
       }
       break;
@@ -219,9 +278,8 @@ void PredicateIndex::remove(Handle handle, const IndexableConjunct* conjunct) {
     case Kind::kLower: {
       auto it = s.lower.find(conjunct->lo);
       if (it != s.lower.end()) {
-        erase_handle(conjunct->lo_strict ? &it->second.strict
-                                         : &it->second.incl,
-                     handle);
+        (conjunct->lo_strict ? it->second.strict : it->second.incl)
+            .remove(handle, checks);
         if (it->second.empty()) s.lower.erase(it);
       }
       break;
@@ -229,9 +287,8 @@ void PredicateIndex::remove(Handle handle, const IndexableConjunct* conjunct) {
     case Kind::kUpper: {
       auto it = s.upper.find(conjunct->hi);
       if (it != s.upper.end()) {
-        erase_handle(conjunct->hi_strict ? &it->second.strict
-                                         : &it->second.incl,
-                     handle);
+        (conjunct->hi_strict ? it->second.strict : it->second.incl)
+            .remove(handle, checks);
         if (it->second.empty()) s.upper.erase(it);
       }
       break;
@@ -253,9 +310,7 @@ void PredicateIndex::probe(const comm::Tuple& tuple,
     const device::Value& v = tuple.at(slot);
     if (const std::string* str = std::get_if<std::string>(&v)) {
       auto it = s.str_eq.find(*str);
-      if (it != s.str_eq.end()) {
-        out->insert(out->end(), it->second.begin(), it->second.end());
-      }
+      if (it != s.str_eq.end()) it->second.emit(tuple, out);
       continue;  // a string satisfies no numeric constraint
     }
     // Numeric coercion mirroring compare_values(): bool and int compare
@@ -268,28 +323,20 @@ void PredicateIndex::probe(const comm::Tuple& tuple,
       continue;
     }
     // Point equality.
-    if (auto it = s.eq.find(x); it != s.eq.end()) {
-      out->insert(out->end(), it->second.begin(), it->second.end());
-    }
+    if (auto it = s.eq.find(x); it != s.eq.end()) it->second.emit(tuple, out);
     // Lower bounds: every entry with key < x, plus inclusive ones at x.
     for (auto it = s.lower.begin(); it != s.lower.end() && it->first <= x;
          ++it) {
-      out->insert(out->end(), it->second.incl.begin(), it->second.incl.end());
-      if (it->first < x) {
-        out->insert(out->end(), it->second.strict.begin(),
-                    it->second.strict.end());
-      }
+      it->second.incl.emit(tuple, out);
+      if (it->first < x) it->second.strict.emit(tuple, out);
     }
     // Upper bounds: every entry with key > x, plus inclusive ones at x.
     for (auto it = s.upper.lower_bound(x); it != s.upper.end(); ++it) {
-      out->insert(out->end(), it->second.incl.begin(), it->second.incl.end());
-      if (it->first > x) {
-        out->insert(out->end(), it->second.strict.begin(),
-                    it->second.strict.end());
-      }
+      it->second.incl.emit(tuple, out);
+      if (it->first > x) it->second.strict.emit(tuple, out);
     }
     // Two-sided ranges.
-    range_probe(s.ranges.get(), x, out);
+    range_probe(s.ranges.get(), x, tuple, out);
   }
 }
 

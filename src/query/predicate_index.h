@@ -6,13 +6,16 @@
 // at a few thousand AQs per worker. This index inverts the hot path, in
 // the spirit of pub/sub predicate indexing and search-engine skip
 // pruning: at register time the compile pass distills each AQ's event
-// predicates into one IndexableConjunct (compile.h) — a necessary
-// per-slot constraint — and the executor files it here. Per tuple, one
-// probe per populated slot yields the candidate AQs whose constraint the
-// tuple satisfies; only those run their residual EvalPrograms. AQs whose
-// predicates don't distill (function calls, ORs, cross-column compares)
-// sit on a residual list and are evaluated exhaustively, so semantics
-// are exactly those of the unindexed path.
+// predicates into one IndexableConjunct (compile.h) — a constraint on
+// every hinted slot — and the executor files it here under its primary
+// (most selective) slot, with the other slots' constraints stored beside
+// the handle as checks. Per tuple, one probe per populated slot finds the
+// entries whose primary constraint the tuple satisfies and emits those
+// whose checks it passes too; an `exact` entry so emitted needs no
+// residual program run. AQs whose predicates don't distill (function
+// calls, ORs, cross-column compares) sit on a residual list and are
+// evaluated exhaustively, so semantics are exactly those of the
+// unindexed path.
 //
 // Structures, per event-schema slot:
 //  - point equality     -> std::map keyed by the constant
@@ -24,14 +27,17 @@
 //                          a max-high subtree augmentation for pruning
 //  - kNever entries     -> counted but never probed (contradictory
 //                          predicates match nothing)
+// Every map bucket splits its handles by their check lists, so the
+// entries sharing a primary key and identical checks pay one check per
+// probe between them; a treap node holds its own entry's checks.
 //
 // Determinism: the treap's heap priorities are a splitmix64 of the entry
 // handle — no RNG, no pointer-order dependence — so the tree shape, and
 // therefore probe output order, is a pure function of the registered
-// handle set. Callers that need a canonical order still sort by handle;
-// handles here are AQ generations, which are unique and monotonic.
-// Instances are confined to one executor (one worker loop) each; there
-// is no cross-loop shared state.
+// entries. Callers that need a canonical order sort the output
+// themselves (the executor's handles are member-table slots, which it
+// orders by AQ generation). Instances are confined to one executor (one
+// worker loop) each; there is no cross-loop shared state.
 #pragma once
 
 #include <cstdint>
@@ -48,24 +54,26 @@ namespace aorta::query {
 
 class PredicateIndex {
  public:
-  // Entry identity. The executor uses the AQ generation: unique for the
-  // lifetime of the process, so stale removals can never alias.
+  // Entry identity, unique among the entries filed at any one time. The
+  // executor uses its member-table slot, freed only after the remove.
   using Handle = std::uint64_t;
 
   // File `conjunct` under `handle`. A null conjunct goes on the residual
-  // list (the AQ must be evaluated for every tuple). The conjunct is
-  // copied; the caller's storage need not outlive the index.
+  // list (the AQ must be evaluated for every tuple). The conjunct's
+  // constraints are copied; the caller's storage need not outlive the
+  // index.
   void add(Handle handle, const IndexableConjunct* conjunct);
 
   // Remove `handle`, which must have been added with an equal conjunct
   // (the executor passes the CompiledQuery's own, which is immutable).
   void remove(Handle handle, const IndexableConjunct* conjunct);
 
-  // Append every indexed handle whose constraint `tuple` satisfies.
-  // Residual-list handles are NOT appended — iterate residuals() too.
-  // A slot value that is NULL, non-numeric (for numeric constraints),
-  // non-string (for string equality), or NaN satisfies nothing, exactly
-  // matching compare_values() semantics: such comparisons are false.
+  // Append every indexed handle whose primary constraint and checks
+  // `tuple` satisfies. Residual-list handles are NOT appended — iterate
+  // residuals() too. A slot value that is NULL, non-numeric (for numeric
+  // constraints), non-string (for string equality), or NaN satisfies
+  // nothing, exactly matching compare_values() semantics: such
+  // comparisons are false.
   void probe(const comm::Tuple& tuple, std::vector<Handle>* out) const;
 
   const std::vector<Handle>& residuals() const { return residual_; }
@@ -76,11 +84,27 @@ class PredicateIndex {
   std::size_t never_size() const { return never_; }
 
  private:
+  // The entries sharing one primary key, split into parts by check list
+  // (registration order within a part).
+  struct Bucket {
+    struct Part {
+      std::vector<SlotCheck> checks;
+      std::vector<Handle> handles;
+    };
+    std::vector<Part> parts;
+
+    void add(Handle handle, const std::vector<SlotCheck>& checks);
+    void remove(Handle handle, const std::vector<SlotCheck>& checks);
+    // Append the handles of every part whose checks `tuple` passes.
+    void emit(const comm::Tuple& tuple, std::vector<Handle>* out) const;
+    bool empty() const { return parts.empty(); }
+  };
+
   // One-sided bound constraints sharing a constant, split by strictness
   // so the boundary key emits exactly the right set.
   struct Bound {
-    std::vector<Handle> strict;
-    std::vector<Handle> incl;
+    Bucket strict;
+    Bucket incl;
     bool empty() const { return strict.empty() && incl.empty(); }
   };
 
@@ -92,14 +116,15 @@ class PredicateIndex {
     Handle handle;
     std::uint64_t priority;
     double max_hi;  // max hi over this subtree
+    std::vector<SlotCheck> checks;
     std::unique_ptr<RangeNode> left, right;
   };
 
   struct SlotIndex {
-    std::map<double, std::vector<Handle>> eq;
+    std::map<double, Bucket> eq;
     std::map<double, Bound> lower;  // key = low bound  (x > / >= key)
     std::map<double, Bound> upper;  // key = high bound (x < / <= key)
-    std::unordered_map<std::string, std::vector<Handle>> str_eq;
+    std::unordered_map<std::string, Bucket> str_eq;
     std::unique_ptr<RangeNode> ranges;
     std::size_t entries = 0;
 
@@ -113,7 +138,7 @@ class PredicateIndex {
   static std::unique_ptr<RangeNode> range_remove(std::unique_ptr<RangeNode>,
                                                  double lo, Handle handle);
   static void range_probe(const RangeNode* node, double x,
-                          std::vector<Handle>* out);
+                          const comm::Tuple& tuple, std::vector<Handle>* out);
 
   std::map<std::uint32_t, SlotIndex> slots_;
   std::vector<Handle> residual_;  // registration order

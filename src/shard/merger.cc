@@ -1,6 +1,7 @@
 #include "shard/merger.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 namespace aorta::shard {
@@ -58,12 +59,17 @@ void Merger::release() {
     if (a.shard != b.shard) return a.shard < b.shard;
     return a.arrival < b.arrival;
   });
-  ++stats_.release_passes;
-  for (auto it = buffer_.begin(); it != eligible; ++it) {
-    ++stats_.rows_out;
-    emit_(it->id, it->row);
-  }
+  // Detach the released rows before emitting them: an emit hook may drop
+  // an AQ, and forget_query() then erases from buffer_. A dropped AQ's
+  // rows still in `released` are skipped by the emitter's id lookup.
+  std::vector<Entry> released(std::make_move_iterator(buffer_.begin()),
+                              std::make_move_iterator(eligible));
   buffer_.erase(buffer_.begin(), eligible);
+  ++stats_.release_passes;
+  for (Entry& e : released) {
+    ++stats_.rows_out;
+    emit_(e.id, e.row);
+  }
 }
 
 }  // namespace aorta::shard

@@ -35,6 +35,9 @@ class Merger {
  public:
   // `emit` receives each released row exactly once, in merge order, with
   // the fragment id it was added under; the row is the emitter's to move.
+  // It may call forget_query(): a release pass emits rows it has already
+  // taken out of the buffer, so the emitter must skip rows of a fragment
+  // it has forgotten.
   using Emit =
       std::function<void(std::uint64_t id, query::TimestampedRow& row)>;
 

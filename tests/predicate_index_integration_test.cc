@@ -179,10 +179,10 @@ TEST(PredicateIndexIntegrationTest, IndexedRunMatchesExhaustiveRun) {
 
 // ------------------------------------------------------------------ churn
 
-// 1000 register/drop cycles around one long-lived AQ: index bookkeeping
-// must return exactly to the keeper-only baseline, and the keeper's event
-// stream must be identical to a churn-free control run over the same
-// simulated schedule.
+// 1000 register/drop cycles around one long-lived AQ: index and member
+// bookkeeping must return exactly to the keeper-only baseline, and the
+// keeper's event stream must be identical to a churn-free control run over
+// the same simulated schedule.
 struct ChurnRun {
   explicit ChurnRun(bool churn) {
     core::Config cfg;
@@ -242,6 +242,10 @@ TEST(PredicateIndexIntegrationTest, ThousandCycleChurnLeavesNoDebris) {
   EXPECT_EQ(m.gauge_value("eval.index.types.sensor.entries"), 1);
 
   ChurnRun control(/*churn=*/false);
+  // The member table that resolves pairs to AQs is back to its size
+  // without the churn: bounded by live AQs, not by registrations made.
+  EXPECT_EQ(churn.sys->executor().member_table_size(), 1u);
+  EXPECT_EQ(control.sys->executor().member_table_size(), 1u);
   EXPECT_EQ(stats_of(*churn.sys, "keeper"), stats_of(*control.sys, "keeper"));
   EXPECT_GT(std::get<0>(stats_of(*churn.sys, "keeper")), 0u);
 }
@@ -251,9 +255,11 @@ TEST(PredicateIndexIntegrationTest, ThousandCycleChurnLeavesNoDebris) {
 // Row hooks may drop AQs while the executor is delivering: their own AQ,
 // another member of the same delivery group, an AQ of another group due
 // in the same broker batch, and the same three shapes on the shared
-// aggregate cache. Every link is perfect and every device glitch-free, so
-// the drops change no read outcome and the survivors must see exactly
-// the rows of a run without the drops.
+// aggregate cache; one hook also drops its own AQ and registers a new one
+// in the same group, which takes over the dropped member's slot. Every
+// link is perfect and every device glitch-free, so the drops change no
+// read outcome and the survivors must see exactly the rows of a run
+// without the drops.
 struct HookDropRun {
   explicit HookDropRun(bool drops) {
     core::Config cfg;
@@ -303,6 +309,25 @@ struct HookDropRun {
       bool dropped = run->sys->executor().drop_aq(name).is_ok();
       EXPECT_TRUE(dropped) << name;
     };
+    // Like `suicide`, then registers `newcomer`, an action AQ of the same
+    // group, mid-pass.
+    auto swapper = [this, drops](const std::string& query,
+                                 const query::TimestampedRow& row) {
+      HookDropRun* run = this;
+      run->log.push_back(row_key(query, row));
+      if (!drops) return;
+      std::string name = query;
+      run->log.push_back("DROP " + name);
+      EXPECT_TRUE(run->sys->executor().drop_aq(name).is_ok()) << name;
+      run->joined_at = run->sys->loop().now();
+      create_aq(*run->sys,
+                "CREATE AQ newcomer AS SELECT s.id, s.accel_x, beep(s.id) "
+                "FROM sensor s WHERE s.accel_x > 200",
+                [run](const std::string& q, const query::TimestampedRow& r) {
+                  run->log.push_back(row_key(q, r));
+                  run->newcomer_at.push_back(r.at);
+                });
+    };
 
     const std::string g1 = "AS SELECT s.id, s.accel_x FROM sensor s WHERE ";
     const std::string agg = "AS SELECT max(s.accel_x) FROM sensor s";
@@ -318,6 +343,7 @@ struct HookDropRun {
               "CREATE AQ other AS SELECT s.accel_x FROM sensor s "
               "WHERE s.accel_x > 100",
               logger);
+    create_aq(*sys, "CREATE AQ swapper " + g1 + "s.accel_x > 350", swapper);
     create_aq(*sys, "CREATE AQ aggkill " + agg, killer({"aggvictim"}));
     create_aq(*sys, "CREATE AQ aggvictim " + agg, logger);
     create_aq(*sys, "CREATE AQ aggself " + agg, suicide);
@@ -337,6 +363,8 @@ struct HookDropRun {
 
   std::unique_ptr<core::Aorta> sys;
   std::vector<std::string> log;
+  util::TimePoint joined_at;  // when the swapper registered `newcomer`
+  std::vector<util::TimePoint> newcomer_at;  // newcomer's row stamps
 };
 
 TEST(DeliveryHookTest, HooksMayDropAqsMidDelivery) {
@@ -344,8 +372,8 @@ TEST(DeliveryHookTest, HooksMayDropAqsMidDelivery) {
   HookDropRun control(/*drops=*/false);
 
   // Dropped AQs deliver nothing after their drop.
-  for (const char* victim : {"self", "same", "other", "aggvictim",
-                             "aggself"}) {
+  for (const char* victim : {"self", "same", "other", "swapper",
+                             "aggvictim", "aggself"}) {
     std::vector<std::string> entries = dropped.of(victim);
     auto drop = std::find(entries.begin(), entries.end(),
                           std::string("DROP ") + victim);
@@ -355,7 +383,21 @@ TEST(DeliveryHookTest, HooksMayDropAqsMidDelivery) {
   }
   // The self-dropping AQs delivered the row that triggered their drop.
   EXPECT_EQ(dropped.of("self").size(), 2u);
+  EXPECT_EQ(dropped.of("swapper").size(), 2u);
   EXPECT_EQ(dropped.of("aggself").size(), 2u);
+
+  // The AQ registered mid-pass receives nothing from batches issued
+  // before it joined: its group's members fired at that instant (the
+  // swapper's own first row), but its first row comes a later pass, and
+  // it requested one action per row of its own, none for the event whose
+  // hook registered it.
+  ASSERT_FALSE(dropped.newcomer_at.empty());
+  for (const util::TimePoint& at : dropped.newcomer_at) {
+    EXPECT_GT(at, dropped.joined_at);
+  }
+  EXPECT_EQ(dropped.sys->action_stats("newcomer").requests,
+            dropped.newcomer_at.size());
+  EXPECT_TRUE(control.newcomer_at.empty());
 
   // Survivors: byte-identical to the run without drops, and not vacuous.
   for (const char* survivor : {"keep", "killer", "aggkill"}) {
@@ -365,6 +407,74 @@ TEST(DeliveryHookTest, HooksMayDropAqsMidDelivery) {
     EXPECT_EQ(got, rows) << survivor;
   }
   EXPECT_GT(control.sys->action_stats("self").requests, 1u);
+}
+
+// ------------------------------------------------------ edge semantics
+
+// Hand-counted fires for the per-device edge state. m0 stays satisfied
+// through four epochs in which it is unreachable (partitioned; health
+// supervision off, so no cached value stands in) and must not fire again
+// when it returns: the broker delivers no row for it, which advances no
+// sequence. m2 is first delivered after the others and fires on its first
+// satisfying row. m1 never satisfies the predicate.
+TEST(EdgeSemanticsTest, AbsentDevicesKeepTheirEdgeAndLateDevicesStartFresh) {
+  core::Config cfg;
+  cfg.seed = 23;
+  cfg.health_supervision = false;
+  core::Aorta sys(cfg);
+  (void)sys.network().set_link(comm::EngineNode::kNodeId,
+                               net::LinkModel::perfect());
+  auto add = [&sys](const std::string& id, double x, double accel) {
+    EXPECT_TRUE(sys.add_mote(id, {x, 0, 1}).is_ok());
+    sys.mote(id)->reliability().glitch_prob = 0.0;
+    (void)sys.network().set_link(id, net::LinkModel::perfect());
+    (void)sys.mote(id)->set_signal("accel_x",
+                                   devices::constant_signal(accel));
+  };
+  add("m0", 0, 900);
+  add("m1", 2, 100);
+
+  std::vector<std::pair<std::string, double>> fires;  // (device, at s)
+  std::vector<double> m0_rows;  // every delivered m0 row, level-triggered
+  create_aq(sys,
+            "CREATE AQ edge AS SELECT s.id FROM sensor s "
+            "WHERE s.accel_x > 500",
+            [&fires](const std::string&, const query::TimestampedRow& r) {
+              fires.emplace_back(std::get<std::string>(r.row[0].second),
+                                 r.at.to_seconds());
+            });
+  create_aq(sys,
+            "CREATE AQ seen AS SELECT s.accel_x FROM sensor s "
+            "WHERE s.id = 'm0'",
+            [&m0_rows](const std::string&, const query::TimestampedRow& r) {
+              m0_rows.push_back(r.at.to_seconds());
+            });
+
+  sys.run_for(Duration::seconds(3.5));
+  sys.network().partition("m0");
+  sys.run_for(Duration::seconds(4.0));
+  add("m2", 4, 900);
+  sys.network().heal("m0");
+  sys.run_for(Duration::seconds(4.5));
+
+  // m0 was delivered before the partition and again after the heal, and
+  // not in between.
+  auto rows_in = [&m0_rows](double from, double to) {
+    return std::count_if(m0_rows.begin(), m0_rows.end(),
+                         [&](double at) { return at > from && at < to; });
+  };
+  EXPECT_GT(rows_in(0.0, 3.5), 0);
+  EXPECT_EQ(rows_in(4.5, 7.5), 0);
+  EXPECT_GT(rows_in(7.5, 12.0), 0);
+
+  // One fire for m0 (its first row) and one for m2 (its first row, after
+  // it joined); none for m1.
+  ASSERT_EQ(fires.size(), 2u);
+  EXPECT_EQ(fires[0].first, "m0");
+  EXPECT_LT(fires[0].second, 3.5);
+  EXPECT_EQ(fires[1].first, "m2");
+  EXPECT_GT(fires[1].second, 7.5);
+  EXPECT_LT(fires[1].second, 9.0);
 }
 
 }  // namespace

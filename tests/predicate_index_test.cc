@@ -8,8 +8,11 @@
 //      (and its shape is handle-deterministic, never pointer-dependent),
 //   3. value coercion at probe time mirrors compare_values(): bool/int
 //      compare as doubles, NULL / location / NaN satisfy nothing,
-//      strings only reach string-equality buckets,
-//   4. a 10k+ generated-predicate differential: compiling random WHERE
+//      strings only reach string-equality buckets — on the primary slot
+//      and in the checks on the other slots alike,
+//   4. the compile pass keeps a constraint for every hinted slot, and an
+//      entry is exact exactly when every event predicate is hinted,
+//   5. a 10k+ generated-predicate differential: compiling random WHERE
 //      clauses through the real parser + compile pass, inserting their
 //      distilled conjuncts, and checking — over randomized tuples with
 //      NULLs and degraded markers — that index-pruned evaluation fires
@@ -48,6 +51,27 @@ IndexableConjunct make(IndexableConjunct::Kind kind, std::uint32_t slot,
   c.hi = hi;
   c.lo_strict = lo_strict;
   c.hi_strict = hi_strict;
+  return c;
+}
+
+SlotCheck num_check(std::uint32_t slot, double lo, double hi,
+                    bool lo_strict = false, bool hi_strict = false) {
+  SlotCheck c;
+  c.slot = slot;
+  c.lo = lo;
+  c.hi = hi;
+  c.lo_strict = lo_strict;
+  c.hi_strict = hi_strict;
+  return c;
+}
+
+SlotCheck str_check(std::uint32_t slot, std::string str) {
+  SlotCheck c;
+  c.slot = slot;
+  c.is_string = true;
+  c.lo = -INFINITY;
+  c.hi = INFINITY;
+  c.str = std::move(str);
   return c;
 }
 
@@ -155,6 +179,91 @@ TEST(PredicateIndexTest, ProbeCoercionMirrorsCompareValues) {
   EXPECT_TRUE(probe_sorted(idx, t).empty());
 }
 
+TEST(PredicateIndexTest, ChecksOnOtherSlotsMirrorCompareValues) {
+  comm::Schema schema("probe", {{"v", device::AttrType::kDouble, true},
+                                {"w", device::AttrType::kDouble, true},
+                                {"name", device::AttrType::kString, false}});
+  const double inf = INFINITY;
+  PredicateIndex idx;
+  // Every entry but the last two is filed under v == 1; the checks make
+  // the difference.
+  IndexableConjunct gt2 = make(IndexableConjunct::Kind::kPointEq, 0, 1, 1);
+  gt2.checks = {num_check(1, 2, inf, /*lo_strict=*/true)};  // w > 2
+  IndexableConjunct gt2_twin = gt2;  // same checks: shares gt2's part
+  IndexableConjunct in2to5 = make(IndexableConjunct::Kind::kPointEq, 0, 1, 1);
+  in2to5.checks = {num_check(1, 2, 5)};  // 2 <= w <= 5
+  IndexableConjunct lt5 = make(IndexableConjunct::Kind::kPointEq, 0, 1, 1);
+  lt5.checks = {num_check(1, -inf, 5, false, /*hi_strict=*/true)};  // w < 5
+  IndexableConjunct named = make(IndexableConjunct::Kind::kPointEq, 0, 1, 1);
+  named.checks = {str_check(2, "abc")};
+  IndexableConjunct named_w2 = make(IndexableConjunct::Kind::kPointEq, 0, 1, 1);
+  named_w2.checks = {str_check(2, "abc"), num_check(1, 2, 2)};  // w == 2
+  // A treap entry (0 <= v <= 10) and a string-bucket entry, each with a
+  // check on another slot.
+  IndexableConjunct range = make(IndexableConjunct::Kind::kRange, 0, 0, 10);
+  range.checks = {num_check(1, 3, inf)};  // w >= 3
+  IndexableConjunct by_name = make(IndexableConjunct::Kind::kStrEq, 2, 0, 0);
+  by_name.str = "abc";
+  by_name.checks = {num_check(0, 0.5, inf, /*lo_strict=*/true)};  // v > .5
+  const std::vector<std::pair<Handle, const IndexableConjunct*>> entries = {
+      {1, &gt2},   {2, &gt2_twin}, {3, &in2to5}, {4, &lt5},
+      {5, &named}, {6, &named_w2}, {7, &range},  {8, &by_name}};
+  for (const auto& [h, c] : entries) idx.add(h, c);
+
+  comm::Tuple t(&schema, "d");
+  t.set_by_name("v", Value{1.0});
+  t.set_by_name("name", Value{std::string("abc")});
+  // NULL, NaN, strings and locations on a checked numeric slot satisfy
+  // none of its checks.
+  EXPECT_EQ(probe_sorted(idx, t), (std::vector<Handle>{5, 8}));
+  t.set_by_name("w", Value{std::nan("")});
+  EXPECT_EQ(probe_sorted(idx, t), (std::vector<Handle>{5, 8}));
+  t.set_by_name("w", Value{std::string("3")});
+  EXPECT_EQ(probe_sorted(idx, t), (std::vector<Handle>{5, 8}));
+  t.set_by_name("w", Value{device::Location{3, 3, 3}});
+  EXPECT_EQ(probe_sorted(idx, t), (std::vector<Handle>{5, 8}));
+  // Strict vs inclusive at the constant: w == 2 fails `> 2`, passes
+  // `>= 2`, `< 5` and `== 2`; w == 5 passes `> 2` and `<= 5`, fails `< 5`.
+  t.set_by_name("w", Value{2.0});
+  EXPECT_EQ(probe_sorted(idx, t), (std::vector<Handle>{3, 4, 5, 6, 8}));
+  t.set_by_name("w", Value{5.0});
+  EXPECT_EQ(probe_sorted(idx, t), (std::vector<Handle>{1, 2, 3, 5, 7, 8}));
+  // bool and int compare as doubles: true is 1, below every lower bound.
+  t.set_by_name("w", Value{true});
+  EXPECT_EQ(probe_sorted(idx, t), (std::vector<Handle>{4, 5, 8}));
+  t.set_by_name("w", Value{std::int64_t{3}});
+  EXPECT_EQ(probe_sorted(idx, t), (std::vector<Handle>{1, 2, 3, 4, 5, 7, 8}));
+  // A number, or NULL, on a checked string slot satisfies no string check.
+  t.set_by_name("name", Value{3.0});
+  EXPECT_EQ(probe_sorted(idx, t), (std::vector<Handle>{1, 2, 3, 4, 7}));
+  t.set_by_name("name", Value{});
+  EXPECT_EQ(probe_sorted(idx, t), (std::vector<Handle>{1, 2, 3, 4, 7}));
+  t.set_by_name("name", Value{std::string("abd")});
+  EXPECT_EQ(probe_sorted(idx, t), (std::vector<Handle>{1, 2, 3, 4, 7}));
+  // The string bucket's numeric check follows the same coercion.
+  t.set_by_name("name", Value{std::string("abc")});
+  t.set_by_name("v", Value{true});  // 1.0: == 1, in [0, 10], > 0.5
+  EXPECT_EQ(probe_sorted(idx, t), (std::vector<Handle>{1, 2, 3, 4, 5, 7, 8}));
+  // v == 0 reaches only the treap entry, whose check then decides.
+  t.set_by_name("v", Value{std::int64_t{0}});
+  EXPECT_EQ(probe_sorted(idx, t), (std::vector<Handle>{7}));
+  t.set_by_name("w", Value{2.5});
+  EXPECT_TRUE(probe_sorted(idx, t).empty());
+  t.set_by_name("v", Value{std::nan("")});
+  EXPECT_TRUE(probe_sorted(idx, t).empty());
+
+  // Removing one twin leaves the other in the shared part.
+  idx.remove(1, &gt2);
+  t.set_by_name("v", Value{1.0});
+  t.set_by_name("w", Value{5.0});
+  EXPECT_EQ(probe_sorted(idx, t), (std::vector<Handle>{2, 3, 5, 7, 8}));
+  for (const auto& [h, c] : entries) {
+    if (h != 1) idx.remove(h, c);
+  }
+  EXPECT_EQ(idx.size(), 0u);
+  EXPECT_TRUE(probe_sorted(idx, t).empty());
+}
+
 // Brute-force oracle for the interval treap: a flat list of ranges.
 struct RangeOracle {
   struct Entry {
@@ -256,6 +365,60 @@ struct IndexDiffFixture : public ::testing::Test {
   Catalog catalog;
 };
 
+TEST_F(IndexDiffFixture, EveryHintedSlotIsCheckedAndExactNeedsEveryHint) {
+  // Both predicates hinted: filed under the point (more selective), the
+  // half-line rides along as a check, and candidacy proves a match.
+  auto both = compile_where("s.accel_x > 500 AND s.hops = 2");
+  ASSERT_TRUE(both.is_ok()) << both.status().to_string();
+  ASSERT_TRUE(both.value().index_conjunct.has_value());
+  const IndexableConjunct& c = *both.value().index_conjunct;
+  EXPECT_EQ(c.kind, IndexableConjunct::Kind::kPointEq);
+  EXPECT_EQ(c.attr, "hops");
+  EXPECT_EQ(c.lo, 2.0);
+  ASSERT_EQ(c.checks.size(), 1u);
+  const SlotCheck& accel = c.checks[0];
+  EXPECT_EQ(accel.slot, *both.value().schemas.at("s").index_of("accel_x"));
+  EXPECT_FALSE(accel.is_string);
+  EXPECT_EQ(accel.lo, 500.0);
+  EXPECT_TRUE(accel.lo_strict);
+  EXPECT_EQ(accel.hi, INFINITY);
+  EXPECT_FALSE(accel.hi_strict);
+  EXPECT_TRUE(c.exact);
+
+  // `!=` has no hint: the half-line is all the index knows, and the
+  // residual program must still run.
+  auto ne = compile_where("s.accel_x > 500 AND s.hops != 2");
+  ASSERT_TRUE(ne.is_ok()) << ne.status().to_string();
+  ASSERT_TRUE(ne.value().index_conjunct.has_value());
+  const IndexableConjunct& d = *ne.value().index_conjunct;
+  EXPECT_EQ(d.kind, IndexableConjunct::Kind::kLower);
+  EXPECT_EQ(d.attr, "accel_x");
+  EXPECT_TRUE(d.checks.empty());
+  EXPECT_FALSE(d.exact);
+}
+
+TEST_F(IndexDiffFixture, AStrictInfiniteBoundIsStillABound) {
+  // `< 1e999` is `< +inf`: it excludes +inf itself, so the entry is a
+  // range, not a half-line, and an infinite reading is no candidate.
+  auto q = compile_where("s.accel_x > 5 AND s.accel_x < 1e999");
+  ASSERT_TRUE(q.is_ok()) << q.status().to_string();
+  ASSERT_TRUE(q.value().index_conjunct.has_value());
+  const IndexableConjunct& c = *q.value().index_conjunct;
+  EXPECT_EQ(c.kind, IndexableConjunct::Kind::kRange);
+  EXPECT_TRUE(c.exact);
+  PredicateIndex idx;
+  idx.add(1, &c);
+  comm::Tuple t(&q.value().schemas.at("s"), "m0");
+  t.set_by_name("accel_x", Value{6.0});
+  EXPECT_EQ(probe_sorted(idx, t), (std::vector<Handle>{1}));
+  t.set_by_name("accel_x", Value{INFINITY});
+  EXPECT_TRUE(probe_sorted(idx, t).empty());
+  BindingFrame frame;
+  frame.size = q.value().binding_aliases.size();
+  frame.set(q.value().event_binding, &t);
+  EXPECT_FALSE(q.value().event_programs[1].run_predicate(frame));
+}
+
 // Small palette so generated constants frequently collide with generated
 // tuple values: the boundary cases (x == bound, strict vs inclusive) are
 // where an index goes subtly wrong.
@@ -299,6 +462,8 @@ TEST_F(IndexDiffFixture, TenThousandGeneratedPredicatesMatchExhaustive) {
   std::vector<std::unique_ptr<CompiledQuery>> queries;  // handle = index
   std::set<IndexableConjunct::Kind> kinds_seen;
   std::size_t residual_count = 0;
+  std::size_t exact_multi_slot = 0;  // exact entries with checks
+  std::size_t exact_mixed = 0;       // ... mixing string and numeric slots
 
   constexpr int kQueries = 10500;
   for (int i = 0; i < kQueries; ++i) {
@@ -317,14 +482,28 @@ TEST_F(IndexDiffFixture, TenThousandGeneratedPredicatesMatchExhaustive) {
       ++residual_count;
     } else {
       kinds_seen.insert(c->kind);
+      if (c->exact && !c->checks.empty()) {
+        ++exact_multi_slot;
+        bool primary_str = c->kind == IndexableConjunct::Kind::kStrEq;
+        for (const SlotCheck& check : c->checks) {
+          if (check.is_string != primary_str) {
+            ++exact_mixed;
+            break;
+          }
+        }
+      }
     }
     idx.add(static_cast<Handle>(queries.size()), c);
     queries.push_back(std::move(owned));
   }
   ASSERT_GE(queries.size(), 10000u);
   // The generator must have exercised every entry kind plus the residual
-  // list, or the differential below proves less than it claims.
+  // list, and exact entries spanning several slots (string and numeric
+  // ones mixed among them), or the differential below proves less than it
+  // claims.
   EXPECT_GT(residual_count, 0u);
+  EXPECT_GT(exact_multi_slot, 0u);
+  EXPECT_GT(exact_mixed, 0u);
   for (auto kind :
        {IndexableConjunct::Kind::kNever, IndexableConjunct::Kind::kPointEq,
         IndexableConjunct::Kind::kStrEq, IndexableConjunct::Kind::kLower,

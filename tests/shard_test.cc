@@ -889,6 +889,73 @@ TEST(ShardPlaneTest, DroppedRegistrationsRowsNeverReachItsSuccessor) {
                 w.plane->worker(1).stats().rows_sent);
 }
 
+// Eight co-firing AQs on a clean 2-shard plane; with `drops`, q0's row hook
+// drops q1, q3, q5 and q7 on its first row, while the merger is still
+// releasing the frontier advance that carries their rows of that instant.
+// Returns every hook call and drop, in order.
+std::vector<std::string> run_czar_hook_drops(bool drops) {
+  std::vector<std::string> log;
+  PlaneWorld w(2);
+  for (int k = 0; k < 8; ++k) {
+    core::ExecOptions opts;
+    opts.on_row = [&w, &log, drops, k, fired = false](
+                      const std::string& q,
+                      const query::TimestampedRow& r) mutable {
+      std::string entry = q + "@" + std::to_string(r.at.to_micros());
+      for (const auto& [column, value] : r.row) {
+        entry += "|" + column + "=" + device::value_to_string(value);
+      }
+      log.push_back(entry);
+      if (k != 0 || !drops || fired) return;
+      fired = true;
+      for (const char* victim : {"q1", "q3", "q5", "q7"}) {
+        log.push_back(std::string("DROP ") + victim);
+        EXPECT_TRUE(w.plane->czar().drop_aq(victim).is_ok()) << victim;
+      }
+    };
+    w.plane->exec_async(
+        "CREATE AQ q" + std::to_string(k) +
+            " AS SELECT s.id, s.accel_x FROM sensor s WHERE s.accel_x > 100",
+        std::move(opts), [](util::Result<core::ExecResult> r) {
+          ASSERT_TRUE(r.is_ok()) << r.status().message();
+        });
+  }
+  w.sys.run_for(Duration::seconds(8.0));
+  return log;
+}
+
+// The log entries of `query` ("DROP" markers included), in order.
+std::vector<std::string> entries_of(const std::vector<std::string>& log,
+                                    const std::string& query) {
+  std::vector<std::string> out;
+  for (const std::string& entry : log) {
+    if (entry.rfind(query + "@", 0) == 0 || entry == "DROP " + query) {
+      out.push_back(entry);
+    }
+  }
+  return out;
+}
+
+TEST(ShardPlaneTest, CzarRowHookMayDropAqsMidRelease) {
+  const std::vector<std::string> dropped = run_czar_hook_drops(true);
+  const std::vector<std::string> control = run_czar_hook_drops(false);
+
+  // Rows of a dropped AQ stop at the drop, and the drop cut its stream
+  // short: the merger held rows of it when the hook ran.
+  for (const char* victim : {"q1", "q3", "q5", "q7"}) {
+    std::vector<std::string> got = entries_of(dropped, victim);
+    ASSERT_FALSE(got.empty()) << victim;
+    EXPECT_EQ(got.back(), std::string("DROP ") + victim);
+    EXPECT_LT(got.size() - 1, entries_of(control, victim).size()) << victim;
+  }
+  // Survivors get exactly the rows of the run without drops.
+  for (const char* survivor : {"q0", "q2", "q4", "q6"}) {
+    std::vector<std::string> rows = entries_of(control, survivor);
+    EXPECT_GT(rows.size(), 6u) << survivor;
+    EXPECT_EQ(entries_of(dropped, survivor), rows) << survivor;
+  }
+}
+
 // A bare endpoint standing in for worker 0: it acks every fragment RPC so
 // the czar registers AQs, and the test writes the result stream itself.
 class ScriptedWorker : public net::Endpoint {
