@@ -24,13 +24,50 @@ struct InflightRead {
   std::vector<std::function<void(const Result<Value>&)>> joiners;
 };
 
+// Outcome of one needed sensory read within a batch.
+enum class ReadOutcome : std::uint8_t { kNone, kFailed, kOk };
+
+// One device of a type's table: its id and its static values by slot
+// (NULL in sensory slots and where the registry caches no value).
+struct DeviceRow {
+  device::DeviceId id;
+  std::vector<Value> statics;
+};
+
 struct ScanBroker::TypeState {
   std::shared_ptr<Schema> schema;
+  // The type's devices in registry order, as of registry version
+  // `devices_version` (kNever until first built).
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+  std::vector<DeviceRow> devices;
+  std::uint64_t devices_version = kNever;
   // Freshness cache and in-flight dedup table, both keyed (device, attr).
   std::map<std::pair<device::DeviceId, std::string>, CachedRead> cache;
   std::map<std::pair<device::DeviceId, std::string>,
            std::shared_ptr<InflightRead>>
       inflight;
+
+  // Rebuild the device table if the registry's membership moved since.
+  void refresh_devices(const device::DeviceRegistry& registry,
+                       const device::DeviceTypeId& type) {
+    if (devices_version == registry.version()) return;
+    devices_version = registry.version();
+    devices.clear();
+    for (device::DeviceId& id : registry.ids_of_type(type)) {
+      DeviceRow row;
+      row.statics.resize(schema->size());
+      if (const auto* cached = registry.static_attrs(id)) {
+        for (std::size_t slot = 0; slot < schema->size(); ++slot) {
+          const Field& f = schema->fields()[slot];
+          if (f.sensory) continue;
+          auto it = cached->find(f.name);
+          if (it != cached->end()) row.statics[slot] = it->second;
+        }
+      }
+      row.id = std::move(id);
+      devices.push_back(std::move(row));
+    }
+  }
 };
 
 // Shared bookkeeping for one batched acquisition. Holds shared ownership
@@ -39,10 +76,12 @@ struct ScanBroker::TypeState {
 struct ScanBroker::Batch {
   device::DeviceTypeId type;
   std::shared_ptr<Schema> schema;
-  std::vector<device::DeviceId> ids;
-  std::vector<Tuple> tuples;  // master tuples carrying the attribute union
-  // Outcome of every needed sensory read, per device: attr -> ok?
-  std::vector<std::map<std::string, bool>> read_ok;
+  SlotMask want;              // union of the waiters' masks
+  std::vector<Tuple> tuples;  // master tuples carrying the union
+  // Outcome of every needed sensory read, flat by (device, slot):
+  // reads[d * schema->size() + slot]. Empty when the union names no
+  // sensory slot.
+  std::vector<ReadOutcome> reads;
   std::size_t outstanding = 0;  // reads not yet resolved
   bool issued = false;          // all reads dispatched (finalize barrier)
   std::vector<Waiter> waiters;
@@ -52,6 +91,26 @@ struct ScanBroker::Batch {
   // the executor's flush when every due subscriber has been served.
   std::shared_ptr<std::size_t> barrier;
   std::function<void()> barrier_done;
+
+  ReadOutcome& read(std::size_t d, std::size_t slot) {
+    return reads[d * schema->size() + slot];
+  }
+
+  // A private scan's unreachable rule, per waiter: the device is skipped
+  // when at least one of the waiter's sensory reads was attempted and
+  // every one of them failed.
+  bool unreachable(std::size_t d, const SlotMask& mask) const {
+    if (reads.empty()) return false;
+    const std::size_t width = schema->size();
+    bool attempted = false;
+    for (std::size_t slot = 0; slot < width; ++slot) {
+      const ReadOutcome r = reads[d * width + slot];
+      if (r == ReadOutcome::kNone || !mask[slot]) continue;
+      if (r == ReadOutcome::kOk) return false;
+      attempted = true;
+    }
+    return attempted;
+  }
 };
 
 // ---------------------------------------------------------------- broker
@@ -77,6 +136,16 @@ ScanBroker::TypeState& ScanBroker::type_state(
     it = types_.emplace(type, std::move(state)).first;
   }
   return *it->second;
+}
+
+ScanBroker::SlotMask ScanBroker::slot_mask(
+    const device::DeviceTypeId& type, const std::set<std::string>& needed) {
+  const Schema& schema = *type_state(type).schema;
+  SlotMask mask(schema.size());
+  for (std::size_t slot = 0; slot < schema.size(); ++slot) {
+    mask[slot] = needed.empty() || needed.count(schema.fields()[slot].name) > 0;
+  }
+  return mask;
 }
 
 void ScanBroker::set_metrics(obs::MetricsRegistry* metrics,
@@ -128,7 +197,7 @@ ScanBroker::SubscriptionId ScanBroker::subscribe(
   SubscriptionId id = next_sub_id_++;
   Subscription sub;
   sub.type = type;
-  sub.needed = std::move(needed);
+  sub.mask = slot_mask(type, needed);
   sub.period = std::max<std::uint64_t>(1, period_ticks);
   sub.phase = tick_count_ % sub.period;
   sub.on_batch = std::move(on_batch);
@@ -182,10 +251,10 @@ BrokerTypeStats ScanBroker::totals() const {
 void ScanBroker::acquire_once(const device::DeviceTypeId& type,
                               std::set<std::string> needed,
                               std::function<void(std::vector<Tuple>)> done) {
-  Waiter w;
-  w.needed = std::move(needed);
-  w.once = std::move(done);
-  run_batch(type, {std::move(w)}, options_.coalesce, nullptr, {});
+  std::vector<Waiter> waiters(1);
+  waiters[0].mask = slot_mask(type, needed);
+  waiters[0].once = std::move(done);
+  run_batch(type, std::move(waiters), options_.coalesce, nullptr, {});
 }
 
 void ScanBroker::tick(std::function<void()> all_delivered) {
@@ -197,10 +266,9 @@ void ScanBroker::tick(std::function<void()> all_delivered) {
   for (auto& [id, sub] : subs_) {
     if ((tick_count_ - 1) % sub.period != sub.phase) continue;
     ++sub.pending;
-    Waiter w;
+    Waiter& w = due[sub.type].emplace_back();
     w.sub = id;
-    w.needed = sub.needed;
-    due[sub.type].push_back(std::move(w));
+    w.mask = sub.mask;
   }
 
   // Count batches this tick so all_delivered fires exactly once, after the
@@ -224,7 +292,9 @@ void ScanBroker::tick(std::function<void()> all_delivered) {
     } else {
       // Ablation baseline: one private scan per due subscription.
       for (Waiter& w : waiters) {
-        run_batch(type, {std::move(w)}, /*coalesce=*/false, barrier,
+        std::vector<Waiter> one(1);
+        one[0] = std::move(w);
+        run_batch(type, std::move(one), /*coalesce=*/false, barrier,
                   barrier_done);
       }
     }
@@ -237,6 +307,7 @@ void ScanBroker::run_batch(const device::DeviceTypeId& type,
                            std::shared_ptr<std::size_t> barrier,
                            std::function<void()> barrier_done) {
   TypeState& state = type_state(type);
+  state.refresh_devices(*registry_, type);
   BrokerTypeStats& stats = type_stats(type);
   ++stats.batches;
 
@@ -249,39 +320,38 @@ void ScanBroker::run_batch(const device::DeviceTypeId& type,
   batch->barrier = std::move(barrier);
   batch->barrier_done = std::move(barrier_done);
 
-  std::vector<device::Device*> devices = registry_->devices_of_type(type);
-  batch->ids.reserve(devices.size());
-  for (device::Device* d : devices) batch->ids.push_back(d->id());
-  batch->tuples.resize(batch->ids.size());
-  batch->read_ok.resize(batch->ids.size());
-
-  // Union of the waiters' needed attributes (any empty set = all).
-  std::set<std::string> needed;
-  bool all = false;
+  const std::vector<Field>& fields = state.schema->fields();
+  const std::size_t width = fields.size();
+  // Union of the waiters' masks: the slots this batch acquires.
+  SlotMask& want = batch->want;
+  want.assign(width, false);
   for (const Waiter& w : batch->waiters) {
-    if (w.needed.empty()) all = true;
-    needed.insert(w.needed.begin(), w.needed.end());
+    for (std::size_t slot = 0; slot < width; ++slot) {
+      if (w.mask[slot]) want[slot] = true;
+    }
   }
-  auto needs = [&](const std::string& attr) {
-    return all || needed.count(attr) > 0;
-  };
+  for (std::size_t slot = 0; slot < width; ++slot) {
+    if (fields[slot].sensory && want[slot]) {
+      batch->reads.assign(state.devices.size() * width, ReadOutcome::kNone);
+      break;
+    }
+  }
 
   CommModule* module = comm_->module_for(type);
   TimePoint now = loop_->now();
 
-  for (std::size_t d = 0; d < batch->ids.size(); ++d) {
-    const device::DeviceId& id = batch->ids[d];
-    Tuple tuple(batch->schema.get(), id);
+  batch->tuples.reserve(state.devices.size());
+  for (std::size_t d = 0; d < state.devices.size(); ++d) {
+    const DeviceRow& row = state.devices[d];
+    const device::DeviceId& id = row.id;
 
-    // Non-sensory fields come straight from the registry cache.
-    if (const auto* cached = registry_->static_attrs(id)) {
-      for (const Field& f : batch->schema->fields()) {
-        if (f.sensory || !needs(f.name)) continue;
-        auto it = cached->find(f.name);
-        if (it != cached->end()) tuple.set_by_name(f.name, it->second);
+    // Non-sensory fields come straight from the device table.
+    Tuple& tuple = batch->tuples.emplace_back(batch->schema.get(), id);
+    for (std::size_t slot = 0; slot < width; ++slot) {
+      if (!fields[slot].sensory && want[slot]) {
+        tuple.set(slot, row.statics[slot]);
       }
     }
-    batch->tuples[d] = std::move(tuple);
 
     // Quarantined devices get no sweep traffic at all: their needed
     // sensory attrs are served last-known-good within the staleness bound
@@ -289,19 +359,18 @@ void ScanBroker::run_batch(const device::DeviceTypeId& type,
     // per-subscriber unreachable rule applies — without an RPC either way.
     if (health_ != nullptr && health_->is_quarantined(id)) {
       ++stats.quarantined_skips;
-      batch->tuples[d].set_degraded(true);
-      for (const Field& f : batch->schema->fields()) {
-        if (!f.sensory || !needs(f.name)) continue;
-        auto key = std::make_pair(id, f.name);
-        auto hit = state.cache.find(key);
+      tuple.set_degraded(true);
+      for (std::size_t slot = 0; slot < width; ++slot) {
+        if (!fields[slot].sensory || !want[slot]) continue;
+        auto hit = state.cache.find(std::make_pair(id, fields[slot].name));
         if (options_.degraded_staleness > aorta::util::Duration::zero() &&
             hit != state.cache.end() &&
             now - hit->second.at <= options_.degraded_staleness) {
-          batch->tuples[d].set_by_name(f.name, hit->second.value);
-          batch->read_ok[d][f.name] = true;
+          tuple.set(slot, hit->second.value);
+          batch->read(d, slot) = ReadOutcome::kOk;
           ++stats.degraded_reads;
         } else {
-          batch->read_ok[d][f.name] = false;
+          batch->read(d, slot) = ReadOutcome::kFailed;
         }
       }
       continue;
@@ -309,16 +378,17 @@ void ScanBroker::run_batch(const device::DeviceTypeId& type,
 
     // Needed sensory fields: freshness cache, then in-flight dedup, then
     // a live read_attr round trip.
-    for (const Field& f : batch->schema->fields()) {
-      if (!f.sensory || !needs(f.name) || module == nullptr) continue;
+    for (std::size_t slot = 0; slot < width; ++slot) {
+      const Field& f = fields[slot];
+      if (!f.sensory || !want[slot] || module == nullptr) continue;
       auto key = std::make_pair(id, f.name);
 
       if (coalesce && options_.freshness > aorta::util::Duration::zero()) {
         auto hit = state.cache.find(key);
         if (hit != state.cache.end() &&
             now - hit->second.at < options_.freshness) {
-          batch->tuples[d].set_by_name(f.name, hit->second.value);
-          batch->read_ok[d][f.name] = true;
+          batch->tuples[d].set(slot, hit->second.value);
+          batch->read(d, slot) = ReadOutcome::kOk;
           ++stats.cache_hits;
           continue;
         }
@@ -326,14 +396,13 @@ void ScanBroker::run_batch(const device::DeviceTypeId& type,
 
       ++batch->outstanding;
       auto alive = alive_;
-      auto on_value = [this, alive, batch, d, name = f.name,
-                       type](const Result<Value>& value) {
+      auto on_value = [this, alive, batch, d, slot](const Result<Value>& value) {
         if (value.is_ok()) {
-          batch->tuples[d].set_by_name(name, value.value());
-          batch->read_ok[d][name] = true;
+          batch->tuples[d].set(slot, value.value());
+          batch->read(d, slot) = ReadOutcome::kOk;
         } else {
-          batch->read_ok[d][name] = false;
-          if (*alive) ++type_stats(type).read_failures;
+          batch->read(d, slot) = ReadOutcome::kFailed;
+          if (*alive) ++type_stats(batch->type).read_failures;
         }
         --batch->outstanding;
         if (*alive) finalize_batch(batch);
@@ -379,9 +448,14 @@ void ScanBroker::finalize_batch(const std::shared_ptr<Batch>& batch) {
   batch_latency_ms_.add((loop_->now() - batch->started).to_millis());
   AORTA_TRACE_SPAN(tracer_, obs::SpanCat::kSweep, "sweep:" + batch->type,
                    batch->started, loop_->now(),
-                   std::to_string(batch->ids.size()) + " device(s), " +
+                   std::to_string(batch->tuples.size()) + " device(s), " +
                        std::to_string(batch->waiters.size()) + " waiter(s)");
 
+  // A lone waiter that wants exactly the batch's union would get a masked
+  // copy equal to the master tuples: hand it the master tuples instead.
+  const bool hand_over = batch->waiters.size() == 1 &&
+                         batch->waiters.front().mask == batch->want;
+  const Schema* schema = batch->schema.get();
   for (Waiter& w : batch->waiters) {
     BatchCallback periodic;
     if (w.sub != 0) {
@@ -395,31 +469,36 @@ void ScanBroker::finalize_batch(const std::shared_ptr<Batch>& batch) {
       periodic = it->second.on_batch;
     }
 
-    // Project the master tuples down to this waiter's needed attributes,
-    // applying the per-subscriber unreachable-device rule.
+    // Mask the master tuples down to this waiter's slots, applying the
+    // per-subscriber unreachable-device rule.
     std::vector<Tuple> out;
-    out.reserve(batch->tuples.size());
-    for (std::size_t d = 0; d < batch->tuples.size(); ++d) {
-      bool any_attempt = false;
-      bool any_success = false;
-      for (const auto& [attr, ok] : batch->read_ok[d]) {
-        if (!w.needed.empty() && w.needed.count(attr) == 0) continue;
-        any_attempt = true;
-        if (ok) any_success = true;
+    if (hand_over) {
+      std::size_t kept = 0;
+      for (std::size_t d = 0; d < batch->tuples.size(); ++d) {
+        if (batch->unreachable(d, w.mask)) continue;
+        if (kept != d) batch->tuples[kept] = std::move(batch->tuples[d]);
+        ++kept;
       }
-      if (any_attempt && !any_success) {
-        ++stats.devices_skipped;
-        continue;  // unreachable for this subscriber: no row
+      stats.devices_skipped += batch->tuples.size() - kept;
+      batch->tuples.erase(batch->tuples.begin() + kept, batch->tuples.end());
+      out = std::move(batch->tuples);
+    } else {
+      out.reserve(batch->tuples.size());
+      for (std::size_t d = 0; d < batch->tuples.size(); ++d) {
+        if (batch->unreachable(d, w.mask)) {
+          ++stats.devices_skipped;
+          continue;  // unreachable for this subscriber: no row
+        }
+        const Tuple& master = batch->tuples[d];
+        Tuple& t = out.emplace_back(schema, master.source_device());
+        for (std::size_t slot = 0; slot < schema->size(); ++slot) {
+          if (w.mask[slot]) t.set(slot, master.at(slot));
+        }
+        t.set_degraded(master.degraded());
       }
-      Tuple t(batch->schema.get(), batch->ids[d]);
-      for (std::size_t i = 0; i < batch->schema->size(); ++i) {
-        const Field& f = batch->schema->fields()[i];
-        if (!w.needed.empty() && w.needed.count(f.name) == 0) continue;
-        t.set(i, batch->tuples[d].at(i));
-      }
-      t.set_degraded(batch->tuples[d].degraded());
+    }
+    for (const Tuple& t : out) {
       if (t.degraded()) ++stats.degraded_tuples;
-      out.push_back(std::move(t));
     }
 
     stats.tuples_delivered += out.size();

@@ -10,22 +10,29 @@
 //
 //   * AQs (and ad-hoc SELECT scans) register a *subscription* carrying the
 //     device type, the set of attributes they actually need (projection
-//     pushdown, empty = all) and an epoch period in engine ticks.
+//     pushdown, empty = all) and an epoch period in engine ticks. The
+//     names resolve once, at registration, to a mask of schema slots.
 //   * Each engine tick the broker finds the due subscriptions per type,
-//     takes the union of their needed attributes, and performs ONE batched
-//     scan per type — the effective cadence per type is the GCD of the
-//     subscriber periods (subscriptions registered at the same tick with
-//     the same period share every scan).
+//     ORs their slot masks, and performs ONE batched scan per type — the
+//     effective cadence per type is the GCD of the subscriber periods
+//     (subscriptions registered at the same tick with the same period
+//     share every scan).
+//   * A batch walks the type's device table: the type's devices in
+//     registry order with their static values by slot, rebuilt only when
+//     DeviceRegistry::version() moves. Read outcomes are recorded per
+//     (device, slot) in one flat array.
 //   * Concurrent in-flight (device, attr) reads are deduplicated: a read
 //     issued by an earlier batch (or a one-shot SELECT) that is still in
 //     flight is joined, not re-issued.
 //   * Successful reads are cached; a batch within the configurable
 //     freshness window is served from cache without touching the radio.
 //   * The resulting tuple batch is fanned out to every due subscriber,
-//     each seeing only its own projected attributes, with the per-query
+//     each seeing only its own masked attributes, with the per-query
 //     unreachable-device semantics of a private scan preserved: a
 //     device whose *needed* sensory reads all failed contributes no row
-//     to that subscriber.
+//     to that subscriber. A batch's only waiter whose mask equals the
+//     batch's union takes the master tuples themselves (minus its
+//     unreachable devices) instead of a masked copy of each.
 //
 // Subscription ids are never recycled, so an unsubscribe (drop AQ) while
 // a batch is in flight simply drops that subscriber from the fan-out —
@@ -101,9 +108,10 @@ class ScanBroker {
   ScanBroker& operator=(const ScanBroker&) = delete;
 
   // Register a periodic subscription. `on_batch` fires once per due tick
-  // with the subscriber's projected tuples. The phase is fixed at
-  // registration (tick_count % period), matching the executor's historic
-  // per-AQ phase assignment.
+  // with the subscriber's projected tuples. `needed` empty = every
+  // attribute; names outside the type's schema select nothing. The phase
+  // is fixed at registration (tick_count % period), matching the
+  // executor's historic per-AQ phase assignment.
   SubscriptionId subscribe(const device::DeviceTypeId& type,
                            std::set<std::string> needed,
                            std::uint64_t period_ticks, BatchCallback on_batch);
@@ -113,6 +121,7 @@ class ScanBroker {
 
   // One-shot acquisition (the SELECT path). Coalesces with any in-flight
   // reads and the freshness cache; `done` fires once with the tuples.
+  // `needed` reads as in subscribe().
   void acquire_once(const device::DeviceTypeId& type,
                     std::set<std::string> needed,
                     std::function<void(std::vector<Tuple>)> done);
@@ -176,9 +185,13 @@ class ScanBroker {
   }
 
  private:
+  // A set of schema slots: one flag per slot of the type's schema, so
+  // masks of one type compare and combine slot by slot, at any width.
+  using SlotMask = std::vector<bool>;
+
   struct Subscription {
     device::DeviceTypeId type;
-    std::set<std::string> needed;  // empty = all attributes
+    SlotMask mask;  // the needed attributes' slots, resolved at subscribe
     std::uint64_t period = 1;
     std::uint64_t phase = 0;
     BatchCallback on_batch;
@@ -186,10 +199,11 @@ class ScanBroker {
   };
 
   // One consumer of a batch: a periodic subscription (validated against
-  // subs_ at fan-out) or a one-shot waiter.
+  // subs_ at fan-out) or a one-shot waiter. `mask` selects the slots the
+  // consumer sees and the reads its unreachable-device rule weighs.
   struct Waiter {
     SubscriptionId sub = 0;  // 0 = one-shot
-    std::set<std::string> needed;
+    SlotMask mask;
     std::function<void(std::vector<Tuple>)> once;
   };
 
@@ -197,6 +211,9 @@ class ScanBroker {
   struct TypeState;
 
   TypeState& type_state(const device::DeviceTypeId& type);
+  // The slots of `type`'s schema that `needed` names (empty = every slot).
+  SlotMask slot_mask(const device::DeviceTypeId& type,
+                     const std::set<std::string>& needed);
 
   // Per-type counters, created (and enrolled on the registry) on first use.
   BrokerTypeStats& type_stats(const device::DeviceTypeId& type);
@@ -204,8 +221,8 @@ class ScanBroker {
                          BrokerTypeStats& stats);
 
   // Issue one batched acquisition over all devices of `type` for the union
-  // of the waiters' needed attributes. `coalesce` selects shared-plane
-  // (cache + in-flight dedup) vs private acquisition.
+  // of the waiters' masks. `coalesce` selects shared-plane (cache +
+  // in-flight dedup) vs private acquisition.
   void run_batch(const device::DeviceTypeId& type, std::vector<Waiter> waiters,
                  bool coalesce, std::shared_ptr<std::size_t> barrier,
                  std::function<void()> barrier_done);

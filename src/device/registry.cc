@@ -50,6 +50,7 @@ Status DeviceRegistry::add(std::unique_ptr<Device> device) {
 
   static_attr_cache_[id] = device->static_attrs();
   devices_.emplace(id, std::move(device));
+  ++version_;
   AORTA_LOG(kInfo, "registry") << "device joined: " << id;
   return Status::ok();
 }
@@ -62,6 +63,7 @@ Status DeviceRegistry::remove(const DeviceId& id) {
   (void)network_->detach(id);
   static_attr_cache_.erase(id);
   devices_.erase(it);
+  ++version_;
   AORTA_LOG(kInfo, "registry") << "device left: " << id;
   return Status::ok();
 }

@@ -9,6 +9,7 @@
 // paper (Section 3.1).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -58,6 +59,11 @@ class DeviceRegistry {
   std::vector<DeviceId> ids_of_type(const DeviceTypeId& type_id) const;
   std::size_t size() const { return devices_.size(); }
 
+  // Bumped by every add and remove, the only writers of membership and of
+  // the static cache: a consumer that derives per-type tables from the
+  // registry rebuilds them when this moves.
+  std::uint64_t version() const { return version_; }
+
   // Cached non-sensory attributes ("non-sensory data may be stored
   // statically", Section 3.2).
   const std::map<std::string, Value>* static_attrs(const DeviceId& id) const;
@@ -72,6 +78,7 @@ class DeviceRegistry {
   std::map<DeviceTypeId, DeviceTypeInfo> types_;
   std::map<DeviceId, std::unique_ptr<Device>> devices_;
   std::map<DeviceId, std::map<std::string, Value>> static_attr_cache_;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace aorta::device

@@ -805,16 +805,20 @@ void ContinuousQueryExecutor::run_select(
     }
     done(std::move(rows));
   };
+  // Every table's acquisition callback shares the one completion, so
+  // `done` and whatever it captured are never copied.
+  auto shared_finish = std::make_shared<decltype(finish)>(std::move(finish));
 
   for (std::size_t t = 0; t < multi->aliases.size(); ++t) {
+    // The compiled query is this call's own: its needed sets move out.
     std::set<std::string> needed;
     auto it = q->needed_attrs.find(multi->aliases[t]);
-    if (it != q->needed_attrs.end()) needed = it->second;
+    if (it != q->needed_attrs.end()) needed = std::move(it->second);
     broker_->acquire_once(
         q->table_types.at(multi->aliases[t]), std::move(needed),
-        [multi, t, finish](std::vector<comm::Tuple> tuples) {
+        [multi, t, shared_finish](std::vector<comm::Tuple> tuples) {
           multi->tuples[t] = std::move(tuples);
-          if (--multi->outstanding == 0) finish();
+          if (--multi->outstanding == 0) (*shared_finish)();
         });
   }
 }

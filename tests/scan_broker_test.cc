@@ -1,14 +1,18 @@
 // Tests for the shared data-acquisition plane (comm::ScanBroker): union
 // scans, per-subscriber projection, the freshness cache, in-flight read
-// dedup, unsubscribe-while-in-flight, and the executor's epoch clamping.
+// dedup, unsubscribe-while-in-flight, the per-type device table, and the
+// executor's epoch clamping.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "comm/scan_broker.h"
 #include "core/aorta.h"
+#include "device/health.h"
 #include "devices/mote.h"
 #include "util/logging.h"
 
@@ -28,9 +32,10 @@ struct BrokerFixture : public ::testing::Test {
     (void)registry.register_type(devices::camera_type_info());
   }
 
-  devices::Mica2Mote* add_mote(const std::string& id, double temp = 20.0) {
-    auto mote =
-        std::make_unique<devices::Mica2Mote>(id, device::Location{1, 2, 3});
+  devices::Mica2Mote* add_mote(const std::string& id, double temp = 20.0,
+                               device::Location loc = {1, 2, 3},
+                               int hops = 1) {
+    auto mote = std::make_unique<devices::Mica2Mote>(id, loc, hops);
     mote->reliability().glitch_prob = 0.0;
     (void)mote->set_signal("temp", devices::constant_signal(temp));
     (void)mote->set_signal("light", devices::constant_signal(300.0));
@@ -234,6 +239,182 @@ TEST_F(BrokerFixture, EmptyTableDeliversEmptyBatchSynchronously) {
   broker.tick([&]() { flushed = true; });
   EXPECT_TRUE(delivered);
   EXPECT_TRUE(flushed);
+}
+
+// Rows as "<source> <id> <loc> <hops>": the static columns a device
+// table serves.
+std::vector<std::string> static_rows(const std::vector<comm::Tuple>& rows) {
+  std::vector<std::string> out;
+  for (const comm::Tuple& t : rows) {
+    out.push_back(t.source_device() + " " +
+                  device::value_to_string(t.get("id")) + " " +
+                  device::value_to_string(t.get("loc")) + " " +
+                  device::value_to_string(t.get("hops")));
+  }
+  return out;
+}
+
+// The per-type device table follows the registry: a mote added and another
+// removed between two batches show up in the very next batch, ids and
+// static values alike, for a periodic subscription and a one-shot each.
+TEST_F(BrokerFixture, DeviceTableFollowsTheRegistryBetweenBatches) {
+  add_mote("m1");
+  add_mote("m2", 20.0, {4, 5, 6}, 2);
+  comm::ScanBroker broker(&registry, &comm, &loop);
+
+  std::vector<comm::Tuple> periodic;
+  (void)broker.subscribe("sensor", {"id", "loc", "hops"}, 1,
+                         [&](const std::vector<comm::Tuple>& t, std::uint64_t) {
+                           periodic = t;
+                         });
+  auto tick = [&]() {
+    broker.tick({});
+    loop.run_all();
+    return static_rows(periodic);
+  };
+  auto once = [&]() {
+    std::vector<comm::Tuple> rows;
+    broker.acquire_once("sensor", {"id", "loc", "hops"},
+                        [&](std::vector<comm::Tuple> t) { rows = std::move(t); });
+    loop.run_all();
+    return static_rows(rows);
+  };
+
+  const std::vector<std::string> first = {"m1 'm1' (1, 2, 3) 1",
+                                          "m2 'm2' (4, 5, 6) 2"};
+  EXPECT_EQ(tick(), first);
+  EXPECT_EQ(once(), first);
+
+  // One-shot: m3 joins, m1 leaves.
+  add_mote("m3", 20.0, {7, 8, 9}, 3);
+  ASSERT_TRUE(registry.remove("m1").is_ok());
+  EXPECT_EQ(once(), (std::vector<std::string>{"m2 'm2' (4, 5, 6) 2",
+                                              "m3 'm3' (7, 8, 9) 3"}));
+
+  // Periodic: m0 joins (sorting first), m2 leaves.
+  add_mote("m0", 20.0, {0, 0, 1}, 4);
+  ASSERT_TRUE(registry.remove("m2").is_ok());
+  const std::vector<std::string> last = {"m0 'm0' (0, 0, 1) 4",
+                                         "m3 'm3' (7, 8, 9) 3"};
+  EXPECT_EQ(tick(), last);
+  EXPECT_EQ(once(), last);
+}
+
+// A HealthView with a fixed quarantine set.
+struct QuarantineSet : device::HealthView {
+  std::set<device::DeviceId> ids;
+  bool is_quarantined(const device::DeviceId& id) const override {
+    return ids.count(id) > 0;
+  }
+  void report(const device::DeviceId&, device::HealthOutcomeKind,
+              bool) override {}
+};
+
+// "<source>:<non-NULL columns in slot order>[ degraded]".
+std::string shape(const comm::Tuple& t) {
+  std::string out = t.source_device() + ":";
+  const char* sep = "";
+  for (std::size_t i = 0; i < t.schema()->size(); ++i) {
+    if (std::holds_alternative<std::monostate>(t.at(i))) continue;
+    out += sep + t.schema()->fields()[i].name;
+    sep = ",";
+  }
+  return t.degraded() ? out + " degraded" : out;
+}
+
+std::vector<std::string> shapes(const std::vector<comm::Tuple>& rows) {
+  std::vector<std::string> out;
+  for (const comm::Tuple& t : rows) out.push_back(shape(t));
+  return out;
+}
+
+// The projection contract of a shared batch: four waiters with needs {}
+// (every attribute), {loc, temp}, {hops} and {nope} (no schema attribute)
+// share one batch in which m2 is quarantined with a last-known-good temp
+// and m3's reads all fail. Each waiter sees exactly its own columns, the
+// degraded marker rides every m2 row, and m3 is skipped only by the
+// waiters that needed a sensory read. A lone waiter gets the same tuples
+// as the masked copy a shared batch gives it.
+TEST_F(BrokerFixture, SharedBatchMasksEveryWaiterToItsNeeds) {
+  add_mote("m1", 21.0);
+  add_mote("m2", 23.0);
+  devices::Mica2Mote* dead = add_mote("m3");
+  QuarantineSet health;
+  comm::ScanBroker::Options opts;
+  opts.degraded_staleness = Duration::seconds(60.0);
+  comm::ScanBroker broker(&registry, &comm, &loop, opts);
+  broker.set_health(&health);
+
+  // Read every mote's temp while all are healthy: m2's value becomes its
+  // last-known-good.
+  broker.acquire_once("sensor", {"temp"}, [](std::vector<comm::Tuple>) {});
+  loop.run_all();
+  health.ids.insert("m2");
+  dead->set_online(false);
+
+  std::map<std::string, std::vector<comm::Tuple>> got;
+  for (const auto& [name, needed] :
+       std::map<std::string, std::set<std::string>>{
+           {"all", {}}, {"loc_temp", {"loc", "temp"}},
+           {"hops", {"hops"}}, {"nope", {"nope"}}}) {
+    (void)broker.subscribe(
+        "sensor", needed, 1,
+        [&got, name = name](const std::vector<comm::Tuple>& t,
+                            std::uint64_t) { got[name] = t; });
+  }
+  const comm::BrokerTypeStats before = broker.stats().at("sensor");
+  broker.tick({});
+  loop.run_all();
+  const comm::BrokerTypeStats& after = broker.stats().at("sensor");
+
+  EXPECT_EQ(after.batches - before.batches, 1u);
+  EXPECT_EQ(after.deliveries - before.deliveries, 4u);
+  EXPECT_EQ(shapes(got["all"]),
+            (std::vector<std::string>{
+                "m1:id,loc,hops,accel_x,accel_y,light,temp,battery_v",
+                "m2:id,loc,hops,temp degraded"}));
+  EXPECT_EQ(shapes(got["loc_temp"]),
+            (std::vector<std::string>{"m1:loc,temp", "m2:loc,temp degraded"}));
+  EXPECT_EQ(shapes(got["hops"]),
+            (std::vector<std::string>{"m1:hops", "m2:hops degraded",
+                                      "m3:hops"}));
+  EXPECT_EQ(shapes(got["nope"]),
+            (std::vector<std::string>{"m1:", "m2: degraded", "m3:"}));
+  EXPECT_EQ(got["loc_temp"][0].get("temp"), Value{21.0});
+  EXPECT_EQ(got["loc_temp"][1].get("temp"), Value{23.0});
+  // m3 is skipped by {} and {loc, temp} only; m2 rides every waiter.
+  EXPECT_EQ(after.devices_skipped - before.devices_skipped, 2u);
+  EXPECT_EQ(after.tuples_delivered - before.tuples_delivered, 10u);
+  EXPECT_EQ(after.degraded_tuples - before.degraded_tuples, 4u);
+  EXPECT_EQ(after.degraded_reads - before.degraded_reads, 1u);
+  EXPECT_EQ(after.quarantined_skips - before.quarantined_skips, 1u);
+
+  // A name outside the schema selects nothing, so it reads nothing.
+  const std::uint64_t rpcs = after.rpcs_issued;
+  std::vector<comm::Tuple> nope;
+  broker.acquire_once("sensor", {"nope"},
+                      [&](std::vector<comm::Tuple> t) { nope = std::move(t); });
+  loop.run_all();
+  EXPECT_EQ(broker.stats().at("sensor").rpcs_issued, rpcs);
+  EXPECT_EQ(shapes(nope), shapes(got["nope"]));
+
+  // A lone one-shot waiter takes the master tuples; they equal the masked
+  // copy the shared batch gave the same needs.
+  std::vector<comm::Tuple> lone;
+  broker.acquire_once("sensor", {"loc", "temp"},
+                      [&](std::vector<comm::Tuple> t) { lone = std::move(t); });
+  loop.run_all();
+  const std::vector<comm::Tuple>& copied = got["loc_temp"];
+  ASSERT_EQ(lone.size(), copied.size());
+  for (std::size_t d = 0; d < lone.size(); ++d) {
+    EXPECT_EQ(lone[d].source_device(), copied[d].source_device());
+    EXPECT_EQ(lone[d].degraded(), copied[d].degraded());
+    ASSERT_EQ(lone[d].schema(), copied[d].schema());
+    for (std::size_t i = 0; i < lone[d].schema()->size(); ++i) {
+      EXPECT_EQ(lone[d].at(i), copied[d].at(i))
+          << lone[d].source_device() << " slot " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------- executor integration

@@ -8,7 +8,8 @@
 //   * a disabled tracer adds zero allocations on the sweep path — the
 //     instrumentation sites cost one branch, nothing else;
 //   * a delivered row costs a bounded number of allocations from fire to
-//     mailbox through a 2-shard plane (the schema-once row path).
+//     mailbox through a 2-shard plane (the schema-once row path);
+//   * so does a one-shot SELECT, from submit to its result in the mailbox.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -243,6 +244,58 @@ TEST(TracePipelineTest, ShardedRowPathStaysWithinAllocationBudget) {
       static_cast<double>(allocs) / static_cast<double>(delivered);
   EXPECT_LE(per_row, 5.0) << allocs << " allocations for " << delivered
                           << " delivered rows";
+}
+
+TEST(TracePipelineTest, OneShotSelectStaysWithinAllocationBudget) {
+  // One-shot SELECTs over static attributes through a 2-shard plane of 32
+  // motes: each is admitted, planned by the czar, run as one fragment per
+  // shard (a broker acquisition over the shard's motes that needs no
+  // radio) and merged into the session's mailbox. Every allocation of the
+  // process counts (heartbeats and service ticks too), divided by the
+  // SELECTs completed. Name-keyed broker batches with a projected copy of
+  // every tuple made 527 per SELECT here; slot masks, the per-type device
+  // table and the lone-waiter hand-over make 429.
+  core::Config cfg;
+  cfg.seed = 7;
+  core::Aorta sys(cfg);
+  server::ServiceConfig sc;
+  sc.num_shards = 2;
+  sc.mailbox_capacity = 1 << 16;
+  server::QueryService service(&sys, sc);
+  for (int i = 0; i < 32; ++i) {
+    const std::string id = "m" + std::to_string(i);
+    ASSERT_TRUE(service.plane()->add_mote(id, {double(i), 0, 1}).is_ok());
+  }
+  const server::SessionId session = service.connect("t");
+  auto completed = [&]() { return service.session(session)->stats().completed; };
+  auto burst = [&]() {
+    for (int k = 0; k < 20; ++k) {
+      ASSERT_TRUE(service
+                      .submit(session,
+                              "SELECT s.id, s.loc FROM sensor s "
+                              "WHERE s.hops = 1")
+                      .is_ok());
+    }
+    sys.run_for(Duration::seconds(1));
+  };
+  burst();
+  (void)service.session(session)->drain();
+
+  const std::uint64_t done_before = completed();
+  const std::uint64_t allocs_before = g_allocations.load();
+  for (int round = 0; round < 20; ++round) burst();
+  const std::uint64_t allocs = g_allocations.load() - allocs_before;
+  const std::uint64_t selects = completed() - done_before;
+
+  ASSERT_EQ(selects, 400u);
+  for (const server::Delivery& d : service.session(session)->drain()) {
+    ASSERT_EQ(d.kind, server::Delivery::Kind::kResult) << d.message;
+    ASSERT_EQ(d.rows.size(), 32u);
+  }
+  const double per_select =
+      static_cast<double>(allocs) / static_cast<double>(selects);
+  EXPECT_LE(per_select, 470.0) << allocs << " allocations for " << selects
+                             << " SELECTs";
 }
 
 }  // namespace
