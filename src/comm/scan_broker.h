@@ -176,12 +176,10 @@ class ScanBroker {
   // Sum of every per-type counter (convenience for service-level stats).
   BrokerTypeStats totals() const;
   // Tick-to-fanout latency of completed batches, in simulated ms (exact
-  // samples; the bucketed export lives on batch_latency_hist()).
+  // samples; the bucketed export is enrolled as
+  // "<prefix>batch_latency_ms").
   const aorta::util::Summary& batch_latency_ms() const {
     return batch_latency_ms_.summary();
-  }
-  const obs::LatencyHistogram& batch_latency_hist() const {
-    return batch_latency_ms_;
   }
 
  private:

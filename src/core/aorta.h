@@ -5,7 +5,12 @@
 //   action-oriented query engine (src/query)    <- middle layer
 //   uniform data communication layer (src/comm) <- bottom layer
 // on top of the simulated device network (src/net, src/devices) that
-// replaces the paper's physical pervasive lab.
+// replaces the paper's physical pervasive lab. Aorta keeps the runtime
+// (LoopGroup and fabric), the metrics registry, the virtual files and the
+// statement front end; the two lower layers are its host slice, one
+// core::Engine on the control loop (core/engine.h), whose components the
+// accessors below forward to. The sharded plane builds one more slice per
+// worker through the same class.
 //
 // Typical use:
 //   aorta::core::Aorta sys(aorta::core::Config{});
@@ -21,19 +26,9 @@
 #include <memory>
 #include <string>
 
-#include "comm/comm_module.h"
-#include "core/health.h"
-#include "devices/camera.h"
-#include "devices/mote.h"
-#include "devices/phone.h"
+#include "core/engine.h"
 #include "net/fabric.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "query/executor.h"
 #include "query/parser.h"
-#include "sync/lock_manager.h"
-#include "sync/prober.h"
-#include "util/fault_plan.h"
 #include "util/loop_group.h"
 
 namespace aorta::core {
@@ -99,11 +94,6 @@ struct Config {
   // concurrency. With no worker loops (unsharded) the group degenerates to
   // the single global loop regardless of this setting.
   int runtime_threads = 1;
-  // Epoch-barrier lookahead quantum. Must not exceed the minimum
-  // cross-loop link latency — the czar<->worker backplane's 200us one-way
-  // hop — or cross-loop deliveries would land inside an open window and
-  // get clamped to the next barrier (counted runtime.<i>.posts_clamped).
-  aorta::util::Duration runtime_quantum = aorta::util::Duration::micros(400);
   // Reliable backplane (DESIGN.md §14): czar->worker fragment RPCs retry
   // with capped exponential backoff behind per-peer budgets and circuit
   // breakers; workers dedup requests by idempotency key and retain
@@ -154,20 +144,32 @@ class Aorta {
   Aorta& operator=(const Aorta&) = delete;
 
   // ---- world building ----------------------------------------------------
+  // Devices join the host slice (see Engine for the parameters).
   aorta::util::Status add_camera(const device::DeviceId& id, std::string ip,
-                                 devices::CameraPose pose, double range_m = 25.0);
-  // `hops` = depth in the multi-hop radio tree; deeper motes get slower,
-  // lossier links and higher action costs (Section 2.3).
-  aorta::util::Status add_mote(const device::DeviceId& id, device::Location loc,
-                               int hops = 1);
-  aorta::util::Status add_phone(const device::DeviceId& id, std::string phone_no,
-                                device::Location loc);
-  aorta::util::Status remove_device(const device::DeviceId& id);
-
-  // Typed access to simulated devices (to script signals, flip power, ...).
-  devices::PtzCamera* camera(const device::DeviceId& id);
-  devices::Mica2Mote* mote(const device::DeviceId& id);
-  devices::MmsPhone* phone(const device::DeviceId& id);
+                                 devices::CameraPose pose,
+                                 double range_m = 25.0) {
+    return host_->add_camera(id, std::move(ip), pose, range_m);
+  }
+  aorta::util::Status add_mote(const device::DeviceId& id,
+                               device::Location loc, int hops = 1) {
+    return host_->add_mote(id, loc, hops);
+  }
+  aorta::util::Status add_phone(const device::DeviceId& id,
+                                std::string phone_no, device::Location loc) {
+    return host_->add_phone(id, std::move(phone_no), loc);
+  }
+  aorta::util::Status remove_device(const device::DeviceId& id) {
+    return registry().remove(id);
+  }
+  devices::PtzCamera* camera(const device::DeviceId& id) {
+    return host_->camera(id);
+  }
+  devices::Mica2Mote* mote(const device::DeviceId& id) {
+    return host_->mote(id);
+  }
+  devices::MmsPhone* phone(const device::DeviceId& id) {
+    return host_->phone(id);
+  }
 
   // ---- declarative interface ----------------------------------------------
   // Execute one statement: CREATE ACTION / CREATE AQ / SELECT / DROP AQ.
@@ -200,122 +202,84 @@ class Aorta {
   // time passes).
   void run_for(aorta::util::Duration span);
 
-  // Schedule a fault plan's events on the event loop, relative to the
-  // current simulated time. Targets are validated up front (unknown
-  // devices are an error); the events then fire deterministically as the
-  // simulation advances. May be called multiple times (plans compose).
-  aorta::util::Status apply_fault_plan(const util::FaultPlan& plan);
+  // Schedule a fault plan's events on the host slice, relative to the
+  // current simulated time (core::schedule_fault_plan). Targets are
+  // validated up front (unknown devices are an error); the events then
+  // fire deterministically as the simulation advances. May be called
+  // multiple times (plans compose).
+  aorta::util::Status apply_fault_plan(const util::FaultPlan& plan) {
+    return schedule_fault_plan(plan, {host_.get()});
+  }
 
   // ---- statistics / internals ----------------------------------------------
   const query::QueryStats* query_stats(const std::string& name) const;
   query::QueryActionStats action_stats(const std::string& name) const;
   SystemStats stats() const;
 
-  aorta::util::EventLoop& loop() { return *loop_; }
+  aorta::util::EventLoop& loop() { return host_->loop(); }
   // The parallel runtime: loop 0 is the control loop (czar / server /
-  // host engine); the sharded plane adds one loop per worker.
-  aorta::util::LoopGroup& runtime() { return *runtime_; }
-  net::Fabric& fabric() { return *fabric_; }
-  net::Network& network() { return *network_; }
-  device::DeviceRegistry& registry() { return *registry_; }
-  comm::CommLayer& comm() { return *comm_; }
-  comm::ScanBroker& scan_broker() { return *scan_broker_; }
-  const comm::ScanBroker& scan_broker() const { return *scan_broker_; }
-  sync::LockManager& locks() { return *locks_; }
-  sync::Prober& prober() { return *prober_; }
+  // host slice); the sharded plane adds one loop per worker slice.
+  aorta::util::LoopGroup& runtime() { return runtime_; }
+  net::Fabric& fabric() { return fabric_; }
+  // The host slice (core/engine.h) and its components.
+  Engine& engine() { return *host_; }
+  net::Network& network() { return host_->network(); }
+  device::DeviceRegistry& registry() { return host_->registry(); }
+  comm::CommLayer& comm() { return host_->comm(); }
+  comm::ScanBroker& scan_broker() { return host_->scan_broker(); }
+  const comm::ScanBroker& scan_broker() const { return host_->scan_broker(); }
+  sync::LockManager& locks() { return host_->locks(); }
+  sync::Prober& prober() { return host_->prober(); }
   // nullptr when Config::health_supervision is off.
-  HealthSupervisor* health() { return health_.get(); }
-  const HealthSupervisor* health() const { return health_.get(); }
-  query::Catalog& catalog() { return *catalog_; }
-  query::ContinuousQueryExecutor& executor() { return *executor_; }
+  HealthSupervisor* health() { return host_->health(); }
+  const HealthSupervisor* health() const { return host_->health(); }
+  query::Catalog& catalog() { return host_->catalog(); }
+  query::ContinuousQueryExecutor& executor() { return host_->executor(); }
   // Observability: the registry every subsystem's counters are enrolled on
-  // (the server layer adds its own sections), and the span tracer.
+  // (the server layer adds its own sections), and the host slice's span
+  // tracer.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
-  obs::Tracer& tracer() { return tracer_; }
-  const obs::Tracer& tracer() const { return tracer_; }
+  obs::Tracer& tracer() { return host_->tracer(); }
+  const obs::Tracer& tracer() const { return host_->tracer(); }
 
-  // Multi-tracer export: worker stacks register their per-loop tracers so
-  // trace_json() yields one merged Chrome trace document in deterministic
-  // (virtual time, tracer index) order. Index 0 is the system tracer.
-  void register_tracer(const obs::Tracer* t) { tracers_.push_back(t); }
+  // Multi-tracer export: every slice's tracer, host first, in creation
+  // order; trace_json() yields one merged Chrome trace document in
+  // deterministic (virtual time, tracer index) order.
   const std::vector<const obs::Tracer*>& tracers() const { return tracers_; }
   std::string trace_json() const { return obs::merged_chrome_json(tracers_); }
   aorta::util::Status export_trace(const std::string& path) const {
     return obs::export_merged_file(path, tracers_);
   }
 
-  // Enroll runtime.<i>.* metrics for runtime loop `i`: barrier waits,
-  // cross-post counters, queue depth, plus a volatile wall-clock barrier
-  // stall histogram (excluded from deterministic snapshots). Called for
-  // loop 0 at construction; the sharded plane calls it per worker loop.
-  void enroll_loop_runtime_metrics(int loop_index);
-
-  // Fork an independent deterministic RNG stream off the system seed. The
-  // sharded plane forks one per worker stack so same-seed runs stay
-  // byte-identical regardless of how work interleaves across shards.
-  aorta::util::Rng fork_rng() { return rng_.fork(); }
   const Config& config() const { return config_; }
 
  private:
-  void register_builtin_types();
-  void register_builtin_functions();
-  void register_builtin_actions();
+  // A slice registers its tracer and its loop's runtime metrics here.
+  friend class Engine;
+
   // Synchronous statement kinds (everything but SELECT).
   aorta::util::Result<ExecResult> exec_ddl(query::Statement& s,
                                            const std::string& sql,
                                            const ExecOptions& options);
 
-  void enroll_system_metrics();
+  // Enroll runtime.<i>.* metrics for runtime loop `i`: barrier waits,
+  // cross-post counters, queue depth, plus a volatile wall-clock barrier
+  // stall histogram (excluded from deterministic snapshots).
+  void enroll_loop_runtime_metrics(int loop_index);
 
-  // Declared first so every component (which may hold enrolled counters or
-  // a tracer pointer) is destroyed before the observability substrate.
+  // Declared first so every component (which may hold enrolled counters)
+  // is destroyed before the observability substrate.
   obs::MetricsRegistry metrics_;
-  obs::Tracer tracer_;
   Config config_;
-  aorta::util::Rng rng_;
-  // The runtime owns every loop and clock; declared before the components
-  // so it outlives them. `clock_` / `loop_` are views of loop 0.
-  std::unique_ptr<aorta::util::LoopGroup> runtime_;
-  std::unique_ptr<net::Fabric> fabric_;
-  aorta::util::SimClock* clock_ = nullptr;
-  aorta::util::EventLoop* loop_ = nullptr;
+  // The runtime owns every loop and clock; declared before the slices so
+  // it outlives them.
+  aorta::util::LoopGroup runtime_;
+  net::Fabric fabric_{&runtime_};
   std::vector<const obs::Tracer*> tracers_;
   std::vector<std::unique_ptr<obs::LatencyHistogram>> stall_hists_;
-  std::unique_ptr<net::Network> network_;
-  std::unique_ptr<device::DeviceRegistry> registry_;
-  std::unique_ptr<comm::CommLayer> comm_;
-  // Declared after comm_ and before executor_ so the executor (which holds
-  // subscriptions) is destroyed first.
-  std::unique_ptr<comm::ScanBroker> scan_broker_;
-  std::unique_ptr<sync::LockManager> locks_;
-  std::unique_ptr<sync::Prober> prober_;
-  std::unique_ptr<HealthSupervisor> health_;
-  std::unique_ptr<query::Catalog> catalog_;
-  std::unique_ptr<query::ContinuousQueryExecutor> executor_;
+  std::unique_ptr<Engine> host_;
   std::map<std::string, std::string> virtual_files_;
 };
-
-// Schedule a validated fault plan's events on `loop` relative to the
-// current simulated time. `find_device` resolves device targets (it may
-// search several registries — the sharded plane passes a plane-wide
-// lookup); link-level events (partition/heal/loss) are resolved against
-// `network` directly. Events carrying a shard index are rejected: callers
-// that understand shards (shard::Plane) must rewrite them to node-level
-// events before delegating here.
-aorta::util::Status schedule_fault_plan(
-    const util::FaultPlan& plan, aorta::util::EventLoop* loop,
-    net::Network* network,
-    std::function<device::Device*(const device::DeviceId&)> find_device);
-
-// Schedule one (already validated) fault event on `loop`, mutating
-// `network` / the device returned by `find_device` when it fires. Under
-// the parallel runtime the sharded plane calls this per event with the
-// *owning* worker's loop and segment, so fault state (partition sets,
-// link models, device power) is only ever touched from its home loop.
-void schedule_fault_event(
-    const util::FaultEvent& e, aorta::util::EventLoop* loop,
-    net::Network* network,
-    std::function<device::Device*(const device::DeviceId&)> find_device);
 
 }  // namespace aorta::core

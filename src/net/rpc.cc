@@ -12,6 +12,12 @@ namespace {
 constexpr std::size_t kTimedOutMemory = 1024;
 }  // namespace
 
+RpcClient::~RpcClient() {
+  for (const auto& [id, pending] : pending_) {
+    (void)network_->loop().cancel(pending.timeout_event);
+  }
+}
+
 void RpcClient::call(NodeId dst, std::string kind,
                      std::map<std::string, std::string> fields,
                      aorta::util::Duration timeout, RpcCallback callback,

@@ -49,6 +49,9 @@ struct RpcEndpointStats {
 class RpcClient {
  public:
   RpcClient(Network* network, NodeId self) : network_(network), self_(std::move(self)) {}
+  // Cancels the timeouts of calls still in flight: their callbacks never
+  // fire, and nothing of the client stays queued on the loop.
+  ~RpcClient();
 
   // Issue a request. `callback` fires exactly once: with the reply, or
   // with kTimeout after `timeout` if no reply arrived.
@@ -77,7 +80,6 @@ class RpcClient {
   // bound (globally in RpcStats::slow_replies and per destination).
   // Default 1 s: well past any healthy simulated link's round trip.
   void set_slow_threshold(aorta::util::Duration d) { slow_threshold_ = d; }
-  aorta::util::Duration slow_threshold() const { return slow_threshold_; }
 
   // Span tracing (nullable = off): every call records an `rpc` span from
   // issue to reply/timeout/bounce. The per-call labels are only captured

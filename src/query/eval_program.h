@@ -121,7 +121,6 @@ class EvalProgram {
 
   std::size_t instruction_count() const { return code_.size(); }
   std::size_t folded_nodes() const { return folded_nodes_; }
-  std::size_t max_stack_depth() const { return max_stack_; }
 
   // One instruction per line, for EXPLAIN-style debugging and tests.
   std::string disassemble() const;

@@ -167,11 +167,9 @@ class ContinuousQueryExecutor {
   // ---- statistics --------------------------------------------------------
   const QueryStats* query_stats(const std::string& name) const;
   const EvalStats& eval_stats() const { return eval_stats_; }
-  const IndexStats& index_stats() const { return index_stats_; }
   // Predicate-index entries across all delivery groups (== registered
-  // non-aggregate AQs) and the number of groups (broker subscriptions).
+  // non-aggregate AQs).
   std::size_t index_entries() const;
-  std::size_t index_group_count() const { return groups_.size(); }
   // Length of the member table that resolves staged pairs and hook
   // callers to live AQs: bounded by the AQs live at once, so it returns
   // to its size before a register/drop cycle once the cycle is over.

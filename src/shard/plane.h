@@ -1,14 +1,15 @@
 // Plane: assembly of the sharded czar/worker query plane on a host system.
 //
-// Owns N shard::Worker engines plus the shard::Czar frontend, all living
-// on the host core::Aorta's event loop and simulated network. Devices are
-// hash-partitioned across the workers with the same FNV-1a function the
-// czar's fragment planner uses (shard_of), so a fragment's device slice is
-// exactly the worker's registry. The czar<->worker interconnect is the
-// zero-loss backplane_link() — machine-room fabric, not a device radio.
+// Owns N shard::Worker engines, each an engine slice on its own runtime
+// loop, plus the shard::Czar frontend on the host core::Aorta's control
+// loop and network segment. Devices are hash-partitioned across the
+// workers with the same FNV-1a function the czar's fragment planner uses
+// (shard_of), so a fragment's device slice is exactly the worker's
+// registry. The czar<->worker interconnect is the zero-loss
+// backplane_link() — machine-room fabric, not a device radio.
 //
-// The host Aorta keeps its own (idle) unsharded engine; the plane reuses
-// only its substrate: loop, network, RNG forks, metrics registry, tracer.
+// The host Aorta keeps its own (idle) host slice; the plane reuses its
+// substrate: runtime, fabric, RNG forks, metrics registry, tracer list.
 // server::QueryService routes sessions through plane->exec_async() when
 // ServiceConfig::num_shards > 0.
 #pragma once
@@ -58,8 +59,9 @@ class Plane {
   // Fault plans against the sharded plane: events carrying shard="<i>" are
   // rewritten to node-level events on that worker's endpoint (crash ->
   // partition, revive -> heal: a worker engine cannot power off, but it
-  // can fall off the network). Device-targeted events resolve across all
-  // worker registries.
+  // can fall off the network). core::schedule_fault_plan then places every
+  // event on the slice that holds its target, workers first, then the
+  // host's.
   aorta::util::Status apply_fault_plan(const util::FaultPlan& plan);
 
   int num_shards() const { return options_.num_shards; }
@@ -67,6 +69,10 @@ class Plane {
   Czar& czar() { return *czar_; }
 
  private:
+  core::Engine& owner(const device::DeviceId& id) {
+    return worker(shard_of_device(id)).engine();
+  }
+
   core::Aorta* host_;
   Options options_;
   std::vector<std::unique_ptr<Worker>> workers_;

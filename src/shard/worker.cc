@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "core/builtins.h"
 #include "util/logging.h"
 
 namespace aorta::shard {
@@ -70,187 +69,55 @@ std::optional<std::pair<std::uint64_t, std::uint64_t>> idem_key(
 Worker::Worker(core::Aorta* host, Options options)
     : options_(std::move(options)),
       node_id_(worker_node(options_.index)),
-      rng_(host->fork_rng()),
+      engine_(*host, options_.index, node_id_),
       replay_limit_(host->config().reliable_backplane ? kReplayLimit : 0) {
-  const core::Config& config = host->config();
-  // This worker's own event loop and network segment: everything below —
-  // devices, comm, broker, executor — lives on them, so between epoch
-  // barriers the whole stack runs without touching shared state.
-  loop_index_ = host->runtime().add_loop();
-  loop_ = host->runtime().loop(loop_index_);
-  segment_ = std::make_unique<net::Network>(loop_, rng_.fork());
-  segment_->join_fabric(&host->fabric(), loop_index_);
-  network_ = segment_.get();
-  tracer_own_ = std::make_unique<obs::Tracer>(config.trace_capacity);
-  tracer_own_->set_enabled(config.tracing);
-  tracer_ = tracer_own_.get();
-  host->register_tracer(tracer_);
-
-  registry_ = std::make_unique<device::DeviceRegistry>(network_, loop_,
-                                                       rng_.fork());
-  comm_ = std::make_unique<comm::CommLayer>(registry_.get(), network_,
-                                            node_id_);
   // The engine attach used the default LAN link; workers sit on the
   // zero-loss backplane instead (czar traffic must not be droppable).
-  (void)network_->set_link(node_id_, backplane_link());
-
-  comm::ScanBroker::Options broker_options;
-  broker_options.coalesce = config.shared_scans;
-  broker_options.freshness = config.scan_freshness;
-  broker_options.degraded_staleness = config.degraded_staleness;
-  scan_broker_ = std::make_unique<comm::ScanBroker>(
-      registry_.get(), comm_.get(), loop_, broker_options);
-  locks_ = std::make_unique<sync::LockManager>(loop_);
-  prober_ = std::make_unique<sync::Prober>(comm_.get(), registry_.get(),
-                                           loop_);
-  if (config.health_supervision) {
-    health_ = std::make_unique<core::HealthSupervisor>(
-        registry_.get(), comm_.get(), loop_, config.health);
-    comm_->set_health(health_.get());
-    scan_broker_->set_health(health_.get());
-  }
-  catalog_ = std::make_unique<query::Catalog>();
-
-  query::ContinuousQueryExecutor::Options exec_options;
-  exec_options.epoch = config.epoch;
-  exec_options.scheduler_name = config.scheduler;
-  exec_options.use_probing = config.use_probing;
-  exec_options.use_locks = config.use_locks;
-  exec_options.max_retries = config.max_retries;
-  exec_options.health = health_.get();
-  exec_options.shard = options_.index;
-  exec_options.predicate_index = config.predicate_index;
-  exec_options.aggregate_cache = config.aggregate_cache;
-  executor_ = std::make_unique<query::ContinuousQueryExecutor>(
-      registry_.get(), comm_.get(), scan_broker_.get(), prober_.get(),
-      locks_.get(), loop_, catalog_.get(), rng_.fork(), exec_options);
-  if (health_ != nullptr) {
-    health_->set_transition_hook(
-        [this](const device::DeviceId& id, core::HealthState from,
-               core::HealthState to) {
-          AORTA_TRACE_INSTANT(
-              tracer_, obs::SpanCat::kHealth,
-              node_id_ + ":transition:" + id, loop_->now(),
-              std::string(core::health_state_name(from)) + " -> " +
-                  std::string(core::health_state_name(to)));
-        });
-  }
-
-  scan_broker_->set_tracer(tracer_);
-  executor_->set_tracer(tracer_);
-  comm_->engine().rpc().set_tracer(tracer_);
+  (void)engine_.network().set_link(node_id_, backplane_link());
   // Action outcomes ride the flush of their instant to the czar (where
   // the service layer routes them to the owning session's mailbox).
-  executor_->set_outcome_sink(
+  engine_.executor().set_outcome_sink(
       [this](const std::string& query, aorta::util::TimePoint at,
              const std::string& detail) { on_outcome(query, at, detail); });
-
-  (void)registry_->register_type(devices::camera_type_info());
-  (void)registry_->register_type(devices::sensor_type_info());
-  (void)registry_->register_type(devices::phone_type_info());
-  core::register_builtin_function_library(catalog_.get(), registry_.get());
-  core::register_builtin_action_library(catalog_.get(), registry_.get(),
-                                        comm_.get());
-
-  comm_->engine().set_push_handler(
+  engine_.comm().engine().set_push_handler(
       [this](const net::Message& msg) { on_push(msg); });
 
-  // Metrics: the unsharded view schema, re-rooted under "shard.<i>.".
-  metrics_ = host->metrics().scoped("shard." + std::to_string(options_.index) +
-                                    ".");
-  scan_broker_->set_metrics(metrics_.registry(),
-                            metrics_.prefix() + "scan_broker.");
-  const query::EvalStats& es = executor_->eval_stats();
-  metrics_.enroll_counter("eval.programs_compiled", &es.programs_compiled);
-  metrics_.enroll_counter("eval.compiled_evals", &es.compiled_evals);
-  executor_->set_index_metrics(metrics_.registry(),
-                               metrics_.prefix() + "eval.index.");
-  executor_->set_agg_metrics(metrics_.registry(),
-                             metrics_.prefix() + "eval.agg.",
-                             metrics_.prefix() + "broker.agg_cache.");
-  const net::RpcStats& rpc = comm_->engine().rpc().stats();
-  metrics_.enroll_counter("network.rpc.completed", &rpc.completed);
-  metrics_.enroll_counter("network.rpc.timeouts", &rpc.timeouts);
-  metrics_.enroll_counter("network.rpc.slow_replies", &rpc.slow_replies);
-  if (health_ != nullptr) {
-    const core::HealthStats& hs = health_->stats();
-    metrics_.enroll_gauge("health.quarantined", [this]() {
-      return static_cast<std::int64_t>(health_->quarantined_count());
-    });
-    metrics_.enroll_counter("health.quarantines", &hs.quarantines);
-    metrics_.enroll_counter("health.recoveries", &hs.recoveries);
-  }
-  metrics_.enroll_counter("fragments.registered",
-                          &stats_.fragments_registered);
-  metrics_.enroll_counter("fragments.dropped", &stats_.fragments_dropped);
-  metrics_.enroll_gauge("fragments.active", [this]() {
+  // Protocol metrics, beside the slice's schema under "shard.<i>.".
+  obs::MetricsRegistry::Scoped& m = engine_.metrics();
+  m.enroll_counter("fragments.registered", &stats_.fragments_registered);
+  m.enroll_counter("fragments.dropped", &stats_.fragments_dropped);
+  m.enroll_gauge("fragments.active", [this]() {
     return static_cast<std::int64_t>(fragments_.size());
   });
-  metrics_.enroll_counter("selects_served", &stats_.selects_served);
-  metrics_.enroll_counter("rows_sent", &stats_.rows_sent);
-  metrics_.enroll_counter("results_msgs", &stats_.results_msgs);
-  metrics_.enroll_counter("heartbeats", &stats_.heartbeats_sent);
-  metrics_.enroll_counter("reliable.dup_requests", &stats_.dup_requests);
-  metrics_.enroll_counter("reliable.stale_gen_requests",
-                          &stats_.stale_gen_requests);
-  metrics_.enroll_counter("reliable.acks_received", &stats_.acks_received);
-  metrics_.enroll_counter("reliable.nacks_received", &stats_.nacks_received);
-  metrics_.enroll_counter("reliable.replay_sent", &stats_.replay_sent);
-  metrics_.enroll_counter("reliable.replay_overflow", &stats_.replay_overflow);
-  metrics_.enroll_gauge("reliable.replay_depth", [this]() {
+  m.enroll_counter("selects_served", &stats_.selects_served);
+  m.enroll_counter("rows_sent", &stats_.rows_sent);
+  m.enroll_counter("results_msgs", &stats_.results_msgs);
+  m.enroll_counter("heartbeats", &stats_.heartbeats_sent);
+  m.enroll_counter("reliable.dup_requests", &stats_.dup_requests);
+  m.enroll_counter("reliable.stale_gen_requests", &stats_.stale_gen_requests);
+  m.enroll_counter("reliable.acks_received", &stats_.acks_received);
+  m.enroll_counter("reliable.nacks_received", &stats_.nacks_received);
+  m.enroll_counter("reliable.replay_sent", &stats_.replay_sent);
+  m.enroll_counter("reliable.replay_overflow", &stats_.replay_overflow);
+  m.enroll_gauge("reliable.replay_depth", [this]() {
     return static_cast<std::int64_t>(replay_.size());
   });
-  metrics_.enroll_gauge("reliable.replay_hwm", [this]() {
+  m.enroll_gauge("reliable.replay_hwm", [this]() {
     return static_cast<std::int64_t>(stats_.replay_hwm);
   });
-  // This worker's network segment (local device traffic + fabric hand-offs)
-  // and its runtime loop (barrier waits, cross-post queue depths).
-  const net::NetworkStats& ns = network_->stats();
-  metrics_.enroll_counter("network.sent", &ns.sent);
-  metrics_.enroll_counter("network.delivered", &ns.delivered);
-  metrics_.enroll_counter("network.dropped_loss", &ns.dropped_loss);
-  metrics_.enroll_counter("network.cross_sent", &ns.cross_sent);
-  host->enroll_loop_runtime_metrics(loop_index_);
 
-  executor_->start();
   auto alive = alive_;
-  loop_->schedule(kHeartbeatInterval, [this, alive]() {
+  engine_.loop().schedule(kHeartbeatInterval, [this, alive]() {
     if (*alive) send_heartbeat();
   });
 }
 
 Worker::~Worker() {
-  comm_->engine().set_push_handler({});
-  executor_->set_outcome_sink({});
-  metrics_.unenroll_all();
+  engine_.comm().engine().set_push_handler({});
+  engine_.executor().set_outcome_sink({});
+  // The protocol keys point at members destroyed before the slice.
+  engine_.metrics().unenroll_all();
   *alive_ = false;
-}
-
-Status Worker::add_camera(const device::DeviceId& id, std::string ip,
-                          devices::CameraPose pose, double range_m) {
-  return registry_->add(std::make_unique<devices::PtzCamera>(
-      id, std::move(ip), pose, range_m));
-}
-
-Status Worker::add_mote(const device::DeviceId& id, device::Location loc,
-                        int hops) {
-  AORTA_RETURN_IF_ERROR(
-      registry_->add(std::make_unique<devices::Mica2Mote>(id, loc, hops)));
-  return network_->set_link(id, devices::Mica2Mote::link_for_hops(hops));
-}
-
-Status Worker::add_phone(const device::DeviceId& id, std::string phone_no,
-                         device::Location loc) {
-  return registry_->add(
-      std::make_unique<devices::MmsPhone>(id, std::move(phone_no), loc));
-}
-
-devices::Mica2Mote* Worker::mote(const device::DeviceId& id) {
-  return dynamic_cast<devices::Mica2Mote*>(registry_->find(id));
-}
-
-devices::PtzCamera* Worker::camera(const device::DeviceId& id) {
-  return dynamic_cast<devices::PtzCamera*>(registry_->find(id));
 }
 
 void Worker::on_push(const net::Message& msg) {
@@ -288,15 +155,15 @@ bool Worker::begin_idem(const net::Message& msg) {
     return true;
   }
   ++stats_.dup_requests;
-  AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kFragment,
-                      node_id_ + ":dup_request", loop_->now(),
+  AORTA_TRACE_INSTANT(&engine_.tracer(), obs::SpanCat::kFragment,
+                      node_id_ + ":dup_request", engine_.loop().now(),
                       msg.kind);
   if (it->second.ready) {
     // Replay the cached reply under the duplicate's request_id.
     net::Message reply = it->second.reply;
     reply.request_id = msg.request_id;
     reply.dst = msg.src;
-    network_->send(std::move(reply));
+    engine_.network().send(std::move(reply));
   } else {
     // First copy still executing (one-shot SELECTs finish asynchronously):
     // the duplicate waits for the same reply.
@@ -314,11 +181,11 @@ void Worker::send_reply(const net::Message& request, net::Message reply) {
     for (std::uint64_t waiter : it->second.waiters) {
       net::Message dup = reply;
       dup.request_id = waiter;
-      network_->send(std::move(dup));
+      engine_.network().send(std::move(dup));
     }
     it->second.waiters.clear();
   }
-  network_->send(std::move(reply));
+  engine_.network().send(std::move(reply));
 }
 
 void Worker::handle_ack(const net::Message& msg) {
@@ -333,8 +200,8 @@ void Worker::handle_nack(const net::Message& msg) {
   ++stats_.nacks_received;
   const auto from = static_cast<std::uint64_t>(msg.field_int("from"));
   const auto to = static_cast<std::uint64_t>(msg.field_int("to"));
-  AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kFragment,
-                      node_id_ + ":replay", loop_->now(),
+  AORTA_TRACE_INSTANT(&engine_.tracer(), obs::SpanCat::kFragment,
+                      node_id_ + ":replay", engine_.loop().now(),
                       "[" + std::to_string(from) + ", " + std::to_string(to) +
                           ")");
   // Retransmit the stored messages byte-for-byte (same gen, same seq);
@@ -343,7 +210,7 @@ void Worker::handle_nack(const net::Message& msg) {
        it != replay_.end() && it->first < to; ++it) {
     net::Message copy = it->second;
     ++stats_.replay_sent;
-    network_->send(std::move(copy));
+    engine_.network().send(std::move(copy));
   }
 }
 
@@ -358,7 +225,7 @@ void Worker::adopt_gen(std::uint64_t gen) {
   gen_ = gen;
   seq_ = 0;
   for (const auto& [name, fragment] : fragments_) {
-    (void)executor_->drop_aq(name);
+    (void)engine_.executor().drop_aq(name);
   }
   fragments_.clear();
   pending_ = Flush{};
@@ -398,8 +265,8 @@ void Worker::handle_register(const net::Message& msg) {
     reply_error(msg, stmt.status().to_string());
     return;
   }
-  AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kFragment,
-                      node_id_ + ":register:" + spec.name, loop_->now(),
+  AORTA_TRACE_INSTANT(&engine_.tracer(), obs::SpanCat::kFragment,
+                      node_id_ + ":register:" + spec.name, engine_.loop().now(),
                       spec.once ? "once" : "gen " + std::to_string(spec.gen));
   if (spec.once) {
     if (stmt.value().kind != query::Statement::Kind::kSelect) {
@@ -416,7 +283,7 @@ void Worker::handle_register(const net::Message& msg) {
     return;
   }
   if (auto it = fragments_.find(spec.name); it != fragments_.end()) {
-    (void)executor_->drop_aq(spec.name);  // re-register replaces
+    (void)engine_.executor().drop_aq(spec.name);  // re-register replaces
     fragments_.erase(it);
   }
   Fragment* fragment = &fragments_[spec.name];
@@ -433,7 +300,7 @@ void Worker::handle_register(const net::Message& msg) {
   // instant (the one-shot path's rewrite, behind the merge frontier).
   const query::SelectStmt& select = stmt.value().create_aq.select;
   auto rewritten = rewrite_avg_to_partials(select);
-  Status registered = executor_->register_aq(
+  Status registered = engine_.executor().register_aq(
       spec.name, stmt.value().create_aq.epoch_s,
       rewritten ? *rewritten : select, spec.sql, std::move(hooks));
   if (!registered.is_ok()) {
@@ -459,12 +326,12 @@ void Worker::handle_drop(const net::Message& msg) {
   const auto id = static_cast<std::uint64_t>(msg.field_int("id"));
   if (auto it = fragments_.find(name);
       it != fragments_.end() && it->second.id == id) {
-    (void)executor_->drop_aq(name);  // the row hook goes first
+    (void)engine_.executor().drop_aq(name);  // the row hook goes first
     fragments_.erase(it);
     ++stats_.fragments_dropped;
   }
-  AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kFragment,
-                      node_id_ + ":drop:" + name, loop_->now(), "");
+  AORTA_TRACE_INSTANT(&engine_.tracer(), obs::SpanCat::kFragment,
+                      node_id_ + ":drop:" + name, engine_.loop().now(), "");
   send_reply(msg, net::make_reply(msg, kFragmentAck, 64));
 }
 
@@ -479,7 +346,7 @@ void Worker::run_once_select(const net::Message& msg,
   // run_select compiles synchronously (cloning the statement), so the
   // rewritten form may live on this stack; completion fires once
   // acquisition finishes in simulated time.
-  executor_->run_select(
+  engine_.executor().run_select(
       rewritten ? *rewritten : stmt,
       [this, alive, msg](Result<std::vector<query::Row>> outcome) {
         if (!*alive) return;
@@ -490,8 +357,8 @@ void Worker::run_once_select(const net::Message& msg,
         std::vector<query::TimestampedRow> rows;
         rows.reserve(outcome.value().size());
         for (auto& row : outcome.value()) {
-          rows.push_back(query::TimestampedRow{loop_->now(), std::move(row),
-                                               false});
+          rows.push_back(query::TimestampedRow{engine_.loop().now(),
+                                               std::move(row), false});
         }
         std::string payload = encode_rows(rows);
         ++stats_.selects_served;
@@ -535,7 +402,7 @@ void Worker::schedule_flush() {
   // Zero-delay event: everything produced at this instant ships in one
   // message, and ships before any later heartbeat can advance the
   // watermark past it (see shard/fragment.h on ordering).
-  loop_->schedule(Duration::zero(), [this, alive]() {
+  engine_.loop().schedule(Duration::zero(), [this, alive]() {
     if (*alive) flush();
   });
 }
@@ -571,11 +438,11 @@ void Worker::flush() {
 void Worker::send_heartbeat() {
   net::Message msg;
   msg.kind = kShardHeartbeat;
-  msg.set_int("watermark_us", loop_->now().to_micros());
+  msg.set_int("watermark_us", engine_.loop().now().to_micros());
   ++stats_.heartbeats_sent;
   send_sequenced(std::move(msg));
   auto alive = alive_;
-  loop_->schedule(kHeartbeatInterval, [this, alive]() {
+  engine_.loop().schedule(kHeartbeatInterval, [this, alive]() {
     if (*alive) send_heartbeat();
   });
 }
@@ -597,7 +464,7 @@ void Worker::send_sequenced(net::Message msg) {
     ++stats_.replay_overflow;
   }
   if (replay_.size() > stats_.replay_hwm) stats_.replay_hwm = replay_.size();
-  network_->send(std::move(msg));
+  engine_.network().send(std::move(msg));
 }
 
 }  // namespace aorta::shard

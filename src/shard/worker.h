@@ -1,11 +1,13 @@
 // Worker: one shard's complete query engine behind the czar.
 //
-// A worker owns a full vertical slice of the unsharded stack — device
-// registry, comm layer (attached to the shared simulated network as
-// "shard-<i>"), ScanBroker, lock manager, prober, optional
-// HealthSupervisor, catalog and continuous-query executor — over the
-// hash-partitioned subset of devices the Plane routed to it. It speaks the
-// fragment protocol (shard/fragment.h) with the czar:
+// A worker is an engine slice plus the fragment protocol. The slice
+// (core::Engine, the same class the host Aorta builds its own engine
+// with) runs on the worker's own runtime loop and network segment, with
+// its comm endpoint "shard-<i>" on the backplane, over the
+// hash-partitioned subset of devices the Plane routed to it. Around it
+// the worker keeps only the protocol state: the idempotency window, the
+// replay buffer, result flushes and heartbeats. It speaks the fragment
+// protocol (shard/fragment.h) with the czar:
 //
 //   * fragment_register (once=0): compile + register the AQ fragment on
 //     the local executor; its rows and action outcomes are buffered and
@@ -72,40 +74,18 @@ class Worker {
     int index = 0;  // shard index; node id is worker_node(index)
   };
 
-  // Builds the worker stack on its *own* runtime loop and network segment
-  // (allocated from the host's LoopGroup / Fabric, see DESIGN.md §12) with
-  // its own span tracer, registered with the host for merged export. The
-  // engine knobs come from the host's Config.
-  // Metrics are enrolled under "shard.<index>." on the host registry, plus
-  // "runtime.<loop>." for the worker's loop.
+  // Builds the worker's slice (loop, segment, tracer and engine knobs come
+  // from the host; metrics under "shard.<index>.") and starts heartbeats.
   Worker(core::Aorta* host, Options options);
   ~Worker();
 
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
 
-  // ---- world building (the Plane routes device adds here) -----------------
-  aorta::util::Status add_camera(const device::DeviceId& id, std::string ip,
-                                 devices::CameraPose pose,
-                                 double range_m = 25.0);
-  aorta::util::Status add_mote(const device::DeviceId& id,
-                               device::Location loc, int hops = 1);
-  aorta::util::Status add_phone(const device::DeviceId& id,
-                                std::string phone_no, device::Location loc);
-  devices::Mica2Mote* mote(const device::DeviceId& id);
-  devices::PtzCamera* camera(const device::DeviceId& id);
-
   int index() const { return options_.index; }
   const net::NodeId& node_id() const { return node_id_; }
-  // The worker's home loop and network segment in the parallel runtime.
-  int loop_index() const { return loop_index_; }
-  aorta::util::EventLoop& loop() { return *loop_; }
-  net::Network& network() { return *segment_; }
-  device::DeviceRegistry& registry() { return *registry_; }
-  comm::CommLayer& comm() { return *comm_; }
-  comm::ScanBroker& scan_broker() { return *scan_broker_; }
-  query::ContinuousQueryExecutor& executor() { return *executor_; }
-  core::HealthSupervisor* health() { return health_.get(); }
+  // The worker's engine slice: world building, registry, loop, segment.
+  core::Engine& engine() { return engine_; }
   const WorkerStats& stats() const { return stats_; }
   std::size_t fragment_count() const { return fragments_.size(); }
   // Unacked sequenced messages currently retained for retransmission.
@@ -169,28 +149,7 @@ class Worker {
 
   Options options_;
   net::NodeId node_id_;
-  aorta::util::Rng rng_;
-  int loop_index_ = 0;
-  aorta::util::EventLoop* loop_ = nullptr;
-  // This worker's network segment: its devices and "shard-<i>" endpoint
-  // home here; czar traffic crosses the fabric at epoch barriers.
-  std::unique_ptr<net::Network> segment_;
-  net::Network* network_ = nullptr;  // = segment_.get()
-  // Per-loop tracer (each loop records into its own ring; the host merges
-  // on export). Raw pointer kept for the instrumentation macros.
-  std::unique_ptr<obs::Tracer> tracer_own_;
-  obs::Tracer* tracer_ = nullptr;
-
-  // Destruction order mirrors core::Aorta: executor first (it holds broker
-  // subscriptions), registry last.
-  std::unique_ptr<device::DeviceRegistry> registry_;
-  std::unique_ptr<comm::CommLayer> comm_;
-  std::unique_ptr<comm::ScanBroker> scan_broker_;
-  std::unique_ptr<sync::LockManager> locks_;
-  std::unique_ptr<sync::Prober> prober_;
-  std::unique_ptr<core::HealthSupervisor> health_;
-  std::unique_ptr<query::Catalog> catalog_;
-  std::unique_ptr<query::ContinuousQueryExecutor> executor_;
+  core::Engine engine_;
 
   std::map<std::string, Fragment> fragments_;  // by AQ name
   std::uint64_t gen_ = 0;            // adopted czar generation
@@ -212,7 +171,6 @@ class Worker {
   std::uint64_t flushes_ = 0;  // flush events run (Fragment::group_flush)
   bool flush_scheduled_ = false;
   WorkerStats stats_;
-  obs::MetricsRegistry::Scoped metrics_;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace aorta::util {
 
@@ -75,6 +76,14 @@ void EventLoop::run_all() {
     if (heap_.empty()) break;
     run_one();
   }
+}
+
+void EventLoop::clear() {
+  // Destroy the closures only after the queue is empty again: a captured
+  // object's destructor may itself schedule or cancel.
+  std::vector<Event> dropped = std::exchange(heap_, {});
+  live_.clear();
+  cancelled_.clear();
 }
 
 }  // namespace aorta::util

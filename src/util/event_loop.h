@@ -58,6 +58,9 @@ class EventLoop {
   // Run until the queue drains completely.
   void run_all();
 
+  // Drop every pending event unrun (the loop's owner is gone).
+  void clear();
+
   // Timestamp of the earliest pending (non-cancelled) event. Returns false
   // when the queue is empty. The LoopGroup barrier scheduler uses this to
   // size the next window.

@@ -8,7 +8,7 @@
 
 namespace aorta::util {
 
-LoopGroup::LoopGroup(Duration quantum) : quantum_(quantum) {
+LoopGroup::LoopGroup() {
   (void)add_loop();  // loop 0: the control loop
 }
 
@@ -22,6 +22,13 @@ int LoopGroup::add_loop() {
   pl->loop = std::make_unique<EventLoop>(pl->clock.get());
   loops_.push_back(std::move(pl));
   return static_cast<int>(loops_.size()) - 1;
+}
+
+void LoopGroup::retire(int i) {
+  assert(!running_ && "retire while the group is running");
+  PerLoop& pl = *loops_[static_cast<std::size_t>(i)];
+  pl.retired = true;
+  pl.loop->clear();
 }
 
 void LoopGroup::post(int src, int dst, TimePoint when,
@@ -55,6 +62,7 @@ void LoopGroup::flush_posts(TimePoint floor) {
             });
   for (CrossPost& p : all) {
     PerLoop& d = *loops_[static_cast<std::size_t>(p.dst)];
+    if (d.retired) continue;  // nothing lives there any more
     TimePoint when = p.when;
     if (when < floor) {
       when = floor;  // lookahead violated: land on the barrier instead
@@ -88,7 +96,7 @@ bool LoopGroup::plan_window(TimePoint until, TimePoint* window) {
   if (!next_event_time(&next) || next > until) return false;
   // Adaptive window: jump straight to the next event, then extend by the
   // lookahead quantum so a window amortizes more than one event.
-  *window = std::min(until, next + quantum_);
+  *window = std::min(until, next + kQuantum);
   ++windows_run_;
   return true;
 }

@@ -12,7 +12,7 @@
 //      (deliver-time, source loop, per-source sequence) order; then the
 //      next window [T, W] is computed as W = min(until, next_event + Q)
 //      where next_event is the earliest pending event across all loops
-//      and Q is the lookahead quantum.
+//      and Q is the lookahead quantum (kQuantum).
 //   2. RUN (parallel): each loop independently executes its events up to
 //      W on its assigned thread. Loops share no mutable state during this
 //      phase — cross-loop sends only append to the sender's own outbox.
@@ -32,6 +32,9 @@
 // never has to move a delivery; if a configuration violates the bound the
 // delivery is clamped to the barrier time (counted in posts_clamped) —
 // still deterministic, since the barrier grid is virtual-time-derived.
+// The minimum cross-loop latency is a czar<->worker message's: it
+// crosses two zero-jitter 200 µs backplane links (the sender's and the
+// receiver's), so Q = kQuantum = 400 µs meets the bound exactly.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +60,10 @@ struct LoopRuntimeStats {
 
 class LoopGroup {
  public:
-  // `quantum` is the barrier lookahead Q described above.
-  explicit LoopGroup(Duration quantum = Duration::micros(400));
+  // The barrier lookahead Q described above.
+  static constexpr Duration kQuantum = Duration::micros(400);
+
+  LoopGroup();
   ~LoopGroup();
 
   LoopGroup(const LoopGroup&) = delete;
@@ -69,6 +74,11 @@ class LoopGroup {
   // only while the group is quiescent (not inside run_until).
   int add_loop();
   int size() const { return static_cast<int>(loops_.size()); }
+  // Retire loop `i` when the slice living on it is destroyed: its pending
+  // events, and every cross-loop post to it from now on, are dropped
+  // unrun. Its index stays valid (an idle loop). Call only while the group
+  // is quiescent.
+  void retire(int i);
 
   EventLoop* loop(int i) { return loops_[static_cast<std::size_t>(i)]->loop.get(); }
   SimClock* clock(int i) { return loops_[static_cast<std::size_t>(i)]->clock.get(); }
@@ -79,7 +89,6 @@ class LoopGroup {
   // order, byte-identical results. Values above the loop count are capped.
   void set_threads(int n) { threads_ = n < 1 ? 1 : n; }
   int threads() const { return threads_; }
-  Duration quantum() const { return quantum_; }
 
   // Post `fn` to run on loop `dst` at virtual time `when`. Must be called
   // from code executing on loop `src` (or from the caller's thread while
@@ -126,6 +135,7 @@ class LoopGroup {
     std::uint64_t next_post_seq = 1;
     LoopRuntimeStats stats;
     StallSink stall_sink;
+    bool retired = false;
   };
 
   // Serial phase: drain every outbox into the destination loops in sorted
@@ -140,7 +150,6 @@ class LoopGroup {
   void run_serial(TimePoint until);
   void run_threaded(TimePoint until, int nthreads);
 
-  Duration quantum_;
   int threads_ = 1;
   std::vector<std::unique_ptr<PerLoop>> loops_;
   std::uint64_t windows_run_ = 0;

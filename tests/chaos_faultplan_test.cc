@@ -3,6 +3,10 @@
 // spikes through Aorta::apply_fault_plan.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/aorta.h"
 #include "devices/mote.h"
 #include "shard/plane.h"
@@ -338,6 +342,94 @@ TEST(FaultPlanShardTest, ShardCrashIsRewrittenToWorkerPartition) {
   sys.run_for(Duration::seconds(6));  // revive fired, first heartbeat back
   EXPECT_FALSE(sys.network().is_partitioned("shard-0"));
   EXPECT_TRUE(plane.czar().worker_live(0));
+}
+
+// Every event is scheduled on the loop that owns its target: a worker's
+// device or endpoint on that worker's loop, a host device or the czar's
+// endpoint on the control loop. Validation is shared by the plane and the
+// host, and a plan with one bad event schedules nothing on any loop.
+TEST(FaultPlanShardTest, EventsFireOnTheirTargetsHomeLoop) {
+  core::Config cfg;
+  cfg.seed = 4;
+  core::Aorta sys(cfg);
+  shard::Plane plane(&sys, shard::Plane::Options{.num_shards = 2});
+  // One mote on each shard (the FNV-1a partition is fixed) and one on the
+  // host slice.
+  std::string on_shard[2];
+  for (int i = 0; on_shard[0].empty() || on_shard[1].empty(); ++i) {
+    std::string id = "m" + std::to_string(i);
+    std::string& slot = on_shard[plane.shard_of_device(id)];
+    if (slot.empty()) slot = id;
+  }
+  for (const std::string& id : on_shard) {
+    ASSERT_TRUE(plane.add_mote(id, {0, 0, 1}).is_ok());
+  }
+  ASSERT_TRUE(sys.add_mote("h0", {1, 1, 1}).is_ok());
+
+  auto parse = [](const std::string& events) {
+    auto plan = FaultPlan::from_xml("<fault_plan>" + events + "</fault_plan>");
+    EXPECT_TRUE(plan.is_ok()) << plan.status().to_string();
+    return plan.is_ok() ? std::move(plan).value() : FaultPlan{};
+  };
+  auto pending = [&sys]() {
+    std::vector<std::size_t> out;
+    for (int i = 0; i < sys.runtime().size(); ++i) {
+      out.push_back(sys.runtime().loop(i)->pending());
+    }
+    return out;
+  };
+  auto crash = [](const std::string& device) {
+    return "<event at=\"1\" kind=\"crash\" device=\"" + device + "\"/>";
+  };
+
+  const std::string unattached =
+      "<event at=\"1\" kind=\"partition\" device=\"nowhere\"/>";
+  for (const std::string& bad : {crash("ghost"), unattached}) {
+    EXPECT_EQ(plane.apply_fault_plan(parse(bad)).code(),
+              util::StatusCode::kNotFound)
+        << bad;
+    EXPECT_EQ(sys.apply_fault_plan(parse(bad)).code(),
+              util::StatusCode::kNotFound)
+        << bad;
+  }
+  const std::vector<std::size_t> before = pending();
+  EXPECT_FALSE(plane.apply_fault_plan(parse(crash(on_shard[0]) +
+                                            crash("ghost")))
+                   .is_ok());
+  EXPECT_EQ(pending(), before);
+
+  const int host_loop = sys.engine().loop_index();
+  const int loop0 = plane.worker(0).engine().loop_index();
+  const int loop1 = plane.worker(1).engine().loop_index();
+  const std::vector<std::pair<std::string, int>> events = {
+      {crash(on_shard[0]), loop0},
+      {crash(on_shard[1]), loop1},
+      {crash("h0"), host_loop},
+      {"<event at=\"2\" kind=\"partition\" device=\"shard-1\"/>", loop1},
+      {"<event at=\"2\" kind=\"delay\" device=\"czar\" add=\"0.002\""
+       " for=\"10\"/>",
+       host_loop},
+  };
+  std::string xml;
+  std::vector<std::size_t> expected = before;
+  for (const auto& [event, home] : events) {
+    xml += event;
+    ++expected[static_cast<std::size_t>(home)];
+  }
+  ASSERT_TRUE(plane.apply_fault_plan(parse(xml)).is_ok());
+  EXPECT_EQ(pending(), expected);
+
+  net::Network& shard1_segment = plane.worker(1).engine().network();
+  EXPECT_TRUE(plane.mote(on_shard[0])->online());
+  sys.run_for(Duration::seconds(1.5));
+  EXPECT_FALSE(plane.mote(on_shard[0])->online());
+  EXPECT_FALSE(plane.mote(on_shard[1])->online());
+  EXPECT_FALSE(sys.mote("h0")->online());
+  EXPECT_FALSE(shard1_segment.is_partitioned("shard-1"));
+  EXPECT_DOUBLE_EQ(sys.network().link("czar")->chaos_delay_s, 0.0);
+  sys.run_for(Duration::seconds(1.0));
+  EXPECT_TRUE(shard1_segment.is_partitioned("shard-1"));
+  EXPECT_DOUBLE_EQ(sys.network().link("czar")->chaos_delay_s, 0.002);
 }
 
 TEST_F(FaultPlanSystemFixture, PlansCompose) {

@@ -547,8 +547,8 @@ TEST(ShardPlaneTest, DevicePartitionCoversBothShards) {
   EXPECT_TRUE(shard_used[1]);
   // The owning worker's registry holds the device; the other does not.
   int owner = w.plane->shard_of_device("m0");
-  EXPECT_NE(w.plane->worker(owner).mote("m0"), nullptr);
-  EXPECT_EQ(w.plane->worker(1 - owner).mote("m0"), nullptr);
+  EXPECT_NE(w.plane->worker(owner).engine().mote("m0"), nullptr);
+  EXPECT_EQ(w.plane->worker(1 - owner).engine().mote("m0"), nullptr);
 }
 
 TEST(ShardPlaneTest, SelectConcatenatesPartialsFromAllShards) {
@@ -1126,6 +1126,50 @@ TEST(ShardServiceTest, SingleShardAblationServesTheSameInterface) {
     }
   }
   EXPECT_TRUE(saw_select);
+}
+
+// A sharded service may be torn down while its host keeps running. Nothing
+// of the plane may outlive it: no worker tracer in the host's export list,
+// no event of a destroyed slice on its loop, and no czar RPC timeout on
+// the control loop (each of these was a heap-use-after-free under ASan).
+TEST(ShardPlaneTest, ServiceDestroyedMidRunLeavesNothingBehind) {
+  core::Config config;
+  config.tracing = true;
+  core::Aorta sys(config);
+  ServiceConfig cfg;
+  cfg.num_shards = 2;
+  auto service = std::make_unique<QueryService>(&sys, cfg);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(service->plane()
+                    ->add_mote("m" + std::to_string(i), {double(i), 0, 1})
+                    .is_ok());
+  }
+  SessionId id = service->connect("acme");
+  ASSERT_TRUE(service->submit(id, "CREATE AQ hot AS SELECT s.temp FROM "
+                                  "sensor s WHERE s.temp > 0")
+                  .is_ok());
+  ASSERT_TRUE(service->submit(id, "CREATE AQ all AS SELECT s.id, s.light "
+                                  "FROM sensor s")
+                  .is_ok());
+  sys.run_for(Duration::seconds(3.3));
+  ASSERT_TRUE(service->submit(id, "SELECT s.temp FROM sensor s").is_ok());
+  sys.run_for(Duration::seconds(0.15));
+  // The SELECT's fragment calls are still in flight at teardown.
+  EXPECT_GT(sys.metrics().gauge_value("shard.czar.peers.0.in_flight") +
+                sys.metrics().gauge_value("shard.czar.peers.1.in_flight"),
+            0);
+  EXPECT_EQ(sys.tracers().size(), 3u);
+
+  service.reset();
+  for (int loop = 1; loop < sys.runtime().size(); ++loop) {
+    EXPECT_EQ(sys.runtime().loop(loop)->pending(), 0u) << loop;
+  }
+  sys.run_for(Duration::seconds(5.0));
+  EXPECT_EQ(sys.tracers().size(), 1u);
+  const std::string json = sys.trace_json();
+  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.back(), '}');
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "core/aorta.h"
 #include "server/service.h"
@@ -188,6 +190,63 @@ TEST(StatsGoldenTest, ShardedPlanePublishesReliableBackplaneSection) {
   std::ofstream out("metrics_snapshot_sharded.json");
   out << m.snapshot_json(/*include_buckets=*/true) << '\n';
   EXPECT_TRUE(out.good());
+}
+
+// Dotted leaf names of a MetricsRegistry snapshot (histograms expand to
+// their fields). The renderer emits plain keys and no strings as values,
+// so a scan for `"key":` followed by `{` or a value suffices.
+std::set<std::string> snapshot_keys(const std::string& json) {
+  std::set<std::string> keys;
+  std::vector<std::string> path;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    if (json[i] == '}') {
+      if (!path.empty()) path.pop_back();
+    } else if (json[i] == '"') {
+      const std::size_t end = json.find('"', i + 1);
+      std::string key = json.substr(i + 1, end - i - 1);
+      i = json.find_first_not_of(" :", end + 1);
+      std::string prefix;
+      for (const std::string& p : path) prefix += p + ".";
+      if (json[i] == '{') {
+        path.push_back(key);
+      } else {
+        keys.insert(prefix + key);
+      }
+    }
+  }
+  return keys;
+}
+
+// Every engine slice enrolls one schema: right after a 2-shard plane is
+// built, each engine section under "shard.<i>." holds exactly the keys the
+// host slice publishes at the top level.
+TEST(StatsGoldenTest, EverySliceEnrollsTheEngineSchema) {
+  core::Config cfg;
+  cfg.seed = 11;
+  core::Aorta sys(cfg);
+  server::ServiceConfig sc;
+  sc.num_shards = 2;
+  server::QueryService service(&sys, sc);
+  const std::set<std::string> keys =
+      snapshot_keys(sys.metrics().snapshot_json());
+  for (const std::string section :
+       {"eval", "health", "network", "scan_broker", "sync", "broker"}) {
+    std::set<std::string> host;
+    for (const std::string& k : keys) {
+      if (k.rfind(section + ".", 0) == 0) host.insert(k);
+    }
+    EXPECT_FALSE(host.empty()) << section;
+    for (int i = 0; i < sc.num_shards; ++i) {
+      const std::string shard = "shard." + std::to_string(i) + ".";
+      std::set<std::string> slice;
+      for (const std::string& k : keys) {
+        if (k.rfind(shard + section + ".", 0) == 0) {
+          slice.insert(k.substr(shard.size()));
+        }
+      }
+      EXPECT_EQ(slice, host) << shard << section;
+    }
+  }
 }
 
 TEST(StatsGoldenTest, SameSeedRunsProduceByteIdenticalMetricsAndTraces) {

@@ -10,7 +10,8 @@ MetricsRegistry::write_json / QueryService::stats_json renders:
     {"count", "p50", "p99", "max"} (plus the optional bucket export);
   * object keys at every level are in sorted order — the determinism
     guarantee ("same counters in, same bytes out") depends on it;
-  * the canonical system sections are present.
+  * the canonical system sections are present, and every engine slice
+    of a sharded snapshot ("shard.<i>") publishes the engine sections.
 
 Usage: validate_metrics.py SNAPSHOT.json [SNAPSHOT2.json ...]
 """
@@ -19,7 +20,10 @@ import json
 import sys
 
 REQUIRED_SECTIONS = {"admission", "eval", "health", "network", "scan_broker",
-                     "sessions"}
+                     "sessions", "sync"}
+# Every engine slice (core::Engine) enrolls one schema: the host's at the
+# top level, worker i's under "shard.<i>".
+SLICE_SECTIONS = {"eval", "health", "network", "scan_broker", "sync"}
 HISTOGRAM_KEYS = {"count", "p50", "p99", "max"}
 # Present only in sharded snapshots: the reliable backplane's dispatcher
 # counters and replay-buffer gauges (DESIGN.md §14). When a "net" section
@@ -98,6 +102,12 @@ def validate(path):
     missing = REQUIRED_SECTIONS - set(doc)
     if missing:
         return fail(path, f"missing sections: {sorted(missing)}")
+    for name, node in doc.get("shard", {}).items():
+        if not name.isdigit():
+            continue  # the czar's section
+        missing = SLICE_SECTIONS - set(node)
+        if missing:
+            return fail(path, f"shard.{name} missing: {sorted(missing)}")
     if "net" in doc:
         reliable = doc["net"].get("reliable")
         if not isinstance(reliable, dict):
