@@ -43,28 +43,6 @@ Aorta::Aorta(Config config) : config_(config) {
   host_ = std::make_unique<Engine>(*this, -1, comm::EngineNode::kNodeId);
 }
 
-void Aorta::enroll_loop_runtime_metrics(int loop_index) {
-  const aorta::util::LoopRuntimeStats& rs = runtime_.stats(loop_index);
-  const std::string p = "runtime." + std::to_string(loop_index) + ".";
-  metrics_.enroll_counter(p + "barrier_waits", &rs.barrier_waits);
-  metrics_.enroll_counter(p + "posts_out", &rs.posts_out);
-  metrics_.enroll_counter(p + "posts_in", &rs.posts_in);
-  metrics_.enroll_counter(p + "posts_clamped", &rs.posts_clamped);
-  metrics_.enroll_counter(p + "max_outbox_depth", &rs.max_outbox_depth);
-  metrics_.enroll_gauge(p + "queue_depth", [this, loop_index]() {
-    return static_cast<std::int64_t>(runtime_.loop(loop_index)->pending());
-  });
-  // Barrier stall time is wall-clock (how long this loop's thread parked
-  // at the rendezvous): enrolled volatile so it never perturbs the
-  // deterministic snapshot, visible via snapshot_json(_, true).
-  auto hist = std::make_unique<obs::LatencyHistogram>(0.0, 50.0, 50);
-  runtime_.set_stall_sink(loop_index,
-                          [h = hist.get()](double ms) { h->add(ms); });
-  metrics_.enroll_histogram(p + "barrier_stall_ms", hist.get());
-  metrics_.mark_volatile(p + "barrier_stall_ms");
-  stall_hists_.push_back(std::move(hist));
-}
-
 Aorta::~Aorta() { aorta::util::Logger::instance().attach_clock(nullptr); }
 
 void Aorta::add_virtual_file(const std::string& path, std::string content) {

@@ -255,18 +255,13 @@ class Aorta {
   const Config& config() const { return config_; }
 
  private:
-  // A slice registers its tracer and its loop's runtime metrics here.
+  // A slice registers its tracer here.
   friend class Engine;
 
   // Synchronous statement kinds (everything but SELECT).
   aorta::util::Result<ExecResult> exec_ddl(query::Statement& s,
                                            const std::string& sql,
                                            const ExecOptions& options);
-
-  // Enroll runtime.<i>.* metrics for runtime loop `i`: barrier waits,
-  // cross-post counters, queue depth, plus a volatile wall-clock barrier
-  // stall histogram (excluded from deterministic snapshots).
-  void enroll_loop_runtime_metrics(int loop_index);
 
   // Declared first so every component (which may hold enrolled counters)
   // is destroyed before the observability substrate.
@@ -277,7 +272,6 @@ class Aorta {
   aorta::util::LoopGroup runtime_;
   net::Fabric fabric_{&runtime_};
   std::vector<const obs::Tracer*> tracers_;
-  std::vector<std::unique_ptr<obs::LatencyHistogram>> stall_hists_;
   std::unique_ptr<Engine> host_;
   std::map<std::string, std::string> virtual_files_;
 };

@@ -65,7 +65,7 @@ Engine::Engine(Aorta& host, int shard, net::NodeId node)
   executor_.set_tracer(&tracer_);
   comm_.engine().rpc().set_tracer(&tracer_);
   enroll_metrics();
-  host.enroll_loop_runtime_metrics(loop_index_);
+  enroll_runtime_metrics();
 
   (void)registry_.register_type(devices::camera_type_info());
   (void)registry_.register_type(devices::sensor_type_info());
@@ -77,8 +77,31 @@ Engine::Engine(Aorta& host, int shard, net::NodeId node)
 
 Engine::~Engine() {
   metrics_.unenroll_all();
+  runtime_metrics_.unenroll_all();
   std::erase(host_.tracers_, &tracer_);
   host_.runtime().retire(loop_index_);
+}
+
+void Engine::enroll_runtime_metrics() {
+  aorta::util::LoopGroup& runtime = host_.runtime();
+  runtime_metrics_ =
+      host_.metrics().scoped("runtime." + std::to_string(loop_index_) + ".");
+  const aorta::util::LoopRuntimeStats& rs = runtime.stats(loop_index_);
+  runtime_metrics_.enroll_counter("barrier_waits", &rs.barrier_waits);
+  runtime_metrics_.enroll_counter("posts_out", &rs.posts_out);
+  runtime_metrics_.enroll_counter("posts_in", &rs.posts_in);
+  runtime_metrics_.enroll_counter("posts_clamped", &rs.posts_clamped);
+  runtime_metrics_.enroll_counter("max_outbox_depth", &rs.max_outbox_depth);
+  runtime_metrics_.enroll_gauge("queue_depth", [this]() {
+    return static_cast<std::int64_t>(loop_->pending());
+  });
+  // Barrier stall time is wall-clock (how long this loop's thread parked
+  // at the rendezvous): volatile, so it never perturbs the deterministic
+  // snapshot; visible via snapshot_json(_, true).
+  runtime.set_stall_sink(loop_index_,
+                         [this](double ms) { stall_hist_.add(ms); });
+  runtime_metrics_.enroll_histogram("barrier_stall_ms", &stall_hist_);
+  runtime_metrics_.mark_volatile("barrier_stall_ms");
 }
 
 void Engine::enroll_metrics() {

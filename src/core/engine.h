@@ -14,9 +14,11 @@
 // the host slice, "shard.<i>." for worker i — plus runtime.<loop>.* for
 // its loop.
 //
-// Destroying a slice leaves nothing of it on the host: its tracer leaves
-// the host's export list and its loop is retired, so the loop's pending
-// events and any later cross-loop post to it are dropped unrun.
+// Destroying a slice leaves nothing of it on the host: its metrics,
+// runtime.<loop>.* included, are withdrawn, its tracer leaves the host's
+// export list and its loop is retired, so the loop's pending events and
+// any later cross-loop post to it are dropped unrun and the next slice
+// built reuses the loop's slot.
 #pragma once
 
 #include <memory>
@@ -88,6 +90,10 @@ class Engine {
 
  private:
   void enroll_metrics();
+  // runtime.<loop>.*: barrier waits, cross-post counters, queue depth, and
+  // a volatile wall-clock barrier stall histogram (excluded from the
+  // deterministic snapshots).
+  void enroll_runtime_metrics();
 
   Aorta& host_;
   const Config& config_;
@@ -100,6 +106,8 @@ class Engine {
   aorta::util::Rng rng_;
   int loop_index_;
   aorta::util::EventLoop* loop_;
+  obs::MetricsRegistry::Scoped runtime_metrics_;
+  obs::LatencyHistogram stall_hist_{0.0, 50.0, 50};
   // Construction order is the RNG fork order (segment, registry,
   // executor); destruction runs executor first (it holds broker
   // subscriptions) and the segment last.

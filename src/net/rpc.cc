@@ -84,7 +84,10 @@ void RpcClient::trace_span(const Pending& pending, const char* outcome) {
 }
 
 bool RpcClient::on_reply(const Message& msg) {
-  if (msg.request_id == 0) return false;
+  // A request is never a reply, even when its id (another client's
+  // counter) equals one of ours: a worker's comm node also receives the
+  // czar's fragment requests.
+  if (msg.request_id == 0 || msg.is_request) return false;
   auto it = pending_.find(msg.request_id);
   if (it == pending_.end()) {
     // Not pending: either a late reply to a call whose timeout already

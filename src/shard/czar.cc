@@ -65,6 +65,7 @@ Czar::Czar(core::Aorta* host, Options options)
   metrics_.enroll_counter("acks_sent", &stats_.acks_sent);
   metrics_.enroll_counter("nacks_sent", &stats_.nacks_sent);
   metrics_.enroll_counter("partial_selects", &stats_.partial_selects);
+  metrics_.enroll_counter("fragments_pruned", &stats_.fragments_pruned);
   // The reliable dispatcher's own counters, rooted at "net.reliable." (one
   // section for the whole backplane; the Plane adds worker-side replay
   // gauges to it).
@@ -169,6 +170,16 @@ void Czar::send_drop(int shard, const std::string& name, std::uint64_t id) {
                       [](Result<net::Message>) {});
 }
 
+std::vector<int> Czar::dispatch_to(const std::vector<int>& targets) {
+  stats_.fragments_pruned +=
+      static_cast<std::uint64_t>(options_.num_shards) - targets.size();
+  std::vector<int> live;
+  for (int i : targets) {
+    if (shards_[static_cast<std::size_t>(i)].live) live.push_back(i);
+  }
+  return live;
+}
+
 std::vector<std::string> Czar::aq_names() const {
   std::vector<std::string> names;
   names.reserve(ids_.size());
@@ -241,7 +252,8 @@ void Czar::exec_async(
         done(Result<ExecResult>(ok));
         return;
       }
-      exec_select(s.select, sql, std::move(done));
+      exec_select(s.select, sql, target_shards(s.select, options_.num_shards),
+                  std::move(done));
       return;
     }
 
@@ -265,11 +277,13 @@ void Czar::exec_async(
       aq.agg = make_agg_plan(s.create_aq.select);
       aq.announced.assign(static_cast<std::size_t>(options_.num_shards),
                           false);
+      aq.targets = target_shards(s.create_aq.select, options_.num_shards);
+      const std::vector<int> targets = dispatch_to(aq.targets);
       aqs_.emplace(id, std::move(aq));
       ids_.emplace(name, id);
       ++stats_.aqs_registered;
 
-      // Fan out to the live shards; barrier on all replies settling. A
+      // Fan out to the live targets; barrier on all replies settling. A
       // worker-side error (all shards fail identically: same template)
       // unregisters and reports; timeouts are left to supervision.
       struct Barrier {
@@ -279,22 +293,18 @@ void Czar::exec_async(
       };
       auto barrier = std::make_shared<Barrier>();
       barrier->done = std::move(done);
-      std::vector<int> targets;
-      for (int i = 0; i < options_.num_shards; ++i) {
-        if (shards_[static_cast<std::size_t>(i)].live) targets.push_back(i);
-      }
       barrier->remaining = static_cast<int>(targets.size());
       auto alive = alive_;
       auto settle = [this, alive, name, id, barrier]() {
         if (--barrier->remaining > 0) return;
         if (!barrier->error.empty()) {
-          if (*alive && aqs_.erase(id) > 0) {
-            ids_.erase(name);
-            ++stats_.fragment_errors;
-            for (int i = 0; i < options_.num_shards; ++i) {
-              if (shards_[static_cast<std::size_t>(i)].live) {
-                send_drop(i, name, id);
-              }
+          if (*alive) {
+            if (auto it = aqs_.find(id); it != aqs_.end()) {
+              const std::vector<int> unwind = std::move(it->second.targets);
+              aqs_.erase(it);
+              ids_.erase(name);
+              ++stats_.fragment_errors;
+              for (int i : dispatch_to(unwind)) send_drop(i, name, id);
             }
           }
           barrier->done(Result<ExecResult>(
@@ -305,7 +315,7 @@ void Czar::exec_async(
             ExecResult{"continuous query " + name + " registered", {}});
       };
       if (targets.empty()) {
-        // Every worker is down: keep the registration; recovery replays it.
+        // Every target is down: keep the registration; recovery replays it.
         barrier->done(
             ExecResult{"continuous query " + name + " registered", {}});
         return;
@@ -352,13 +362,13 @@ Status Czar::drop_aq(const std::string& name) {
   }
   const std::uint64_t id = it->second;
   ids_.erase(it);
-  aqs_.erase(id);
+  auto aq = aqs_.find(id);
+  const std::vector<int> targets = std::move(aq->second.targets);
+  aqs_.erase(aq);
   ++stats_.aqs_dropped;
   merger_->forget_query(id);
   agg_pending_.erase(id);
-  for (int i = 0; i < options_.num_shards; ++i) {
-    if (shards_[static_cast<std::size_t>(i)].live) send_drop(i, name, id);
-  }
+  for (int i : dispatch_to(targets)) send_drop(i, name, id);
   return Status::ok();
 }
 
@@ -473,13 +483,11 @@ std::vector<query::Row> Czar::merge_select(
 
 void Czar::exec_select(
     const query::SelectStmt& stmt, const std::string& sql,
+    const std::vector<int>& targets,
     std::function<void(Result<ExecResult>)> done) {
   ++stats_.selects;
-  std::vector<int> targets;
-  for (int i = 0; i < options_.num_shards; ++i) {
-    if (shards_[static_cast<std::size_t>(i)].live) targets.push_back(i);
-  }
-  if (targets.empty()) {
+  const std::vector<int> live = dispatch_to(targets);
+  if (live.empty()) {
     done(Result<ExecResult>(aorta::util::unavailable_error(
         "no live workers to run the SELECT on")));
     return;
@@ -488,13 +496,15 @@ void Czar::exec_select(
   struct SelectState {
     int remaining = 0;
     int answered = 0;  // shards that returned a decodable partial
+    int total = 0;     // the target set's size
     std::vector<std::vector<query::TimestampedRow>> partials;
     std::optional<AggPlan> plan;  // the merge plan, built at dispatch
     std::string error;
     std::function<void(Result<ExecResult>)> done;
   };
   auto state = std::make_shared<SelectState>();
-  state->remaining = static_cast<int>(targets.size());
+  state->remaining = static_cast<int>(live.size());
+  state->total = static_cast<int>(targets.size());
   state->partials.resize(static_cast<std::size_t>(options_.num_shards));
   // The fragments share the statement text; each worker re-parses it. The
   // czar keeps only the merge plan.
@@ -509,29 +519,29 @@ void Czar::exec_select(
           aorta::util::invalid_argument_error(state->error)));
       return;
     }
-    // Partial results are never silent: a SELECT some shard failed to
+    // Partial results are never silent: a SELECT some target failed to
     // answer (down at dispatch, or its RPC gave up) is marked as partial —
     // and, when the select list aggregates, rejected outright: a sum or
     // count over a subset of the shards is not a smaller answer, it is a
     // wrong one.
-    if (state->answered < options_.num_shards) {
+    if (state->answered < state->total) {
       if (*alive) ++stats_.partial_selects;
       if (state->plan) {
         state->done(Result<ExecResult>(aorta::util::unavailable_error(
             aorta::util::str_format(
                 "partial aggregate: only %d of %d shard(s) answered; an "
                 "aggregate over a subset would be wrong, not smaller",
-                state->answered, options_.num_shards))));
+                state->answered, state->total))));
         return;
       }
     }
     ExecResult result;
     result.shards_answered = state->answered;
-    result.shards_total = options_.num_shards;
+    result.shards_total = state->total;
     result.rows = merge_select(state->plan, state->partials);
     result.message = aorta::util::str_format(
         "%zu row(s)%s", result.rows.size(),
-        state->answered < options_.num_shards ? " [partial]" : "");
+        state->answered < state->total ? " [partial]" : "");
     std::uint64_t merged = 0;
     for (const auto& p : state->partials) merged += p.size();
     if (*alive) {
@@ -544,7 +554,7 @@ void Czar::exec_select(
     }
     state->done(std::move(result));
   };
-  for (int i : targets) {
+  for (int i : live) {
     send_register(
         i, make_spec("", sql, /*once=*/true, i),
         [i, state, settle](Result<net::Message> reply) {
@@ -851,11 +861,16 @@ void Czar::recover_shard(int shard) {
                       "czar:recover:" + worker_node(shard), loop_->now(),
                       "gen " + std::to_string(s.gen));
   // Fresh-slate handshake: the worker drops every fragment and resets its
-  // outbound stream, then each live AQ is re-registered.
+  // outbound stream, then each live AQ that targets it is re-registered.
   send_register(shard, make_spec("", "", /*once=*/false, shard),
                 [](Result<net::Message>) {});
   for (const auto& [name, id] : ids_) {
     AqState& aq = aqs_.at(id);
+    if (std::find(aq.targets.begin(), aq.targets.end(), shard) ==
+        aq.targets.end()) {
+      ++stats_.fragments_pruned;
+      continue;
+    }
     aq.announced[static_cast<std::size_t>(shard)] = false;
     send_register(shard, make_spec(name, aq.sql, /*once=*/false, shard, id),
                   [](Result<net::Message>) {});

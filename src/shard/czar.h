@@ -10,13 +10,20 @@
 // partial-aggregate-merged (count/sum as sums, min/max as extrema) when
 // the select list aggregates.
 //
+// Shard pruning: each AQ and one-shot SELECT goes only to its target set
+// (target_shards, shard/fragment.h), computed once from the AST. A
+// statement that pins device ids with `alias.id = 'lit'` targets the
+// shards owning them; every other statement targets all shards. A pruned
+// SELECT's barrier, shards_total and partial/aggregate-error rules count
+// its targets only.
+//
 // Per-shard supervision: every worker message refreshes its shard's
 // liveness; a shard silent for kMissThreshold heartbeat intervals is
 // marked down (its rows stop holding back the merge frontier). The first
 // message after that marks it up again and triggers recovery: the czar
 // bumps the shard's generation — a fresh-slate handshake that makes the
 // worker drop every fragment and reset its outbound seq counter — and
-// re-registers every live AQ on it.
+// re-registers every live AQ that targets it.
 //
 // Reliable backplane (DESIGN.md §14): fragment RPCs go through
 // net::ReliableCall (retries + budgets + per-peer circuit breakers; an
@@ -77,7 +84,10 @@ struct CzarStats {
   std::uint64_t dup_msgs_dropped = 0;   // duplicate seqs (chaos or replay)
   std::uint64_t acks_sent = 0;          // cumulative acks to workers
   std::uint64_t nacks_sent = 0;         // retransmit requests for seq gaps
-  std::uint64_t partial_selects = 0;    // SELECTs answered by < all shards
+  std::uint64_t partial_selects = 0;    // SELECTs answered by < all targets
+  // Fragment RPCs not sent because the shard is outside the statement's
+  // target set (shard pruning).
+  std::uint64_t fragments_pruned = 0;
 };
 
 class Czar : public net::Endpoint {
@@ -155,6 +165,9 @@ class Czar : public net::Endpoint {
     // current generation.
     std::vector<std::string> labels;
     std::vector<bool> announced;
+    // The shards the AQ is registered on (target_shards); registration,
+    // its error unwind, drop and recovery touch only these.
+    std::vector<int> targets;
   };
 
   struct ShardState {
@@ -176,8 +189,12 @@ class Czar : public net::Endpoint {
   void send_register(int shard, const FragmentSpec& spec,
                      net::RpcCallback callback);
   void send_drop(int shard, const std::string& name, std::uint64_t id);
+  // The live shards of a target set, in order; the shards outside it
+  // count as pruned.
+  std::vector<int> dispatch_to(const std::vector<int>& targets);
 
   void exec_select(const query::SelectStmt& stmt, const std::string& sql,
+                   const std::vector<int>& targets,
                    std::function<void(aorta::util::Result<core::ExecResult>)>
                        done);
   // Merge per-shard SELECT partials (indexed by shard; a missing shard's

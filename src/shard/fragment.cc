@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 
 namespace aorta::shard {
 
@@ -24,6 +25,65 @@ net::LinkModel backplane_link() {
   link.loss_prob = 0.0;
   link.bandwidth_bytes_per_s = 1e9;
   return link;
+}
+
+namespace {
+
+// The shards a predicate can hold on (bit i: shard i); nullopt when it
+// pins no device, i.e. every shard.
+std::optional<std::vector<bool>> pinned_shards(const query::Expr& e,
+                                               const std::string& alias,
+                                               int num_shards) {
+  using query::BinaryOp;
+  using query::Expr;
+  if (e.kind != Expr::Kind::kBinary) return std::nullopt;
+  if (e.op == BinaryOp::kAnd || e.op == BinaryOp::kOr) {
+    auto lhs = pinned_shards(*e.lhs, alias, num_shards);
+    auto rhs = pinned_shards(*e.rhs, alias, num_shards);
+    const bool conj = e.op == BinaryOp::kAnd;
+    if (!lhs || !rhs) return conj ? (lhs ? lhs : rhs) : std::nullopt;
+    for (std::size_t i = 0; i < lhs->size(); ++i) {
+      (*lhs)[i] = conj ? (*lhs)[i] && (*rhs)[i] : (*lhs)[i] || (*rhs)[i];
+    }
+    return lhs;
+  }
+  if (e.op != BinaryOp::kEq) return std::nullopt;
+  const Expr* column = e.lhs.get();
+  const Expr* literal = e.rhs.get();
+  if (column->kind == Expr::Kind::kLiteral) std::swap(column, literal);
+  // Strings compare byte for byte and never coerce to numbers
+  // (query::compare_values), so only the named device can match.
+  const std::string* id = literal->kind == Expr::Kind::kLiteral
+                              ? std::get_if<std::string>(&literal->literal)
+                              : nullptr;
+  if (id == nullptr || column->kind != Expr::Kind::kColumnRef ||
+      column->column != "id" ||
+      (!column->qualifier.empty() && column->qualifier != alias)) {
+    return std::nullopt;
+  }
+  std::vector<bool> owner(static_cast<std::size_t>(num_shards), false);
+  owner[static_cast<std::size_t>(shard_of(*id, num_shards))] = true;
+  return owner;
+}
+
+}  // namespace
+
+std::vector<int> target_shards(const query::SelectStmt& stmt,
+                               int num_shards) {
+  std::optional<std::vector<bool>> pinned;
+  if (stmt.from.size() == 1 && stmt.where != nullptr) {
+    pinned = pinned_shards(*stmt.where, stmt.from[0].alias, num_shards);
+  }
+  std::vector<int> targets;
+  for (int i = 0; i < num_shards; ++i) {
+    if (!pinned || (*pinned)[static_cast<std::size_t>(i)]) {
+      targets.push_back(i);
+    }
+  }
+  if (targets.empty()) {
+    for (int i = 0; i < num_shards; ++i) targets.push_back(i);
+  }
+  return targets;
 }
 
 void fragment_to_fields(const FragmentSpec& spec, net::Message* msg) {

@@ -1,9 +1,10 @@
 // Query fragments: the wire format of the sharded czar/worker plane.
 //
-// The czar turns each AQ / one-shot SELECT into one fragment per shard: the
-// statement text (each worker re-parses it; the epoch cadence is part of
-// the text), the AQ name, the once flag, the shard's registration
-// generation and, for a continuous AQ, a czar-assigned fragment id. The
+// The czar turns each AQ / one-shot SELECT into one fragment per shard of
+// its target set (target_shards below): the statement text (each worker
+// re-parses it; the epoch cadence is part of the text), the AQ name, the
+// once flag, the shard's registration generation and, for a continuous
+// AQ, a czar-assigned fragment id. The
 // worker needs nothing else: its device slice is its own registry (the
 // Plane placed each device with shard_of). Fragments travel as
 // net::Message RPCs between the czar node and the worker engines:
@@ -141,6 +142,15 @@ inline int shard_of(std::string_view device_id, int num_shards) {
   return static_cast<int>(fnv1a64(device_id) %
                           static_cast<std::uint64_t>(num_shards));
 }
+
+// The target set of a single-table statement: the shards it can produce
+// rows on, ascending. A top-level conjunct `alias.id = 'lit'` (either
+// side order, `id` also unqualified) can hold only on the device the
+// literal names, so it targets shard_of(lit); OR unions its sides'
+// shards, AND intersects them, and any other predicate targets every
+// shard. An empty intersection (a contradiction) also targets every
+// shard, so the result is never empty.
+std::vector<int> target_shards(const query::SelectStmt& stmt, int num_shards);
 
 // One fragment, as the worker reads it.
 struct FragmentSpec {

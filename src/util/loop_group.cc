@@ -20,6 +20,16 @@ int LoopGroup::add_loop() {
   pl->clock = std::make_unique<SimClock>();
   if (!loops_.empty()) pl->clock->advance_to(loops_[0]->clock->now());
   pl->loop = std::make_unique<EventLoop>(pl->clock.get());
+  for (std::size_t i = 1; i < loops_.size(); ++i) {
+    if (!loops_[i]->retired) continue;
+    const int slot = static_cast<int>(i);
+    for (auto& other : loops_) {
+      std::erase_if(other->outbox,
+                    [slot](const CrossPost& p) { return p.dst == slot; });
+    }
+    loops_[i] = std::move(pl);
+    return slot;
+  }
   loops_.push_back(std::move(pl));
   return static_cast<int>(loops_.size()) - 1;
 }
@@ -28,6 +38,7 @@ void LoopGroup::retire(int i) {
   assert(!running_ && "retire while the group is running");
   PerLoop& pl = *loops_[static_cast<std::size_t>(i)];
   pl.retired = true;
+  pl.stall_sink = nullptr;
   pl.loop->clear();
 }
 
@@ -105,11 +116,14 @@ void LoopGroup::run_serial(TimePoint until) {
   TimePoint window;
   while (plan_window(until, &window)) {
     for (auto& pl : loops_) {
+      if (pl->retired) continue;
       pl->loop->run_until(window);
       ++pl->stats.barrier_waits;
     }
   }
-  for (auto& pl : loops_) pl->loop->run_until(until);
+  for (auto& pl : loops_) {
+    if (!pl->retired) pl->loop->run_until(until);
+  }
 }
 
 void LoopGroup::run_threaded(TimePoint until, int nthreads) {
@@ -136,6 +150,7 @@ void LoopGroup::run_threaded(TimePoint until, int nthreads) {
       if (plan.done) break;
       for (int i = tid; i < n; i += nthreads) {
         PerLoop& pl = *loops_[static_cast<std::size_t>(i)];
+        if (pl.retired) continue;
         if (pl.stall_sink) pl.stall_sink(stall_ms);
         pl.loop->run_until(plan.window);
         ++pl.stats.barrier_waits;
@@ -147,7 +162,9 @@ void LoopGroup::run_threaded(TimePoint until, int nthreads) {
   for (int t = 1; t < nthreads; ++t) workers.emplace_back(drive, t);
   drive(0);
   for (auto& th : workers) th.join();
-  for (auto& pl : loops_) pl->loop->run_until(until);
+  for (auto& pl : loops_) {
+    if (!pl->retired) pl->loop->run_until(until);
+  }
 }
 
 void LoopGroup::run_until(TimePoint until) {

@@ -69,15 +69,19 @@ class LoopGroup {
   LoopGroup(const LoopGroup&) = delete;
   LoopGroup& operator=(const LoopGroup&) = delete;
 
-  // Loop 0 (the control loop) exists from construction. add_loop() appends
-  // a loop whose clock starts at the control loop's current time; call it
-  // only while the group is quiescent (not inside run_until).
+  // Loop 0 (the control loop) exists from construction. add_loop() returns
+  // the lowest retired slot, or else appends one. Either way the loop is
+  // fresh: its clock starts at the control loop's current time, with an
+  // empty queue and outbox and zeroed stats; posts still queued for a
+  // reused slot's old loop are dropped. Call it only while the group is
+  // quiescent (not inside run_until).
   int add_loop();
   int size() const { return static_cast<int>(loops_.size()); }
   // Retire loop `i` when the slice living on it is destroyed: its pending
   // events, and every cross-loop post to it from now on, are dropped
-  // unrun. Its index stays valid (an idle loop). Call only while the group
-  // is quiescent.
+  // unrun, its stall sink is withdrawn, and windows no longer step it.
+  // Its index stays valid (an idle loop) until add_loop() reuses it. Call
+  // only while the group is quiescent.
   void retire(int i);
 
   EventLoop* loop(int i) { return loops_[static_cast<std::size_t>(i)]->loop.get(); }

@@ -390,5 +390,31 @@ TEST_F(RpcFixture, UnsolicitedMessageIsNotConsumedAsReply) {
   EXPECT_FALSE(client_node.rpc.on_reply(stray));
 }
 
+// Another client's request may carry the id of one of our pending or
+// timed-out calls (every client counts from 1). It is a request for the
+// owner's push handler, never a reply: the call stays open, and a timed-
+// out id does not swallow it as a late reply.
+TEST_F(RpcFixture, ForeignRequestWithAMatchingIdIsNotAReply) {
+  network.partition("echo");
+  int calls = 0;
+  client_node.rpc.call("echo", "ping", {}, Duration::millis(50),
+                       [&calls](util::Result<Message>) { ++calls; });
+  client_node.rpc.call("echo", "ping", {}, Duration::seconds(1),
+                       [&calls](util::Result<Message>) { ++calls; });
+  loop.run_for(Duration::millis(100));  // call 1 timed out, call 2 pending
+  Message request;
+  request.src = "czar";
+  request.dst = "client";
+  request.kind = "fragment_register";
+  request.is_request = true;
+  for (std::uint64_t id : {1, 2}) {
+    request.request_id = id;
+    EXPECT_FALSE(client_node.rpc.on_reply(request)) << id;
+  }
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(client_node.rpc.stats().late_replies, 0u);
+  EXPECT_EQ(client_node.rpc.completed(), 0u);
+}
+
 }  // namespace
 }  // namespace aorta::net

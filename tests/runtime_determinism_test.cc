@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -219,6 +220,58 @@ TEST(RuntimeDeterminismTest, RuntimeMetricsAreEnrolledPerLoop) {
   EXPECT_EQ(sys.metrics().gauge_value("runtime.loops"), 3);
   // Cross-loop traffic flowed over the fabric during the run.
   EXPECT_GT(sys.metrics().counter_value("network.cross_sent"), 0u);
+}
+
+// A host that re-creates its sharded service reuses the dead slices'
+// loops: the group does not grow, a reused loop starts fresh at the
+// control loop's time, windows stop stepping a retired loop, and
+// runtime.<i>.* leaves the registry with the slice that enrolled it.
+TEST(RuntimeDeterminismTest, RecreatedServicesReuseRetiredLoops) {
+  core::Config config;
+  config.runtime_threads = 2;
+  core::Aorta sys(config);
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    ServiceConfig cfg;
+    cfg.num_shards = 2;
+    auto service = std::make_unique<QueryService>(&sys, cfg);
+    ASSERT_EQ(sys.runtime().size(), 3) << cycle;
+    for (int i = 1; i < 3; ++i) {
+      EXPECT_EQ(sys.runtime().clock(i)->now(), sys.loop().now()) << cycle;
+      EXPECT_EQ(sys.runtime().stats(i).barrier_waits, 0u) << cycle;
+    }
+    ASSERT_TRUE(service->plane()->add_mote("m0", {0, 0, 1}).is_ok());
+    SessionId id = service->connect("acme");
+    ASSERT_TRUE(service
+                    ->submit(id,
+                             "CREATE AQ t AS SELECT s.id FROM sensor s "
+                             "WHERE s.hops > 0")
+                    .is_ok());
+    sys.run_for(Duration::seconds(3.0));
+    std::size_t rows = 0;
+    for (const Delivery& d : service->session(id)->drain()) {
+      rows += d.kind == Delivery::Kind::kRow ? 1 : 0;
+    }
+    EXPECT_GT(rows, 0u) << cycle;
+    EXPECT_TRUE(sys.metrics().contains("runtime.2.barrier_waits")) << cycle;
+
+    service.reset();
+    for (int i = 1; i < 3; ++i) {
+      const std::string p = "runtime." + std::to_string(i) + ".";
+      for (const char* key : {"barrier_waits", "posts_out", "posts_in",
+                              "posts_clamped", "max_outbox_depth",
+                              "queue_depth", "barrier_stall_ms"}) {
+        EXPECT_FALSE(sys.metrics().contains(p + key)) << p << key;
+      }
+    }
+    const std::uint64_t waits = sys.runtime().stats(1).barrier_waits;
+    sys.run_for(Duration::seconds(1.0));
+    EXPECT_EQ(sys.runtime().stats(1).barrier_waits, waits) << cycle;
+  }
+  EXPECT_EQ(sys.runtime().size(), 3);
+  EXPECT_EQ(sys.metrics().gauge_value("runtime.loops"), 3);
+  EXPECT_TRUE(sys.metrics().contains("runtime.0.barrier_waits"));
+  const std::string json = sys.metrics().snapshot_json(false, true);
+  EXPECT_EQ(json.find("\"3\": {"), std::string::npos);
 }
 
 }  // namespace

@@ -5,11 +5,15 @@
 // (2) the delivered continuous-row events are identical between
 // num_shards=1 and num_shards=4 on a 32-AQ workload over a lossless
 // device fabric (the hash partition changes *where* fragments run, not
-// *what* they produce).
+// *what* they produce); and (3) so are the events and SELECT results of
+// point statements, which the czar sends only to the shards owning their
+// devices (shard pruning).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <set>
 #include <string>
 #include <variant>
@@ -50,15 +54,9 @@ std::string value_key(const device::Value& v) {
   return buf;
 }
 
-// One delivered row event, keyed by (query, epoch index, values,
-// degraded marker). The epoch index — not the raw timestamp — is the
-// comparison key: a row's `at` is the instant its epoch scan completed,
-// which can shift by network-latency noise (milliseconds) when the
-// device set is split across differently-sized shards, while the epoch
-// it belongs to cannot.
-std::string event_key(const Delivery& d) {
-  std::string key = d.query;
-  key += "@" + std::to_string(d.at.to_micros() / 1000000);
+// A delivery's rows and degraded marker.
+std::string rows_key(const Delivery& d) {
+  std::string key;
   for (const query::Row& row : d.rows) {
     for (const auto& [name, value] : row) {
       key += "|" + name + "=" + value_key(value);
@@ -66,6 +64,17 @@ std::string event_key(const Delivery& d) {
   }
   key += d.degraded ? "|degraded" : "";
   return key;
+}
+
+// One delivered row event, keyed by (query, epoch index, values,
+// degraded marker). The epoch index — not the raw timestamp — is the
+// comparison key: a row's `at` is the instant its epoch scan completed,
+// which can shift by network-latency noise (milliseconds) when the
+// device set is split across differently-sized shards, while the epoch
+// it belongs to cannot.
+std::string event_key(const Delivery& d) {
+  return d.query + "@" + std::to_string(d.at.to_micros() / 1000000) +
+         rows_key(d);
 }
 
 // The shared world: eight motes with staggered periodic accel spikes and
@@ -107,14 +116,43 @@ void submit_workload(QueryService& service, SessionId id) {
   }
 }
 
+// Point statements: each pins device ids with `s.id = '...'`. Level- and
+// edge-triggered point AQs, a two-id OR, global and GROUP BY point
+// aggregates, and point one-shot SELECTs (a projection and an aggregate).
+void submit_point_workload(QueryService& service, SessionId id) {
+  for (const char* sql : {
+           "CREATE AQ level AS SELECT s.id, s.temp FROM sensor s "
+           "WHERE s.id = 'm3'",
+           "CREATE AQ edge AS SELECT s.id, s.accel_x FROM sensor s "
+           "WHERE s.id = 'm5' AND s.accel_x > 300",
+           "CREATE AQ either AS SELECT s.id, s.accel_x FROM sensor s "
+           "WHERE s.accel_x > 300 AND (s.id = 'm1' OR s.id = 'm6')",
+           "CREATE AQ global AS SELECT avg(s.temp), count(*), "
+           "max(s.accel_x) FROM sensor s WHERE s.id = 'm2' WINDOW 2s",
+           "CREATE AQ grouped AS SELECT s.id, count(*), max(s.accel_x) "
+           "FROM sensor s WHERE s.id = 'm4' OR s.id = 'm7' "
+           "GROUP BY s.id WINDOW 4s EVERY 2s",
+           "SELECT s.id, s.temp FROM sensor s WHERE s.id = 'm3'",
+           "SELECT count(*), avg(s.temp) FROM sensor s WHERE s.id = 'm6'",
+       }) {
+    ASSERT_TRUE(service.submit(id, sql).is_ok()) << sql;
+  }
+}
+
 struct RunOutput {
   std::multiset<std::string> events;  // delivered row keys, at < cutoff
+  // Statement results by statement id: message, rows, and for one-shot
+  // SELECTs shards answered / total.
+  std::map<std::uint64_t, std::string> results;
+  std::uint64_t fragments_pruned = 0;
   std::string stats_json;
   std::string trace_json;
 };
 
-RunOutput run_workload(int num_shards, std::uint64_t seed,
-                       double run_s, double cutoff_s) {
+RunOutput run_workload(int num_shards, std::uint64_t seed, double run_s,
+                       double cutoff_s,
+                       void (*submit)(QueryService&, SessionId) =
+                           submit_workload) {
   core::Config config;
   config.seed = seed;
   config.tracing = true;
@@ -125,12 +163,20 @@ RunOutput run_workload(int num_shards, std::uint64_t seed,
   QueryService service(&sys, cfg);
   build_world(service, sys);
   SessionId id = service.connect("acme");
-  submit_workload(service, id);
+  submit(service, id);
   sys.run_for(Duration::seconds(run_s));
 
   RunOutput out;
   for (const Delivery& d : service.session(id)->drain()) {
     EXPECT_NE(d.kind, Delivery::Kind::kError) << d.message;
+    if (d.kind == Delivery::Kind::kResult) {
+      // Not the completion instant: a one-shot SELECT's sweep takes
+      // longer on a shard with more devices.
+      out.results[d.statement_id] =
+          d.message + " shards " + std::to_string(d.shards_answered) + "/" +
+          std::to_string(d.shards_total) + rows_key(d);
+      continue;
+    }
     if (d.kind != Delivery::Kind::kRow) continue;
     // Ignore the tail the merge frontier may still be holding back: rows
     // released only after the next heartbeat would make the comparison
@@ -138,6 +184,8 @@ RunOutput run_workload(int num_shards, std::uint64_t seed,
     if (d.at > TimePoint() + Duration::seconds(cutoff_s)) continue;
     out.events.insert(event_key(d));
   }
+  out.fragments_pruned =
+      sys.metrics().counter_value("shard.czar.fragments_pruned");
   out.stats_json = service.stats_json();
   out.trace_json = sys.trace_json();  // merged across all segment tracers
   return out;
@@ -164,6 +212,32 @@ TEST(ShardEquivalenceTest, DeliveredEventsMatchBetweenOneAndFourShards) {
   // delivered rows.
   EXPECT_GT(one.events.size(), 400u);
   EXPECT_EQ(one.events, four.events);
+  EXPECT_EQ(one.results, four.results);
+}
+
+TEST(ShardEquivalenceTest, PointStatementsMatchBetweenOneAndFourShards) {
+  RunOutput one = run_workload(1, 11, 20.0, 15.0, submit_point_workload);
+  RunOutput four = run_workload(4, 13, 20.0, 15.0, submit_point_workload);
+
+  // Every statement ran to completion, and every AQ delivered rows.
+  ASSERT_EQ(one.results.size(), 7u);
+  for (const char* aq : {"level@", "edge@", "either@", "global@",
+                         "grouped@"}) {
+    const std::string prefix = std::string("s1/") + aq;
+    EXPECT_TRUE(std::any_of(one.events.begin(), one.events.end(),
+                            [&prefix](const std::string& e) {
+                              return e.rfind(prefix, 0) == 0;
+                            }))
+        << prefix;
+  }
+  EXPECT_EQ(one.events, four.events);
+  // Results carry shards answered/total: a one-id SELECT reports 1/1 at
+  // four shards too.
+  EXPECT_EQ(one.results, four.results);
+  EXPECT_EQ(one.fragments_pruned, 0u);
+  // Five one-id statements skip three shards each; the OR statements skip
+  // two or three.
+  EXPECT_GE(four.fragments_pruned, 5u * 3u + 2u * 2u);
 }
 
 }  // namespace

@@ -502,6 +502,62 @@ TEST(CzarPlanningTest, RejectsJoinsAndForeignDdl) {
   ASSERT_FALSE(aq_join.is_ok());
 }
 
+std::vector<int> targets_of(const std::string& where, int num_shards = 4) {
+  auto parsed = query::parse("SELECT s.temp FROM sensor s" +
+                             (where.empty() ? "" : " WHERE " + where));
+  EXPECT_TRUE(parsed.is_ok()) << where;
+  if (!parsed.is_ok()) return {};
+  return shard::target_shards(parsed.value().select, num_shards);
+}
+
+TEST(CzarPlanningTest, TargetSetsFollowIdPredicates) {
+  const std::vector<int> all = {0, 1, 2, 3};
+  // Two device ids owned by different shards of four.
+  std::string a = "m0";
+  std::string b;
+  for (int i = 1; b.empty(); ++i) {
+    const std::string id = "m" + std::to_string(i);
+    if (shard::shard_of(id, 4) != shard::shard_of(a, 4)) b = id;
+  }
+  const int owner_a = shard::shard_of(a, 4);
+  const int owner_b = shard::shard_of(b, 4);
+  const std::vector<int> both = {std::min(owner_a, owner_b),
+                                 std::max(owner_a, owner_b)};
+
+  EXPECT_EQ(targets_of(""), all);
+  EXPECT_EQ(targets_of("s.temp > 3"), all);
+  // `alias.id = 'lit'` in either order, or unqualified, targets the owner.
+  EXPECT_EQ(targets_of("s.id = '" + a + "'"), std::vector<int>{owner_a});
+  EXPECT_EQ(targets_of("'" + a + "' = s.id"), std::vector<int>{owner_a});
+  EXPECT_EQ(targets_of("id = '" + a + "'"), std::vector<int>{owner_a});
+  // A conjunction intersects, a disjunction unions.
+  EXPECT_EQ(targets_of("s.temp > 3 AND s.id = '" + a + "'"),
+            std::vector<int>{owner_a});
+  EXPECT_EQ(targets_of("s.id = '" + b + "' OR s.id = '" + a + "'"), both);
+  EXPECT_EQ(targets_of("(s.id = '" + a + "' AND s.temp > 3) OR s.id = '" +
+                       b + "'"),
+            both);
+  EXPECT_EQ(targets_of("s.temp > 1 AND (s.id = '" + a + "' OR s.id = '" + b +
+                       "') AND s.id = '" + b + "'"),
+            std::vector<int>{owner_b});
+  // Anything else fans out: a disjunct that pins nothing, a negation, an
+  // inequality, a number, another alias, another column, and a
+  // contradiction (an empty intersection).
+  EXPECT_EQ(targets_of("s.id = '" + a + "' OR s.temp > 3"), all);
+  EXPECT_EQ(targets_of("NOT (s.id = '" + a + "')"), all);
+  EXPECT_EQ(targets_of("s.id > '" + a + "'"), all);
+  EXPECT_EQ(targets_of("s.id = 7"), all);
+  EXPECT_EQ(targets_of("t.id = '" + a + "'"), all);
+  EXPECT_EQ(targets_of("s.loc = '" + a + "'"), all);
+  EXPECT_EQ(targets_of("s.id = '" + a + "' AND s.id = '" + b + "'"), all);
+  EXPECT_EQ(targets_of("s.id = '" + a + "'", 1), std::vector<int>{0});
+  // Joins are never pruned (the czar rejects them anyway).
+  auto join = query::parse(
+      "SELECT s.id FROM sensor s, camera c WHERE s.id = '" + a + "'");
+  ASSERT_TRUE(join.is_ok());
+  EXPECT_EQ(shard::target_shards(join.value().select, 4), all);
+}
+
 // ----------------------------------------------- end-to-end shard plane
 
 // A deterministic 2-shard world: six motes with distinct constant temps,
@@ -752,6 +808,160 @@ TEST(ShardPlaneTest, PartitionedWorkerIsMarkedDownAndRecoveredOnHeal) {
   std::size_t after_heal = rows.size();
   w.sys.run_for(Duration::seconds(3.0));
   EXPECT_GT(rows.size(), after_heal);
+}
+
+// Shard pruning: a point statement costs one fragment RPC on a 4-shard
+// plane, and only the owning worker ever sees it.
+TEST(ShardPlaneTest, PointStatementsGoOnlyToTheOwningShard) {
+  PlaneWorld w(4);
+  const int owner = w.plane->shard_of_device("m2");
+  const shard::CzarStats& cs = w.plane->czar().stats();
+  const net::ReliableCallStats& rs = w.plane->czar().reliable_stats();
+  auto exec = [&w](const std::string& sql, core::ExecOptions opts = {}) {
+    util::Result<core::ExecResult> out = util::internal_error("not called");
+    w.plane->exec_async(sql, std::move(opts),
+                        [&out](util::Result<core::ExecResult> r) {
+                          out = std::move(r);
+                        });
+    w.sys.run_for(Duration::seconds(2.0));
+    EXPECT_TRUE(out.is_ok()) << sql << ": " << out.status().message();
+    return out;
+  };
+  auto registered = [&w]() {
+    std::vector<std::uint64_t> n;
+    for (int i = 0; i < 4; ++i) {
+      n.push_back(w.plane->worker(i).stats().fragments_registered);
+    }
+    return n;
+  };
+
+  std::size_t rows = 0;
+  core::ExecOptions opts;
+  opts.on_row = [&rows](const std::string&, const query::TimestampedRow& r) {
+    EXPECT_EQ(std::get<std::string>(r.row[0].second), "m2");
+    ++rows;
+  };
+  std::uint64_t calls = rs.calls;
+  (void)exec(
+      "CREATE AQ p AS SELECT s.id, s.temp FROM sensor s WHERE s.id = 'm2'",
+      std::move(opts));
+  EXPECT_EQ(rs.calls - calls, 1u);
+  EXPECT_EQ(cs.fragments_pruned, 3u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(w.plane->worker(i).fragment_count(), i == owner ? 1u : 0u);
+  }
+  w.sys.run_for(Duration::seconds(3.0));
+  EXPECT_GT(rows, 0u);
+
+  calls = rs.calls;
+  (void)exec("DROP AQ p");
+  EXPECT_EQ(rs.calls - calls, 1u);
+  EXPECT_EQ(cs.fragments_pruned, 6u);
+  EXPECT_EQ(w.plane->worker(owner).fragment_count(), 0u);
+  EXPECT_EQ(w.plane->worker(owner).stats().fragments_dropped, 1u);
+
+  // A point registration that fails on its owner unwinds there alone:
+  // one register and one drop.
+  calls = rs.calls;
+  util::Result<core::ExecResult> bad = util::internal_error("not called");
+  w.plane->exec_async(
+      "CREATE AQ bad AS SELECT x.temp FROM nosuch x WHERE x.id = 'm2'", {},
+      [&bad](util::Result<core::ExecResult> r) { bad = std::move(r); });
+  w.sys.run_for(Duration::seconds(2.0));
+  EXPECT_FALSE(bad.is_ok());
+  EXPECT_EQ(cs.fragment_errors, 1u);
+  EXPECT_EQ(rs.calls - calls, 2u);
+  EXPECT_EQ(cs.fragments_pruned, 12u);
+
+  // A statement that pins no device still goes to every shard.
+  calls = rs.calls;
+  std::vector<std::uint64_t> expected = registered();
+  for (std::uint64_t& n : expected) ++n;
+  (void)exec("CREATE AQ q AS SELECT s.temp FROM sensor s WHERE s.temp > 0");
+  EXPECT_EQ(rs.calls - calls, 4u);
+  EXPECT_EQ(cs.fragments_pruned, 12u);
+  EXPECT_EQ(registered(), expected);
+
+  // A point SELECT runs on the owner alone and reports 1 of 1 shards; a
+  // two-id SELECT reports its two owners.
+  calls = rs.calls;
+  auto point = exec("SELECT s.id, s.temp FROM sensor s WHERE s.id = 'm2'");
+  EXPECT_EQ(rs.calls - calls, 1u);
+  ASSERT_TRUE(point.is_ok());
+  EXPECT_EQ(point.value().shards_answered, 1);
+  EXPECT_EQ(point.value().shards_total, 1);
+  ASSERT_EQ(point.value().rows.size(), 1u);
+  EXPECT_EQ(std::get<double>(point.value().rows[0][1].second), 12.0);
+  std::string other;
+  for (int i = 0; other.empty(); ++i) {
+    const std::string id = "m" + std::to_string(i);
+    if (w.plane->shard_of_device(id) != owner) other = id;
+  }
+  auto pair = exec(
+      "SELECT count(*) FROM sensor s WHERE s.id = 'm2' OR s.id = '" + other +
+      "'");
+  ASSERT_TRUE(pair.is_ok());
+  EXPECT_EQ(pair.value().shards_answered, 2);
+  EXPECT_EQ(pair.value().shards_total, 2);
+  EXPECT_EQ(std::get<std::int64_t>(pair.value().rows[0][0].second), 2);
+  EXPECT_EQ(cs.fragments_pruned, 12u + 3u + 2u);
+  EXPECT_EQ(w.sys.metrics().counter_value("shard.czar.fragments_pruned"),
+            cs.fragments_pruned);
+}
+
+// Kill and heal the shard that owns a point AQ's device: recovery
+// re-registers there only the AQs that target it, and their rows resume.
+TEST(ShardPlaneTest, HealedShardReregistersOnlyTheAqsThatTargetIt) {
+  PlaneWorld w(2);
+  const int owner = w.plane->shard_of_device("m0");
+  std::string other;
+  for (int i = 1; other.empty(); ++i) {
+    const std::string id = "m" + std::to_string(i);
+    if (w.plane->shard_of_device(id) != owner) other = id;
+  }
+  std::map<std::string, std::vector<TimePoint>> rows;
+  auto create = [&](const std::string& name, const std::string& where) {
+    core::ExecOptions opts;
+    opts.on_row = [&rows](const std::string& q,
+                          const query::TimestampedRow& r) {
+      rows[q].push_back(r.at);
+    };
+    w.plane->exec_async(
+        "CREATE AQ " + name + " AS SELECT s.id, s.temp FROM sensor s WHERE " +
+            where,
+        std::move(opts), [](util::Result<core::ExecResult> r) {
+          ASSERT_TRUE(r.is_ok()) << r.status().message();
+        });
+  };
+  create("mine", "s.id = 'm0'");
+  create("theirs", "s.id = '" + other + "'");
+  create("wide", "s.hops > 0");
+  w.sys.run_for(Duration::seconds(3.0));
+  shard::Worker& worker = w.plane->worker(owner);
+  EXPECT_EQ(worker.fragment_count(), 2u);
+  EXPECT_EQ(w.plane->worker(1 - owner).fragment_count(), 2u);
+  const std::uint64_t registered = worker.stats().fragments_registered;
+  const std::uint64_t pruned = w.plane->czar().stats().fragments_pruned;
+
+  const std::string node = shard::worker_node(owner);
+  w.sys.network().partition(node);
+  w.sys.run_for(Duration::seconds(6.0));
+  ASSERT_FALSE(w.plane->czar().worker_live(owner));
+  w.sys.network().heal(node);
+  w.sys.run_for(Duration::seconds(2.0));
+  ASSERT_TRUE(w.plane->czar().worker_live(owner));
+  EXPECT_EQ(w.plane->czar().stats().reregistrations, 1u);
+  // "mine" and "wide" came back; "theirs" was never sent here.
+  EXPECT_EQ(worker.stats().fragments_registered - registered, 2u);
+  EXPECT_EQ(worker.fragment_count(), 2u);
+  EXPECT_EQ(w.plane->czar().stats().fragments_pruned - pruned, 1u);
+
+  const TimePoint healed = w.sys.loop().now();
+  w.sys.run_for(Duration::seconds(3.0));
+  for (const char* q : {"mine", "theirs", "wide"}) {
+    ASSERT_FALSE(rows[q].empty()) << q;
+    EXPECT_GT(rows[q].back(), healed) << q;
+  }
 }
 
 // Identical edge-triggered AQs co0..co<n-1>: every one fires on every

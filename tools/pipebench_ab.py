@@ -20,7 +20,13 @@ For each workload it prints every end-to-end metric of BENCHMARK.json per
 seed, each side's median and quartiles, the change's wins counted in the
 metric's `better` direction (ties count for neither side), the ratio of the
 medians, the base's IQR, and whether the change's median is worse than the
-base's by more than the metric's bound. It compares `measured.digest_all`
+base's by more than the metric's bound. Beside them it prints the raw,
+ungated figures behind the normalisation, per seed and each side's median:
+`sim_per_wall` (simulated seconds per wall second of a chunk, before
+dividing by host speed) and `ref_round_ms` (the reference round that
+measures host speed). The reference round allocates, so heap state the
+engine leaves behind can move it; a normalised gain that the raw rate does
+not show is suspect. It compares `measured.digest_all`
 and `measured.digest_rows` per seed, and exits non-zero on a digest
 mismatch, on a run that is not `correct`, or on failed operations. It edits
 nothing under pipebench/ and nothing in the repository's working tree.
@@ -35,6 +41,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path.cwd()
+
+# Ungated figures printed beside the gated ones, from the measured pass.
+RAW = (
+    ("sim_per_wall", "sim_s/wall_s",
+     lambda m: m["chunk_sim_s"] / m["chunk_wall_s_p50"]),
+    ("ref_round_ms", "ms", lambda m: m["ref_round_s_p50"] * 1e3),
+)
 
 
 def fail(msg):
@@ -132,6 +145,16 @@ def report(workload, metrics, seeds, runs):
               f"median ratio {ratio:.3f}, |median gap| "
               f"{'>' if abs(gap) > iqr else '<='} base IQR"
               + (f", WORSE THAN BOUND {bound}" if out_of_bound else ""))
+
+    for name, unit, value in RAW:
+        base = [value(runs[s]["base"][1]) for s in seeds]
+        change = [value(runs[s]["change"][1]) for s in seeds]
+        print(f"  {name} ({unit}, raw, not gated)")
+        for seed, b, c in zip(seeds, base, change):
+            print(f"    seed {seed:3d}: {b:14.4f} -> {c:14.4f}")
+        bm, cm = statistics.median(base), statistics.median(change)
+        print(f"    base median {bm:.4f}, change median {cm:.4f}, ratio "
+              f"{cm / bm if bm else float('nan'):.3f}")
     return problems
 
 
