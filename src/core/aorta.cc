@@ -123,10 +123,10 @@ void Aorta::exec_async(const std::string& sql, ExecOptions options,
         });
     return;
   }
-  done(exec_ddl(s, sql, options));
+  done(exec_ddl(s, options));
 }
 
-Result<ExecResult> Aorta::exec_ddl(query::Statement& s, const std::string& sql,
+Result<ExecResult> Aorta::exec_ddl(query::Statement& s,
                                    const ExecOptions& options) {
   switch (s.kind) {
     case query::Statement::Kind::kCreateAction: {
@@ -186,8 +186,7 @@ Result<ExecResult> Aorta::exec_ddl(query::Statement& s, const std::string& sql,
       hooks.owner = options.owner;
       hooks.on_row = options.on_row;
       AORTA_RETURN_IF_ERROR_EXEC(host_->executor().register_aq(
-          name, s.create_aq.epoch_s, s.create_aq.select, sql,
-          std::move(hooks)));
+          name, s.create_aq.epoch_s, s.create_aq.select, std::move(hooks)));
       return ExecResult{"continuous query " + name + " registered", {}};
     }
 

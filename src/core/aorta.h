@@ -260,7 +260,6 @@ class Aorta {
 
   // Synchronous statement kinds (everything but SELECT).
   aorta::util::Result<ExecResult> exec_ddl(query::Statement& s,
-                                           const std::string& sql,
                                            const ExecOptions& options);
 
   // Declared first so every component (which may hold enrolled counters)

@@ -15,18 +15,20 @@ std::string_view span_cat_name(SpanCat cat) {
   return idx < kNames.size() ? kNames[idx] : "unknown";
 }
 
-Tracer::Tracer(std::size_t capacity) : ring_(capacity > 0 ? capacity : 1) {}
+Tracer::Tracer(std::size_t capacity)
+    : capacity_(capacity > 0 ? capacity : 1) {}
 
 void Tracer::record(SpanCat cat, std::string name, util::TimePoint start,
                     util::TimePoint end, std::string detail) {
   if (!enabled_) return;
+  if (ring_.size() < capacity_) ring_.emplace_back();
   Span& slot = ring_[next_];
   slot.start = start;
   slot.dur = end - start;
   slot.cat = cat;
   slot.name = std::move(name);
   slot.detail = std::move(detail);
-  next_ = (next_ + 1) % ring_.size();
+  next_ = (next_ + 1) % capacity_;
   ++recorded_;
 }
 
@@ -35,13 +37,10 @@ void Tracer::instant(SpanCat cat, std::string name, util::TimePoint at,
   record(cat, std::move(name), at, at, std::move(detail));
 }
 
-std::size_t Tracer::size() const {
-  return recorded_ < ring_.size() ? static_cast<std::size_t>(recorded_)
-                                  : ring_.size();
-}
+std::size_t Tracer::size() const { return ring_.size(); }
 
 std::uint64_t Tracer::dropped() const {
-  return recorded_ > ring_.size() ? recorded_ - ring_.size() : 0;
+  return recorded_ > capacity_ ? recorded_ - capacity_ : 0;
 }
 
 std::vector<Span> Tracer::snapshot() const {
@@ -49,9 +48,9 @@ std::vector<Span> Tracer::snapshot() const {
   std::size_t n = size();
   out.reserve(n);
   // Oldest retained span sits at the write cursor once the ring has wrapped.
-  std::size_t start = recorded_ > ring_.size() ? next_ : 0;
+  std::size_t start = recorded_ > capacity_ ? next_ : 0;
   for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
+    out.push_back(ring_[(start + i) % n]);
   }
   return out;
 }
@@ -59,7 +58,7 @@ std::vector<Span> Tracer::snapshot() const {
 void Tracer::clear() {
   next_ = 0;
   recorded_ = 0;
-  for (Span& s : ring_) s = Span{};
+  std::vector<Span>().swap(ring_);
 }
 
 namespace {

@@ -25,7 +25,9 @@
 //             streams up to a watermark frontier
 //
 // Spans land in a fixed-capacity ring buffer (bounded memory; oldest spans
-// are overwritten) and export as Chrome trace-event JSON ("X" complete
+// are overwritten) that grows with the spans recorded, so a tracer that
+// never records (tracing off) holds no ring at all. They export as Chrome
+// trace-event JSON ("X" complete
 // events, ts/dur in virtual microseconds, one tid per category) which
 // loads directly in Perfetto / chrome://tracing.
 //
@@ -89,7 +91,7 @@ class Tracer {
   void instant(SpanCat cat, std::string name, util::TimePoint at,
                std::string detail = {});
 
-  std::size_t capacity() const { return ring_.size(); }
+  std::size_t capacity() const { return capacity_; }
   std::size_t size() const;               // spans currently retained
   std::uint64_t recorded() const { return recorded_; }  // lifetime total
   std::uint64_t dropped() const;          // overwritten by ring wrap
@@ -106,7 +108,8 @@ class Tracer {
   util::Status export_file(const std::string& path) const;
 
  private:
-  std::vector<Span> ring_;
+  std::size_t capacity_;
+  std::vector<Span> ring_;      // grows to capacity_, then wraps
   std::size_t next_ = 0;        // ring write cursor
   std::uint64_t recorded_ = 0;  // lifetime spans recorded
   bool enabled_ = false;

@@ -51,7 +51,7 @@ Status AggregateCache::build_spec(const CompiledQuery& compiled,
     return aorta::util::invalid_argument_error(
         "continuous aggregates cannot embed actions");
   }
-  const comm::Schema& schema = compiled.schemas.at(compiled.event_alias);
+  const comm::Schema& schema = *compiled.schemas.at(compiled.event_alias);
 
   // GROUP BY: plain event-table columns only.
   for (const auto& g : compiled.group_by) {

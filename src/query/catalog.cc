@@ -36,6 +36,17 @@ Status Catalog::bind_action_impl(const std::string& name, ActionImpl impl) {
   return Status::ok();
 }
 
+const comm::Schema& Catalog::table_schema(
+    const device::DeviceTypeInfo& info) const {
+  auto it = tables_.find(info.type_id);
+  if (it == tables_.end()) {
+    it = tables_
+             .emplace(info.type_id, comm::Schema::from_catalog(info.catalog))
+             .first;
+  }
+  return it->second;
+}
+
 std::shared_ptr<ProfileCostModel> ProfileCostModel::from_profile(
     const device::ActionProfile& profile,
     const device::AtomicOpCostTable& op_costs) {

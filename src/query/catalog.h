@@ -1,5 +1,5 @@
 // The query engine's catalog: registered actions, scalar functions and
-// continuous queries.
+// the virtual table schema of each device type.
 //
 // Actions are "Aorta system built-in or user-defined functions that
 // operate devices" (Section 2.2). A user-defined action is registered via
@@ -15,7 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "comm/tuple.h"
 #include "device/profile.h"
+#include "device/registry.h"
 #include "query/ast.h"
 #include "query/expr_eval.h"
 #include "sched/cost_model.h"
@@ -58,13 +60,6 @@ struct ActionDef {
   std::string library_path;  // metadata from CREATE ACTION
 };
 
-// A registered continuous action-embedded query.
-struct RegisteredAq {
-  std::string name;
-  double epoch_s = 0.0;  // 0 = engine default
-  std::string source_sql;
-};
-
 class Catalog {
  public:
   aorta::util::Status register_action(ActionDef action);
@@ -77,9 +72,17 @@ class Catalog {
   FunctionRegistry& functions() { return functions_; }
   const FunctionRegistry& functions() const { return functions_; }
 
+  // The virtual table of a registered device type, built on first use and
+  // then shared by every query compiled against this catalog: a type's
+  // device catalog never changes once registered, so one immutable schema
+  // serves them all. A catalog serves one registry and one event loop (an
+  // engine slice owns one of each), which is what makes the lazy fill safe.
+  const comm::Schema& table_schema(const device::DeviceTypeInfo& info) const;
+
  private:
   std::map<std::string, ActionDef> actions_;
   FunctionRegistry functions_;
+  mutable std::map<device::DeviceTypeId, comm::Schema> tables_;
 };
 
 // Generic profile-driven cost model for user-defined actions: cost is the

@@ -13,6 +13,12 @@ using aorta::util::Status;
 
 namespace {
 
+// Swap with an empty container, so its storage goes too.
+template <typename T>
+void release(T& container) {
+  T().swap(container);
+}
+
 // Split a WHERE tree into top-level conjuncts.
 void split_conjuncts(const Expr& expr, std::vector<const Expr*>* out) {
   if (expr.kind == Expr::Kind::kBinary && expr.op == BinaryOp::kAnd) {
@@ -226,9 +232,9 @@ Result<CompiledQuery> compile(const SelectStmt& stmt, const Catalog& catalog,
         "at most 2 tables are supported (event table + candidate table)"));
   }
 
-  // Schemas per alias, built from the registered device catalogs and owned
-  // by the compiled query (program slot resolution needs them, and EXPLAIN
-  // outlives this call).
+  // Schemas per alias: the catalog's one schema per device type, shared by
+  // every query it compiles (program slot resolution needs them, and
+  // EXPLAIN and candidate tuples outlive this call).
   for (const auto& ref : stmt.from) {
     const device::DeviceTypeInfo* info = registry.type_info(ref.table);
     if (info == nullptr) {
@@ -242,9 +248,9 @@ Result<CompiledQuery> compile(const SelectStmt& stmt, const Catalog& catalog,
     q.tables.push_back(ref);
     q.table_types[ref.alias] = ref.table;
     q.binding_aliases.push_back(ref.alias);
-    q.schemas[ref.alias] = comm::Schema::from_catalog(info->catalog);
+    q.schemas[ref.alias] = &catalog.table_schema(*info);
   }
-  std::map<std::string, const comm::Schema*> schemas = q.schema_ptrs();
+  const std::map<std::string, const comm::Schema*>& schemas = q.schemas;
 
   // ---- WHERE: conjunct classification -----------------------------------
   std::vector<const Expr*> conjuncts;
@@ -349,7 +355,7 @@ Result<CompiledQuery> compile(const SelectStmt& stmt, const Catalog& catalog,
     if (item->kind == Expr::Kind::kColumnRef && item->column == "*") {
       // SELECT *: every attribute of every table, labelled alias.field.
       for (const auto& [alias, schema] : q.schemas) {
-        for (const auto& f : schema.fields()) {
+        for (const auto& f : schema->fields()) {
           q.projections.push_back(Expr::make_column(alias, f.name));
           q.labels.push_back(q.projections.back()->to_string());
         }
@@ -459,12 +465,6 @@ Result<CompiledQuery> compile(const SelectStmt& stmt, const Catalog& catalog,
 
 namespace aorta::query {
 
-std::map<std::string, const comm::Schema*> CompiledQuery::schema_ptrs() const {
-  std::map<std::string, const comm::Schema*> out;
-  for (const auto& [alias, schema] : schemas) out[alias] = &schema;
-  return out;
-}
-
 std::size_t CompiledQuery::program_count() const {
   std::size_t n = event_programs.size() + join_programs.size() +
                   projection_programs.size();
@@ -474,6 +474,17 @@ std::size_t CompiledQuery::program_count() const {
   // The binding-param slot of each action holds no program.
   for (const auto& call : actions) n += call.arg_programs.size() - 1;
   return n;
+}
+
+void CompiledQuery::release_trees() {
+  release(tables);
+  release(event_predicates);
+  release(join_predicates);
+  release(projections);
+  release(group_by);
+  for (auto& agg : aggregates) agg.arg.reset();
+  for (auto& call : actions) release(call.args);
+  release(needed_attrs);
 }
 
 std::string CompiledQuery::describe() const {

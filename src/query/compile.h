@@ -27,9 +27,10 @@ namespace aorta::query {
 struct CompiledActionCall {
   const ActionDef* action = nullptr;
   std::vector<ExprPtr> args;    // evaluated per selected candidate device
-  // Compiled form of each argument, aligned with `args`. The binding-param
-  // argument is never evaluated (finalized per selected device), so its
-  // slot holds an empty program.
+  // Compiled form of each argument, aligned with `args` (which a
+  // registered query releases). The binding-param argument is never
+  // evaluated (finalized per selected device), so its slot holds an empty
+  // program.
   std::vector<EvalProgram> arg_programs;
   std::string candidate_alias;  // alias of the candidate table ("" = event table)
   std::size_t candidate_binding = 0;  // frame slot of candidate_alias
@@ -139,7 +140,9 @@ struct CompiledQuery {
   // fills a BindingFrame and runs the programs.
   std::vector<std::string> binding_aliases;
   std::size_t event_binding = 0;  // frame slot of event_alias
-  std::map<std::string, comm::Schema> schemas;  // owned, per alias
+  // Per alias, the catalog's shared schema of its table
+  // (Catalog::table_schema): owned by the catalog, not the query.
+  std::map<std::string, const comm::Schema*> schemas;
   std::vector<EvalProgram> event_programs;       // aligned
   std::vector<EvalProgram> join_programs;        // aligned
   std::vector<EvalProgram> projection_programs;  // aligned
@@ -155,10 +158,6 @@ struct CompiledQuery {
     return table_types.at(event_alias);
   }
 
-  // Alias -> schema pointer view over the owned schemas (program
-  // compilation input).
-  std::map<std::string, const comm::Schema*> schema_ptrs() const;
-
   // Number of programs lowered (every evaluated expression).
   std::size_t program_count() const;
 
@@ -166,6 +165,13 @@ struct CompiledQuery {
   // trigger mode, predicate classification, embedded actions with their
   // candidate tables, and the projection pushdown sets.
   std::string describe() const;
+
+  // Drop what only planning reads, once a continuous query is registered:
+  // the FROM list, every expression tree (each evaluated one lives on as
+  // its program) and the pushdown sets. Evaluation reads none of them;
+  // describe(), AggregateCache::attach and the delivery-group join do, so
+  // this runs after all three.
+  void release_trees();
 };
 
 // Compile against the catalog (action/function names) and the registry

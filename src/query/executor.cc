@@ -48,7 +48,6 @@ ContinuousQueryExecutor::~ContinuousQueryExecutor() {
 Status ContinuousQueryExecutor::register_aq(const std::string& name,
                                             double epoch_s,
                                             const SelectStmt& stmt,
-                                            std::string source_sql,
                                             AqHooks hooks) {
   if (queries_.count(name) > 0) {
     return aorta::util::already_exists_error("query already registered: " + name);
@@ -72,7 +71,6 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
   aq->name = name;
   aq->generation = next_generation_++;
   aq->hooks = std::move(hooks);
-  aq->source_sql = std::move(source_sql);
   aq->compiled = std::move(compiled).value();
   eval_stats_.programs_compiled += aq->compiled.program_count();
 
@@ -108,6 +106,7 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
       release_slot(aq->slot);
       return attached;
     }
+    aq->compiled = CompiledQuery{};
     AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kRegister, "register:" + name,
                         loop_->now(),
                         "aggregate every " + std::to_string(aq->epoch_ticks) +
@@ -128,7 +127,8 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
   // event-table attributes (projection pushdown).
   std::set<std::string> needed;
   auto it = aq->compiled.needed_attrs.find(aq->compiled.event_alias);
-  if (it != aq->compiled.needed_attrs.end()) needed = it->second;
+  if (it != aq->compiled.needed_attrs.end()) needed = std::move(it->second);
+  aq->compiled.release_trees();
 
   // AQs with the same (type, period, phase, needed) share one
   // subscription + one compiled-predicate index. The phase mirrors what a
@@ -485,11 +485,11 @@ void ContinuousQueryExecutor::fire_event(Aq* aq, const comm::Tuple& tuple,
 
   // Materialize the query's projections against the event tuple — the
   // continuous result stream of a monitoring query.
-  if (!aq->compiled.projections.empty()) {
+  if (!aq->compiled.projection_programs.empty()) {
     const CompiledQuery& cq = aq->compiled;
     Row row;
-    row.reserve(cq.projections.size());
-    for (std::size_t i = 0; i < cq.projections.size(); ++i) {
+    row.reserve(cq.projection_programs.size());
+    for (std::size_t i = 0; i < cq.projection_programs.size(); ++i) {
       auto v = eval_expr(cq.projection_programs[i], frame);
       row.emplace_back(cq.labels[i],
                        v.is_ok() ? std::move(v).value() : device::Value{});
@@ -502,29 +502,14 @@ void ContinuousQueryExecutor::fire_event(Aq* aq, const comm::Tuple& tuple,
       aq = live_aq(slot, generation);  // the hook may have dropped it
       if (aq == nullptr) return;
     } else {
-      aq->results.push_back(std::move(stamped));
-      while (aq->results.size() > kResultCap) aq->results.pop_front();
+      keep_result(*aq, std::move(stamped));
     }
   }
 
   const CompiledQuery& cq = aq->compiled;
   for (const auto& call : cq.actions) {
-    // Candidate schema for binding candidate tuples.
-    const device::DeviceTypeId& cand_type =
-        cq.table_types.at(call.candidate_alias);
-    auto schema_it = schemas_.find(cand_type);
-    if (schema_it == schemas_.end()) {
-      const device::DeviceTypeInfo* info = registry_->type_info(cand_type);
-      if (info == nullptr) continue;
-      schema_it = schemas_
-                      .emplace(cand_type, std::make_unique<comm::Schema>(
-                                              comm::Schema::from_catalog(
-                                                  info->catalog)))
-                      .first;
-    }
-
     std::vector<device::DeviceId> candidates =
-        enumerate_candidates(*aq, call, frame, *schema_it->second);
+        enumerate_candidates(*aq, call, frame);
     if (candidates.empty()) continue;  // no device covers this event
 
     // Instantiate the request. Arguments are evaluated against the event
@@ -533,7 +518,7 @@ void ContinuousQueryExecutor::fire_event(Aq* aq, const comm::Tuple& tuple,
     sched::ActionRequest request;
     request.query_id = aq->name;
     request.candidates = std::move(candidates);
-    for (std::size_t a = 0; a < call.args.size(); ++a) {
+    for (std::size_t a = 0; a < call.arg_programs.size(); ++a) {
       if (a == call.action->binding_param) {
         request.action_args.push_back(Value{});  // filled at execution
         continue;
@@ -569,13 +554,19 @@ void ContinuousQueryExecutor::deliver_agg_row(std::uint32_t slot,
     owner->hooks.on_row(owner->name, std::move(row));
     return;
   }
-  owner->results.push_back(std::move(row));
-  while (owner->results.size() > kResultCap) owner->results.pop_front();
+  keep_result(*owner, std::move(row));
+}
+
+void ContinuousQueryExecutor::keep_result(Aq& aq, TimestampedRow row) {
+  if (aq.results == nullptr) {
+    aq.results = std::make_unique<std::deque<TimestampedRow>>();
+  }
+  aq.results->push_back(std::move(row));
+  while (aq.results->size() > kResultCap) aq.results->pop_front();
 }
 
 std::vector<device::DeviceId> ContinuousQueryExecutor::enumerate_candidates(
-    Aq& aq, const CompiledActionCall& call, const BindingFrame& frame,
-    const comm::Schema& candidate_schema) {
+    Aq& aq, const CompiledActionCall& call, const BindingFrame& frame) {
   const CompiledQuery& cq = aq.compiled;
   std::vector<device::DeviceId> out;
 
@@ -588,11 +579,12 @@ std::vector<device::DeviceId> ContinuousQueryExecutor::enumerate_candidates(
 
   const device::DeviceTypeId& cand_type =
       cq.table_types.at(call.candidate_alias);
+  const comm::Schema* candidate_schema = cq.schemas.at(call.candidate_alias);
   BindingFrame joined = frame;
   for (const device::DeviceId& id : registry_->ids_of_type(cand_type)) {
     const auto* attrs = registry_->static_attrs(id);
     if (attrs == nullptr) continue;
-    comm::Tuple cand(&candidate_schema, id);
+    comm::Tuple cand(candidate_schema, id);
     for (const auto& [name, value] : *attrs) cand.set_by_name(name, value);
 
     joined.set(call.candidate_binding, &cand);
@@ -691,8 +683,9 @@ QueryActionStats ContinuousQueryExecutor::action_stats(
 std::vector<TimestampedRow> ContinuousQueryExecutor::recent_results(
     const std::string& name) const {
   auto it = queries_.find(name);
-  if (it == queries_.end()) return {};
-  return {it->second->results.begin(), it->second->results.end()};
+  if (it == queries_.end() || it->second->results == nullptr) return {};
+  const std::deque<TimestampedRow>& results = *it->second->results;
+  return {results.begin(), results.end()};
 }
 
 std::vector<const ActionOperator*> ContinuousQueryExecutor::operators() const {

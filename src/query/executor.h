@@ -121,10 +121,10 @@ class ContinuousQueryExecutor {
 
   // Register a compiled continuous query under `name`. Starts being
   // evaluated from the next epoch tick. Fails with compile()'s error when
-  // an expression does not lower (query/compile.h).
+  // an expression does not lower (query/compile.h). The registered query
+  // keeps only what evaluation reads (CompiledQuery::release_trees).
   aorta::util::Status register_aq(const std::string& name, double epoch_s,
-                                  const SelectStmt& stmt,
-                                  std::string source_sql, AqHooks hooks = {});
+                                  const SelectStmt& stmt, AqHooks hooks = {});
 
   aorta::util::Status drop_aq(const std::string& name);
   std::vector<std::string> aq_names() const;
@@ -209,7 +209,8 @@ class ContinuousQueryExecutor {
     // group member, its handle in the group index.
     std::uint32_t slot = 0;
     AqHooks hooks;
-    std::string source_sql;
+    // A delivery-group member's plan, trees released; empty for a
+    // continuous aggregate (the AggregateCache entry holds its programs).
     CompiledQuery compiled;
     std::uint64_t epoch_ticks = 1;  // evaluate every N engine epochs
     // ---- delivery-group state -----------------------------------------
@@ -239,8 +240,9 @@ class ContinuousQueryExecutor {
     std::vector<std::uint64_t> last_true_seq;
     // epochs is derived lazily from the group (query_stats()).
     mutable QueryStats stats;
-    // Projection outputs at event time (bounded ring; hook-less AQs only).
-    std::deque<TimestampedRow> results;
+    // Projection outputs at event time (bounded ring; hook-less AQs only,
+    // allocated by the first row kept).
+    std::unique_ptr<std::deque<TimestampedRow>> results;
   };
 
   // AQs sharing (event type, period, phase, needed attrs) are
@@ -308,6 +310,8 @@ class ContinuousQueryExecutor {
   // Event tail once a fire is decided: trace, projections (row hook),
   // action fan-out.
   void fire_event(Aq* aq, const comm::Tuple& tuple, const BindingFrame& frame);
+  // A hook-less AQ's row into its bounded results ring.
+  static void keep_result(Aq& aq, TimestampedRow row);
   // Aggregate-cache emission for the AQ registered as `generation` in
   // member-table slot `slot`.
   void deliver_agg_row(std::uint32_t slot, std::uint64_t generation,
@@ -328,8 +332,7 @@ class ContinuousQueryExecutor {
   // `frame` carries the event tuple; the candidate slot is rebound per
   // enumerated device.
   std::vector<device::DeviceId> enumerate_candidates(
-      Aq& aq, const CompiledActionCall& call, const BindingFrame& frame,
-      const comm::Schema& candidate_schema);
+      Aq& aq, const CompiledActionCall& call, const BindingFrame& frame);
 
   // Run one compiled expression over a frame, counting into eval_stats_.
   aorta::util::Result<device::Value> eval_expr(const EvalProgram& program,
@@ -373,8 +376,6 @@ class ContinuousQueryExecutor {
   obs::MetricsRegistry::Scoped agg_eval_metrics_;
   obs::MetricsRegistry::Scoped agg_cache_metrics_;
   std::map<std::string, std::unique_ptr<ActionOperator>> operators_;
-  // Schemas backing candidate tuples (per device type, stable addresses).
-  std::map<device::DeviceTypeId, std::unique_ptr<comm::Schema>> schemas_;
   bool started_ = false;
   std::uint64_t next_generation_ = 1;
   std::uint64_t tick_no_ = 0;

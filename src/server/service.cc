@@ -318,16 +318,12 @@ void QueryService::dispatch(Submission submission) {
   core::ExecOptions options;
   options.owner = s->name_prefix();
   options.name_prefix = s->name_prefix();
-  // Tenant entries are never erased, so the row hook keeps a pointer to
-  // its tenant's stats instead of looking the tenant up per row.
-  options.on_row = [this, alive = alive_, session_id = submission.session,
-                    row_ts = &ts](const std::string& query,
-                                  query::TimestampedRow row) {
-    if (!*alive) return;
-    auto it = sessions_.find(session_id);
-    if (it == sessions_.end() || it->second->state() == SessionState::kClosed) {
-      return;
-    }
+  // Sessions and tenant entries are never erased, so the row hook keeps
+  // pointers to its session and its tenant's stats instead of looking
+  // either up per row.
+  options.on_row = [this, alive = alive_, row_session = s, row_ts = &ts](
+                       const std::string& query, query::TimestampedRow row) {
+    if (!*alive || row_session->state() == SessionState::kClosed) return;
     Delivery d;
     d.kind = Delivery::Kind::kRow;
     d.at = row.at;
@@ -336,7 +332,7 @@ void QueryService::dispatch(Submission submission) {
     d.degraded = row.degraded;
     AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kDelivery, "row:" + query,
                         row.at, std::string());
-    it->second->deliver(std::move(d));
+    row_session->deliver(std::move(d));
     ++row_ts->rows_delivered;
     if (row.degraded) ++row_ts->rows_degraded;
   };

@@ -147,6 +147,8 @@ class QueryService {
   obs::Tracer* tracer_;
   std::unique_ptr<shard::Plane> plane_;  // nullptr = direct path
   AdmissionController admission_;
+  // Never erased (a closed session stays, kClosed): row hooks hold
+  // Session pointers.
   std::map<SessionId, std::unique_ptr<Session>> sessions_;
   std::map<std::string, SessionId> query_owner_;  // prefixed AQ name -> session
   std::map<TenantId, TenantStats> tenants_;

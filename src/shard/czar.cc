@@ -209,7 +209,8 @@ Status shardable(const query::SelectStmt& stmt) {
 }  // namespace
 
 // Build the czar's merge plan: the shipped column ops mirror worker.cc's
-// avg -> sum + appended count rewrite.
+// partials rewrite (avg -> sum + appended count, then the hidden group
+// columns).
 std::optional<Czar::AggPlan> Czar::make_agg_plan(
     const query::SelectStmt& stmt) {
   AggPlan plan;
@@ -229,6 +230,11 @@ std::optional<Czar::AggPlan> Czar::make_agg_plan(
   if (!any) return std::nullopt;
   for (std::size_t k = 0; k < plan.avg_cols.size(); ++k) {
     plan.ops.push_back(query::AggOp::kCount);
+  }
+  const std::size_t hidden = hidden_group_columns(stmt).size();
+  for (std::size_t k = 0; k < hidden; ++k) {
+    plan.group_cols.push_back(plan.ops.size());
+    plan.ops.push_back(std::nullopt);
   }
   return plan;
 }

@@ -136,11 +136,13 @@ class Czar : public net::Endpoint {
  private:
   // Merge plan for an aggregate select list, built once at dispatch and
   // shared by one-shot SELECTs (folded at the reply barrier) and
-  // continuous AQs (folded per window instant): the shape of the rows the
-  // workers ship (select-list ops with avg folded as sum, then one
-  // appended count per avg — worker.cc's rewrite) plus what finalize()
-  // needs (avg positions + original labels, the original select-list
-  // width to resize back to). Group-key columns carry no op.
+  // continuous AQs (folded per window instant and group): the shape of
+  // the rows the workers ship (select-list ops with avg folded as sum,
+  // one appended count per avg, then one hidden column per GROUP BY
+  // column the select list leaves out — worker.cc's rewrite) plus what
+  // finalize() needs (avg positions + original labels, the original
+  // select-list width to resize back to). Group-key columns, hidden ones
+  // included, carry no op.
   struct AggPlan {
     std::vector<std::optional<query::AggOp>> ops;  // per shipped column
     std::vector<std::size_t> avg_cols;    // original avg positions
@@ -151,7 +153,7 @@ class Czar : public net::Endpoint {
     // Fold one shipped partial row into `acc`, column by column.
     void fold(query::Row& acc, const query::Row& row) const;
     // A NULL count becomes 0, avg = sum/count, the original labels are
-    // restored and the helper columns dropped.
+    // restored and the helper and hidden group columns dropped.
     void finalize(query::Row& row) const;
   };
 

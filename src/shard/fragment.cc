@@ -86,6 +86,21 @@ std::vector<int> target_shards(const query::SelectStmt& stmt,
   return targets;
 }
 
+std::vector<const query::Expr*> hidden_group_columns(
+    const query::SelectStmt& stmt) {
+  std::vector<const query::Expr*> hidden;
+  for (const auto& g : stmt.group_by) {
+    const bool listed = std::any_of(
+        stmt.select_list.begin(), stmt.select_list.end(),
+        [&g](const query::ExprPtr& item) {
+          return item->kind == query::Expr::Kind::kColumnRef &&
+                 item->column == g->column;
+        });
+    if (!listed) hidden.push_back(g.get());
+  }
+  return hidden;
+}
+
 void fragment_to_fields(const FragmentSpec& spec, net::Message* msg) {
   msg->set("name", spec.name);
   msg->set("sql", spec.sql);

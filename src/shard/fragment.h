@@ -152,6 +152,14 @@ inline int shard_of(std::string_view device_id, int num_shards) {
 // shard, so the result is never empty.
 std::vector<int> target_shards(const query::SelectStmt& stmt, int num_shards);
 
+// The GROUP BY columns an aggregate select list leaves out, clause order.
+// The czar folds continuous window partials per group key, and builds the
+// key from the shipped columns, so a worker ships each of these as a
+// hidden trailing column (worker.cc's partials rewrite) that the czar's
+// merge plan keys on and then drops.
+std::vector<const query::Expr*> hidden_group_columns(
+    const query::SelectStmt& stmt);
+
 // One fragment, as the worker reads it.
 struct FragmentSpec {
   std::string name;        // prefixed AQ name ("" for one-shot SELECTs)

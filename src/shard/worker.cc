@@ -15,18 +15,21 @@ namespace {
 
 // avg() is not mergeable from per-shard averages, but it is from
 // (sum, count) partials: rewrite each avg(e) into sum(e) in place plus a
-// count(e) appended past the select list, preserving the WHERE, GROUP BY
-// and WINDOW clauses. One-shot SELECT fragments merge the partials at the
-// reply barrier; continuous aggregate fragments per window instant behind
-// the czar's merge frontier (Czar::AggPlan mirrors this column layout).
-// Nullopt when the select list has no avg() (nothing to rewrite).
-std::optional<query::SelectStmt> rewrite_avg_to_partials(
+// count(e) appended past the select list. Then append each GROUP BY
+// column the select list leaves out (hidden_group_columns), so the czar
+// can tell the groups' partials apart. The WHERE, GROUP BY and WINDOW
+// clauses are preserved. One-shot SELECT fragments merge the partials at
+// the reply barrier; continuous aggregate fragments per window instant
+// and group behind the czar's merge frontier (Czar::AggPlan mirrors this
+// column layout). Nullopt when there is nothing to rewrite.
+std::optional<query::SelectStmt> rewrite_to_partials(
     const query::SelectStmt& stmt) {
   auto is_avg = [](const query::ExprPtr& item) {
     return query::agg_op(*item) == query::AggOp::kAvg;
   };
-  if (std::none_of(stmt.select_list.begin(), stmt.select_list.end(),
-                   is_avg)) {
+  const std::vector<const query::Expr*> hidden = hidden_group_columns(stmt);
+  if (hidden.empty() && std::none_of(stmt.select_list.begin(),
+                                     stmt.select_list.end(), is_avg)) {
     return std::nullopt;
   }
   query::SelectStmt out;
@@ -52,6 +55,7 @@ std::optional<query::SelectStmt> rewrite_avg_to_partials(
     }
   }
   for (auto& c : counts) out.select_list.push_back(std::move(c));
+  for (const query::Expr* g : hidden) out.select_list.push_back(g->clone());
   return out;
 }
 
@@ -297,12 +301,13 @@ void Worker::handle_register(const net::Message& msg) {
   };
   // Continuous aggregates ship per-shard window partials; avg() fragments
   // are rewritten to (sum, count) partials the czar finalizes per window
-  // instant (the one-shot path's rewrite, behind the merge frontier).
+  // instant and group (the one-shot path's rewrite, behind the merge
+  // frontier).
   const query::SelectStmt& select = stmt.value().create_aq.select;
-  auto rewritten = rewrite_avg_to_partials(select);
+  auto rewritten = rewrite_to_partials(select);
   Status registered = engine_.executor().register_aq(
       spec.name, stmt.value().create_aq.epoch_s,
-      rewritten ? *rewritten : select, spec.sql, std::move(hooks));
+      rewritten ? *rewritten : select, std::move(hooks));
   if (!registered.is_ok()) {
     fragments_.erase(spec.name);
     ++stats_.bad_requests;
@@ -338,9 +343,9 @@ void Worker::handle_drop(const net::Message& msg) {
 void Worker::run_once_select(const net::Message& msg,
                              const query::SelectStmt& stmt) {
   // avg() cannot be merged from per-shard averages, but it *is* mergeable
-  // from (sum, count) partials (see rewrite_avg_to_partials). The czar
+  // from (sum, count) partials (see rewrite_to_partials). The czar
   // finalizes sum/count and drops the helper columns at the merge barrier.
-  auto rewritten = rewrite_avg_to_partials(stmt);
+  auto rewritten = rewrite_to_partials(stmt);
 
   auto alive = alive_;
   // run_select compiles synchronously (cloning the statement), so the

@@ -3,6 +3,7 @@
 // nested-name walk, latency histograms, and the span tracer's ring
 // buffer + Chrome trace-event export.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <cmath>
 #include <cstdint>
@@ -200,6 +201,37 @@ TEST(TracerTest, DisabledTracerRecordsNothing) {
   t.record(SpanCat::kSweep, "sweep", at_us(0), at_us(10));
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t.recorded(), 0u);
+}
+
+// Bytes malloc has handed out and not had back (arena and mmapped blocks).
+std::int64_t heap_in_use() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<std::int64_t>(info.uordblks + info.hblkhd);
+}
+
+TEST(TracerTest, DisabledTracerHoldsNoRingUntilItRecords) {
+  // A default-capacity ring is 2^16 spans, several MB; a tracer that is
+  // off never records, so it holds none of it.
+  const std::int64_t before = heap_in_use();
+  Tracer t;
+  t.record(SpanCat::kSweep, "sweep", at_us(0), at_us(10));
+  EXPECT_LT(heap_in_use() - before, 4096);
+  EXPECT_EQ(t.capacity(), Tracer::kDefaultCapacity);
+  EXPECT_EQ(t.size(), 0u);
+
+  // Enabled later, it records as usual.
+  t.set_enabled(true);
+  for (int i = 0; i < 3; ++i) {
+    t.instant(SpanCat::kEval, "e" + std::to_string(i), at_us(i));
+  }
+  EXPECT_EQ(t.capacity(), Tracer::kDefaultCapacity);
+  EXPECT_EQ(t.size(), 3u);
+  EXPECT_EQ(t.recorded(), 3u);
+  EXPECT_EQ(t.dropped(), 0u);
+  std::vector<Span> spans = t.snapshot();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans.front().name, "e0");
+  EXPECT_EQ(spans.back().name, "e2");
 }
 
 TEST(TracerTest, RingWrapsKeepingNewestOldestFirst) {

@@ -377,7 +377,7 @@ TEST_F(IndexDiffFixture, EveryHintedSlotIsCheckedAndExactNeedsEveryHint) {
   EXPECT_EQ(c.lo, 2.0);
   ASSERT_EQ(c.checks.size(), 1u);
   const SlotCheck& accel = c.checks[0];
-  EXPECT_EQ(accel.slot, *both.value().schemas.at("s").index_of("accel_x"));
+  EXPECT_EQ(accel.slot, *both.value().schemas.at("s")->index_of("accel_x"));
   EXPECT_FALSE(accel.is_string);
   EXPECT_EQ(accel.lo, 500.0);
   EXPECT_TRUE(accel.lo_strict);
@@ -408,7 +408,7 @@ TEST_F(IndexDiffFixture, AStrictInfiniteBoundIsStillABound) {
   EXPECT_TRUE(c.exact);
   PredicateIndex idx;
   idx.add(1, &c);
-  comm::Tuple t(&q.value().schemas.at("s"), "m0");
+  comm::Tuple t(q.value().schemas.at("s"), "m0");
   t.set_by_name("accel_x", Value{6.0});
   EXPECT_EQ(probe_sorted(idx, t), (std::vector<Handle>{1}));
   t.set_by_name("accel_x", Value{INFINITY});
@@ -512,9 +512,9 @@ TEST_F(IndexDiffFixture, TenThousandGeneratedPredicatesMatchExhaustive) {
         << "kind " << static_cast<int>(kind) << " never generated";
   }
 
-  // All queries share the sensor schema; slot layout is identical, so one
-  // query's owned schema can type every probe tuple.
-  const comm::Schema* schema = &queries[0]->schemas.at("s");
+  // All queries share the catalog's sensor schema, which types every probe
+  // tuple.
+  const comm::Schema* schema = queries[0]->schemas.at("s");
   ASSERT_EQ(schema->table_name(), "sensor");
 
   for (int trial = 0; trial < 60; ++trial) {

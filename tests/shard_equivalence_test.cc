@@ -7,7 +7,9 @@
 // device fabric (the hash partition changes *where* fragments run, not
 // *what* they produce); and (3) so are the events and SELECT results of
 // point statements, which the czar sends only to the shards owning their
-// devices (shard pruning).
+// devices (shard pruning); and (4) a GROUP BY window aggregate delivers
+// one row per group through the plane, as the unsharded engine does, also
+// when its select list leaves the group column out.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -238,6 +240,71 @@ TEST(ShardEquivalenceTest, PointStatementsMatchBetweenOneAndFourShards) {
   // Five one-id statements skip three shards each; the OR statements skip
   // two or three.
   EXPECT_GE(four.fragments_pruned, 5u * 3u + 2u * 2u);
+}
+
+// Six motes over hops 1-3 with distinct constant temps on lossless links,
+// two per hop depth, on the unsharded engine (no plane) or the plane.
+void build_grouped_world(QueryService& service, core::Aorta& sys) {
+  Plane* plane = service.plane();
+  for (int i = 0; i < 6; ++i) {
+    const std::string id = "g" + std::to_string(i);
+    const device::Location loc{double(i), 0, 1};
+    const int hops = 1 + i % 3;
+    ASSERT_TRUE((plane != nullptr ? plane->add_mote(id, loc, hops)
+                                  : sys.add_mote(id, loc, hops))
+                    .is_ok());
+    devices::Mica2Mote* mote =
+        plane != nullptr ? plane->mote(id) : sys.mote(id);
+    mote->reliability().glitch_prob = 0.0;
+    (void)mote->set_signal("temp", devices::constant_signal(10.0 + i));
+    ASSERT_TRUE(sys.network().set_link(id, shard::backplane_link()).is_ok());
+  }
+}
+
+std::multiset<std::string> run_grouped(int num_shards) {
+  core::Config config;
+  config.seed = 5;
+  core::Aorta sys(config);
+  ServiceConfig cfg;
+  cfg.num_shards = num_shards;
+  cfg.mailbox_capacity = 1 << 20;
+  QueryService service(&sys, cfg);
+  build_grouped_world(service, sys);
+  SessionId id = service.connect("acme");
+  EXPECT_TRUE(service
+                  .submit(id,
+                          "CREATE AQ grouped AS SELECT avg(s.temp), count(*) "
+                          "FROM sensor s GROUP BY s.hops WINDOW 2s")
+                  .is_ok());
+  sys.run_for(Duration::seconds(12.0));
+  std::multiset<std::string> events;
+  for (const Delivery& d : service.session(id)->drain()) {
+    EXPECT_NE(d.kind, Delivery::Kind::kError) << d.message;
+    if (d.kind != Delivery::Kind::kRow) continue;
+    if (d.at > TimePoint() + Duration::seconds(10.0)) continue;
+    events.insert(event_key(d));
+  }
+  return events;
+}
+
+TEST(ShardEquivalenceTest, GroupedAggregateWithoutItsGroupColumnMatches) {
+  const std::multiset<std::string> unsharded = run_grouped(0);
+  // Every 2-sample window delivers one row per hop depth: two motes'
+  // mean temp over four readings.
+  ASSERT_GE(unsharded.size(), 12u);
+  EXPECT_EQ(unsharded.size() % 3, 0u);
+  for (const char* group : {"|avg(s.temp)=11.5|count(*)=4",
+                            "|avg(s.temp)=12.5|count(*)=4",
+                            "|avg(s.temp)=13.5|count(*)=4"}) {
+    EXPECT_EQ(std::count_if(unsharded.begin(), unsharded.end(),
+                            [group](const std::string& e) {
+                              return e.ends_with(group);
+                            }),
+              static_cast<std::ptrdiff_t>(unsharded.size() / 3))
+        << group;
+  }
+  EXPECT_EQ(run_grouped(1), unsharded);
+  EXPECT_EQ(run_grouped(4), unsharded);
 }
 
 }  // namespace

@@ -9,8 +9,13 @@
 //     instrumentation sites cost one branch, nothing else;
 //   * a delivered row costs a bounded number of allocations from fire to
 //     mailbox through a 2-shard plane (the schema-once row path);
-//   * so does a one-shot SELECT, from submit to its result in the mailbox.
+//   * so does a one-shot SELECT, from submit to its result in the mailbox;
+//   * a registered AQ holds a bounded number of live heap bytes across the
+//     czar, the workers and the service (a fragment keeps only what
+//     evaluation reads);
+//   * a hook-less AQ's results ring keeps its newest 256 rows.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
@@ -31,42 +36,59 @@
 
 // ---- counting allocator -----------------------------------------------------
 // Replacing global operator new in this TU counts every allocation in the
-// test binary; the zero-alloc test diffs the counter around run_for().
+// test binary, and the bytes its live blocks hold (malloc_usable_size, so
+// allocator rounding counts too); the tests diff the counters around the
+// work they measure.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+
+void* counted_malloc(std::size_t size) noexcept {
+  ++g_allocations;
+  void* p = std::malloc(size ? size : 1);
+  if (p != nullptr) {
+    g_live_bytes += static_cast<std::int64_t>(malloc_usable_size(p));
+  }
+  return p;
+}
+
+void counted_free(void* p) noexcept {
+  if (p != nullptr) {
+    g_live_bytes -= static_cast<std::int64_t>(malloc_usable_size(p));
+  }
+  std::free(p);
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  if (void* p = counted_malloc(size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  if (void* p = counted_malloc(size)) return p;
   throw std::bad_alloc();
 }
 
 // The nothrow forms too (std::stable_sort's temporary buffer uses them):
 // every allocation must come from, and return to, the same malloc.
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_allocations;
-  return std::malloc(size ? size : 1);
+  return counted_malloc(size);
 }
 
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_allocations;
-  return std::malloc(size ? size : 1);
+  return counted_malloc(size);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace aorta {
@@ -254,7 +276,8 @@ TEST(TracePipelineTest, OneShotSelectStaysWithinAllocationBudget) {
   // process counts (heartbeats and service ticks too), divided by the
   // SELECTs completed. Name-keyed broker batches with a projected copy of
   // every tuple made 527 per SELECT here; slot masks, the per-type device
-  // table and the lone-waiter hand-over make 429.
+  // table and the lone-waiter hand-over made 429; compiling against the
+  // catalog's shared table schemas, not a copy per statement, makes 409.
   core::Config cfg;
   cfg.seed = 7;
   core::Aorta sys(cfg);
@@ -294,9 +317,136 @@ TEST(TracePipelineTest, OneShotSelectStaysWithinAllocationBudget) {
   }
   const double per_select =
       static_cast<double>(allocs) / static_cast<double>(selects);
-  EXPECT_LE(per_select, 470.0) << allocs << " allocations for " << selects
+  EXPECT_LE(per_select, 450.0) << allocs << " allocations for " << selects
                              << " SELECTs";
+}
+
+// Standing AQ number `j` of the pipeline benchmark's fanout mix, over
+// motes m0..m31: out of every 50, 18 level-triggered points, 6 temp
+// half-lines, 10 light intervals, 8 edge-triggered spikes per hop depth, 7
+// windowed aggregates (its ten shapes in turn) and 1 action AQ.
+std::string fanout_body(int j) {
+  static const char* const kAggShapes[] = {
+      "SELECT avg(s.temp) FROM sensor s GROUP BY s.hops WINDOW 4s EVERY 2s",
+      "SELECT max(s.accel_x) FROM sensor s GROUP BY s.hops WINDOW 6s EVERY 2s",
+      "SELECT count(s.temp) FROM sensor s WHERE s.temp > 21 WINDOW 4s",
+      "SELECT min(s.light), max(s.light) FROM sensor s WINDOW 10s EVERY 5s",
+      "SELECT sum(s.light) FROM sensor s WINDOW 5s",
+      "SELECT avg(s.temp) FROM sensor s WINDOW 4s EVERY 2s",
+      "SELECT count(*), max(s.light) FROM sensor s GROUP BY s.hops "
+      "WINDOW 10s",
+      "SELECT min(s.temp), max(s.temp) FROM sensor s GROUP BY s.hops "
+      "WINDOW 8s",
+      "SELECT avg(s.light), count(*) FROM sensor s WINDOW 2s",
+      "SELECT sum(s.temp), count(*) FROM sensor s GROUP BY s.hops "
+      "WINDOW 6s EVERY 3s",
+  };
+  const int slot = j % 50;
+  const std::string mote = "'m" + std::to_string(j * 7 % 32) + "'";
+  if (slot < 18) {
+    return "SELECT s.id, s.temp FROM sensor s WHERE s.id = " + mote;
+  }
+  if (slot < 24) {
+    return "SELECT s.id, s.temp FROM sensor s WHERE s.temp > " +
+           std::to_string(21 + j % 4);
+  }
+  if (slot < 34) {
+    const int lo = 110 + j % 350;
+    return "SELECT s.id, s.light FROM sensor s WHERE s.light > " +
+           std::to_string(lo) + " AND s.light < " + std::to_string(lo + 20);
+  }
+  if (slot < 42) {
+    return "SELECT s.id, s.accel_x FROM sensor s WHERE s.accel_x > 500 "
+           "AND s.hops = " +
+           std::to_string(1 + j % 3);
+  }
+  if (slot < 49) return kAggShapes[(j / 50 + slot) % 10];
+  return "SELECT beep(s.id) FROM sensor s WHERE s.accel_x > 500 AND s.id = " +
+         mote;
+}
+
+TEST(TracePipelineTest, RegisteredAqsStayWithinMemoryBudget) {
+  // 2,000 standing AQs of fanout's shapes from 20 sessions on a 2-shard
+  // plane of 32 motes: the live heap bytes they add, per AQ, from just
+  // before registration to once every registration has settled (czar and
+  // service bookkeeping, worker fragments, delivery groups, index entries
+  // and aggregate-cache subscribers together, plus the rows in flight at
+  // that instant). Fragments that kept their expression trees, pushdown
+  // sets, statement text, an own copy of the sensor schema and an empty
+  // results deque held 10.7 KB per AQ here; keeping only what evaluation
+  // reads makes 5.2 KB.
+  core::Config cfg;
+  cfg.seed = 3;
+  core::Aorta sys(cfg);
+  server::ServiceConfig sc;
+  sc.num_shards = 2;
+  sc.mailbox_capacity = 1 << 16;
+  sc.max_dispatch_per_tick = 2048;
+  sc.admission.queue_capacity = 1 << 16;
+  sc.admission.max_aqs_per_tenant = 1 << 20;
+  server::QueryService service(&sys, sc);
+  for (int i = 0; i < 32; ++i) {
+    const std::string id = "m" + std::to_string(i);
+    ASSERT_TRUE(service.plane()
+                    ->add_mote(id, {double(i % 8), double(i / 8), 1},
+                               1 + i % 3)
+                    .is_ok());
+  }
+  std::vector<server::SessionId> sessions;
+  for (int s = 0; s < 20; ++s) {
+    sessions.push_back(service.connect("t" + std::to_string(s % 5)));
+  }
+  sys.run_for(Duration::seconds(2));
+  for (server::SessionId id : sessions) (void)service.session(id)->drain();
+
+  constexpr int kAqs = 2000;
+  const std::int64_t live_before = g_live_bytes.load();
+  for (int j = 0; j < kAqs; ++j) {
+    const server::SessionId id = sessions[static_cast<std::size_t>(j % 20)];
+    ASSERT_TRUE(service
+                    .submit(id, "CREATE AQ q" + std::to_string(j / 20) +
+                                    " AS " + fanout_body(j))
+                    .is_ok());
+  }
+  sys.run_for(Duration::seconds(2));
+  std::uint64_t created = 0;
+  for (server::SessionId id : sessions) {
+    for (const server::Delivery& d : service.session(id)->drain()) {
+      ASSERT_NE(d.kind, server::Delivery::Kind::kError) << d.message;
+      if (d.kind == server::Delivery::Kind::kResult) ++created;
+    }
+  }
+  ASSERT_EQ(created, static_cast<std::uint64_t>(kAqs));
+  const double per_aq =
+      static_cast<double>(g_live_bytes.load() - live_before) / kAqs;
+  EXPECT_LE(per_aq, 6250.0) << "live bytes per registered AQ";
+}
+
+TEST(TracePipelineTest, HooklessResultsRingKeepsTheNewest256Rows) {
+  // A level-triggered AQ over one lossless mote fires every epoch: 300
+  // rows in 300 s, of which the ring keeps the last 256, oldest first.
+  auto sys = make_system(/*tracing=*/false, /*aqs=*/0);
+  sys->mote("m1")->reliability().glitch_prob = 0.0;
+  ASSERT_TRUE(sys->network().set_link("m1", shard::backplane_link()).is_ok());
+  ASSERT_TRUE(sys->exec("CREATE AQ ring AS SELECT s.id FROM sensor s "
+                        "WHERE s.id = 'm1'")
+                  .is_ok());
+  ASSERT_TRUE(sys->exec("CREATE AQ idle AS SELECT s.id FROM sensor s "
+                        "WHERE s.id = 'nobody'")
+                  .is_ok());
+  sys->run_for(Duration::seconds(300));
+  const std::vector<query::TimestampedRow> rows =
+      sys->executor().recent_results("ring");
+  ASSERT_EQ(rows.size(), 256u);
+  EXPECT_EQ(sys->query_stats("ring")->events, 300u);
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_LT(rows[i - 1].at, rows[i].at);
+  }
+  EXPECT_GT(rows.front().at, TimePoint() + Duration::seconds(300 - 256));
+  EXPECT_GT(rows.back().at, TimePoint() + Duration::seconds(299));
+  EXPECT_TRUE(sys->executor().recent_results("idle").empty());
 }
 
 }  // namespace
 }  // namespace aorta
+
