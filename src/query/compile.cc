@@ -13,12 +13,6 @@ using aorta::util::Status;
 
 namespace {
 
-// Swap with an empty container, so its storage goes too.
-template <typename T>
-void release(T& container) {
-  T().swap(container);
-}
-
 // Split a WHERE tree into top-level conjuncts.
 void split_conjuncts(const Expr& expr, std::vector<const Expr*>* out) {
   if (expr.kind == Expr::Kind::kBinary && expr.op == BinaryOp::kAnd) {
@@ -474,17 +468,6 @@ std::size_t CompiledQuery::program_count() const {
   // The binding-param slot of each action holds no program.
   for (const auto& call : actions) n += call.arg_programs.size() - 1;
   return n;
-}
-
-void CompiledQuery::release_trees() {
-  release(tables);
-  release(event_predicates);
-  release(join_predicates);
-  release(projections);
-  release(group_by);
-  for (auto& agg : aggregates) agg.arg.reset();
-  for (auto& call : actions) release(call.args);
-  release(needed_attrs);
 }
 
 std::string CompiledQuery::describe() const {

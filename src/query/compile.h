@@ -27,10 +27,9 @@ namespace aorta::query {
 struct CompiledActionCall {
   const ActionDef* action = nullptr;
   std::vector<ExprPtr> args;    // evaluated per selected candidate device
-  // Compiled form of each argument, aligned with `args` (which a
-  // registered query releases). The binding-param argument is never
-  // evaluated (finalized per selected device), so its slot holds an empty
-  // program.
+  // Compiled form of each argument, aligned with `args`. The binding-param
+  // argument is never evaluated (finalized per selected device), so its
+  // slot holds an empty program.
   std::vector<EvalProgram> arg_programs;
   std::string candidate_alias;  // alias of the candidate table ("" = event table)
   std::size_t candidate_binding = 0;  // frame slot of candidate_alias
@@ -165,13 +164,6 @@ struct CompiledQuery {
   // trigger mode, predicate classification, embedded actions with their
   // candidate tables, and the projection pushdown sets.
   std::string describe() const;
-
-  // Drop what only planning reads, once a continuous query is registered:
-  // the FROM list, every expression tree (each evaluated one lives on as
-  // its program) and the pushdown sets. Evaluation reads none of them;
-  // describe(), AggregateCache::attach and the delivery-group join do, so
-  // this runs after all three.
-  void release_trees();
 };
 
 // Compile against the catalog (action/function names) and the registry

@@ -1,6 +1,8 @@
 #include "query/eval_program.h"
 
 #include <algorithm>
+#include <cstring>
+#include <new>
 
 #include "util/strings.h"
 
@@ -127,12 +129,17 @@ class ProgramBuilder {
     }
     emit(expr);
     if (!status_.is_ok()) return Result<EvalProgram>(status_);
-    program_.fuse_compare_triples();
-    return std::move(program_);
+    fuse_compare_triples();
+    return EvalProgram::pack(std::move(program_));
   }
 
  private:
   using OpCode = EvalProgram::OpCode;
+  using Instr = EvalProgram::Instr;
+
+  // Peephole pass: rewrite [kLoadQual][kPushConst(numeric)][kCompare]
+  // triples into kCmpQualConst and remap short-circuit jump targets.
+  void fuse_compare_triples();
 
   void fail(Status s) {
     if (status_.is_ok()) status_ = std::move(s);
@@ -140,25 +147,25 @@ class ProgramBuilder {
 
   void push_depth() {
     ++depth_;
-    program_.max_stack_ = std::max(program_.max_stack_, depth_);
+    program_.max_stack = std::max(program_.max_stack, depth_);
   }
 
   std::uint32_t intern_const(Value v) {
-    program_.consts_.push_back(std::move(v));
-    return static_cast<std::uint32_t>(program_.consts_.size() - 1);
+    program_.consts.push_back(std::move(v));
+    return static_cast<std::uint32_t>(program_.consts.size() - 1);
   }
 
   std::uint32_t intern_name(const std::string& name) {
-    for (std::size_t i = 0; i < program_.names_.size(); ++i) {
-      if (program_.names_[i] == name) return static_cast<std::uint32_t>(i);
+    for (std::size_t i = 0; i < program_.names.size(); ++i) {
+      if (program_.names[i] == name) return static_cast<std::uint32_t>(i);
     }
-    program_.names_.push_back(name);
-    return static_cast<std::uint32_t>(program_.names_.size() - 1);
+    program_.names.push_back(name);
+    return static_cast<std::uint32_t>(program_.names.size() - 1);
   }
 
   void emit_op(OpCode op, std::uint32_t a = 0, std::uint32_t b = 0,
                std::uint32_t c = 0) {
-    program_.code_.push_back(EvalProgram::Instr{op, a, b, c});
+    program_.code.push_back(Instr{op, a, b, c});
   }
 
   void emit_const(Value v) {
@@ -175,7 +182,7 @@ class ProgramBuilder {
     Env empty;
     auto v = eval(expr, empty, functions_);
     if (!v.is_ok()) return false;
-    program_.folded_nodes_ += node_count(expr) - 1;
+    program_.folded_nodes += node_count(expr) - 1;
     emit_const(std::move(v).value());
     return true;
   }
@@ -256,14 +263,14 @@ class ProgramBuilder {
       auto lhs = eval(*expr.lhs, empty, functions_);
       if (lhs.is_ok()) {
         bool l = device::value_truthy(lhs.value());
-        program_.folded_nodes_ += node_count(*expr.lhs);
+        program_.folded_nodes += node_count(*expr.lhs);
         if (is_and && !l) {
-          program_.folded_nodes_ += node_count(*expr.rhs);
+          program_.folded_nodes += node_count(*expr.rhs);
           emit_const(Value{false});
           return;
         }
         if (!is_and && l) {
-          program_.folded_nodes_ += node_count(*expr.rhs);
+          program_.folded_nodes += node_count(*expr.rhs);
           emit_const(Value{true});
           return;
         }
@@ -273,13 +280,13 @@ class ProgramBuilder {
       }
     }
     emit(*expr.lhs);
-    std::size_t jump_at = program_.code_.size();
+    std::size_t jump_at = program_.code.size();
     emit_op(is_and ? OpCode::kAndJump : OpCode::kOrJump);
     --depth_;  // fall-through pops the lhs value
     emit(*expr.rhs);
     emit_op(OpCode::kBoolCast);
-    program_.code_[jump_at].a =
-        static_cast<std::uint32_t>(program_.code_.size());
+    program_.code[jump_at].a =
+        static_cast<std::uint32_t>(program_.code.size());
   }
 
   void emit(const Expr& expr) {
@@ -300,9 +307,9 @@ class ProgramBuilder {
           return;
         }
         for (const auto& arg : expr.args) emit(*arg);
-        program_.fns_.push_back(fn);
+        program_.fns.push_back(fn);
         emit_op(OpCode::kCall,
-                static_cast<std::uint32_t>(program_.fns_.size() - 1),
+                static_cast<std::uint32_t>(program_.fns.size() - 1),
                 static_cast<std::uint32_t>(expr.args.size()));
         depth_ -= expr.args.size();
         push_depth();
@@ -330,7 +337,7 @@ class ProgramBuilder {
   const std::vector<std::string>& binding_aliases_;
   const std::map<std::string, const comm::Schema*>& schemas_;
   const FunctionRegistry& functions_;
-  EvalProgram program_;
+  EvalProgram::Pools program_;
   Status status_;
   std::size_t depth_ = 0;
 };
@@ -348,29 +355,30 @@ Result<EvalProgram> EvalProgram::compile(
 // short-circuit jump targets. Jump targets can only point at instruction
 // boundaries that follow a kBoolCast (or the program end), never into the
 // middle of a triple, so collapsing is safe.
-void EvalProgram::fuse_compare_triples() {
-  num_consts_.assign(consts_.size(), 0.0);
-  std::vector<bool> numeric(consts_.size(), false);
-  for (std::size_t i = 0; i < consts_.size(); ++i) {
+void ProgramBuilder::fuse_compare_triples() {
+  const std::vector<Value>& consts = program_.consts;
+  std::vector<Instr>& code = program_.code;
+  program_.num_consts.assign(consts.size(), 0.0);
+  std::vector<bool> numeric(consts.size(), false);
+  for (std::size_t i = 0; i < consts.size(); ++i) {
     double d;
-    if (fast_num(consts_[i], &d)) {
-      num_consts_[i] = d;
+    if (fast_num(consts[i], &d)) {
+      program_.num_consts[i] = d;
       numeric[i] = true;
     }
   }
 
   std::vector<Instr> fused;
-  fused.reserve(code_.size());
-  std::vector<std::uint32_t> remap(code_.size() + 1, 0);
-  for (std::size_t i = 0; i < code_.size();) {
+  fused.reserve(code.size());
+  std::vector<std::uint32_t> remap(code.size() + 1, 0);
+  for (std::size_t i = 0; i < code.size();) {
     remap[i] = static_cast<std::uint32_t>(fused.size());
-    if (i + 2 < code_.size() && code_[i].op == OpCode::kLoadQual &&
-        code_[i + 1].op == OpCode::kPushConst &&
-        code_[i + 2].op == OpCode::kCompare &&
-        numeric[code_[i + 1].a]) {
-      const Instr& load = code_[i];
-      const Instr& cnst = code_[i + 1];
-      const Instr& cmp = code_[i + 2];
+    if (i + 2 < code.size() && code[i].op == OpCode::kLoadQual &&
+        code[i + 1].op == OpCode::kPushConst &&
+        code[i + 2].op == OpCode::kCompare && numeric[code[i + 1].a]) {
+      const Instr& load = code[i];
+      const Instr& cnst = code[i + 1];
+      const Instr& cmp = code[i + 2];
       remap[i + 1] = remap[i + 2] = static_cast<std::uint32_t>(fused.size());
       fused.push_back(Instr{
           OpCode::kCmpQualConst, load.b, cnst.a,
@@ -378,16 +386,68 @@ void EvalProgram::fuse_compare_triples() {
       i += 3;
       continue;
     }
-    fused.push_back(code_[i]);
+    fused.push_back(code[i]);
     ++i;
   }
-  remap[code_.size()] = static_cast<std::uint32_t>(fused.size());
+  remap[code.size()] = static_cast<std::uint32_t>(fused.size());
   for (Instr& in : fused) {
     if (in.op == OpCode::kAndJump || in.op == OpCode::kOrJump) {
       in.a = remap[in.a];
     }
   }
-  code_ = std::move(fused);
+  code = std::move(fused);
+}
+
+EvalProgram EvalProgram::pack(Pools&& pools) {
+  Header header;
+  header.code = static_cast<std::uint32_t>(pools.code.size());
+  header.consts = static_cast<std::uint32_t>(pools.consts.size());
+  header.fns = static_cast<std::uint32_t>(pools.fns.size());
+  header.names = static_cast<std::uint32_t>(pools.names.size());
+  header.max_stack = static_cast<std::uint32_t>(pools.max_stack);
+  header.folded_nodes = static_cast<std::uint32_t>(pools.folded_nodes);
+  std::size_t bytes = sizeof(Header) +
+                      header.consts * (sizeof(Value) + sizeof(double)) +
+                      header.fns * sizeof(const ScalarFn*) +
+                      header.code * sizeof(Instr);
+  for (const std::string& n : pools.names) bytes += n.size() + 1;
+
+  EvalProgram program;
+  program.block_ = new (::operator new(bytes)) Header(header);
+  for (std::uint32_t i = 0; i < header.consts; ++i) {
+    new (program.consts() + i) Value(std::move(pools.consts[i]));
+  }
+  std::copy(pools.num_consts.begin(), pools.num_consts.end(),
+            program.num_consts());
+  std::copy(pools.fns.begin(), pools.fns.end(), program.fns());
+  std::copy(pools.code.begin(), pools.code.end(), program.code());
+  char* text = program.name(0);
+  for (const std::string& n : pools.names) {
+    text = std::copy(n.begin(), n.end(), text);
+    *text++ = '\0';
+  }
+  return program;
+}
+
+EvalProgram::EvalProgram(const EvalProgram& other) {
+  if (other.block_ == nullptr) return;
+  const Header& h = *other.block_;
+  const char* end = other.name(h.names);
+  const auto* begin = reinterpret_cast<const char*>(other.block_);
+  block_ = new (::operator new(static_cast<std::size_t>(end - begin)))
+      Header(h);
+  // The constants are objects; everything after them is plain bytes.
+  for (std::uint32_t i = 0; i < h.consts; ++i) {
+    new (consts() + i) Value(other.consts()[i]);
+  }
+  const auto* pods = reinterpret_cast<const char*>(other.num_consts());
+  std::memcpy(num_consts(), pods, static_cast<std::size_t>(end - pods));
+}
+
+EvalProgram::~EvalProgram() {
+  if (block_ == nullptr) return;
+  for (std::uint32_t i = 0; i < block_->consts; ++i) consts()[i].~Value();
+  ::operator delete(block_);
 }
 
 namespace {
@@ -406,36 +466,39 @@ BinaryOp mirror_compare(BinaryOp op) {
 }  // namespace
 
 std::optional<IndexHint> EvalProgram::index_hint() const {
+  if (block_ == nullptr) return std::nullopt;
+  const Instr* code = this->code();
+  const std::size_t size = block_->code;
   IndexHint hint;
   // The peephole pass's own output is the common case: a sensory
   // predicate like `s.accel_x > 500` compiles to exactly one fused
-  // compare, constant already coerced into num_consts_.
-  if (code_.size() == 1 && code_[0].op == OpCode::kCmpQualConst) {
-    const Instr& in = code_[0];
+  // compare, constant already coerced into num_consts().
+  if (size == 1 && code[0].op == OpCode::kCmpQualConst) {
+    const Instr& in = code[0];
     hint.op = static_cast<BinaryOp>(in.c & 0xf);
     if (hint.op == BinaryOp::kNe) return std::nullopt;
     hint.binding = (in.c >> 4) & 0x3;
     hint.slot = in.a;
-    hint.num = num_consts_[in.b];
+    hint.num = num_consts()[in.b];
     return hint;
   }
   // Unfused triples: unqualified column refs (kLoadUnqual is never
   // fused), string constants, and constant-on-the-left compares.
-  if (code_.size() != 3 || code_[2].op != OpCode::kCompare) {
+  if (size != 3 || code[2].op != OpCode::kCompare) {
     return std::nullopt;
   }
-  BinaryOp op = static_cast<BinaryOp>(code_[2].a);
+  BinaryOp op = static_cast<BinaryOp>(code[2].a);
   const Instr* load = nullptr;
   const Instr* cnst = nullptr;
   auto is_load = [](const Instr& in) {
     return in.op == OpCode::kLoadQual || in.op == OpCode::kLoadUnqual;
   };
-  if (is_load(code_[0]) && code_[1].op == OpCode::kPushConst) {
-    load = &code_[0];
-    cnst = &code_[1];
-  } else if (code_[0].op == OpCode::kPushConst && is_load(code_[1])) {
-    load = &code_[1];
-    cnst = &code_[0];
+  if (is_load(code[0]) && code[1].op == OpCode::kPushConst) {
+    load = &code[0];
+    cnst = &code[1];
+  } else if (code[0].op == OpCode::kPushConst && is_load(code[1])) {
+    load = &code[1];
+    cnst = &code[0];
     op = mirror_compare(op);
   } else {
     return std::nullopt;
@@ -444,7 +507,7 @@ std::optional<IndexHint> EvalProgram::index_hint() const {
   hint.binding = load->a;
   hint.slot = load->b;
   hint.op = op;
-  const Value& c = consts_[cnst->a];
+  const Value& c = consts()[cnst->a];
   if (double d; fast_num(c, &d)) {
     hint.num = d;
     return hint;
@@ -520,6 +583,11 @@ inline Value slot_value(const Slot& s) {
   return Value{};
 }
 
+// The error of a column or alias that does not resolve at run time.
+Status not_found(const char* what, const char* name) {
+  return aorta::util::not_found_error(std::string(what) + name);
+}
+
 }  // namespace
 
 // The VM loop. kPredicateMode returns bool (errors -> false, no Status or
@@ -537,12 +605,17 @@ auto EvalProgram::exec(const BindingFrame& frame) const {
     }
   };
 
+  const Value* consts = this->consts();
+  const double* num_consts = this->num_consts();
+  const Instr* code = this->code();
+  const std::size_t n = block_->code;
+
   constexpr std::size_t kInlineStack = 16;
   Slot inline_stack[kInlineStack];
   std::vector<Slot> heap_stack;
   Slot* stack = inline_stack;
-  if (max_stack_ > kInlineStack) {
-    heap_stack.resize(max_stack_);
+  if (block_->max_stack > kInlineStack) {
+    heap_stack.resize(block_->max_stack);
     stack = heap_stack.data();
   }
   // Owned storage for slow-path results (string concat, function
@@ -551,16 +624,15 @@ auto EvalProgram::exec(const BindingFrame& frame) const {
   // backward jumps), so parked references stay stable.
   std::vector<Value> owned;
   auto park = [&](std::size_t slot, Value v) {
-    if (owned.capacity() == 0) owned.reserve(code_.size());
+    if (owned.capacity() == 0) owned.reserve(n);
     owned.push_back(std::move(v));
     stack[slot].set_ref(&owned.back());
   };
 
   std::size_t sp = 0;
   std::size_t pc = 0;
-  const std::size_t n = code_.size();
   while (pc < n) {
-    const Instr& in = code_[pc];
+    const Instr& in = code[pc];
     switch (in.op) {
       case OpCode::kCmpQualConst: {
         // The fused fast lane: load a qualified column, compare against a
@@ -568,8 +640,7 @@ auto EvalProgram::exec(const BindingFrame& frame) const {
         const comm::Tuple* t = frame.tuples[(in.c >> 4) & 0x3];
         if (t == nullptr) {
           return failed([&] {
-            return aorta::util::not_found_error("unbound table alias: " +
-                                                names_[in.c >> 6]);
+            return not_found("unbound table alias: ", name(in.c >> 6));
           });
         }
         const Value& v = t->at(in.a);
@@ -583,7 +654,7 @@ auto EvalProgram::exec(const BindingFrame& frame) const {
           // Non-numeric column value (string id, location): shared slow
           // path against the original constant.
           auto r = compare_values(static_cast<BinaryOp>(in.c & 0xf), v,
-                                  consts_[in.b]);
+                                  consts[in.b]);
           if (!r.is_ok()) {
             return failed([&] { return r.status(); });
           }
@@ -592,18 +663,17 @@ auto EvalProgram::exec(const BindingFrame& frame) const {
           break;
         }
         stack[sp++].set_bool(fast_compare(static_cast<BinaryOp>(in.c & 0xf),
-                                          d, num_consts_[in.b]));
+                                          d, num_consts[in.b]));
         break;
       }
       case OpCode::kPushConst:
-        stack[sp++].set_ref(&consts_[in.a]);
+        stack[sp++].set_ref(&consts[in.a]);
         break;
       case OpCode::kLoadQual: {
         const comm::Tuple* t = frame.tuples[in.a];
         if (t == nullptr) {
           return failed([&] {
-            return aorta::util::not_found_error("unbound table alias: " +
-                                                names_[in.c]);
+            return not_found("unbound table alias: ", name(in.c));
           });
         }
         stack[sp++].set_ref(&t->at(in.b));
@@ -613,8 +683,7 @@ auto EvalProgram::exec(const BindingFrame& frame) const {
         const comm::Tuple* t = frame.tuples[in.a];
         if (t == nullptr) {
           return failed([&] {
-            return aorta::util::not_found_error("unknown column: " +
-                                                names_[in.c]);
+            return not_found("unknown column: ", name(in.c));
           });
         }
         stack[sp++].set_ref(&t->at(in.b));
@@ -623,8 +692,7 @@ auto EvalProgram::exec(const BindingFrame& frame) const {
       case OpCode::kLoadMissing: {
         if (frame.tuples[in.a] == nullptr) {
           return failed([&] {
-            return aorta::util::not_found_error("unbound table alias: " +
-                                                names_[in.c]);
+            return not_found("unbound table alias: ", name(in.c));
           });
         }
         stack[sp++].set_null();
@@ -632,8 +700,7 @@ auto EvalProgram::exec(const BindingFrame& frame) const {
       }
       case OpCode::kLoadUnbound:
         return failed([&] {
-          return aorta::util::not_found_error("unbound table alias: " +
-                                              names_[in.c]);
+          return not_found("unbound table alias: ", name(in.c));
         });
       case OpCode::kCall: {
         std::size_t argc = in.b;
@@ -643,7 +710,7 @@ auto EvalProgram::exec(const BindingFrame& frame) const {
           args.push_back(slot_value(stack[i]));
         }
         sp -= argc;
-        auto r = (*fns_[in.a])(args);
+        auto r = (*fns()[in.a])(args);
         if (!r.is_ok()) {
           return failed([&] { return r.status(); });
         }
@@ -750,34 +817,34 @@ bool EvalProgram::run_predicate(const BindingFrame& frame) const {
 
 std::string EvalProgram::disassemble() const {
   std::string out;
-  for (std::size_t i = 0; i < code_.size(); ++i) {
-    const Instr& in = code_[i];
+  for (std::size_t i = 0; i < instruction_count(); ++i) {
+    const Instr& in = code()[i];
     out += aorta::util::str_format("%3zu: ", i);
     switch (in.op) {
       case OpCode::kPushConst:
-        out += "push " + device::value_to_string(consts_[in.a]);
+        out += "push " + device::value_to_string(consts()[in.a]);
         break;
       case OpCode::kLoadQual:
         out += aorta::util::str_format("load %s[%u] slot %u",
-                                       names_[in.c].c_str(), in.a, in.b);
+                                       name(in.c), in.a, in.b);
         break;
       case OpCode::kLoadUnqual:
         out += aorta::util::str_format("load_unqual %s bind %u slot %u",
-                                       names_[in.c].c_str(), in.a, in.b);
+                                       name(in.c), in.a, in.b);
         break;
       case OpCode::kLoadMissing:
         out += aorta::util::str_format("load_missing bind %u (NULL)", in.a);
         break;
       case OpCode::kLoadUnbound:
-        out += "load_unbound " + names_[in.c] + " (error)";
+        out += std::string("load_unbound ") + name(in.c) + " (error)";
         break;
       case OpCode::kCmpQualConst:
         out += aorta::util::str_format(
-            "cmp_fused %s[%u] slot %u %s %s", names_[in.c >> 6].c_str(),
+            "cmp_fused %s[%u] slot %u %s %s", name(in.c >> 6),
             (in.c >> 4) & 0x3, in.a,
             std::string(binary_op_name(static_cast<BinaryOp>(in.c & 0xf)))
                 .c_str(),
-            device::value_to_string(consts_[in.b]).c_str());
+            device::value_to_string(consts()[in.b]).c_str());
         break;
       case OpCode::kCall:
         out += aorta::util::str_format("call fn#%u argc %u", in.a, in.b);

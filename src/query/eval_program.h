@@ -25,9 +25,11 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "query/expr_eval.h"
@@ -89,7 +91,7 @@ class EvalProgram {
     kBoolCast,    // top = truthy(top)  (AND/OR produce booleans)
     kCmpQualConst,  // fused [kLoadQual][kPushConst][kCompare] over a
                     // numeric constant: a = field slot, b = const index
-                    // (num_consts_[b] pre-coerced), c packs
+                    // (num_consts[b] pre-coerced), c packs
                     // (name << 6) | (binding << 4) | compare op
   };
 
@@ -99,6 +101,18 @@ class EvalProgram {
     std::uint32_t b = 0;
     std::uint32_t c = 0;
   };
+
+  // An empty program (no instructions, no storage): the placeholder for
+  // an expression that is never evaluated, e.g. COUNT(*)'s argument.
+  EvalProgram() = default;
+  EvalProgram(const EvalProgram& other);
+  EvalProgram(EvalProgram&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)) {}
+  EvalProgram& operator=(EvalProgram other) noexcept {
+    std::swap(block_, other.block_);
+    return *this;
+  }
+  ~EvalProgram();
 
   // Lower `expr` against the statement's binding layout. `binding_aliases`
   // fixes the frame slot of each alias; `schemas` (alias -> schema)
@@ -119,8 +133,10 @@ class EvalProgram {
   // eval_predicate().
   bool run_predicate(const BindingFrame& frame) const;
 
-  std::size_t instruction_count() const { return code_.size(); }
-  std::size_t folded_nodes() const { return folded_nodes_; }
+  std::size_t instruction_count() const { return block_ ? block_->code : 0; }
+  std::size_t folded_nodes() const {
+    return block_ ? block_->folded_nodes : 0;
+  }
 
   // One instruction per line, for EXPLAIN-style debugging and tests.
   std::string disassemble() const;
@@ -136,6 +152,56 @@ class EvalProgram {
   std::optional<IndexHint> index_hint() const;
 
  private:
+  // The program lives in one heap block: this header, then its pools —
+  // the constants, their numeric coercions (valid where a compare was
+  // fused), the pre-bound functions, the instructions, and the column and
+  // alias names that error messages and disassemble() print, each
+  // NUL-terminated. A string constant longer than the small-string buffer
+  // keeps its characters in a block of its own.
+  struct Header {
+    std::uint32_t code = 0;    // instructions
+    std::uint32_t consts = 0;  // constants (and numeric coercions)
+    std::uint32_t fns = 0;     // pre-bound functions
+    std::uint32_t names = 0;   // names
+    std::uint32_t max_stack = 1;
+    std::uint32_t folded_nodes = 0;
+  };
+  static_assert(sizeof(Header) % alignof(device::Value) == 0,
+                "the constants start right after the header");
+  // The parts a program is packed from (ProgramBuilder's output).
+  struct Pools {
+    std::vector<Instr> code;
+    std::vector<device::Value> consts;
+    std::vector<double> num_consts;
+    std::vector<const ScalarFn*> fns;
+    std::vector<std::string> names;
+    std::size_t max_stack = 1;
+    std::size_t folded_nodes = 0;
+  };
+  static EvalProgram pack(Pools&& pools);
+
+  // The pools inside the block (written only while pack() and the copy
+  // constructor fill them).
+  device::Value* consts() const {
+    return reinterpret_cast<device::Value*>(block_ + 1);
+  }
+  double* num_consts() const {
+    return reinterpret_cast<double*>(consts() + block_->consts);
+  }
+  const ScalarFn** fns() const {
+    return reinterpret_cast<const ScalarFn**>(num_consts() + block_->consts);
+  }
+  Instr* code() const {
+    return reinterpret_cast<Instr*>(fns() + block_->fns);
+  }
+  // The i-th name (only error paths and disassemble() read one); the
+  // block ends at name(names).
+  char* name(std::uint32_t i) const {
+    char* p = reinterpret_cast<char*>(code() + block_->code);
+    while (i-- > 0) p += std::strlen(p) + 1;
+    return p;
+  }
+
   // Shared VM loop. In predicate mode it returns the verdict directly and
   // swallows errors as false without materializing a Status or Result —
   // that fixed per-row cost is most of what separates a ~100ns and a
@@ -143,17 +209,7 @@ class EvalProgram {
   template <bool kPredicateMode>
   auto exec(const BindingFrame& frame) const;
 
-  // Peephole pass: rewrite [kLoadQual][kPushConst(numeric)][kCompare]
-  // triples into kCmpQualConst and remap short-circuit jump targets.
-  void fuse_compare_triples();
-
-  std::vector<Instr> code_;
-  std::vector<device::Value> consts_;
-  std::vector<double> num_consts_;  // consts_ coerced; valid where fused
-  std::vector<const ScalarFn*> fns_;
-  std::vector<std::string> names_;  // column/alias names for error messages
-  std::size_t max_stack_ = 1;
-  std::size_t folded_nodes_ = 0;
+  Header* block_ = nullptr;
 
   friend class ProgramBuilder;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "util/logging.h"
 
@@ -54,14 +55,14 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
   }
   auto compiled = compile(stmt, *catalog_, *registry_);
   if (!compiled.is_ok()) return compiled.status();
+  CompiledQuery& cq = compiled.value();
 
   // Continuous aggregates run on the shared-aggregate cache (attached
   // below, after the epoch is resolved). GROUP BY / WINDOW only make sense
   // over aggregate projections.
-  bool has_agg = !compiled.value().aggregates.empty();
-  if (!has_agg && (!compiled.value().group_by.empty() ||
-                   compiled.value().window_s > 0.0 ||
-                   compiled.value().every_s > 0.0)) {
+  bool has_agg = !cq.aggregates.empty();
+  if (!has_agg && (!cq.group_by.empty() || cq.window_s > 0.0 ||
+                   cq.every_s > 0.0)) {
     return aorta::util::invalid_argument_error(
         "GROUP BY / WINDOW require aggregate projections "
         "(count/sum/avg/min/max)");
@@ -71,8 +72,7 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
   aq->name = name;
   aq->generation = next_generation_++;
   aq->hooks = std::move(hooks);
-  aq->compiled = std::move(compiled).value();
-  eval_stats_.programs_compiled += aq->compiled.program_count();
+  eval_stats_.programs_compiled += cq.program_count();
 
   if (epoch_s > 0.0) {
     double engine_epoch_s = options_.epoch.to_seconds();
@@ -96,7 +96,7 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
     // registration.
     claim_slot(aq.get());
     Status attached = agg_cache_->attach(
-        name, aq->generation, aq->compiled, aq->epoch_ticks,
+        name, aq->generation, cq, aq->epoch_ticks,
         static_cast<double>(aq->epoch_ticks) * options_.epoch.to_seconds(),
         [this, slot = aq->slot, generation = aq->generation](
             const std::string&, TimestampedRow row) {
@@ -106,7 +106,6 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
       release_slot(aq->slot);
       return attached;
     }
-    aq->compiled = CompiledQuery{};
     AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kRegister, "register:" + name,
                         loop_->now(),
                         "aggregate every " + std::to_string(aq->epoch_ticks) +
@@ -116,7 +115,7 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
   }
 
   // Make sure the shared operators for its actions exist.
-  for (const auto& call : aq->compiled.actions) {
+  for (const auto& call : cq.actions) {
     if (operator_for(call.action) == nullptr) {
       return aorta::util::internal_error("could not create action operator for " +
                                          call.action->name);
@@ -126,16 +125,15 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
   // Attach the query to the shared acquisition plane with its needed
   // event-table attributes (projection pushdown).
   std::set<std::string> needed;
-  auto it = aq->compiled.needed_attrs.find(aq->compiled.event_alias);
-  if (it != aq->compiled.needed_attrs.end()) needed = std::move(it->second);
-  aq->compiled.release_trees();
+  auto it = cq.needed_attrs.find(cq.event_alias);
+  if (it != cq.needed_attrs.end()) needed = std::move(it->second);
 
   // AQs with the same (type, period, phase, needed) share one
   // subscription + one compiled-predicate index. The phase mirrors what a
   // fresh subscription would get (tick_count % period), so a member joins
   // an existing group only when that group's batches fire exactly when its
   // own subscription would have.
-  device::DeviceTypeId type = aq->compiled.event_type();
+  device::DeviceTypeId type = cq.event_type();
   std::uint64_t phase = broker_->tick_count() % aq->epoch_ticks;
   GroupKey key{type, aq->epoch_ticks, phase, needed};
   auto git = groups_.find(key);
@@ -171,13 +169,9 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
   // already in flight, which the join_tick guard will skip.
   aq->epochs_base =
       group->deliveries + broker_->pending_batches(group->subscription);
-  // With the index off every member joins with no constraint, i.e. on the
-  // residual list: it runs its programs on every tuple.
-  if (options_.predicate_index && aq->compiled.index_conjunct) {
-    aq->conjunct = &*aq->compiled.index_conjunct;
-  }
+  adopt_plan(*aq, std::move(cq));
   claim_slot(aq.get());
-  group->index.add(aq->slot, aq->conjunct);
+  group->index.add(aq->slot, aq->conjunct.get());
 
   AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kRegister, "register:" + name,
                       loop_->now(),
@@ -200,7 +194,7 @@ Status ContinuousQueryExecutor::drop_aq(const std::string& name) {
     // Remove this member's index entry; tear the group down only when its
     // last member leaves.
     DeliveryGroup* group = aq.group;
-    group->index.remove(aq.slot, aq.conjunct);
+    group->index.remove(aq.slot, aq.conjunct.get());
     if (group->index.size() == 0) {
       broker_->unsubscribe(group->subscription);
       // A batch staged for this group but not yet processed (drop from a
@@ -216,6 +210,46 @@ Status ContinuousQueryExecutor::drop_aq(const std::string& name) {
   release_slot(aq.slot);
   queries_.erase(it);
   return Status::ok();
+}
+
+void ContinuousQueryExecutor::adopt_plan(Aq& aq, CompiledQuery compiled) const {
+  aq.bindings = static_cast<std::uint8_t>(compiled.binding_aliases.size());
+  aq.event_binding = static_cast<std::uint8_t>(compiled.event_binding);
+  aq.edge_triggered = compiled.edge_triggered;
+  // With the index off every member joins with no constraint, i.e. on the
+  // residual list: it runs its programs on every tuple.
+  if (options_.predicate_index && compiled.index_conjunct) {
+    aq.conjunct = std::make_unique<const IndexableConjunct>(
+        std::move(*compiled.index_conjunct));
+  }
+  std::vector<EvalProgram>& programs = aq.programs;
+  const bool exact = aq.conjunct != nullptr && aq.conjunct->exact;
+  programs.reserve((exact ? 0 : compiled.event_programs.size()) +
+                   compiled.join_programs.size() +
+                   compiled.projection_programs.size());
+  auto keep = [&](std::vector<EvalProgram>& from) {
+    std::move(from.begin(), from.end(), std::back_inserter(programs));
+  };
+  if (!exact) keep(compiled.event_programs);
+  aq.join_begin = static_cast<std::uint32_t>(programs.size());
+  keep(compiled.join_programs);
+  aq.projection_begin = static_cast<std::uint32_t>(programs.size());
+  keep(compiled.projection_programs);
+  if (!compiled.projection_programs.empty()) {
+    aq.labels = std::move(compiled.labels);
+    aq.labels.shrink_to_fit();
+  }
+  aq.actions.reserve(compiled.actions.size());
+  for (CompiledActionCall& call : compiled.actions) {
+    ActionCall& kept = aq.actions.emplace_back();
+    kept.action = call.action;
+    kept.arg_programs = std::move(call.arg_programs);
+    if (call.candidate_alias != compiled.event_alias) {
+      kept.candidate_schema = compiled.schemas.at(call.candidate_alias);
+    }
+    kept.candidate_binding =
+        static_cast<std::uint32_t>(call.candidate_binding);
+  }
 }
 
 void ContinuousQueryExecutor::claim_slot(Aq* aq) {
@@ -437,10 +471,9 @@ void ContinuousQueryExecutor::process_staged() {
 void ContinuousQueryExecutor::process_event_tuple(
     Aq& aq, const comm::Tuple& tuple, std::uint32_t device_number,
     std::uint64_t seq, bool candidate) {
-  const CompiledQuery& cq = aq.compiled;
   BindingFrame frame;
-  frame.size = cq.binding_aliases.size();
-  frame.set(cq.event_binding, &tuple);
+  frame.size = aq.bindings;
+  frame.set(aq.event_binding, &tuple);
 
   bool satisfied;
   if (candidate && aq.conjunct->exact) {
@@ -451,7 +484,7 @@ void ContinuousQueryExecutor::process_event_tuple(
   } else {
     if (candidate) ++index_stats_.residual_evals;
     satisfied = true;
-    for (const EvalProgram& pred : cq.event_programs) {
+    for (const EvalProgram& pred : aq.event_programs()) {
       if (!eval_pred(pred, frame)) {
         satisfied = false;
         break;
@@ -464,7 +497,7 @@ void ContinuousQueryExecutor::process_event_tuple(
   // moving; see Aq::last_true_seq). Level-triggered queries (no sensory
   // predicates) fire every epoch while satisfied.
   if (!satisfied) return;
-  if (cq.edge_triggered) {
+  if (aq.edge_triggered) {
     std::vector<std::uint64_t>& last = aq.last_true_seq;
     if (device_number >= last.size()) last.resize(device_number + 1, 0);
     std::uint64_t& prev = last[device_number];
@@ -485,13 +518,15 @@ void ContinuousQueryExecutor::fire_event(Aq* aq, const comm::Tuple& tuple,
 
   // Materialize the query's projections against the event tuple — the
   // continuous result stream of a monitoring query.
-  if (!aq->compiled.projection_programs.empty()) {
-    const CompiledQuery& cq = aq->compiled;
+  if (const std::span<const EvalProgram> projections =
+          aq->projection_programs();
+      !projections.empty()) {
+    const std::vector<std::string>& labels = aq->labels;
     Row row;
-    row.reserve(cq.projection_programs.size());
-    for (std::size_t i = 0; i < cq.projection_programs.size(); ++i) {
-      auto v = eval_expr(cq.projection_programs[i], frame);
-      row.emplace_back(cq.labels[i],
+    row.reserve(projections.size());
+    for (std::size_t i = 0; i < projections.size(); ++i) {
+      auto v = eval_expr(projections[i], frame);
+      row.emplace_back(labels[i],
                        v.is_ok() ? std::move(v).value() : device::Value{});
     }
     TimestampedRow stamped{loop_->now(), std::move(row), tuple.degraded()};
@@ -506,8 +541,7 @@ void ContinuousQueryExecutor::fire_event(Aq* aq, const comm::Tuple& tuple,
     }
   }
 
-  const CompiledQuery& cq = aq->compiled;
-  for (const auto& call : cq.actions) {
+  for (const ActionCall& call : aq->actions) {
     std::vector<device::DeviceId> candidates =
         enumerate_candidates(*aq, call, frame);
     if (candidates.empty()) continue;  // no device covers this event
@@ -566,30 +600,28 @@ void ContinuousQueryExecutor::keep_result(Aq& aq, TimestampedRow row) {
 }
 
 std::vector<device::DeviceId> ContinuousQueryExecutor::enumerate_candidates(
-    Aq& aq, const CompiledActionCall& call, const BindingFrame& frame) {
-  const CompiledQuery& cq = aq.compiled;
+    const Aq& aq, const ActionCall& call, const BindingFrame& frame) {
   std::vector<device::DeviceId> out;
 
-  if (call.candidate_alias == cq.event_alias) {
+  if (call.candidate_schema == nullptr) {
     // Action on the event device itself (e.g. beep(s.id)).
-    const comm::Tuple* event_tuple = frame[cq.event_binding];
+    const comm::Tuple* event_tuple = frame[aq.event_binding];
     if (event_tuple != nullptr) out.push_back(event_tuple->source_device());
     return out;
   }
 
-  const device::DeviceTypeId& cand_type =
-      cq.table_types.at(call.candidate_alias);
-  const comm::Schema* candidate_schema = cq.schemas.at(call.candidate_alias);
+  // compile() checked that the candidate table is the action's type.
   BindingFrame joined = frame;
-  for (const device::DeviceId& id : registry_->ids_of_type(cand_type)) {
+  for (const device::DeviceId& id :
+       registry_->ids_of_type(call.action->device_type)) {
     const auto* attrs = registry_->static_attrs(id);
     if (attrs == nullptr) continue;
-    comm::Tuple cand(candidate_schema, id);
+    comm::Tuple cand(call.candidate_schema, id);
     for (const auto& [name, value] : *attrs) cand.set_by_name(name, value);
 
     joined.set(call.candidate_binding, &cand);
     bool ok = true;
-    for (const EvalProgram& pred : cq.join_programs) {
+    for (const EvalProgram& pred : aq.join_programs()) {
       if (!eval_pred(pred, joined)) {
         ok = false;
         break;

@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -122,7 +123,7 @@ class ContinuousQueryExecutor {
   // Register a compiled continuous query under `name`. Starts being
   // evaluated from the next epoch tick. Fails with compile()'s error when
   // an expression does not lower (query/compile.h). The registered query
-  // keeps only what evaluation reads (CompiledQuery::release_trees).
+  // keeps only what evaluation reads (Aq's plan).
   aorta::util::Status register_aq(const std::string& name, double epoch_s,
                                   const SelectStmt& stmt, AqHooks hooks = {});
 
@@ -197,6 +198,19 @@ class ContinuousQueryExecutor {
  private:
   struct DeliveryGroup;
 
+  // One embedded action of a registered query, as fire_event and
+  // enumerate_candidates read it.
+  struct ActionCall {
+    const ActionDef* action = nullptr;
+    // Compiled arguments; the binding argument (finalized per selected
+    // device) holds an empty program.
+    std::vector<EvalProgram> arg_programs;
+    // The candidate table's schema, or null when the action runs on the
+    // event device itself (e.g. beep(s.id)).
+    const comm::Schema* candidate_schema = nullptr;
+    std::uint32_t candidate_binding = 0;  // the candidate's frame slot
+  };
+
   struct Aq {
     std::string name;
     // Distinguishes this registration from an earlier one under the same
@@ -208,10 +222,27 @@ class ContinuousQueryExecutor {
     // This AQ's entry in the member table (live_), and, for a delivery
     // group member, its handle in the group index.
     std::uint32_t slot = 0;
+    // ---- evaluation plan ----------------------------------------------
+    // What process_event_tuple, fire_event and enumerate_candidates read
+    // of the compiled query, and nothing else (DESIGN.md §8). Empty for a
+    // continuous aggregate, whose AggregateCache entry holds its programs.
+    std::uint8_t bindings = 0;       // frame size: one slot per FROM alias
+    std::uint8_t event_binding = 0;  // the event table's frame slot
+    bool edge_triggered = false;
+    // `programs` holds the event predicates, then the join predicates
+    // from join_begin, then the projections from projection_begin. An
+    // exact index constraint stands in for the event predicates, which
+    // are then not kept.
+    std::uint32_t join_begin = 0;
+    std::uint32_t projection_begin = 0;
+    std::vector<EvalProgram> programs;
+    std::vector<std::string> labels;  // the projections' labels
+    std::vector<ActionCall> actions;
+    // The constraint filed in the group index (null = residual list). An
+    // `exact` one covers the whole predicate set: candidacy alone proves a
+    // match, no residual program run needed.
+    std::unique_ptr<const IndexableConjunct> conjunct;
     AqHooks hooks;
-    // A delivery-group member's plan, trees released; empty for a
-    // continuous aggregate (the AggregateCache entry holds its programs).
-    CompiledQuery compiled;
     std::uint64_t epoch_ticks = 1;  // evaluate every N engine epochs
     // ---- delivery-group state -----------------------------------------
     // Null for continuous aggregates, whose evaluation lives in the shared
@@ -223,10 +254,6 @@ class ContinuousQueryExecutor {
     // Group deliveries to discount when deriving this member's epochs
     // stat (deliveries before the join, plus batches then in flight).
     std::uint64_t epochs_base = 0;
-    // The constraint filed in the group index (null = residual list). An
-    // `exact` one covers the whole predicate set: candidacy alone proves a
-    // match, no residual program run needed.
-    const IndexableConjunct* conjunct = nullptr;
     // Edge detection under pruning, indexed by the group's device number
     // (DeliveryGroup::device_numbers): the group row sequence of the
     // device's last row that satisfied the predicates, 0 = none yet
@@ -243,6 +270,17 @@ class ContinuousQueryExecutor {
     // Projection outputs at event time (bounded ring; hook-less AQs only,
     // allocated by the first row kept).
     std::unique_ptr<std::deque<TimestampedRow>> results;
+
+    std::span<const EvalProgram> event_programs() const {
+      return {programs.data(), join_begin};
+    }
+    std::span<const EvalProgram> join_programs() const {
+      return {programs.data() + join_begin, projection_begin - join_begin};
+    }
+    std::span<const EvalProgram> projection_programs() const {
+      return {programs.data() + projection_begin,
+              programs.size() - projection_begin};
+    }
   };
 
   // AQs sharing (event type, period, phase, needed attrs) are
@@ -332,7 +370,10 @@ class ContinuousQueryExecutor {
   // `frame` carries the event tuple; the candidate slot is rebound per
   // enumerated device.
   std::vector<device::DeviceId> enumerate_candidates(
-      Aq& aq, const CompiledActionCall& call, const BindingFrame& frame);
+      const Aq& aq, const ActionCall& call, const BindingFrame& frame);
+  // Keep what evaluation reads of a delivery-group member's compiled
+  // query as its plan; the rest dies with `compiled`.
+  void adopt_plan(Aq& aq, CompiledQuery compiled) const;
 
   // Run one compiled expression over a frame, counting into eval_stats_.
   aorta::util::Result<device::Value> eval_expr(const EvalProgram& program,

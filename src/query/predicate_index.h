@@ -65,7 +65,7 @@ class PredicateIndex {
   void add(Handle handle, const IndexableConjunct* conjunct);
 
   // Remove `handle`, which must have been added with an equal conjunct
-  // (the executor passes the CompiledQuery's own, which is immutable).
+  // (the executor passes the AQ's own, which is immutable).
   void remove(Handle handle, const IndexableConjunct* conjunct);
 
   // Append every indexed handle whose primary constraint and checks

@@ -24,8 +24,8 @@ void Session::deliver(Delivery delivery) {
     case Delivery::Kind::kRow: ++stats_.rows; break;
     case Delivery::Kind::kOutcome: ++stats_.outcomes; break;
   }
-  mailbox_.push(std::move(delivery));  // kShedOldest: never fails
-  if (notify_) notify_(mailbox_.back());
+  // kShedOldest: only a zero-capacity mailbox keeps nothing.
+  if (mailbox_.push(std::move(delivery)) && notify_) notify_(mailbox_.back());
 }
 
 std::vector<Delivery> Session::drain() {

@@ -1,7 +1,6 @@
 #include "shard/merger.h"
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
 
 namespace aorta::shard {
@@ -14,9 +13,19 @@ Merger::Merger(int num_shards, Emit emit)
 
 void Merger::add(int shard, std::uint64_t id, query::TimestampedRow row) {
   Shard& s = shards_[static_cast<std::size_t>(shard)];
-  const aorta::util::TimePoint at = row.at;
-  buffer_.push_back(Entry{at, shard, s.next_arrival++, id, std::move(row)});
   ++stats_.rows_in;
+  ++buffered_;
+  if (s.head == s.run.size() || !(row.at < s.run.back().row.at)) {
+    s.run.push_back(Entry{id, std::move(row)});
+    return;
+  }
+  // Older than the tail: after every buffered row of its instant or
+  // earlier, which keeps arrival order within an instant.
+  const TimePoint at = row.at;
+  auto pos = std::upper_bound(
+      s.run.begin() + static_cast<std::ptrdiff_t>(s.head), s.run.end(), at,
+      [](TimePoint t, const Entry& e) { return t < e.row.at; });
+  s.run.insert(pos, Entry{id, std::move(row)});
 }
 
 void Merger::watermark(int shard, TimePoint w) {
@@ -31,7 +40,13 @@ void Merger::set_live(int shard, bool live) {
 }
 
 void Merger::forget_query(std::uint64_t id) {
-  std::erase_if(buffer_, [id](const Entry& e) { return e.id == id; });
+  for (Shard& s : shards_) {
+    auto kept = std::remove_if(
+        s.run.begin() + static_cast<std::ptrdiff_t>(s.head), s.run.end(),
+        [id](const Entry& e) { return e.id == id; });
+    buffered_ -= static_cast<std::size_t>(s.run.end() - kept);
+    s.run.erase(kept, s.run.end());
+  }
 }
 
 TimePoint Merger::frontier() const {
@@ -48,28 +63,47 @@ TimePoint Merger::frontier() const {
 }
 
 void Merger::release() {
-  TimePoint f = frontier();
-  // Stable partition keeps not-yet-eligible rows in arrival order; the
-  // eligible prefix is then sorted by the deterministic merge key.
-  auto eligible = std::stable_partition(
-      buffer_.begin(), buffer_.end(), [f](const Entry& e) { return e.at < f; });
-  if (eligible == buffer_.begin()) return;
-  std::sort(buffer_.begin(), eligible, [](const Entry& a, const Entry& b) {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.shard != b.shard) return a.shard < b.shard;
-    return a.arrival < b.arrival;
-  });
-  // Detach the released rows before emitting them: an emit hook may drop
-  // an AQ, and forget_query() then erases from buffer_. A dropped AQ's
-  // rows still in `released` are skipped by the emitter's id lookup.
-  std::vector<Entry> released(std::make_move_iterator(buffer_.begin()),
-                              std::make_move_iterator(eligible));
-  buffer_.erase(buffer_.begin(), eligible);
-  ++stats_.release_passes;
-  for (Entry& e : released) {
-    ++stats_.rows_out;
-    emit_(e.id, e.row);
+  const TimePoint f = frontier();
+  bool emitted = false;
+  for (;;) {
+    // The run whose head comes first on (timestamp, shard); ties go to
+    // the lower shard, which the scan visits first.
+    Shard* next = nullptr;
+    for (Shard& s : shards_) {
+      if (s.head == s.run.size()) continue;
+      const TimePoint at = s.run[s.head].row.at;
+      if (at < f && (next == nullptr || at < next->run[next->head].row.at)) {
+        next = &s;
+      }
+    }
+    if (next == nullptr) break;
+    // Its rows at that instant precede every other run's rows.
+    const TimePoint at = next->run[next->head].row.at;
+    while (next->head < next->run.size() &&
+           next->run[next->head].row.at == at) {
+      // Out of the run before the emitter runs: it may forget queries.
+      Entry& e = next->run[next->head++];
+      const std::uint64_t id = e.id;
+      query::TimestampedRow row = std::move(e.row);
+      --buffered_;
+      ++stats_.rows_out;
+      emitted = true;
+      emit_(id, row);
+    }
   }
+  // Drop the released prefixes: a drained run keeps its capacity, a
+  // partly drained one is compacted once it is mostly released.
+  for (Shard& s : shards_) {
+    if (s.head == s.run.size()) {
+      s.run.clear();
+      s.head = 0;
+    } else if (s.head > s.run.size() / 2) {
+      s.run.erase(s.run.begin(),
+                  s.run.begin() + static_cast<std::ptrdiff_t>(s.head));
+      s.head = 0;
+    }
+  }
+  if (emitted) ++stats_.release_passes;
 }
 
 }  // namespace aorta::shard

@@ -14,6 +14,12 @@
 // from the frontier (a dead worker must not stall the other shards'
 // results); their buffered rows stay eligible and drain under the
 // surviving shards' frontier.
+//
+// The buffer is one run per shard in (timestamp, arrival) order. A worker
+// stamps each row with its loop's `now` and the czar consumes a shard's
+// flushes in seq order, so rows arrive in that order and append; a row
+// older than its run's tail is inserted in order. Release is then a k-way
+// merge of the runs' heads on (timestamp, shard) up to the frontier.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +33,9 @@ namespace aorta::shard {
 
 struct MergerStats {
   std::uint64_t rows_in = 0;        // rows accepted from workers
-  std::uint64_t rows_out = 0;       // rows released downstream
+  // Rows handed to the emitter. Rows forget_query() drops (also those of
+  // a fragment the emitter drops mid-pass) are never counted here.
+  std::uint64_t rows_out = 0;
   std::uint64_t release_passes = 0; // frontier advances that emitted rows
 };
 
@@ -35,9 +43,8 @@ class Merger {
  public:
   // `emit` receives each released row exactly once, in merge order, with
   // the fragment id it was added under; the row is the emitter's to move.
-  // It may call forget_query(): a release pass emits rows it has already
-  // taken out of the buffer, so the emitter must skip rows of a fragment
-  // it has forgotten.
+  // It may call forget_query(), which drops the fragment's rows not yet
+  // emitted.
   using Emit =
       std::function<void(std::uint64_t id, query::TimestampedRow& row)>;
 
@@ -60,28 +67,27 @@ class Merger {
   void forget_query(std::uint64_t id);
 
   aorta::util::TimePoint frontier() const;
-  std::size_t buffered() const { return buffer_.size(); }
+  std::size_t buffered() const { return buffered_; }
   const MergerStats& stats() const { return stats_; }
 
  private:
-  struct Shard {
-    aorta::util::TimePoint watermark;
-    std::uint64_t next_arrival = 0;
-    bool live = true;
-  };
   struct Entry {
-    aorta::util::TimePoint at;
-    int shard = 0;
-    std::uint64_t arrival = 0;
     std::uint64_t id = 0;
     query::TimestampedRow row;
+  };
+  struct Shard {
+    aorta::util::TimePoint watermark;
+    bool live = true;
+    // Buffered rows in (timestamp, arrival) order; [0, head) are released.
+    std::vector<Entry> run;
+    std::size_t head = 0;
   };
 
   void release();
 
   Emit emit_;
   std::vector<Shard> shards_;
-  std::vector<Entry> buffer_;
+  std::size_t buffered_ = 0;
   MergerStats stats_;
 };
 

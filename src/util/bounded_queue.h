@@ -4,7 +4,9 @@
 // submission queues and result mailboxes — so one hot client cannot grow
 // memory without limit. Overflow either rejects the new item or sheds the
 // oldest one; both outcomes are counted so benches and tests can report
-// shed rates instead of guessing.
+// shed rates instead of guessing. A zero-capacity queue keeps nothing:
+// every push is rejected (kRejectNew) or shed (kShedOldest; the new item
+// is then the oldest), and counted as such.
 #pragma once
 
 #include <cstdint>
@@ -26,15 +28,17 @@ class BoundedQueue {
                         OverflowPolicy policy = OverflowPolicy::kRejectNew)
       : capacity_(capacity), policy_(policy) {}
 
-  // Returns false iff the item was rejected (kRejectNew on a full queue).
+  // Returns true iff the item was buffered: false when it was rejected
+  // (kRejectNew on a full queue) or shed at once (zero capacity).
   bool push(T item) {
     if (items_.size() >= capacity_) {
       if (policy_ == OverflowPolicy::kRejectNew) {
         ++rejected_;
         return false;
       }
-      items_.pop_front();
       ++shed_;
+      if (items_.empty()) return false;  // zero capacity: shed the new one
+      items_.pop_front();
     }
     items_.push_back(std::move(item));
     return true;

@@ -64,6 +64,25 @@ TEST(BoundedQueueTest, ShedOldestAdmitsNewAndCounts) {
   EXPECT_EQ(q.pop().value(), 3);
 }
 
+TEST(BoundedQueueTest, ZeroCapacityKeepsNothing) {
+  util::BoundedQueue<int> shed(0, OverflowPolicy::kShedOldest);
+  EXPECT_FALSE(shed.push(7));  // the new item is the oldest: shed at once
+  EXPECT_FALSE(shed.push(8));
+  EXPECT_TRUE(shed.empty());
+  EXPECT_EQ(shed.front(), nullptr);
+  EXPECT_EQ(shed.shed(), 2u);
+  EXPECT_EQ(shed.rejected(), 0u);
+  EXPECT_FALSE(shed.pop().has_value());
+
+  util::BoundedQueue<int> reject(0, OverflowPolicy::kRejectNew);
+  EXPECT_FALSE(reject.push(7));
+  EXPECT_FALSE(reject.push(8));
+  EXPECT_TRUE(reject.empty());
+  EXPECT_EQ(reject.rejected(), 2u);
+  EXPECT_EQ(reject.shed(), 0u);
+  EXPECT_EQ(reject.dropped(), 2u);
+}
+
 // ------------------------------------------------------------ sessions
 
 TEST(SessionTest, MailboxShedsOldestAndAccounts) {
@@ -363,6 +382,34 @@ TEST(QueryServiceTest, ContinuousRowsReachTheOwningMailbox) {
   }
   EXPECT_TRUE(saw_row);
   EXPECT_GE(service.tenant_stats().at("acme").rows_delivered, 1u);
+}
+
+TEST(QueryServiceTest, ZeroCapacityMailboxesCountEveryRowDropped) {
+  // A level-triggered AQ per session fires every epoch; with no mailbox
+  // room each delivery (the CREATE's result, then every row) is shed on
+  // arrival, counted, and nothing is buffered or observed.
+  auto world = make_world();
+  core::Aorta& sys = *world;
+  ServiceConfig cfg;
+  cfg.mailbox_capacity = 0;
+  QueryService service(&sys, cfg);
+  std::vector<SessionId> ids = {service.connect("acme"),
+                                service.connect("zeta")};
+  int observed = 0;
+  for (SessionId id : ids) {
+    service.session(id)->set_notify([&](const Delivery&) { ++observed; });
+    ASSERT_TRUE(
+        service.submit(id, "CREATE AQ all AS SELECT s.temp FROM sensor s")
+            .is_ok());
+  }
+  sys.run_for(Duration::seconds(6));
+  for (SessionId id : ids) {
+    const Session& s = *service.session(id);
+    EXPECT_EQ(s.mailbox_size(), 0u);
+    EXPECT_GT(s.stats().rows, 0u);
+    EXPECT_EQ(s.mailbox_dropped(), s.stats().completed + s.stats().rows);
+  }
+  EXPECT_EQ(observed, 0);
 }
 
 TEST(QueryServiceTest, StatsJsonIsWellFormedAndCovered) {

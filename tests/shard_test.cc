@@ -466,6 +466,96 @@ TEST(MergerTest, ForgetQueryDropsBufferedRows) {
   m.watermark(0, TimePoint() + Duration::seconds(5.0));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].id, kLive);
+  // Forgotten rows are accepted but never released.
+  EXPECT_EQ(m.stats().rows_in, 3u);
+  EXPECT_EQ(m.stats().rows_out, 1u);
+  EXPECT_EQ(m.buffered(), 0u);
+}
+
+TEST(MergerTest, ForgetQueryMidReleaseDropsTheRestOfThePass) {
+  // The emitter drops a fragment on its first row: the fragment's later
+  // rows, in this pass and after it, are neither emitted nor counted out.
+  std::vector<ReleasedId> out;
+  constexpr std::uint64_t kDead = 4, kLive = 5;
+  Merger m(1, [&](std::uint64_t id, query::TimestampedRow& row) {
+    out.push_back({id, row.at, std::get<std::int64_t>(row.row[0].second)});
+    if (id == kDead) m.forget_query(kDead);
+  });
+  m.add(0, kDead, tagged_row(1.0, 1));
+  m.add(0, kLive, tagged_row(1.0, 2));
+  m.add(0, kDead, tagged_row(1.0, 3));
+  m.add(0, kLive, tagged_row(2.0, 4));
+  m.add(0, kDead, tagged_row(2.0, 5));
+  m.watermark(0, TimePoint() + Duration::seconds(5.0));
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].tag, 1);
+  EXPECT_EQ(out[1].tag, 2);
+  EXPECT_EQ(out[2].tag, 4);
+  EXPECT_EQ(m.stats().rows_in, 5u);
+  EXPECT_EQ(m.stats().rows_out, 3u);
+  EXPECT_EQ(m.stats().release_passes, 1u);
+  EXPECT_EQ(m.buffered(), 0u);
+}
+
+TEST(MergerTest, ThreeShardsWithInterleavedInstantsMergeByTimeThenShard) {
+  std::vector<ReleasedId> out;
+  Merger m(3, [&](std::uint64_t id, query::TimestampedRow& row) {
+    out.push_back({id, row.at, std::get<std::int64_t>(row.row[0].second)});
+  });
+  // Each shard's rows arrive in time order, with the flushes of different
+  // shards interleaved; the tag is the row's expected release position.
+  m.add(2, 7, tagged_row(1.0, 3));
+  m.add(0, 5, tagged_row(1.0, 0));
+  m.add(1, 6, tagged_row(1.0, 2));
+  m.add(2, 7, tagged_row(2.0, 5));
+  m.add(0, 5, tagged_row(1.0, 1));
+  m.add(1, 6, tagged_row(2.0, 4));
+  m.add(2, 7, tagged_row(2.0, 6));
+  m.add(0, 5, tagged_row(3.0, 7));
+  m.add(2, 7, tagged_row(3.0, 8));
+  m.add(1, 6, tagged_row(4.0, 10));
+  m.add(2, 7, tagged_row(3.0, 9));
+  EXPECT_EQ(m.buffered(), 11u);
+
+  // The frontier passes instant 1.0 only, then everything.
+  for (int shard = 0; shard < 3; ++shard) {
+    m.watermark(shard, TimePoint() + Duration::seconds(2.0));
+  }
+  ASSERT_EQ(out.size(), 4u);
+  for (int shard = 0; shard < 3; ++shard) {
+    m.watermark(shard, TimePoint() + Duration::seconds(9.0));
+  }
+  ASSERT_EQ(out.size(), 11u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].tag, static_cast<std::int64_t>(i)) << i;
+  }
+  EXPECT_EQ(m.buffered(), 0u);
+  EXPECT_EQ(m.stats().rows_in, 11u);
+  EXPECT_EQ(m.stats().rows_out, 11u);
+  EXPECT_EQ(m.stats().release_passes, 2u);
+}
+
+TEST(MergerTest, RowOlderThanItsShardsTailIsMergedInOrder) {
+  std::vector<ReleasedId> out;
+  Merger m(2, [&](std::uint64_t id, query::TimestampedRow& row) {
+    out.push_back({id, row.at, std::get<std::int64_t>(row.row[0].second)});
+  });
+  m.add(0, 1, tagged_row(1.0, 10));
+  m.add(0, 1, tagged_row(3.0, 40));
+  m.add(1, 2, tagged_row(2.0, 30));
+  // Older than shard 0's tail: it goes after shard 0's rows of its own
+  // instant and before the later ones, as if it had arrived in order.
+  m.add(0, 1, tagged_row(2.0, 20));
+  m.add(0, 1, tagged_row(1.0, 11));
+  for (int shard = 0; shard < 2; ++shard) {
+    m.watermark(shard, TimePoint() + Duration::seconds(5.0));
+  }
+  std::vector<std::int64_t> tags;
+  for (const ReleasedId& r : out) tags.push_back(r.tag);
+  EXPECT_EQ(tags, (std::vector<std::int64_t>{10, 11, 20, 30, 40}));
+  for (std::size_t i = 1; i < out.size(); ++i) {
+    EXPECT_LE(out[i - 1].at, out[i].at);
+  }
 }
 
 // ------------------------------------------------- czar planning limits

@@ -13,6 +13,7 @@
 //   * a registered AQ holds a bounded number of live heap bytes across the
 //     czar, the workers and the service (a fragment keeps only what
 //     evaluation reads);
+//   * a compiled program of fanout's shapes holds one heap block;
 //   * a hook-less AQ's results ring keeps its newest 256 rows.
 #include <gtest/gtest.h>
 #include <malloc.h>
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <new>
 #include <string>
@@ -29,6 +31,8 @@
 
 #include "core/aorta.h"
 #include "obs/trace.h"
+#include "query/eval_program.h"
+#include "query/parser.h"
 #include "server/service.h"
 #include "shard/fragment.h"
 #include "shard/plane.h"
@@ -36,17 +40,19 @@
 
 // ---- counting allocator -----------------------------------------------------
 // Replacing global operator new in this TU counts every allocation in the
-// test binary, and the bytes its live blocks hold (malloc_usable_size, so
-// allocator rounding counts too); the tests diff the counters around the
-// work they measure.
+// test binary, and the blocks and bytes that are live (malloc_usable_size,
+// so allocator rounding counts too); the tests diff the counters around
+// the work they measure.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::int64_t> g_live_blocks{0};
 std::atomic<std::int64_t> g_live_bytes{0};
 
 void* counted_malloc(std::size_t size) noexcept {
   ++g_allocations;
   void* p = std::malloc(size ? size : 1);
   if (p != nullptr) {
+    ++g_live_blocks;
     g_live_bytes += static_cast<std::int64_t>(malloc_usable_size(p));
   }
   return p;
@@ -54,6 +60,7 @@ void* counted_malloc(std::size_t size) noexcept {
 
 void counted_free(void* p) noexcept {
   if (p != nullptr) {
+    --g_live_blocks;
     g_live_bytes -= static_cast<std::int64_t>(malloc_usable_size(p));
   }
   std::free(p);
@@ -374,7 +381,9 @@ TEST(TracePipelineTest, RegisteredAqsStayWithinMemoryBudget) {
   // that instant). Fragments that kept their expression trees, pushdown
   // sets, statement text, an own copy of the sensor schema and an empty
   // results deque held 10.7 KB per AQ here; keeping only what evaluation
-  // reads makes 5.2 KB.
+  // reads made 5.2 KB, and a compact plan instead of a whole compiled
+  // query (one heap block per program, event programs an exact index
+  // constraint covers dropped) makes 3.1 KB.
   core::Config cfg;
   cfg.seed = 3;
   core::Aorta sys(cfg);
@@ -419,7 +428,72 @@ TEST(TracePipelineTest, RegisteredAqsStayWithinMemoryBudget) {
   ASSERT_EQ(created, static_cast<std::uint64_t>(kAqs));
   const double per_aq =
       static_cast<double>(g_live_bytes.load() - live_before) / kAqs;
-  EXPECT_LE(per_aq, 6250.0) << "live bytes per registered AQ";
+  EXPECT_LE(per_aq, 3600.0) << "live bytes per registered AQ";
+}
+
+TEST(TracePipelineTest, CompiledProgramsHoldOneHeapBlockEach) {
+  // fanout's event predicates, projections and aggregate arguments, each
+  // compiled alone as compile() lowers them: a program keeps its
+  // instructions, constants, functions and names in one block, and so
+  // does each copy (the aggregate cache copies programs). Five vectors
+  // per program took four blocks for a fused compare.
+  const comm::Schema schema("sensor",
+                            {{"id", device::AttrType::kString, false},
+                             {"hops", device::AttrType::kInt, false},
+                             {"temp", device::AttrType::kDouble, true},
+                             {"light", device::AttrType::kDouble, true},
+                             {"accel_x", device::AttrType::kDouble, true}});
+  const std::vector<std::string> aliases = {"s"};
+  const std::map<std::string, const comm::Schema*> schemas = {
+      {"s", &schema}};
+  const query::FunctionRegistry functions;
+  comm::Tuple tuple(&schema, "m7");
+  tuple.set_by_name("id", device::Value{std::string("m7")});
+  tuple.set_by_name("hops", device::Value{std::int64_t{2}});
+  tuple.set_by_name("temp", device::Value{23.5});
+  tuple.set_by_name("light", device::Value{120.0});
+  tuple.set_by_name("accel_x", device::Value{640.0});
+  query::BindingFrame frame;
+  frame.size = 1;
+  frame.set(0, &tuple);
+
+  struct Shape {
+    const char* text;
+    const char* value;  // value_to_string of the result over `tuple`
+  };
+  for (const Shape& shape : {
+           Shape{"s.id = 'm7'", "TRUE"},
+           Shape{"s.temp > 23.45", "TRUE"},
+           Shape{"s.light > 110", "TRUE"},
+           Shape{"s.light < 131", "TRUE"},
+           Shape{"s.accel_x > 500", "TRUE"},
+           Shape{"s.hops = 3", "FALSE"},
+           Shape{"s.id", "'m7'"},
+           Shape{"s.temp", "23.5"},
+           Shape{"s.light", "120"},
+           Shape{"s.accel_x", "640"},
+       }) {
+    auto expr = query::parse_expression(shape.text);
+    ASSERT_TRUE(expr.is_ok()) << shape.text;
+    std::vector<query::EvalProgram> programs;
+    programs.reserve(2);
+    const std::int64_t before = g_live_blocks.load();
+    {
+      auto compiled = query::EvalProgram::compile(*expr.value(), aliases,
+                                                  schemas, functions);
+      ASSERT_TRUE(compiled.is_ok()) << shape.text;
+      programs.push_back(std::move(compiled).value());
+    }
+    EXPECT_LE(g_live_blocks.load() - before, 1) << shape.text;
+    programs.push_back(programs.front());
+    EXPECT_LE(g_live_blocks.load() - before, 2) << shape.text;
+    for (const query::EvalProgram& program : programs) {
+      auto v = program.run(frame);
+      ASSERT_TRUE(v.is_ok()) << shape.text;
+      EXPECT_EQ(device::value_to_string(v.value()), shape.value)
+          << shape.text;
+    }
+  }
 }
 
 TEST(TracePipelineTest, HooklessResultsRingKeepsTheNewest256Rows) {
