@@ -99,14 +99,21 @@ Result<ExecResult> Aorta::exec(const std::string& sql) {
 void Aorta::exec_async(const std::string& sql, ExecOptions options,
                        std::function<void(Result<ExecResult>)> done) {
   auto stmt = query::parse(sql);
-  AORTA_TRACE_INSTANT(&host_->tracer(), obs::SpanCat::kParse, "parse", host_->loop().now(),
-                      stmt.is_ok() ? sql : "error: " + sql);
   if (!stmt.is_ok()) {
+    AORTA_TRACE_INSTANT(&host_->tracer(), obs::SpanCat::kParse, "parse",
+                        host_->loop().now(), "error: " + sql);
     done(Result<ExecResult>(stmt.status()));
     return;
   }
-  query::Statement& s = stmt.value();
+  exec_async(std::move(stmt).value(), sql, std::move(options),
+             std::move(done));
+}
 
+void Aorta::exec_async(query::Statement s, const std::string& sql,
+                       ExecOptions options,
+                       std::function<void(Result<ExecResult>)> done) {
+  AORTA_TRACE_INSTANT(&host_->tracer(), obs::SpanCat::kParse, "parse",
+                      host_->loop().now(), sql);
   if (s.kind == query::Statement::Kind::kSelect) {
     host_->executor().run_select(
         s.select, [done = std::move(done)](

@@ -176,11 +176,16 @@ class Aorta {
   // SELECT runs the simulation until its tuples are acquired.
   aorta::util::Result<ExecResult> exec(const std::string& sql);
 
-  // Asynchronous variant used by the service layer: DDL completes before
-  // returning; a one-shot SELECT completes once enough simulated time has
-  // passed for tuple acquisition (the caller keeps the event loop moving).
-  // `done` is invoked exactly once.
+  // Asynchronous variant: DDL completes before returning; a one-shot
+  // SELECT completes once enough simulated time has passed for tuple
+  // acquisition (the caller keeps the event loop moving). `done` is
+  // invoked exactly once. The text form parses and forwards; the service
+  // layer, which parsed the statement at submit, hands over the statement
+  // and the text it came from.
   void exec_async(const std::string& sql, ExecOptions options,
+                  std::function<void(aorta::util::Result<ExecResult>)> done);
+  void exec_async(query::Statement stmt, const std::string& sql,
+                  ExecOptions options,
                   std::function<void(aorta::util::Result<ExecResult>)> done);
 
   // Bind the implementation of a user-defined action registered via

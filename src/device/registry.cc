@@ -15,6 +15,7 @@ Status DeviceRegistry::register_type(DeviceTypeInfo info) {
   if (!inserted) {
     return aorta::util::already_exists_error("device type already registered");
   }
+  ++types_version_;
   return Status::ok();
 }
 

@@ -63,6 +63,8 @@ class DeviceRegistry {
   // the static cache: a consumer that derives per-type tables from the
   // registry rebuilds them when this moves.
   std::uint64_t version() const { return version_; }
+  // Bumped by every type registration (the virtual tables compile reads).
+  std::uint64_t types_version() const { return types_version_; }
 
   // Cached non-sensory attributes ("non-sensory data may be stored
   // statically", Section 3.2).
@@ -79,6 +81,7 @@ class DeviceRegistry {
   std::map<DeviceId, std::unique_ptr<Device>> devices_;
   std::map<DeviceId, std::map<std::string, Value>> static_attr_cache_;
   std::uint64_t version_ = 0;
+  std::uint64_t types_version_ = 0;
 };
 
 }  // namespace aorta::device

@@ -13,6 +13,7 @@ Status Catalog::register_action(ActionDef action) {
     return aorta::util::already_exists_error("action already registered: " +
                                              it->first);
   }
+  ++version_;
   return Status::ok();
 }
 

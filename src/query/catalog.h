@@ -72,6 +72,11 @@ class Catalog {
   FunctionRegistry& functions() { return functions_; }
   const FunctionRegistry& functions() const { return functions_; }
 
+  // Bumped by every action and function registration: a plan compiled at
+  // one version (and one DeviceRegistry::types_version()) is what
+  // compile() still makes while both stay put.
+  std::uint64_t version() const { return version_ + functions_.version(); }
+
   // The virtual table of a registered device type, built on first use and
   // then shared by every query compiled against this catalog: a type's
   // device catalog never changes once registered, so one immutable schema
@@ -82,6 +87,7 @@ class Catalog {
  private:
   std::map<std::string, ActionDef> actions_;
   FunctionRegistry functions_;
+  std::uint64_t version_ = 0;
   mutable std::map<device::DeviceTypeId, comm::Schema> tables_;
 };
 

@@ -61,7 +61,7 @@ bool references_sensory(const Expr& expr, const std::string& alias,
 // result inexact but never unsound — it just stays a residual filter.
 std::optional<IndexableConjunct> distill_index_conjunct(
     const std::vector<EvalProgram>& event_programs,
-    std::size_t event_binding, const comm::Schema& event_schema) {
+    std::size_t event_binding) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   struct SlotAcc {
     double lo = -kInf;
@@ -135,9 +135,6 @@ std::optional<IndexableConjunct> distill_index_conjunct(
   for (const auto& [slot, acc] : slots) {
     IndexableConjunct c;
     c.slot = slot;
-    if (slot < event_schema.fields().size()) {
-      c.attr = event_schema.fields()[slot].name;
-    }
     c.lo = acc.lo;
     c.hi = acc.hi;
     c.lo_strict = acc.lo_strict;
@@ -154,32 +151,37 @@ std::optional<IndexableConjunct> distill_index_conjunct(
       // one slot, or an empty interval): nothing can match. kNever is the
       // most selective possible entry, so it wins outright.
       c.kind = IndexableConjunct::Kind::kNever;
-      c.selectivity = 0.0;
     } else if (acc.has_str) {
       c.kind = IndexableConjunct::Kind::kStrEq;
-      c.selectivity = 0.01;
     } else if (acc.lo == acc.hi) {  // both inclusive, else empty_interval
       c.kind = IndexableConjunct::Kind::kPointEq;
-      c.selectivity = 0.01;
     } else if (no_lo && no_hi) {
       c.kind = IndexableConjunct::Kind::kRange;  // any number at all
-      c.selectivity = 1.0;
     } else if (no_hi) {
       c.kind = IndexableConjunct::Kind::kLower;
-      c.selectivity = 0.4;
     } else if (no_lo) {
       c.kind = IndexableConjunct::Kind::kUpper;
-      c.selectivity = 0.4;
     } else {
       c.kind = IndexableConjunct::Kind::kRange;
-      c.selectivity = 0.2;
     }
     ranked.push_back(std::move(c));
   }
-  // Most selective first; ties keep slot order.
+  // Most selective first by a static rank of the kind (no data
+  // statistics): a contradiction, an equality, a range, a half-line, and
+  // last a range that admits any number. Ties keep slot order.
+  auto rank = [](const IndexableConjunct& c) {
+    using Kind = IndexableConjunct::Kind;
+    if (c.kind == Kind::kNever) return 0;
+    if (c.kind == Kind::kPointEq || c.kind == Kind::kStrEq) return 1;
+    if (c.kind == Kind::kLower || c.kind == Kind::kUpper) return 3;
+    const bool any_number =
+        c.lo == -kInf && !c.lo_strict && c.hi == kInf && !c.hi_strict;
+    return any_number ? 4 : 2;
+  };
   std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const IndexableConjunct& a, const IndexableConjunct& b) {
-                     return a.selectivity < b.selectivity;
+                   [&rank](const IndexableConjunct& a,
+                           const IndexableConjunct& b) {
+                     return rank(a) < rank(b);
                    });
   IndexableConjunct best = std::move(ranked.front());
   if (best.kind != IndexableConjunct::Kind::kNever) {
@@ -448,8 +450,8 @@ Result<CompiledQuery> compile(const SelectStmt& stmt, const Catalog& catalog,
   // ---- predicate-index metadata ------------------------------------------
   // One-shot SELECTs scan once and never register with the index.
   if (!one_shot) {
-    q.index_conjunct = distill_index_conjunct(
-        q.event_programs, q.event_binding, *schemas.at(q.event_alias));
+    q.index_conjunct =
+        distill_index_conjunct(q.event_programs, q.event_binding);
   }
 
   return q;

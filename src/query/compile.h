@@ -76,16 +76,11 @@ struct IndexableConjunct {
 
   Kind kind = Kind::kNever;
   std::uint32_t slot = 0;  // field slot in the event table's schema
-  std::string attr;        // that field's name (for metrics / EXPLAIN)
   double lo = 0.0;         // valid for kPointEq / kLower / kRange
   double hi = 0.0;         // valid for kPointEq / kUpper / kRange
   bool lo_strict = false;
   bool hi_strict = false;
   std::string str;  // valid for kStrEq
-  // Crude match-fraction estimate used only to rank candidate slots
-  // (equality is assumed more selective than a range, a range more than
-  // a half-line). Falls out of the peephole pass: no data statistics.
-  double selectivity = 1.0;
   // The other hinted slots' constraints, most selective first (empty for
   // kNever, which matches nothing whatever they say).
   std::vector<SlotCheck> checks;

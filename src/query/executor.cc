@@ -729,27 +729,38 @@ std::vector<const ActionOperator*> ContinuousQueryExecutor::operators() const {
 void ContinuousQueryExecutor::run_select(
     const SelectStmt& stmt,
     std::function<void(Result<std::vector<Row>>)> done) {
-  if (!stmt.group_by.empty() || stmt.window_s > 0.0) {
-    done(Result<std::vector<Row>>(aorta::util::invalid_argument_error(
-        "GROUP BY / WINDOW apply to continuous queries (CREATE AQ), not "
-        "one-shot SELECT")));
+  auto plan = plan_select(stmt);
+  if (!plan.is_ok()) {
+    done(Result<std::vector<Row>>(plan.status()));
     return;
+  }
+  run_plan(std::move(plan).value(), std::move(done));
+}
+
+Result<std::shared_ptr<const CompiledQuery>>
+ContinuousQueryExecutor::plan_select(const SelectStmt& stmt) {
+  using PlanResult = Result<std::shared_ptr<const CompiledQuery>>;
+  if (!stmt.group_by.empty() || stmt.window_s > 0.0) {
+    return PlanResult(aorta::util::invalid_argument_error(
+        "GROUP BY / WINDOW apply to continuous queries (CREATE AQ), not "
+        "one-shot SELECT"));
   }
   auto compiled = compile(stmt, *catalog_, *registry_, /*one_shot=*/true);
-  if (!compiled.is_ok()) {
-    done(Result<std::vector<Row>>(compiled.status()));
-    return;
-  }
-  auto q = std::make_shared<CompiledQuery>(std::move(compiled).value());
+  if (!compiled.is_ok()) return PlanResult(compiled.status());
+  auto q = std::make_shared<const CompiledQuery>(std::move(compiled).value());
   eval_stats_.programs_compiled += q->program_count();
   // Aggregates collapse the result to one row; without GROUP BY a plain
   // projection beside them has no single value.
   if (!q->aggregates.empty() && !q->projections.empty()) {
-    done(Result<std::vector<Row>>(aorta::util::invalid_argument_error(
-        "cannot mix aggregates with plain projections (no GROUP BY)")));
-    return;
+    return PlanResult(aorta::util::invalid_argument_error(
+        "cannot mix aggregates with plain projections (no GROUP BY)"));
   }
+  return PlanResult(std::move(q));
+}
 
+void ContinuousQueryExecutor::run_plan(
+    std::shared_ptr<const CompiledQuery> q,
+    std::function<void(Result<std::vector<Row>>)> done) {
   // One live acquisition per table (one-shot SELECTs read sensory
   // attributes on every table, unlike continuous candidate enumeration
   // which is restricted to the static cache). Acquisitions go through the
@@ -835,10 +846,10 @@ void ContinuousQueryExecutor::run_select(
   auto shared_finish = std::make_shared<decltype(finish)>(std::move(finish));
 
   for (std::size_t t = 0; t < multi->aliases.size(); ++t) {
-    // The compiled query is this call's own: its needed sets move out.
+    // The plan may serve other runs: its needed sets are copied.
     std::set<std::string> needed;
     auto it = q->needed_attrs.find(multi->aliases[t]);
-    if (it != q->needed_attrs.end()) needed = std::move(it->second);
+    if (it != q->needed_attrs.end()) needed = it->second;
     broker_->acquire_once(
         q->table_types.at(multi->aliases[t]), std::move(needed),
         [multi, t, shared_finish](std::vector<comm::Tuple> tuples) {

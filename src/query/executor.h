@@ -144,9 +144,18 @@ class ContinuousQueryExecutor {
   // One-shot SELECT: acquires tuples, evaluates predicates, projects the
   // non-action select items (SELECT * arrives expanded) or folds the
   // aggregates into one row with AggFold (query/aggregate.h). `done`
-  // receives the rows.
+  // receives the rows. Plan-then-run: plan_select, then run_plan.
   void run_select(const SelectStmt& stmt,
                   std::function<void(aorta::util::Result<std::vector<Row>>)> done);
+  // The two steps of run_select. plan_select compiles the statement
+  // (counting its programs in eval_stats) and rejects shapes a one-shot
+  // SELECT cannot answer. run_plan acquires and evaluates; it only reads
+  // the plan, so one plan serves any number of runs, and the run holds it
+  // until `done` fires.
+  aorta::util::Result<std::shared_ptr<const CompiledQuery>> plan_select(
+      const SelectStmt& stmt);
+  void run_plan(std::shared_ptr<const CompiledQuery> plan,
+                std::function<void(aorta::util::Result<std::vector<Row>>)> done);
 
   // ---- results / observability --------------------------------------------
   // Rows a continuous query's projections produced at its last events

@@ -18,6 +18,7 @@ Status FunctionRegistry::add(std::string name, ScalarFn fn) {
     return aorta::util::already_exists_error("function already registered: " +
                                              it->first);
   }
+  ++version_;
   return Status::ok();
 }
 

@@ -7,6 +7,7 @@
 // below are used by both evaluators and the compiler.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
@@ -33,9 +34,12 @@ class FunctionRegistry {
   // under insertion), which lets compiled programs pre-bind it.
   const ScalarFn* find(std::string_view name) const;
   std::vector<std::string> names() const;
+  // Bumped by every successful add (see Catalog::version).
+  std::uint64_t version() const { return version_; }
 
  private:
   std::map<std::string, ScalarFn, std::less<>> fns_;
+  std::uint64_t version_ = 0;
 };
 
 // Binding environment: table alias -> tuple for the current row

@@ -14,6 +14,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -29,6 +30,9 @@ struct Submission {
   TenantId tenant;
   std::uint64_t statement_id = 0;
   std::string sql;
+  // `sql` as submit() parsed it; dispatch moves it to the engine and lets
+  // go of it (held by a shared_ptr only so that a Submission is copyable).
+  std::shared_ptr<query::Statement> statement;
   query::Statement::Kind kind = query::Statement::Kind::kSelect;
   std::string aq_name;  // kCreateAq / kDropAq: unprefixed query name
   aorta::util::TimePoint enqueued_at;

@@ -76,12 +76,14 @@ void QueryService::deliver_outcome(const std::string& query,
 }
 
 void QueryService::exec_statement(
-    const std::string& sql, core::ExecOptions options,
+    query::Statement stmt, const std::string& sql, core::ExecOptions options,
     std::function<void(Result<core::ExecResult>)> done) {
   if (plane_ != nullptr) {
-    plane_->exec_async(sql, std::move(options), std::move(done));
+    plane_->exec_async(std::move(stmt), sql, std::move(options),
+                       std::move(done));
   } else {
-    system_->exec_async(sql, std::move(options), std::move(done));
+    system_->exec_async(std::move(stmt), sql, std::move(options),
+                        std::move(done));
   }
 }
 
@@ -228,8 +230,9 @@ Result<std::uint64_t> QueryService::submit(SessionId id,
   ++ts.submitted;
   ++s->stats_.submitted;
 
-  // Parse up front: the admission queue only holds well-formed statements,
-  // and quota checks need the statement kind.
+  // Parse up front, once: the admission queue only holds well-formed
+  // statements, quota checks need the statement kind, and dispatch hands
+  // the parsed statement to the engine.
   auto stmt = query::parse(sql);
   if (!stmt.is_ok()) {
     ++ts.errors;
@@ -241,11 +244,13 @@ Result<std::uint64_t> QueryService::submit(SessionId id,
   sub.session = id;
   sub.tenant = s->tenant();
   sub.sql = sql;
-  sub.kind = stmt.value().kind;
+  sub.statement = std::make_shared<query::Statement>(std::move(stmt).value());
+  sub.kind = sub.statement->kind;
   sub.enqueued_at = system_->loop().now();
   sub.seq = next_seq_++;
+  const query::Statement::Kind kind = sub.kind;
   if (sub.kind == query::Statement::Kind::kCreateAq) {
-    sub.aq_name = stmt.value().create_aq.name;
+    sub.aq_name = sub.statement->create_aq.name;
     // Per-tenant quota on registered AQs, counting queued registrations.
     if (rt.aqs + rt.pending_creates >=
         config_.admission.max_aqs_per_tenant) {
@@ -256,7 +261,7 @@ Result<std::uint64_t> QueryService::submit(SessionId id,
           std::to_string(config_.admission.max_aqs_per_tenant) + ")"));
     }
   } else if (sub.kind == query::Statement::Kind::kDropAq) {
-    sub.aq_name = stmt.value().drop_aq.name;
+    sub.aq_name = sub.statement->drop_aq.name;
   }
   sub.statement_id = s->next_statement_id_++;
   std::uint64_t statement_id = sub.statement_id;
@@ -288,9 +293,7 @@ Result<std::uint64_t> QueryService::submit(SessionId id,
         std::to_string(config_.admission.queue_capacity) + ")"));
   }
   ++ts.admitted;
-  if (stmt.value().kind == query::Statement::Kind::kCreateAq) {
-    ++rt.pending_creates;
-  }
+  if (kind == query::Statement::Kind::kCreateAq) ++rt.pending_creates;
   return statement_id;
 }
 
@@ -338,11 +341,13 @@ void QueryService::dispatch(Submission submission) {
   };
 
   auto alive = alive_;
-  // Copy out the SQL first: the lambda capture moves `submission`, and
-  // argument evaluation order is unspecified.
+  // Take the statement and the SQL out first: the lambda capture moves
+  // `submission`, and argument evaluation order is unspecified.
+  query::Statement stmt = std::move(*submission.statement);
+  submission.statement.reset();
   std::string sql = submission.sql;
   exec_statement(
-      sql, std::move(options),
+      std::move(stmt), sql, std::move(options),
       [this, alive, sub = std::move(submission)](
           Result<core::ExecResult> outcome) {
         if (!*alive) return;

@@ -117,9 +117,9 @@ class QueryService {
   // "tenants.<tenant>.*") on first contact.
   TenantStats& tenant_entry(const TenantId& tenant);
   // Statement execution + AQ teardown, routed to the czar in sharded mode
-  // and to the host engine otherwise.
+  // and to the host engine otherwise. `stmt` is `sql` as submit() parsed it.
   void exec_statement(
-      const std::string& sql, core::ExecOptions options,
+      query::Statement stmt, const std::string& sql, core::ExecOptions options,
       std::function<void(aorta::util::Result<core::ExecResult>)> done);
   void drop_query(const std::string& prefixed_name);
   // Mailbox delivery of one action outcome (shared by the executor

@@ -243,14 +243,21 @@ void Czar::exec_async(
     const std::string& sql, core::ExecOptions options,
     std::function<void(Result<ExecResult>)> done) {
   auto parsed = query::parse(sql);
-  AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kParse, "czar:parse",
-                      loop_->now(), parsed.is_ok() ? sql : "error: " + sql);
   if (!parsed.is_ok()) {
+    AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kParse, "czar:parse",
+                        loop_->now(), "error: " + sql);
     done(Result<ExecResult>(parsed.status()));
     return;
   }
-  query::Statement& s = parsed.value();
+  exec_async(std::move(parsed).value(), sql, std::move(options),
+             std::move(done));
+}
 
+void Czar::exec_async(
+    query::Statement s, const std::string& sql, core::ExecOptions options,
+    std::function<void(Result<ExecResult>)> done) {
+  AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kParse, "czar:parse",
+                      loop_->now(), sql);
   switch (s.kind) {
     case query::Statement::Kind::kSelect: {
       Status ok = shardable(s.select);
@@ -512,8 +519,9 @@ void Czar::exec_select(
   state->remaining = static_cast<int>(live.size());
   state->total = static_cast<int>(targets.size());
   state->partials.resize(static_cast<std::size_t>(options_.num_shards));
-  // The fragments share the statement text; each worker re-parses it. The
-  // czar keeps only the merge plan.
+  // The fragments share the statement text; each worker plans it once and
+  // keeps the plan for the text's next SELECT. The czar keeps only the
+  // merge plan.
   state->plan = make_agg_plan(stmt);
   state->done = std::move(done);
 

@@ -1,7 +1,7 @@
 // Czar: the frontend of the sharded query plane.
 //
 // The czar owns the declarative interface when Config::num_shards > 0: it
-// parses each statement, plans it into per-shard fragments
+// takes each parsed statement, plans it into per-shard fragments
 // (shard/fragment.h), dispatches them as RPCs to the worker engines, and
 // merges the per-shard result streams back into one. Continuous rows are
 // unioned by shard::Merger in deterministic (virtual timestamp, shard id,
@@ -108,9 +108,14 @@ class Czar : public net::Endpoint {
   Czar& operator=(const Czar&) = delete;
 
   // Mirrors core::Aorta::exec_async for the statement kinds the sharded
-  // plane supports; `done` fires exactly once.
+  // plane supports; `done` fires exactly once. The text form parses and
+  // forwards; the statement form takes `sql` as already parsed into
+  // `stmt` (the text is what the fragments carry).
   void exec_async(
       const std::string& sql, core::ExecOptions options,
+      std::function<void(aorta::util::Result<core::ExecResult>)> done);
+  void exec_async(
+      query::Statement stmt, const std::string& sql, core::ExecOptions options,
       std::function<void(aorta::util::Result<core::ExecResult>)> done);
 
   // Direct drop (service-layer session teardown). Fans fragment_drop out

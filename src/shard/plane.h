@@ -55,6 +55,12 @@ class Plane {
       std::function<void(aorta::util::Result<core::ExecResult>)> done) {
     czar_->exec_async(sql, std::move(options), std::move(done));
   }
+  void exec_async(
+      query::Statement stmt, const std::string& sql, core::ExecOptions options,
+      std::function<void(aorta::util::Result<core::ExecResult>)> done) {
+    czar_->exec_async(std::move(stmt), sql, std::move(options),
+                      std::move(done));
+  }
 
   // Fault plans against the sharded plane: events carrying shard="<i>" are
   // rewritten to node-level events on that worker's endpoint (crash ->

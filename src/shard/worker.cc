@@ -94,6 +94,8 @@ Worker::Worker(core::Aorta* host, Options options)
     return static_cast<std::int64_t>(fragments_.size());
   });
   m.enroll_counter("selects_served", &stats_.selects_served);
+  m.enroll_counter("plans.reused", &stats_.plans_reused);
+  m.enroll_counter("plans.evicted", &stats_.plans_evicted);
   m.enroll_counter("rows_sent", &stats_.rows_sent);
   m.enroll_counter("results_msgs", &stats_.results_msgs);
   m.enroll_counter("heartbeats", &stats_.heartbeats_sent);
@@ -263,24 +265,17 @@ void Worker::handle_register(const net::Message& msg) {
     send_reply(msg, std::move(reply));
     return;
   }
+  if (spec.once) {
+    run_once_select(msg, spec);
+    return;
+  }
   auto stmt = query::parse(spec.sql);
   if (!stmt.is_ok()) {
     ++stats_.bad_requests;
     reply_error(msg, stmt.status().to_string());
     return;
   }
-  AORTA_TRACE_INSTANT(&engine_.tracer(), obs::SpanCat::kFragment,
-                      node_id_ + ":register:" + spec.name, engine_.loop().now(),
-                      spec.once ? "once" : "gen " + std::to_string(spec.gen));
-  if (spec.once) {
-    if (stmt.value().kind != query::Statement::Kind::kSelect) {
-      ++stats_.bad_requests;
-      reply_error(msg, "once fragment must be a SELECT");
-      return;
-    }
-    run_once_select(msg, stmt.value().select);
-    return;
-  }
+  trace_register(spec);
   if (stmt.value().kind != query::Statement::Kind::kCreateAq) {
     ++stats_.bad_requests;
     reply_error(msg, "fragment must be a CREATE AQ statement");
@@ -340,19 +335,68 @@ void Worker::handle_drop(const net::Message& msg) {
   send_reply(msg, net::make_reply(msg, kFragmentAck, 64));
 }
 
-void Worker::run_once_select(const net::Message& msg,
-                             const query::SelectStmt& stmt) {
+void Worker::trace_register(const FragmentSpec& spec) {
+  AORTA_TRACE_INSTANT(&engine_.tracer(), obs::SpanCat::kFragment,
+                      node_id_ + ":register:" + spec.name, engine_.loop().now(),
+                      spec.once ? "once" : "gen " + std::to_string(spec.gen));
+}
+
+std::shared_ptr<const query::CompiledQuery> Worker::once_plan(
+    const net::Message& msg, const FragmentSpec& spec) {
+  // Every catalog or device-type registration moves the version: a plan
+  // compiled before it may no longer be what compile() would make now.
+  const std::uint64_t version =
+      engine_.catalog().version() + engine_.registry().types_version();
+  if (version != plans_version_) {
+    plans_.clear();
+    plan_fifo_.clear();
+    plans_version_ = version;
+  }
+  if (auto it = plans_.find(spec.sql); it != plans_.end()) {
+    ++stats_.plans_reused;
+    trace_register(spec);
+    return it->second;
+  }
+  auto stmt = query::parse(spec.sql);
+  if (!stmt.is_ok()) {
+    ++stats_.bad_requests;
+    reply_error(msg, stmt.status().to_string());
+    return nullptr;
+  }
+  trace_register(spec);
+  if (stmt.value().kind != query::Statement::Kind::kSelect) {
+    ++stats_.bad_requests;
+    reply_error(msg, "once fragment must be a SELECT");
+    return nullptr;
+  }
   // avg() cannot be merged from per-shard averages, but it *is* mergeable
   // from (sum, count) partials (see rewrite_to_partials). The czar
   // finalizes sum/count and drops the helper columns at the merge barrier.
-  auto rewritten = rewrite_to_partials(stmt);
+  const query::SelectStmt& select = stmt.value().select;
+  auto rewritten = rewrite_to_partials(select);
+  auto plan = engine_.executor().plan_select(rewritten ? *rewritten : select);
+  if (!plan.is_ok()) {
+    reply_error(msg, plan.status().to_string());
+    return nullptr;
+  }
+  plan_fifo_.push_back(spec.sql);
+  if (plan_fifo_.size() > kPlanLimit) {
+    plans_.erase(plan_fifo_.front());
+    plan_fifo_.pop_front();
+    ++stats_.plans_evicted;
+  }
+  return plans_.emplace(spec.sql, std::move(plan).value()).first->second;
+}
 
+void Worker::run_once_select(const net::Message& msg,
+                             const FragmentSpec& spec) {
+  std::shared_ptr<const query::CompiledQuery> plan = once_plan(msg, spec);
+  if (plan == nullptr) return;
   auto alive = alive_;
-  // run_select compiles synchronously (cloning the statement), so the
-  // rewritten form may live on this stack; completion fires once
-  // acquisition finishes in simulated time.
-  engine_.executor().run_select(
-      rewritten ? *rewritten : stmt,
+  // Completion fires once acquisition finishes in simulated time; the run
+  // holds the plan until then, evicted or not.
+  engine_.executor().run_plan(
+      std::move(plan),
       [this, alive, msg](Result<std::vector<query::Row>> outcome) {
         if (!*alive) return;
         if (!outcome.is_ok()) {

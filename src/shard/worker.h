@@ -15,7 +15,10 @@
 //     zero-delay event coalesces everything produced at one instant into
 //     one message, rows grouped by fragment id).
 //   * fragment_register (once=1): run the one-shot SELECT locally and ride
-//     the partial rows back on the RPC reply.
+//     the partial rows back on the RPC reply. The worker keeps the plan of
+//     each once text it compiled (kPlanLimit texts, oldest evicted first,
+//     all dropped when the catalog or the device types change), so a
+//     repeated SELECT skips parse, rewrite and compile.
 //   * fragment_drop: drop the fragment, if it is still the registration
 //     the drop names (a delayed drop never hits a same-named successor).
 //   * shard_heartbeat every kHeartbeatInterval: liveness + watermark (the
@@ -42,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -58,6 +62,10 @@ struct WorkerStats {
   std::uint64_t results_msgs = 0;
   std::uint64_t heartbeats_sent = 0;
   std::uint64_t bad_requests = 0;  // malformed / unparsable fragments
+  // Once-fragment plans (Worker::kPlanLimit): fragments whose text had a
+  // kept plan, and plans dropped for the bound.
+  std::uint64_t plans_reused = 0;
+  std::uint64_t plans_evicted = 0;
   // Reliable backplane (DESIGN.md §14).
   std::uint64_t dup_requests = 0;       // idempotency-window hits
   std::uint64_t stale_gen_requests = 0; // requests from a superseded gen
@@ -73,6 +81,10 @@ class Worker {
   struct Options {
     int index = 0;  // shard index; node id is worker_node(index)
   };
+
+  // Once-fragment texts whose compiled plans are kept (FIFO-evicted when
+  // exceeded, like the reliability state below).
+  static constexpr std::size_t kPlanLimit = 256;
 
   // Builds the worker's slice (loop, segment, tracer and engine knobs come
   // from the host; metrics under "shard.<index>.") and starts heartbeats.
@@ -134,7 +146,13 @@ class Worker {
   void reply_stale(const net::Message& request);
   void handle_register(const net::Message& msg);
   void handle_drop(const net::Message& msg);
-  void run_once_select(const net::Message& msg, const query::SelectStmt& stmt);
+  void trace_register(const FragmentSpec& spec);
+  // The plan of a once fragment's text: the kept one, or parsed, rewritten
+  // and compiled now and kept if it compiled. Null once an error reply
+  // has been sent.
+  std::shared_ptr<const query::CompiledQuery> once_plan(
+      const net::Message& msg, const FragmentSpec& spec);
+  void run_once_select(const net::Message& msg, const FragmentSpec& spec);
   void reply_error(const net::Message& request, const std::string& message);
 
   void on_aq_row(Fragment& fragment, query::TimestampedRow row);
@@ -163,6 +181,12 @@ class Worker {
   // Sequenced messages awaiting a cumulative ack, keyed by seq; cleared on
   // adopt_gen (a new generation restarts the stream from seq 0).
   std::map<std::uint64_t, net::Message> replay_;
+  // Once-fragment plans by SQL text, the texts in insertion order, and
+  // the catalog and device-type versions they were compiled against.
+  std::unordered_map<std::string, std::shared_ptr<const query::CompiledQuery>>
+      plans_;
+  std::deque<std::string> plan_fifo_;
+  std::uint64_t plans_version_ = 0;
   // Rows and outcomes awaiting the flush event: groups in first-appearance
   // order, rows in production order with their group index beside them
   // (the flush sorts them into group order), outcomes in production order.

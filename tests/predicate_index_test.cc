@@ -373,7 +373,7 @@ TEST_F(IndexDiffFixture, EveryHintedSlotIsCheckedAndExactNeedsEveryHint) {
   ASSERT_TRUE(both.value().index_conjunct.has_value());
   const IndexableConjunct& c = *both.value().index_conjunct;
   EXPECT_EQ(c.kind, IndexableConjunct::Kind::kPointEq);
-  EXPECT_EQ(c.attr, "hops");
+  EXPECT_EQ(c.slot, *both.value().schemas.at("s")->index_of("hops"));
   EXPECT_EQ(c.lo, 2.0);
   ASSERT_EQ(c.checks.size(), 1u);
   const SlotCheck& accel = c.checks[0];
@@ -392,7 +392,7 @@ TEST_F(IndexDiffFixture, EveryHintedSlotIsCheckedAndExactNeedsEveryHint) {
   ASSERT_TRUE(ne.value().index_conjunct.has_value());
   const IndexableConjunct& d = *ne.value().index_conjunct;
   EXPECT_EQ(d.kind, IndexableConjunct::Kind::kLower);
-  EXPECT_EQ(d.attr, "accel_x");
+  EXPECT_EQ(d.slot, *ne.value().schemas.at("s")->index_of("accel_x"));
   EXPECT_TRUE(d.checks.empty());
   EXPECT_FALSE(d.exact);
 }

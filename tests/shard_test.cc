@@ -810,6 +810,218 @@ TEST(ShardPlaneTest, SelectAvgWithEmptyShardAndEmptyWorld) {
       empty.value().rows[0][0].second));
 }
 
+// ----------------------------------------------------------- plan reuse
+
+// One statement through the plane, run until it has long completed.
+util::Result<core::ExecResult> run_statement(PlaneWorld& w,
+                                             const std::string& sql) {
+  util::Result<core::ExecResult> out = util::internal_error("not called");
+  w.plane->exec_async(sql, {}, [&](util::Result<core::ExecResult> r) {
+    out = std::move(r);
+  });
+  w.sys.run_for(Duration::seconds(3.0));
+  return out;
+}
+
+std::uint64_t programs_compiled(PlaneWorld& w, int shard) {
+  return w.plane->worker(shard)
+      .engine()
+      .executor()
+      .eval_stats()
+      .programs_compiled;
+}
+
+// A one-shot SELECT over static attributes only (no radio): distinct
+// texts for distinct k, every one answered by all six motes.
+std::string static_select(std::size_t k) {
+  return "SELECT s.id FROM sensor s WHERE s.hops < " + std::to_string(k + 2);
+}
+
+TEST(ShardPlanReuseTest, RepeatedSelectCompilesOncePerWorker) {
+  PlaneWorld w(2);
+  const std::string sql =
+      "SELECT s.id, s.temp FROM sensor s WHERE s.temp > 11";
+  auto first = run_statement(w, sql);
+  ASSERT_TRUE(first.is_ok()) << first.status().message();
+  ASSERT_EQ(first.value().rows.size(), 4u);
+  const std::uint64_t compiled[2] = {programs_compiled(w, 0),
+                                     programs_compiled(w, 1)};
+  for (int k = 0; k < 4; ++k) {
+    auto again = run_statement(w, sql);
+    ASSERT_TRUE(again.is_ok()) << again.status().message();
+    EXPECT_EQ(again.value().rows, first.value().rows);
+  }
+  for (int i = 0; i < 2; ++i) {
+    const shard::WorkerStats& stats = w.plane->worker(i).stats();
+    EXPECT_GT(compiled[i], 0u) << i;
+    EXPECT_EQ(programs_compiled(w, i), compiled[i]) << i;
+    EXPECT_EQ(stats.selects_served, 5u) << i;
+    EXPECT_EQ(stats.plans_reused, 4u) << i;
+    EXPECT_EQ(stats.plans_evicted, 0u) << i;
+    EXPECT_EQ(w.sys.metrics().counter_value("shard." + std::to_string(i) +
+                                            ".plans.reused"),
+              4u);
+  }
+}
+
+TEST(ShardPlanReuseTest, RepeatedAvgReusesItsPartialsPlan) {
+  // Workers plan avg() as (sum, count) partials; the kept plan is that
+  // rewrite, and the czar still finalizes the one-shard answer.
+  const std::string sql = "SELECT avg(s.temp) FROM sensor s";
+  PlaneWorld oracle(1);
+  auto expected = run_statement(oracle, sql);
+  ASSERT_TRUE(expected.is_ok()) << expected.status().message();
+  ASSERT_EQ(expected.value().rows.size(), 1u);
+  EXPECT_EQ(expected.value().rows[0][0].first, "avg(s.temp)");
+
+  PlaneWorld w(2);
+  auto first = run_statement(w, sql);
+  ASSERT_TRUE(first.is_ok()) << first.status().message();
+  const std::uint64_t compiled[2] = {programs_compiled(w, 0),
+                                     programs_compiled(w, 1)};
+  auto second = run_statement(w, sql);
+  ASSERT_TRUE(second.is_ok()) << second.status().message();
+  EXPECT_EQ(first.value().rows, expected.value().rows);
+  EXPECT_EQ(second.value().rows, expected.value().rows);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(programs_compiled(w, i), compiled[i]) << i;
+    EXPECT_EQ(w.plane->worker(i).stats().plans_reused, 1u) << i;
+  }
+}
+
+TEST(ShardPlanReuseTest, FailedPlansAreNotKeptAndRegistrationsDropPlans) {
+  PlaneWorld w(2);
+  const std::string sql =
+      "SELECT twice(s.temp) FROM sensor s WHERE s.temp > 13";
+  auto unknown = run_statement(w, sql);
+  ASSERT_FALSE(unknown.is_ok());
+  EXPECT_NE(unknown.status().message().find("unknown function: twice"),
+            std::string::npos)
+      << unknown.status().message();
+  // Nothing was kept: the same text fails the same way again.
+  auto again = run_statement(w, sql);
+  ASSERT_FALSE(again.is_ok());
+  EXPECT_EQ(again.status().to_string(), unknown.status().to_string());
+
+  auto add_function = [&w](const std::string& name, double factor) {
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(w.plane->worker(i)
+                      .engine()
+                      .catalog()
+                      .functions()
+                      .add(name,
+                           [factor](const std::vector<device::Value>& args)
+                               -> util::Result<device::Value> {
+                             double v = 0;
+                             if (args.size() != 1 ||
+                                 !device::value_as_double(args[0], &v)) {
+                               return device::Value{};
+                             }
+                             return device::Value{factor * v};
+                           })
+                      .is_ok());
+    }
+  };
+  add_function("twice", 2.0);
+  auto registered = run_statement(w, sql);
+  ASSERT_TRUE(registered.is_ok()) << registered.status().message();
+  std::multiset<double> doubled;
+  for (const query::Row& row : registered.value().rows) {
+    double v = 0;
+    ASSERT_TRUE(device::value_as_double(row[0].second, &v));
+    doubled.insert(v);
+  }
+  EXPECT_EQ(doubled, (std::multiset<double>{28.0, 30.0}));
+
+  // The plan is kept now. Any later registration drops it: the text
+  // compiles again, with the same answer.
+  const std::uint64_t compiled = programs_compiled(w, 0);
+  auto reused = run_statement(w, sql);
+  ASSERT_TRUE(reused.is_ok()) << reused.status().message();
+  EXPECT_EQ(programs_compiled(w, 0), compiled);
+  EXPECT_EQ(w.plane->worker(0).stats().plans_reused, 1u);
+  add_function("thrice", 3.0);
+  auto recompiled = run_statement(w, sql);
+  ASSERT_TRUE(recompiled.is_ok()) << recompiled.status().message();
+  EXPECT_EQ(recompiled.value().rows, registered.value().rows);
+  EXPECT_GT(programs_compiled(w, 0), compiled);
+  EXPECT_EQ(w.plane->worker(0).stats().plans_reused, 1u);
+  EXPECT_EQ(w.plane->worker(0).stats().plans_evicted, 0u);
+}
+
+TEST(ShardPlanReuseTest, TextsBeyondTheBoundEvictTheOldestPlans) {
+  PlaneWorld w(2);
+  constexpr std::size_t kExtra = 3;
+  const std::size_t texts = shard::Worker::kPlanLimit + kExtra;
+  std::vector<util::Result<core::ExecResult>> outs(
+      texts, util::internal_error("not called"));
+  for (std::size_t k = 0; k < texts; ++k) {
+    w.plane->exec_async(static_select(k), {},
+                        [&outs, k](util::Result<core::ExecResult> r) {
+                          outs[k] = std::move(r);
+                        });
+  }
+  w.sys.run_for(Duration::seconds(3.0));
+  for (std::size_t k = 0; k < texts; ++k) {
+    ASSERT_TRUE(outs[k].is_ok()) << k << ": " << outs[k].status().message();
+    EXPECT_EQ(outs[k].value().rows.size(), 6u) << k;
+  }
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(w.plane->worker(i).stats().plans_evicted, kExtra) << i;
+    EXPECT_EQ(w.plane->worker(i).stats().plans_reused, 0u) << i;
+  }
+  // The oldest text's plan is gone: it compiles again and still answers.
+  const std::uint64_t compiled = programs_compiled(w, 0);
+  auto evicted = run_statement(w, static_select(0));
+  ASSERT_TRUE(evicted.is_ok()) << evicted.status().message();
+  EXPECT_EQ(evicted.value().rows, outs[0].value().rows);
+  EXPECT_GT(programs_compiled(w, 0), compiled);
+  EXPECT_EQ(w.plane->worker(0).stats().plans_reused, 0u);
+  // The newest text's plan was kept.
+  auto kept = run_statement(w, static_select(texts - 1));
+  ASSERT_TRUE(kept.is_ok()) << kept.status().message();
+  EXPECT_EQ(kept.value().rows, outs[texts - 1].value().rows);
+  EXPECT_EQ(w.plane->worker(0).stats().plans_reused, 1u);
+}
+
+TEST(ShardPlanReuseTest, AnEvictedPlanServesTheSelectStillAcquiringOnIt) {
+  PlaneWorld w(2);
+  // A sensory SELECT waits on a radio sweep on each worker...
+  util::Result<core::ExecResult> sensory = util::internal_error("not called");
+  std::uint64_t evicted_when_answered[2] = {0, 0};
+  w.plane->exec_async(
+      "SELECT s.id, s.temp FROM sensor s", {},
+      [&](util::Result<core::ExecResult> r) {
+        sensory = std::move(r);
+        for (int i = 0; i < 2; ++i) {
+          evicted_when_answered[i] = w.plane->worker(i).stats().plans_evicted;
+        }
+      });
+  // ...while kPlanLimit other texts arrive behind it and push its plan,
+  // the oldest, out of every worker's map.
+  std::size_t answered = 0;
+  for (std::size_t k = 0; k < shard::Worker::kPlanLimit; ++k) {
+    w.plane->exec_async(static_select(k), {},
+                        [&answered](util::Result<core::ExecResult> r) {
+                          if (r.is_ok()) ++answered;
+                        });
+  }
+  w.sys.run_for(Duration::seconds(3.0));
+  EXPECT_EQ(answered, shard::Worker::kPlanLimit);
+  ASSERT_TRUE(sensory.is_ok()) << sensory.status().message();
+  std::multiset<double> temps;
+  for (const query::Row& row : sensory.value().rows) {
+    double v = 0;
+    ASSERT_TRUE(device::value_as_double(row[1].second, &v));
+    temps.insert(v);
+  }
+  EXPECT_EQ(temps, (std::multiset<double>{10, 11, 12, 13, 14, 15}));
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(evicted_when_answered[i], 1u) << i;
+    EXPECT_EQ(w.plane->worker(i).stats().plans_evicted, 1u) << i;
+  }
+}
+
 TEST(ShardPlaneTest, ContinuousRowsMergeInNondecreasingTimestampOrder) {
   PlaneWorld w(2);
   std::vector<Released> rows;
@@ -1397,6 +1609,31 @@ TEST(ShardServiceTest, SessionsRouteThroughTheCzar) {
   std::string json = service.stats_json();
   for (const char* key : {"\"shard\"", "\"czar\"", "\"merge\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
+  }
+}
+
+TEST(ShardServiceTest, SyntaxErrorsAreRefusedAtSubmit) {
+  // Sharded and unsharded alike: submit parses the statement, refuses it
+  // with the parser's error, and nothing reaches admission or an engine.
+  for (int num_shards : {0, 2}) {
+    core::Aorta sys(core::Config{});
+    ServiceConfig cfg;
+    cfg.num_shards = num_shards;
+    QueryService service(&sys, cfg);
+    SessionId id = service.connect("acme");
+    const std::string bad = "SELEC s.temp FROM sensor s";
+    auto refused = service.submit(id, bad);
+    ASSERT_FALSE(refused.is_ok()) << num_shards;
+    EXPECT_EQ(refused.status().to_string(),
+              query::parse(bad).status().to_string());
+    EXPECT_EQ(service.admission().stats().submitted, 0u);
+    EXPECT_EQ(service.tenant_stats().at("acme").errors, 1u);
+    EXPECT_EQ(service.session(id)->stats().errors, 1u);
+    sys.run_for(Duration::seconds(1.0));
+    EXPECT_TRUE(service.session(id)->drain().empty());
+    if (num_shards > 0) {
+      EXPECT_EQ(service.plane()->czar().stats().selects, 0u);
+    }
   }
 }
 

@@ -284,7 +284,9 @@ TEST(TracePipelineTest, OneShotSelectStaysWithinAllocationBudget) {
   // SELECTs completed. Name-keyed broker batches with a projected copy of
   // every tuple made 527 per SELECT here; slot masks, the per-type device
   // table and the lone-waiter hand-over made 429; compiling against the
-  // catalog's shared table schemas, not a copy per statement, makes 409.
+  // catalog's shared table schemas, not a copy per statement, made 409;
+  // parsing each statement once, at submit, and letting each worker
+  // reuse its plan of the repeated text makes 292.
   core::Config cfg;
   cfg.seed = 7;
   core::Aorta sys(cfg);
@@ -324,7 +326,7 @@ TEST(TracePipelineTest, OneShotSelectStaysWithinAllocationBudget) {
   }
   const double per_select =
       static_cast<double>(allocs) / static_cast<double>(selects);
-  EXPECT_LE(per_select, 450.0) << allocs << " allocations for " << selects
+  EXPECT_LE(per_select, 320.0) << allocs << " allocations for " << selects
                              << " SELECTs";
 }
 

@@ -28,12 +28,23 @@ measures host speed). The reference round allocates, so heap state the
 engine leaves behind can move it; a normalised gain that the raw rate does
 not show is suspect. It compares `measured.digest_all`
 and `measured.digest_rows` per seed, and exits non-zero on a digest
-mismatch, on a run that is not `correct`, or on failed operations. It edits
-nothing under pipebench/ and nothing in the repository's working tree.
+mismatch, on a run that is not `correct`, or on failed operations.
+
+--record PR appends one point per workload to BENCH_pipeline.json, the
+committed wall-clock trajectory at the repository root: {pr, commit,
+parent, nproc, cpu, compiler, workload, pairs, seeds, seconds, metrics},
+where each gated metric carries the parent's median, the change's median,
+their ratio and the pairs the change won. `commit` is null when the change
+is the working tree (the point then belongs to the commit that adds it).
+Host speed drifts between sessions, so only ratios from one session
+compare; chain them across points. Apart from that file it edits nothing
+in the repository's working tree, and nothing under pipebench/.
 """
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
@@ -41,6 +52,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path.cwd()
+TRAJECTORY = "BENCH_pipeline.json"
 
 # Ungated figures printed beside the gated ones, from the measured pass.
 RAW = (
@@ -78,7 +90,7 @@ def quartiles(values):
 
 
 def run_side(tree, workload, seed, seconds):
-    """One run.py invocation; returns (result line, measured pass)."""
+    """One run.py invocation; returns (result line, measured pass, stamp)."""
     cmd = [sys.executable, "pipebench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     p = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -88,18 +100,20 @@ def run_side(tree, workload, seed, seconds):
         fail(f"{' '.join(cmd)} failed in {tree} (exit {p.returncode})")
     result = json.loads(lines[-1])
     saved = tree / ".bench_build" / "runs" / f"{workload}-{seed}-trace0"
-    measured = json.loads((saved / "result.json").read_text())["measured"]
-    return result, measured
+    full = json.loads((saved / "result.json").read_text())
+    return result, full["measured"], full["stamp"]
 
 
 def report(workload, metrics, seeds, runs):
-    """Print one workload's table and summary; return its problems."""
+    """Print one workload's table and summary; return its problems and,
+    per metric, the medians, their ratio and the change's wins."""
     problems = []
+    summary = {}
     print(f"\n== {workload}: {len(seeds)} pair(s), seeds "
           f"{','.join(map(str, seeds))}")
     for seed in seeds:
         base, change = runs[seed]["base"], runs[seed]["change"]
-        for side, (result, _) in (("base", base), ("change", change)):
+        for side, (result, _, _) in (("base", base), ("change", change)):
             if not result["correct"]:
                 problems.append(f"{workload} seed {seed}: {side} run is not "
                                 "correct")
@@ -108,7 +122,7 @@ def report(workload, metrics, seeds, runs):
                                 f"{result['failed']} of "
                                 f"{result['attempted']} operations")
         digests = [(m["digest_all"], m["digest_rows"])
-                   for _, m in (base, change)]
+                   for _, m, _ in (base, change)]
         same = digests[0] == digests[1]
         if not same:
             problems.append(f"{workload} seed {seed}: digests differ "
@@ -141,6 +155,9 @@ def report(workload, metrics, seeds, runs):
               f"{bq[2]:.4f}]  IQR {iqr:.4f}")
         print(f"    change median {cq[1]:.4f}  quartiles [{cq[0]:.4f}, "
               f"{cq[2]:.4f}]")
+        summary[name] = {"parent": float(f"{bq[1]:.6g}"),
+                         "change": float(f"{cq[1]:.6g}"),
+                         "ratio": round(ratio, 4), "won": wins}
         print(f"    change wins {wins}/{len(seeds)} (losses {losses}), "
               f"median ratio {ratio:.3f}, |median gap| "
               f"{'>' if abs(gap) > iqr else '<='} base IQR"
@@ -155,7 +172,36 @@ def report(workload, metrics, seeds, runs):
         bm, cm = statistics.median(base), statistics.median(change)
         print(f"    base median {bm:.4f}, change median {cm:.4f}, ratio "
               f"{cm / bm if bm else float('nan'):.3f}")
-    return problems
+    return problems, summary
+
+
+def cpu_model():
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return "unknown"
+
+
+def record_point(path, pr, commit, parent, stamp, workload, seeds, seconds,
+                 summary):
+    """Append one workload's point to the trajectory file at `path`."""
+    points = json.loads(path.read_text()) if path.exists() else []
+    points.append({
+        "pr": pr, "commit": commit, "parent": parent,
+        "nproc": os.cpu_count(), "cpu": cpu_model(),
+        "compiler": stamp["compiler"], "workload": workload,
+        "pairs": len(seeds), "seeds": ",".join(map(str, seeds)),
+        "seconds": seconds, "metrics": summary,
+    })
+    # One point per block, one metric per line.
+    text = json.dumps(points, indent=1)
+    text = re.sub(r"\{\n\s+(\"(?:parent|ratio)\"[^{}]*?)\n\s+\}",
+                  lambda m: "{" + re.sub(r"\n\s+", " ", m.group(1)) + "}",
+                  text)
+    path.write_text(text + "\n")
 
 
 def main():
@@ -177,6 +223,9 @@ def main():
                          "repository (default: a new temporary one)")
     ap.add_argument("--keep", action="store_true",
                     help="leave the worktrees (and their builds) in place")
+    ap.add_argument("--record", type=int, metavar="PR", default=None,
+                    help="append each workload's medians to "
+                         f"{TRAJECTORY} as PR's point")
     args = ap.parse_args()
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -212,12 +261,19 @@ def main():
                                                                "base")
                 runs[seed] = {"first": order[0]}
                 for side in order:
-                    result, measured = run_side(trees[side], workload, seed,
+                    runs[seed][side] = run_side(trees[side], workload, seed,
                                                 seconds)
-                    runs[seed][side] = (result, measured)
                     print(f"  ran {workload} seed {seed} on {side}: "
-                          f"correct={result['correct']}", flush=True)
-            problems += report(workload, bench["end_to_end"], seeds, runs)
+                          f"correct={runs[seed][side][0]['correct']}",
+                          flush=True)
+            found, summary = report(workload, bench["end_to_end"], seeds,
+                                    runs)
+            problems += found
+            if args.record is not None:
+                record_point(repo / TRAJECTORY, args.record,
+                             change_rev if args.change else None, base_rev,
+                             runs[seeds[0]]["change"][2], workload, seeds,
+                             seconds, summary)
     finally:
         if not args.keep:
             for tree in trees.values():
