@@ -40,6 +40,11 @@ Aorta::Aorta(Config config) : config_(config) {
     return static_cast<std::int64_t>(runtime_.threads());
   });
   metrics_.mark_volatile("runtime.threads");
+  // Wall time: the sum over windows of the busiest thread's time.
+  metrics_.enroll_gauge("runtime.critical_path_ms", [this]() {
+    return static_cast<std::int64_t>(runtime_.critical_path_ms());
+  });
+  metrics_.mark_volatile("runtime.critical_path_ms");
   host_ = std::make_unique<Engine>(*this, -1, comm::EngineNode::kNodeId);
 }
 
@@ -191,7 +196,14 @@ Result<ExecResult> Aorta::exec_ddl(query::Statement& s,
       std::string name = options.name_prefix + s.create_aq.name;
       query::ContinuousQueryExecutor::AqHooks hooks;
       hooks.owner = options.owner;
-      hooks.on_row = options.on_row;
+      if (options.on_row) {
+        // The labelled row is built before the caller's hook runs, so the
+        // hook may drop the AQ whose labels the view borrows.
+        hooks.on_row = [on_row = options.on_row](const std::string& name,
+                                                 const query::RowView& row) {
+          on_row(name, query::to_row(row));
+        };
+      }
       AORTA_RETURN_IF_ERROR_EXEC(host_->executor().register_aq(
           name, s.create_aq.epoch_s, s.create_aq.select, std::move(hooks)));
       return ExecResult{"continuous query " + name + " registered", {}};

@@ -102,6 +102,11 @@ void Engine::enroll_runtime_metrics() {
                          [this](double ms) { stall_hist_.add(ms); });
   runtime_metrics_.enroll_histogram("barrier_stall_ms", &stall_hist_);
   runtime_metrics_.mark_volatile("barrier_stall_ms");
+  // So is the wall time the loop spent running its events.
+  runtime_metrics_.enroll_gauge("busy_ms", [&runtime, i = loop_index_]() {
+    return static_cast<std::int64_t>(runtime.busy_ms(i));
+  });
+  runtime_metrics_.mark_volatile("busy_ms");
 }
 
 void Engine::enroll_metrics() {

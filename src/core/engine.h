@@ -91,8 +91,8 @@ class Engine {
  private:
   void enroll_metrics();
   // runtime.<loop>.*: barrier waits, cross-post counters, queue depth, and
-  // a volatile wall-clock barrier stall histogram (excluded from the
-  // deterministic snapshots).
+  // the volatile wall-clock barrier stall histogram and busy time
+  // (excluded from the deterministic snapshots).
   void enroll_runtime_metrics();
 
   Aorta& host_;

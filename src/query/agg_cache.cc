@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "query/executor.h"
 #include "util/strings.h"
@@ -117,8 +118,7 @@ Status AggregateCache::build_spec(const CompiledQuery& compiled,
         spec->arg_keys.push_back(std::move(key));
         spec->arg_sources.push_back(&agg);
       }
-      spec->items.push_back(
-          SubItem{.index = idx, .op = agg.op, .label = agg.label});
+      spec->items.push_back(SubItem{.index = idx, .op = agg.op});
       continue;
     }
     const Expr& proj = *compiled.projections[next_proj++];
@@ -128,8 +128,7 @@ Status AggregateCache::build_spec(const CompiledQuery& compiled,
       if (it != spec->group_cols.end()) {
         spec->items.push_back(SubItem{
             .is_group = true,
-            .index = static_cast<std::size_t>(it - spec->group_cols.begin()),
-            .label = compiled.labels[pos]});
+            .index = static_cast<std::size_t>(it - spec->group_cols.begin())});
         continue;
       }
     }
@@ -150,8 +149,7 @@ Status AggregateCache::build_spec(const CompiledQuery& compiled,
   return Status::ok();
 }
 
-Status AggregateCache::attach(const std::string& name,
-                              std::uint64_t generation,
+Status AggregateCache::attach(std::uint64_t generation,
                               const CompiledQuery& compiled,
                               std::uint64_t epoch_ticks,
                               double sample_period_s, EmitFn emit) {
@@ -269,10 +267,10 @@ Status AggregateCache::attach(const std::string& name,
   const std::uint64_t first_sample =
       (tick - entry->phase) / entry->period + 1;
   auto sub = std::make_unique<Subscriber>();
-  sub->name = name;
   sub->generation = generation;
   sub->min_pane = (first_sample + entry->slide - 1) / entry->slide;
   sub->items = std::move(spec.items);
+  sub->labels = compiled.labels;  // one per item: build_spec walked them
   sub->emit = std::move(emit);
   sub->entry = entry;
   sub->grouping = grouping;
@@ -370,23 +368,29 @@ void AggregateCache::on_batch(std::uint64_t entry_id,
   // of the closing sample's tick.
   if ((sample + 1) % entry.slide != 0) return;
   const std::uint64_t pane = sample / entry.slide;
-  std::vector<std::pair<std::uint64_t, TimestampedRow>> out;
-  close_pane(entry, pane, &out);
+  std::vector<StagedRow> staged;
+  std::vector<Value> staged_values;
+  close_pane(entry, pane, &staged, &staged_values);
   // Deliveries run after all state mutation: an on_row hook may drop or
   // register AQs, so each staged row re-resolves its subscriber by
-  // generation first.
-  for (auto& [generation, row] : out) {
-    auto sit = subs_by_gen_.find(generation);
+  // generation first. The staged values are local, so they outlive any
+  // entry or subscriber a hook tears down.
+  const aorta::util::TimePoint now = loop_->now();
+  Value* next = staged_values.data();
+  for (const StagedRow& row : staged) {
+    const std::span<Value> row_values(next, row.width);
+    next += row.width;
+    auto sit = subs_by_gen_.find(row.generation);
     if (sit == subs_by_gen_.end()) continue;
     Subscriber& sub = *sit->second;
     ++stats_.emissions;
-    sub.emit(sub.name, std::move(row));
+    sub.emit(RowView{now, sub.labels, row_values, row.degraded});
   }
 }
 
-void AggregateCache::close_pane(
-    Entry& entry, std::uint64_t pane,
-    std::vector<std::pair<std::uint64_t, TimestampedRow>>* out) {
+void AggregateCache::close_pane(Entry& entry, std::uint64_t pane,
+                                std::vector<StagedRow>* rows,
+                                std::vector<Value>* values) {
   ++stats_.panes_closed;
   const std::uint64_t low_pane =
       pane + 1 >= entry.window_panes ? pane + 1 - entry.window_panes : 0;
@@ -433,21 +437,33 @@ void AggregateCache::close_pane(
 
   // Emission: per subscriber in registration (generation) order, per
   // group in encoded-key order — a deterministic schedule shared by the
-  // cache-on and cache-off modes.
-  const aorta::util::TimePoint now = loop_->now();
-  for (std::uint64_t generation : entry.subs) {
+  // cache-on and cache-off modes. A first pass sizes the staging.
+  auto emitting = [&](std::uint64_t generation) -> const Subscriber* {
     auto sit = subs_by_gen_.find(generation);
-    if (sit == subs_by_gen_.end()) continue;
-    Subscriber* sub = sit->second.get();
-    if (pane + 1 < sub->min_pane + entry.window_panes) continue;  // warm-up
+    if (sit == subs_by_gen_.end()) return nullptr;
+    const Subscriber* sub = sit->second.get();
+    if (pane + 1 < sub->min_pane + entry.window_panes) return nullptr;
+    return sub;  // past its warm-up
+  };
+  std::size_t row_count = 0;
+  std::size_t value_count = 0;
+  for (std::uint64_t generation : entry.subs) {
+    if (const Subscriber* sub = emitting(generation)) {
+      row_count += sub->grouping->groups.size();
+      value_count += sub->grouping->groups.size() * sub->items.size();
+    }
+  }
+  rows->reserve(row_count);
+  values->reserve(value_count);
+  for (std::uint64_t generation : entry.subs) {
+    const Subscriber* sub = emitting(generation);
+    if (sub == nullptr) continue;
     for (const auto& [key, group] : sub->grouping->groups) {
-      Row row;
       bool degraded = false;
       for (const SubItem& item : sub->items) {
-        row.emplace_back(item.label, finalize(group, item, &degraded));
+        values->push_back(finalize(group, item, &degraded));
       }
-      out->emplace_back(generation,
-                        TimestampedRow{now, std::move(row), degraded});
+      rows->push_back({sub->generation, sub->items.size(), degraded});
     }
   }
 }

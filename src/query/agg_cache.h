@@ -46,7 +46,7 @@
 
 namespace aorta::query {
 
-struct TimestampedRow;  // executor.h
+struct RowView;  // executor.h
 
 // Aggregate-cache sharing counters (`broker.agg_cache.*`) and evaluation
 // counters (`eval.agg.*`). A miss creates a new entry; a hit attaches to
@@ -72,10 +72,10 @@ class AggregateCache {
     bool shared = true;
   };
 
-  // Receives every emitted window row for the named AQ (the executor
-  // routes it into hooks.on_row or the bounded results ring).
-  using EmitFn =
-      std::function<void(const std::string& name, TimestampedRow row)>;
+  // Receives every window row emitted for one subscriber, labelled with
+  // the subscriber's own labels (the executor routes it into
+  // hooks.on_row or the bounded results ring).
+  using EmitFn = std::function<void(const RowView& row)>;
 
   AggregateCache(comm::ScanBroker* broker, aorta::util::EventLoop* loop,
                  Options options);
@@ -85,7 +85,7 @@ class AggregateCache {
   // in engine ticks, `sample_period_s` the same period in seconds (window
   // validation). Fails on invalid aggregate shape (multi-table, embedded
   // actions, non-grouped plain projections, windows that don't divide).
-  aorta::util::Status attach(const std::string& name, std::uint64_t generation,
+  aorta::util::Status attach(std::uint64_t generation,
                              const CompiledQuery& compiled,
                              std::uint64_t epoch_ticks, double sample_period_s,
                              EmitFn emit);
@@ -131,24 +131,33 @@ class AggregateCache {
     std::size_t subscribers = 0;
   };
 
-  // One select-list item of a subscriber, rendered per emitted row.
+  // One select-list item of a subscriber, finalized per emitted row.
   struct SubItem {
     bool is_group = false;
     std::size_t index = 0;  // grouping col index / entry arg index
     AggOp op = AggOp::kCount;
-    std::string label;  // the subscriber's own projection text
   };
 
   struct Entry;
 
   struct Subscriber {
-    std::string name;
     std::uint64_t generation = 0;
     std::uint64_t min_pane = 0;  // first pane fully after the join
     std::vector<SubItem> items;
+    // The subscriber's own projection texts, one per item, rendered once
+    // at attach.
+    std::vector<std::string> labels;
     EmitFn emit;
     Entry* entry = nullptr;
     Grouping* grouping = nullptr;
+  };
+
+  // A window row staged between pane close and delivery: its subscriber,
+  // and its item values' share of the staged flat value array.
+  struct StagedRow {
+    std::uint64_t generation = 0;
+    std::size_t width = 0;
+    bool degraded = false;
   };
 
   // One distinct aggregate argument, evaluated once per passing tuple.
@@ -193,9 +202,11 @@ class AggregateCache {
 
   void on_batch(std::uint64_t entry_id, const std::vector<comm::Tuple>& tuples,
                 std::uint64_t issue_tick);
-  // Stages (subscriber generation, row) emissions into `out`.
+  // Stages the pane's window rows into `rows`, their item values in
+  // order into `values`.
   void close_pane(Entry& entry, std::uint64_t pane,
-                  std::vector<std::pair<std::uint64_t, TimestampedRow>>* out);
+                  std::vector<StagedRow>* rows,
+                  std::vector<device::Value>* values);
   device::Value finalize(const GroupState& group, const SubItem& item,
                          bool* degraded) const;
 

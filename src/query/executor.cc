@@ -13,6 +13,15 @@ using aorta::util::Result;
 using aorta::util::Status;
 using device::Value;
 
+TimestampedRow to_row(const RowView& view) {
+  TimestampedRow out{view.at, {}, view.degraded};
+  out.row.reserve(view.values.size());
+  for (std::size_t i = 0; i < view.values.size(); ++i) {
+    out.row.emplace_back(view.labels[i], std::move(view.values[i]));
+  }
+  return out;
+}
+
 ContinuousQueryExecutor::ContinuousQueryExecutor(
     device::DeviceRegistry* registry, comm::CommLayer* comm,
     comm::ScanBroker* broker, sync::Prober* prober, sync::LockManager* locks,
@@ -96,12 +105,10 @@ Status ContinuousQueryExecutor::register_aq(const std::string& name,
     // registration.
     claim_slot(aq.get());
     Status attached = agg_cache_->attach(
-        name, aq->generation, cq, aq->epoch_ticks,
+        aq->generation, cq, aq->epoch_ticks,
         static_cast<double>(aq->epoch_ticks) * options_.epoch.to_seconds(),
         [this, slot = aq->slot, generation = aq->generation](
-            const std::string&, TimestampedRow row) {
-          deliver_agg_row(slot, generation, std::move(row));
-        });
+            const RowView& row) { deliver_agg_row(slot, generation, row); });
     if (!attached.is_ok()) {
       release_slot(aq->slot);
       return attached;
@@ -516,29 +523,29 @@ void ContinuousQueryExecutor::fire_event(Aq* aq, const comm::Tuple& tuple,
                       "device " + tuple.source_device() +
                           (tuple.degraded() ? " (degraded)" : ""));
 
-  // Materialize the query's projections against the event tuple — the
-  // continuous result stream of a monitoring query.
+  // Evaluate the query's projections against the event tuple — the
+  // continuous result stream of a monitoring query — into the reused
+  // value buffer, and hand them on as a view beside the AQ's labels.
   if (const std::span<const EvalProgram> projections =
           aq->projection_programs();
       !projections.empty()) {
-    const std::vector<std::string>& labels = aq->labels;
-    Row row;
-    row.reserve(projections.size());
-    for (std::size_t i = 0; i < projections.size(); ++i) {
-      auto v = eval_expr(projections[i], frame);
-      row.emplace_back(labels[i],
-                       v.is_ok() ? std::move(v).value() : device::Value{});
+    std::vector<Value> values = std::move(row_values_);
+    values.clear();
+    for (const EvalProgram& projection : projections) {
+      auto v = eval_expr(projection, frame);
+      values.push_back(v.is_ok() ? std::move(v).value() : Value{});
     }
-    TimestampedRow stamped{loop_->now(), std::move(row), tuple.degraded()};
+    const RowView row{loop_->now(), aq->labels, values, tuple.degraded()};
     if (aq->hooks.on_row) {
       const std::uint32_t slot = aq->slot;
       const std::uint64_t generation = aq->generation;
-      aq->hooks.on_row(aq->name, std::move(stamped));
+      aq->hooks.on_row(aq->name, row);
       aq = live_aq(slot, generation);  // the hook may have dropped it
-      if (aq == nullptr) return;
     } else {
-      keep_result(*aq, std::move(stamped));
+      keep_result(*aq, to_row(row));
     }
+    row_values_ = std::move(values);
+    if (aq == nullptr) return;
   }
 
   for (const ActionCall& call : aq->actions) {
@@ -580,15 +587,15 @@ void ContinuousQueryExecutor::fire_event(Aq* aq, const comm::Tuple& tuple,
 
 void ContinuousQueryExecutor::deliver_agg_row(std::uint32_t slot,
                                               std::uint64_t generation,
-                                              TimestampedRow row) {
+                                              const RowView& row) {
   Aq* owner = live_aq(slot, generation);
   if (owner == nullptr) return;
   ++owner->stats.events;
   if (owner->hooks.on_row) {
-    owner->hooks.on_row(owner->name, std::move(row));
+    owner->hooks.on_row(owner->name, row);
     return;
   }
-  keep_result(*owner, std::move(row));
+  keep_result(*owner, to_row(row));
 }
 
 void ContinuousQueryExecutor::keep_result(Aq& aq, TimestampedRow row) {

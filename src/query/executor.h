@@ -72,6 +72,21 @@ struct TimestampedRow {
   bool degraded = false;
 };
 
+// A continuous query's row as it leaves the executor: the instant, the
+// AQ's projection labels (rendered once, by compile()), its projected
+// values and the degradation marker. The values live in a buffer the
+// executor reuses for its next row, so a receiver that keeps them moves
+// them out; the labels die with the AQ.
+struct RowView {
+  aorta::util::TimePoint at;
+  std::span<const std::string> labels;
+  std::span<device::Value> values;
+  bool degraded = false;
+};
+
+// The labelled row of a view: labels copied, values moved out of it.
+TimestampedRow to_row(const RowView& view);
+
 class ContinuousQueryExecutor {
  public:
   struct Options {
@@ -102,15 +117,15 @@ class ContinuousQueryExecutor {
 
   // Multi-tenant hooks a query can be registered with (src/server): an
   // owner tag identifying the registering session/tenant, and a callback
-  // that takes every projected row at event time. The row is handed over
-  // by value: a hooked query's rows belong to its hook, and only hook-less
-  // queries keep the bounded ring served by recent_results. `on_row` may
-  // drop AQs, its own included; its `name` argument (and then the hook
-  // itself) dies with the AQ, so it must touch neither after dropping its
-  // own AQ.
+  // that takes every projected row at event time as a RowView. A hooked
+  // query's rows belong to its hook, and only hook-less queries keep the
+  // bounded ring served by recent_results. `on_row` may drop AQs, its own
+  // included; its `name` argument, the view's labels (and then the hook
+  // itself) die with the AQ, so it reads them before dropping its own AQ
+  // and touches none of them after.
   struct AqHooks {
     std::string owner;
-    std::function<void(const std::string& name, TimestampedRow row)> on_row;
+    std::function<void(const std::string& name, const RowView& row)> on_row;
   };
 
   ContinuousQueryExecutor(device::DeviceRegistry* registry,
@@ -362,7 +377,7 @@ class ContinuousQueryExecutor {
   // Aggregate-cache emission for the AQ registered as `generation` in
   // member-table slot `slot`.
   void deliver_agg_row(std::uint32_t slot, std::uint64_t generation,
-                       TimestampedRow row);
+                       const RowView& row);
   // The live AQ registered as `generation` in `slot`, or null once
   // dropped. User hooks can drop AQs: re-resolve here before touching one
   // after a hook.
@@ -432,6 +447,9 @@ class ContinuousQueryExecutor {
   obs::Tracer* tracer_ = nullptr;
   OutcomeSink outcome_sink_;
   EvalStats eval_stats_;
+  // fire_event's projected values, reused from row to row (taken out
+  // while a hook holds them, so a re-entrant fire cannot overwrite them).
+  std::vector<device::Value> row_values_;
 };
 
 }  // namespace aorta::query

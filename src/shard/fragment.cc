@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <optional>
+#include <utility>
 
 namespace aorta::shard {
 
@@ -210,9 +211,16 @@ void put_value(std::string& out, const Value& v) {
 }
 
 // The header every row shares: timestamp and degraded marker.
-void put_row_header(std::string& out, const query::TimestampedRow& r) {
-  put_varint(out, zigzag(r.at.to_micros()));
-  out += static_cast<char>(r.degraded ? 1 : 0);
+void put_row_header(std::string& out, aorta::util::TimePoint at,
+                    bool degraded) {
+  put_varint(out, zigzag(at.to_micros()));
+  out += static_cast<char>(degraded ? 1 : 0);
+}
+
+std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
 }
 
 // Bounded, canonical reads over one payload. Every read fails rather
@@ -359,7 +367,7 @@ std::string encode_rows(const std::vector<query::TimestampedRow>& rows) {
   out.reserve(8 + rows.size() * 32);
   put_varint(out, rows.size());
   for (const query::TimestampedRow& r : rows) {
-    put_row_header(out, r);
+    put_row_header(out, r.at, r.degraded);
     put_varint(out, r.row.size());
     for (const auto& [label, value] : r.row) {
       put_string(out, label);
@@ -377,30 +385,65 @@ bool decode_rows(const std::string& payload,
   return take_rows(in, /*labelled=*/true, out, &n) && in.done();
 }
 
-std::string encode_flush(const Flush& flush) {
+std::size_t FlushBuilder::add_group(std::uint64_t id,
+                                   std::span<const std::string> labels) {
+  const std::size_t begin = body_.size();
+  put_varint(body_, id);
+  put_varint(body_, labels.size());
+  for (const std::string& label : labels) put_string(body_, label);
+  groups_.push_back({body_.size(), 0, runs_.size(), runs_.size()});
+  runs_.push_back({begin, body_.size(), kNone});
+  return groups_.size() - 1;
+}
+
+void FlushBuilder::add_row(std::size_t group, aorta::util::TimePoint at,
+                           bool degraded, std::span<const Value> values) {
+  const std::size_t begin = body_.size();
+  put_row_header(body_, at, degraded);
+  put_varint(body_, values.size());
+  for (const Value& v : values) put_value(body_, v);
+  ++rows_;
+  Group& g = groups_[group];
+  ++g.rows;
+  if (runs_[g.last_run].end == begin) {
+    runs_[g.last_run].end = body_.size();  // right behind the group's tail
+    return;
+  }
+  runs_[g.last_run].next = runs_.size();
+  g.last_run = runs_.size();
+  runs_.push_back({begin, body_.size(), kNone});
+}
+
+void FlushBuilder::add_outcome(std::string_view query,
+                               aorta::util::TimePoint at,
+                               std::string_view detail) {
+  put_string(outcomes_, query);
+  put_varint(outcomes_, zigzag(at.to_micros()));
+  put_string(outcomes_, detail);
+  ++outcome_count_;
+}
+
+std::string FlushBuilder::finish() {
+  std::size_t size = varint_size(groups_.size()) + body_.size() +
+                     varint_size(outcome_count_) + outcomes_.size();
+  for (const Group& g : groups_) size += varint_size(g.rows);
   std::string out;
-  out.reserve(16 + flush.groups.size() * 8 + flush.rows.size() * 24);
-  put_varint(out, flush.groups.size());
-  auto row = flush.rows.begin();
-  for (const RowGroup& g : flush.groups) {
-    const std::size_t n = std::min<std::size_t>(
-        g.rows, static_cast<std::size_t>(flush.rows.end() - row));
-    put_varint(out, g.id);
-    put_varint(out, g.labels.size());
-    for (const std::string& label : g.labels) put_string(out, label);
-    put_varint(out, n);
-    for (auto end = row + static_cast<std::ptrdiff_t>(n); row != end; ++row) {
-      put_row_header(out, *row);
-      put_varint(out, row->row.size());
-      for (const auto& field : row->row) put_value(out, field.second);
+  out.reserve(size);
+  put_varint(out, groups_.size());
+  for (const Group& g : groups_) {
+    const Run& first = runs_[g.first_run];
+    out.append(body_, first.begin, g.head_end - first.begin);
+    put_varint(out, g.rows);
+    out.append(body_, g.head_end, first.end - g.head_end);
+    for (std::size_t r = first.next; r != kNone; r = runs_[r].next) {
+      out.append(body_, runs_[r].begin, runs_[r].end - runs_[r].begin);
     }
   }
-  put_varint(out, flush.outcomes.size());
-  for (const OutcomeRecord& o : flush.outcomes) {
-    put_string(out, o.query);
-    put_varint(out, zigzag(o.at.to_micros()));
-    put_string(out, o.detail);
-  }
+  put_varint(out, outcome_count_);
+  out += outcomes_;
+  // Moved out, the buffers are freed with the temporary; assigning a
+  // fresh builder would keep the strings' capacity.
+  (void)std::exchange(*this, FlushBuilder());
   return out;
 }
 

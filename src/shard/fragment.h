@@ -58,7 +58,10 @@
 // rows grouped by fragment id, groups in the order their first row was
 // produced (the czar adds them to the Merger in that order, which is the
 // per-shard arrival order of the merge key), then the instant's action
-// outcomes in production order.
+// outcomes in production order. The worker writes each row's bytes as the
+// row fires (FlushBuilder), from the values the executor hands its row
+// hook, so no row object stands between evaluation and the wire; the
+// czar decodes the message into a Flush.
 //
 // Fragment ids and schema-once rows. A group names its fragment by the
 // czar-assigned id, never by the query name, so rows of a dropped
@@ -82,6 +85,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -196,17 +200,64 @@ struct OutcomeRecord {
   std::string detail;
 };
 
-// A worker flush: the row groups; every group's rows, in group order, in
-// one flat vector (the rows carry values only: encoding ignores their
-// labels and decoding leaves them empty for the czar to stamp); then the
-// outcomes in production order.
+// A decoded flush, as the czar reads it: the row groups; every group's
+// rows, in group order, in one flat vector (values only: decoding leaves
+// the labels empty for the czar to stamp); then the outcomes in
+// production order.
 struct Flush {
   std::vector<RowGroup> groups;
   std::vector<query::TimestampedRow> rows;
   std::vector<OutcomeRecord> outcomes;
 };
 
-std::string encode_flush(const Flush& flush);
 bool decode_flush(std::string_view payload, Flush* out);
+
+// Builds a flush payload as its rows fire: each row's wire bytes are
+// written once, into one buffer, and finish() lays the groups out in the
+// order they were opened, each group's rows in the order they were added.
+// A group's rows may interleave with other groups' rows. What finish()
+// returns, decode_flush reads back as those groups, rows and outcomes.
+class FlushBuilder {
+ public:
+  // Opens a group for fragment `id` and returns its index for add_row.
+  // `labels` is non-empty only in the fragment's first group on a (shard,
+  // generation) stream; it is encoded now, so it need not outlive the call.
+  std::size_t add_group(std::uint64_t id,
+                        std::span<const std::string> labels);
+  void add_row(std::size_t group, aorta::util::TimePoint at, bool degraded,
+               std::span<const device::Value> values);
+  void add_outcome(std::string_view query, aorta::util::TimePoint at,
+                   std::string_view detail);
+
+  bool empty() const { return groups_.empty() && outcome_count_ == 0; }
+  std::size_t rows() const { return rows_; }
+
+  // The payload. Leaves the builder empty, its buffers released.
+  std::string finish();
+
+ private:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+  // A span of body_ bytes, linked to the next span of the same group.
+  struct Run {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::size_t next = kNone;
+  };
+  // A group's first run starts with its id and labels, which end at
+  // head_end; its rows follow, in that run and then in the linked ones.
+  struct Group {
+    std::size_t head_end = 0;
+    std::size_t rows = 0;
+    std::size_t first_run = 0;
+    std::size_t last_run = 0;
+  };
+
+  std::string body_;      // group heads and rows, as they were added
+  std::string outcomes_;  // encoded outcomes, in the order added
+  std::size_t outcome_count_ = 0;
+  std::size_t rows_ = 0;
+  std::vector<Group> groups_;
+  std::vector<Run> runs_;
+};
 
 }  // namespace aorta::shard

@@ -234,8 +234,7 @@ void Worker::adopt_gen(std::uint64_t gen) {
     (void)engine_.executor().drop_aq(name);
   }
   fragments_.clear();
-  pending_ = Flush{};
-  pending_group_.clear();
+  (void)pending_.finish();  // the superseded stream's rows and outcomes
   // The superseded stream's unacked messages die with it; the idempotency
   // window survives (its keys embed the generation).
   replay_.clear();
@@ -291,8 +290,8 @@ void Worker::handle_register(const net::Message& msg) {
   hooks.owner = "czar";
   auto alive = alive_;
   hooks.on_row = [this, alive, fragment](const std::string&,
-                                         query::TimestampedRow row) {
-    if (*alive) on_aq_row(*fragment, std::move(row));
+                                         const query::RowView& row) {
+    if (*alive) on_aq_row(*fragment, row);
   };
   // Continuous aggregates ship per-shard window partials; avg() fragments
   // are rewritten to (sum, count) partials the czar finalizes per window
@@ -418,29 +417,24 @@ void Worker::run_once_select(const net::Message& msg,
       });
 }
 
-void Worker::on_aq_row(Fragment& fragment, query::TimestampedRow row) {
+void Worker::on_aq_row(Fragment& fragment, const query::RowView& row) {
   // Group by fragment, groups in first-appearance order (deterministic).
   if (fragment.group_flush != flushes_) {
     fragment.group_flush = flushes_;
-    fragment.group = pending_.groups.size();
-    RowGroup& g = pending_.groups.emplace_back();
-    g.id = fragment.id;
     // Labels cross once per (shard, generation): with the fragment's first
     // group. Every row of a fragment has the same labels.
-    if (!fragment.announced) {
-      fragment.announced = true;
-      for (const auto& field : row.row) g.labels.push_back(field.first);
-    }
+    fragment.group = pending_.add_group(
+        fragment.id, fragment.announced ? std::span<const std::string>()
+                                        : row.labels);
+    fragment.announced = true;
   }
-  ++pending_.groups[fragment.group].rows;
-  pending_group_.push_back(fragment.group);
-  pending_.rows.push_back(std::move(row));
+  pending_.add_row(fragment.group, row.at, row.degraded, row.values);
   schedule_flush();
 }
 
 void Worker::on_outcome(const std::string& query, aorta::util::TimePoint at,
                         const std::string& detail) {
-  pending_.outcomes.push_back(OutcomeRecord{query, at, detail});
+  pending_.add_outcome(query, at, detail);
   schedule_flush();
 }
 
@@ -459,23 +453,9 @@ void Worker::schedule_flush() {
 void Worker::flush() {
   flush_scheduled_ = false;
   ++flushes_;
-  Flush out = std::exchange(pending_, {});
-  const std::vector<std::size_t> group_of = std::exchange(pending_group_, {});
-  if (out.groups.empty() && out.outcomes.empty()) {
-    return;  // a generation bump discarded them
-  }
-  // Counting sort of the rows into group order, stable within a group.
-  std::vector<std::size_t> next(out.groups.size());
-  for (std::size_t g = 1; g < out.groups.size(); ++g) {
-    next[g] = next[g - 1] + out.groups[g - 1].rows;
-  }
-  std::vector<query::TimestampedRow> rows(out.rows.size());
-  for (std::size_t i = 0; i < out.rows.size(); ++i) {
-    rows[next[group_of[i]]++] = std::move(out.rows[i]);
-  }
-  out.rows = std::move(rows);
-  stats_.rows_sent += out.rows.size();
-  std::string payload = encode_flush(out);
+  if (pending_.empty()) return;  // a generation bump discarded them
+  stats_.rows_sent += pending_.rows();
+  std::string payload = pending_.finish();
   net::Message msg;
   msg.kind = kFragmentResults;
   msg.payload_bytes = 64 + payload.size();

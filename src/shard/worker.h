@@ -155,7 +155,10 @@ class Worker {
   void run_once_select(const net::Message& msg, const FragmentSpec& spec);
   void reply_error(const net::Message& request, const std::string& message);
 
-  void on_aq_row(Fragment& fragment, query::TimestampedRow row);
+  // Writes a fired row into the pending flush, opening the fragment's
+  // group on its first row of the flush (with the labels, if this
+  // generation's stream has not had them yet).
+  void on_aq_row(Fragment& fragment, const query::RowView& row);
   void on_outcome(const std::string& query, aorta::util::TimePoint at,
                   const std::string& detail);
   // Arrange for flush() to run at the current instant, once.
@@ -187,11 +190,10 @@ class Worker {
       plans_;
   std::deque<std::string> plan_fifo_;
   std::uint64_t plans_version_ = 0;
-  // Rows and outcomes awaiting the flush event: groups in first-appearance
-  // order, rows in production order with their group index beside them
-  // (the flush sorts them into group order), outcomes in production order.
-  Flush pending_;
-  std::vector<std::size_t> pending_group_;
+  // Rows and outcomes awaiting the flush event, already encoded: groups in
+  // first-appearance order, each group's rows and the outcomes in
+  // production order.
+  FlushBuilder pending_;
   std::uint64_t flushes_ = 0;  // flush events run (Fragment::group_flush)
   bool flush_scheduled_ = false;
   WorkerStats stats_;

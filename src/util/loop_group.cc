@@ -112,14 +112,28 @@ bool LoopGroup::plan_window(TimePoint until, TimePoint* window) {
   return true;
 }
 
+std::uint64_t LoopGroup::run_timed(PerLoop& pl, TimePoint until) {
+  const auto start = std::chrono::steady_clock::now();
+  pl.loop->run_until(until);
+  const auto ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  pl.busy_ns.fetch_add(ns, std::memory_order_relaxed);
+  return ns;
+}
+
 void LoopGroup::run_serial(TimePoint until) {
   TimePoint window;
   while (plan_window(until, &window)) {
+    // One thread runs every loop: the window's critical path is their sum.
+    std::uint64_t window_ns = 0;
     for (auto& pl : loops_) {
       if (pl->retired) continue;
-      pl->loop->run_until(window);
+      window_ns += run_timed(*pl, window);
       ++pl->stats.barrier_waits;
     }
+    critical_path_ns_.fetch_add(window_ns, std::memory_order_relaxed);
   }
   for (auto& pl : loops_) {
     if (!pl->retired) pl->loop->run_until(until);
@@ -133,10 +147,18 @@ void LoopGroup::run_threaded(TimePoint until, int nthreads) {
   };
   Plan plan;
   const int n = size();
+  // Each thread's busy time in the current window; only its own thread
+  // writes a slot while the window runs.
+  std::vector<std::uint64_t> thread_ns(static_cast<std::size_t>(nthreads));
   // The completion function is the serial barrier phase: exactly one
   // thread runs it while every other thread is parked inside the barrier,
-  // so flush_posts / plan_window need no further synchronization.
-  std::barrier sync(nthreads, [this, until, &plan]() noexcept {
+  // so flush_posts / plan_window (and the per-window critical path) need
+  // no further synchronization.
+  std::barrier sync(nthreads, [this, until, &plan, &thread_ns]() noexcept {
+    critical_path_ns_.fetch_add(
+        *std::max_element(thread_ns.begin(), thread_ns.end()),
+        std::memory_order_relaxed);
+    std::fill(thread_ns.begin(), thread_ns.end(), 0);
     plan.done = !plan_window(until, &plan.window);
   });
   auto drive = [&](int tid) {
@@ -152,7 +174,8 @@ void LoopGroup::run_threaded(TimePoint until, int nthreads) {
         PerLoop& pl = *loops_[static_cast<std::size_t>(i)];
         if (pl.retired) continue;
         if (pl.stall_sink) pl.stall_sink(stall_ms);
-        pl.loop->run_until(plan.window);
+        thread_ns[static_cast<std::size_t>(tid)] +=
+            run_timed(pl, plan.window);
         ++pl.stats.barrier_waits;
       }
     }
@@ -175,7 +198,8 @@ void LoopGroup::run_until(TimePoint until) {
     PerLoop& pl = *loops_[0];
     do {
       flush_posts(pl.clock->now());
-      pl.loop->run_until(until);
+      critical_path_ns_.fetch_add(run_timed(pl, until),
+                                  std::memory_order_relaxed);
     } while (!pl.outbox.empty());
   } else if (std::min(threads_, size()) <= 1) {
     run_serial(until);

@@ -37,6 +37,7 @@
 // receiver's), so Q = kQuantum = 400 µs meets the bound exactly.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -124,6 +125,23 @@ class LoopGroup {
     loops_[static_cast<std::size_t>(i)]->stall_sink = std::move(sink);
   }
 
+  // Wall-clock busy time, in milliseconds, also for volatile metrics only:
+  // the time loop `i` spent inside its run_until, and the critical path,
+  // the sum over windows of the busiest thread's time in the window (at
+  // one thread, the sum of every loop's busy time). Readable from any
+  // thread, also while the group runs.
+  double busy_ms(int i) const {
+    return static_cast<double>(
+               loops_[static_cast<std::size_t>(i)]->busy_ns.load(
+                   std::memory_order_relaxed)) /
+           1e6;
+  }
+  double critical_path_ms() const {
+    return static_cast<double>(
+               critical_path_ns_.load(std::memory_order_relaxed)) /
+           1e6;
+  }
+
  private:
   struct CrossPost {
     TimePoint when;
@@ -139,6 +157,8 @@ class LoopGroup {
     std::uint64_t next_post_seq = 1;
     LoopRuntimeStats stats;
     StallSink stall_sink;
+    // Written by the thread that runs the loop, read by metrics gauges.
+    std::atomic<std::uint64_t> busy_ns{0};
     bool retired = false;
   };
 
@@ -153,10 +173,14 @@ class LoopGroup {
 
   void run_serial(TimePoint until);
   void run_threaded(TimePoint until, int nthreads);
+  // Run one loop's events up to `until`, adding the wall time to its busy
+  // time; returns that time in nanoseconds.
+  static std::uint64_t run_timed(PerLoop& pl, TimePoint until);
 
   int threads_ = 1;
   std::vector<std::unique_ptr<PerLoop>> loops_;
   std::uint64_t windows_run_ = 0;
+  std::atomic<std::uint64_t> critical_path_ns_{0};
   bool running_ = false;
 };
 

@@ -4,11 +4,13 @@
 // or 8 OS threads. The epoch-barrier schedule is derived from virtual time
 // only (window = min(barrier, earliest event + quantum)), cross-loop
 // deliveries flush in (timestamp, source loop, sequence) order, and every
-// wall-clock-dependent gauge (thread count, barrier stall histograms) is
-// marked volatile and excluded from the deterministic snapshot — so the
-// thread count can change nothing observable.
+// wall-clock-dependent gauge (thread count, barrier stall histograms,
+// per-loop busy time and the critical path) is marked volatile and
+// excluded from the deterministic snapshot — so the thread count can
+// change nothing observable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -69,6 +71,11 @@ struct RunOutput {
   std::string stats_json;
   std::string metrics_json;
   std::string trace_json;
+  // Wall-clock figures: the snapshot with the volatile metrics, each
+  // loop's busy time and the critical path.
+  std::string volatile_metrics_json;
+  std::vector<double> busy_ms;
+  double critical_path_ms = 0.0;
 };
 
 RunOutput run_workload(int runtime_threads, std::uint64_t seed,
@@ -127,6 +134,11 @@ RunOutput run_workload(int runtime_threads, std::uint64_t seed,
   out.stats_json = service.stats_json();
   out.metrics_json = sys.metrics().snapshot_json();
   out.trace_json = sys.trace_json();
+  out.volatile_metrics_json = sys.metrics().snapshot_json(false, true);
+  for (int i = 0; i < sys.runtime().size(); ++i) {
+    out.busy_ms.push_back(sys.runtime().busy_ms(i));
+  }
+  out.critical_path_ms = sys.runtime().critical_path_ms();
   return out;
 }
 
@@ -189,6 +201,41 @@ TEST(RuntimeDeterminismTest, RepeatedThreadedRunsAreByteIdentical) {
   EXPECT_EQ(a.metrics_json, b.metrics_json);
   EXPECT_EQ(a.trace_json, b.trace_json);
   ASSERT_FALSE(a.events.empty());
+}
+
+TEST(RuntimeDeterminismTest, BusyTimeStaysOutOfTheDeterministicSnapshot) {
+  // Per-loop busy time and the critical path are wall-clock figures: they
+  // are enrolled (runtime.<i>.busy_ms, runtime.critical_path_ms) and show
+  // in the volatile export, while the deterministic snapshot stays
+  // byte-identical at 1, 2 and 8 threads.
+  const RunOutput runs[] = {run_workload(1, 42), run_workload(2, 42),
+                            run_workload(8, 42)};
+  for (const RunOutput& run : runs) {
+    EXPECT_EQ(run.metrics_json, runs[0].metrics_json);
+    EXPECT_EQ(run.metrics_json.find("busy_ms"), std::string::npos);
+    EXPECT_EQ(run.metrics_json.find("critical_path_ms"), std::string::npos);
+    EXPECT_NE(run.volatile_metrics_json.find("\"busy_ms\""),
+              std::string::npos);
+    EXPECT_NE(run.volatile_metrics_json.find("\"critical_path_ms\""),
+              std::string::npos);
+    ASSERT_EQ(run.busy_ms.size(), 9u);  // the control loop and 8 workers
+    // Every window's busiest thread ran at least each loop's share of it
+    // and at most all of them.
+    double sum = 0.0;
+    double most = 0.0;
+    for (double ms : run.busy_ms) {
+      EXPECT_GE(ms, 0.0);
+      sum += ms;
+      most = std::max(most, ms);
+    }
+    EXPECT_GT(run.critical_path_ms, 0.0);
+    EXPECT_GE(run.critical_path_ms, most - 1e-6);
+    EXPECT_LE(run.critical_path_ms, sum + 1e-6);
+  }
+  // One thread runs every loop of a window: the path is their sum.
+  double serial = 0.0;
+  for (double ms : runs[0].busy_ms) serial += ms;
+  EXPECT_NEAR(runs[0].critical_path_ms, serial, 1e-6);
 }
 
 TEST(RuntimeDeterminismTest, RuntimeMetricsAreEnrolledPerLoop) {

@@ -40,6 +40,25 @@ using shard::Plane;
 using util::Duration;
 using util::TimePoint;
 
+// `flush`'s payload from a FlushBuilder fed group by group: the bytes a
+// worker ships when its fragments' rows fire in that order.
+std::string build_flush(const shard::Flush& flush) {
+  shard::FlushBuilder builder;
+  auto row = flush.rows.begin();
+  for (const shard::RowGroup& g : flush.groups) {
+    const std::size_t group = builder.add_group(g.id, g.labels);
+    for (std::size_t i = 0; i < g.rows; ++i, ++row) {
+      std::vector<device::Value> values;
+      for (const auto& field : row->row) values.push_back(field.second);
+      builder.add_row(group, row->at, row->degraded, values);
+    }
+  }
+  for (const shard::OutcomeRecord& o : flush.outcomes) {
+    builder.add_outcome(o.query, o.at, o.detail);
+  }
+  return builder.finish();
+}
+
 // ------------------------------------------------------ fragment codec
 
 TEST(FragmentTest, Fnv1aMatchesReferenceVectors) {
@@ -169,7 +188,7 @@ TEST(FragmentTest, RowsCodecRejectsMalformedPayloads) {
       std::string("\x01\x07\x00", 3) + huge, &flush));  // row count
   EXPECT_FALSE(shard::decode_flush(std::string("\x00", 1) + huge, &flush));
   const std::string wire =
-      shard::encode_flush({{{7, {"temp"}, 1}}, {r}, {{"q", r.at, "ok"}}});
+      build_flush({{{7, {"temp"}, 1}}, {r}, {{"q", r.at, "ok"}}});
   EXPECT_TRUE(shard::decode_flush(wire, &flush));
   EXPECT_FALSE(shard::decode_flush(wire.substr(0, wire.size() - 1), &flush));
   EXPECT_FALSE(shard::decode_flush(wire + '\0', &flush));
@@ -190,7 +209,7 @@ TEST(FragmentTest, RowGroupsRoundTripInOrder) {
   flush.rows = {b, b, a};
   flush.outcomes = {{"t/zeta", a.at, "usable"}, {"t/alpha", b.at, "failed"}};
 
-  const std::string payload = shard::encode_flush(flush);
+  const std::string payload = build_flush(flush);
   shard::Flush back;
   ASSERT_TRUE(shard::decode_flush(payload, &back));
   ASSERT_EQ(back.groups.size(), 3u);
@@ -216,7 +235,7 @@ TEST(FragmentTest, RowGroupsRoundTripInOrder) {
   EXPECT_EQ(back.outcomes[1].query, "t/alpha");
   EXPECT_EQ(back.outcomes[1].detail, "failed");
   EXPECT_EQ(back.outcomes[1].at, b.at);
-  EXPECT_EQ(shard::encode_flush(back), payload);
+  EXPECT_EQ(build_flush(back), payload);
 }
 
 // ---- decoder robustness under mutation ---------------------------------
@@ -302,7 +321,7 @@ TEST(FragmentTest, DecodersSurviveMutatedPayloads) {
                   {9, {"x"}, 0}};
   flush.rows = rows;
   flush.outcomes = {{"s1/q", rows[0].at, "usable"}, {"", rows[2].at, ""}};
-  const std::string flush_wire = shard::encode_flush(flush);
+  const std::string flush_wire = build_flush(flush);
 
   // The unmutated payloads round-trip bit-exactly, NaN payloads included.
   std::vector<query::TimestampedRow> back;
@@ -315,7 +334,7 @@ TEST(FragmentTest, DecodersSurviveMutatedPayloads) {
   EXPECT_EQ(back[2].at, rows[2].at);
   shard::Flush flush_back;
   ASSERT_TRUE(shard::decode_flush(flush_wire, &flush_back));
-  EXPECT_EQ(shard::encode_flush(flush_back), flush_wire);
+  EXPECT_EQ(build_flush(flush_back), flush_wire);
 
   util::Rng rng(0x5eed);
   std::size_t decoded = 0;
@@ -346,14 +365,191 @@ TEST(FragmentTest, DecodersSurviveMutatedPayloads) {
     for (const auto& g : out.groups) ASSERT_LE(g.labels.capacity(), m.size());
     if (!ok) continue;
     ++decoded;
-    const std::string again = shard::encode_flush(out);
+    const std::string again = build_flush(out);
     EXPECT_EQ(again, m);
     shard::Flush twice;
     ASSERT_TRUE(shard::decode_flush(again, &twice));
-    ASSERT_EQ(shard::encode_flush(twice), again);
+    ASSERT_EQ(build_flush(twice), again);
   }
   // Some mutants (a flipped value bit, say) are still valid encodings.
   EXPECT_GT(decoded, 0u);
+}
+
+// ---- flush builder ------------------------------------------------------
+
+// Every Value kind, the edge values included, from edge_rows(): NULL,
+// both bools, int64 min and max, +-0.0, +-inf, a NaN with a payload, an
+// empty and a 1 KB string, a short one, and a Location.
+std::vector<device::Value> edge_values() {
+  std::vector<device::Value> out;
+  for (const query::TimestampedRow& r : edge_rows()) {
+    for (const auto& field : r.row) out.push_back(field.second);
+  }
+  return out;
+}
+
+// Same kind and same bits: doubles (and Location coordinates) compare by
+// bit pattern, so -0.0 differs from 0.0 and a NaN equals only its own
+// payload.
+bool same_bits(const device::Value& a, const device::Value& b) {
+  if (a.index() != b.index()) return false;
+  auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  if (const double* d = std::get_if<double>(&a)) {
+    return bits(*d) == bits(std::get<double>(b));
+  }
+  if (const auto* l = std::get_if<device::Location>(&a)) {
+    const auto& m = std::get<device::Location>(b);
+    return bits(l->x) == bits(m.x) && bits(l->y) == bits(m.y) &&
+           bits(l->z) == bits(m.z);
+  }
+  return a == b;
+}
+
+TEST(FlushBuilderTest, GeneratedFlushesRoundTripThroughTheDecoder) {
+  // Seeded flushes as a worker produces them: fragments' rows interleave,
+  // each fragment's group opens at its first row (announcing its labels or
+  // id-only), a group may stay empty, and outcomes arrive in between. The
+  // decoder must read back the groups in first-appearance order, each
+  // group's rows in production order with every value bit-exact, and the
+  // outcomes in order; the decoded flush re-encodes to the same bytes.
+  const std::vector<device::Value> pool = edge_values();
+  util::Rng rng(0xf1a5);
+  std::size_t interleaved = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    struct Fragment {
+      std::uint64_t id = 0;
+      std::vector<std::string> labels;  // empty: id-only
+      std::size_t width = 1;
+      std::size_t group = 0;
+      bool open = false;
+      std::vector<query::TimestampedRow> rows;
+    };
+    std::vector<Fragment> fragments(rng.index(7));
+    for (std::size_t f = 0; f < fragments.size(); ++f) {
+      Fragment& fr = fragments[f];
+      fr.id = f == 0 ? ~std::uint64_t{0}
+                     : f * 1000003 + static_cast<std::uint64_t>(
+                                         rng.uniform_int(0, 1 << 20));
+      fr.width = static_cast<std::size_t>(rng.uniform_int(1, 4));
+      if (rng.chance(0.5)) {
+        for (std::size_t c = 0; c < fr.width; ++c) {
+          fr.labels.push_back(c == 0 ? std::string(rng.index(300), 'L')
+                                     : "f" + std::to_string(f) + ".c" +
+                                           std::to_string(c));
+        }
+      }
+    }
+    shard::FlushBuilder builder;
+    shard::Flush expected;
+    auto open = [&](Fragment& fr) {
+      fr.open = true;
+      fr.group = builder.add_group(fr.id, fr.labels);
+      expected.groups.push_back({fr.id, fr.labels, 0});
+    };
+    const std::size_t events = fragments.empty() ? 0 : rng.index(60);
+    std::size_t last = ~std::size_t{0};
+    for (std::size_t e = 0; e < events; ++e) {
+      if (rng.chance(0.1)) {
+        const device::Value& q = pool[rng.index(pool.size())];
+        const std::string* text = std::get_if<std::string>(&q);
+        expected.outcomes.push_back(
+            {text != nullptr ? *text : "s1/q",
+             TimePoint::from_micros(rng.uniform_int(-5, 5000000000)),
+             rng.chance(0.5) ? "usable" : ""});
+        const shard::OutcomeRecord& o = expected.outcomes.back();
+        builder.add_outcome(o.query, o.at, o.detail);
+        continue;
+      }
+      const std::size_t f = rng.index(fragments.size());
+      Fragment& fr = fragments[f];
+      if (!fr.open) open(fr);
+      if (last != ~std::size_t{0} && last != f && fr.rows.size() > 0) {
+        ++interleaved;  // a fragment's rows resume after another's
+      }
+      last = f;
+      query::TimestampedRow row;
+      row.at = TimePoint::from_micros(rng.uniform_int(-5, 5000000000));
+      row.degraded = rng.chance(0.3);
+      std::vector<device::Value> values;
+      for (std::size_t c = 0; c < fr.width; ++c) {
+        values.push_back(pool[rng.index(pool.size())]);
+        row.row.emplace_back("", values.back());
+      }
+      builder.add_row(fr.group, row.at, row.degraded, values);
+      ++expected.groups[fr.group].rows;
+      fr.rows.push_back(std::move(row));
+    }
+    for (Fragment& fr : fragments) {
+      if (!fr.open && rng.chance(0.3)) open(fr);  // a group with no rows
+    }
+    // Expected rows: group order, each group's rows in production order.
+    std::vector<const Fragment*> by_group(expected.groups.size());
+    for (const Fragment& fr : fragments) {
+      if (fr.open) by_group[fr.group] = &fr;
+    }
+    for (const Fragment* fr : by_group) {
+      expected.rows.insert(expected.rows.end(), fr->rows.begin(),
+                           fr->rows.end());
+    }
+    EXPECT_EQ(builder.rows(), expected.rows.size());
+
+    const std::string payload = builder.finish();
+    EXPECT_TRUE(builder.empty());
+    EXPECT_EQ(builder.rows(), 0u);
+    shard::Flush back;
+    ASSERT_TRUE(shard::decode_flush(payload, &back)) << "trial " << trial;
+    ASSERT_EQ(back.groups.size(), expected.groups.size());
+    for (std::size_t g = 0; g < back.groups.size(); ++g) {
+      EXPECT_EQ(back.groups[g].id, expected.groups[g].id);
+      EXPECT_EQ(back.groups[g].labels, expected.groups[g].labels);
+      EXPECT_EQ(back.groups[g].rows, expected.groups[g].rows);
+    }
+    ASSERT_EQ(back.rows.size(), expected.rows.size());
+    for (std::size_t r = 0; r < back.rows.size(); ++r) {
+      const query::TimestampedRow& got = back.rows[r];
+      const query::TimestampedRow& want = expected.rows[r];
+      EXPECT_EQ(got.at, want.at);
+      EXPECT_EQ(got.degraded, want.degraded);
+      ASSERT_EQ(got.row.size(), want.row.size());
+      for (std::size_t c = 0; c < got.row.size(); ++c) {
+        EXPECT_EQ(got.row[c].first, "");
+        EXPECT_TRUE(same_bits(got.row[c].second, want.row[c].second))
+            << "trial " << trial << " row " << r << " column " << c;
+      }
+    }
+    ASSERT_EQ(back.outcomes.size(), expected.outcomes.size());
+    for (std::size_t o = 0; o < back.outcomes.size(); ++o) {
+      EXPECT_EQ(back.outcomes[o].query, expected.outcomes[o].query);
+      EXPECT_EQ(back.outcomes[o].at, expected.outcomes[o].at);
+      EXPECT_EQ(back.outcomes[o].detail, expected.outcomes[o].detail);
+    }
+    // Canonical: the decoded flush, built group by group, is the same
+    // bytes as the interleaved production.
+    EXPECT_EQ(build_flush(back), payload);
+  }
+  EXPECT_GT(interleaved, 100u);  // the interleaved path is exercised
+}
+
+TEST(FlushBuilderTest, AnEmptyBuilderEncodesAnEmptyFlushAndIsReusable) {
+  shard::FlushBuilder builder;
+  EXPECT_TRUE(builder.empty());
+  const std::string empty = builder.finish();
+  EXPECT_EQ(empty, std::string("\x00\x00", 2));
+  shard::Flush back;
+  ASSERT_TRUE(shard::decode_flush(empty, &back));
+  EXPECT_TRUE(back.groups.empty());
+  EXPECT_TRUE(back.outcomes.empty());
+
+  // Outcomes alone make it non-empty; after finish() it starts afresh.
+  builder.add_outcome("q", TimePoint(), "ok");
+  EXPECT_FALSE(builder.empty());
+  EXPECT_EQ(builder.finish(), build_flush({{}, {}, {{"q", TimePoint(), "ok"}}}));
+  const std::vector<device::Value> one{device::Value{1.5}};
+  builder.add_row(builder.add_group(4, {}), TimePoint(), false, one);
+  EXPECT_EQ(builder.rows(), 1u);
+  query::TimestampedRow row;
+  row.row = {{"", device::Value{1.5}}};
+  EXPECT_EQ(builder.finish(), build_flush({{{4, {}, 1}}, {row}, {}}));
 }
 
 TEST(FragmentTest, AggregateClassification) {
@@ -1491,7 +1687,7 @@ class ScriptedWorker : public net::Endpoint {
   }
   net::Message flush(const shard::Flush& f) {
     net::Message msg = next(shard::kFragmentResults);
-    msg.fields["flush"] = shard::encode_flush(f);
+    msg.fields["flush"] = build_flush(f);
     return msg;
   }
 

@@ -8,7 +8,8 @@
 //   * a disabled tracer adds zero allocations on the sweep path — the
 //     instrumentation sites cost one branch, nothing else;
 //   * a delivered row costs a bounded number of allocations from fire to
-//     mailbox through a 2-shard plane (the schema-once row path);
+//     mailbox through a 2-shard plane (the schema-once row path), and so
+//     does a delivered continuous aggregate row;
 //   * so does a one-shot SELECT, from submit to its result in the mailbox;
 //   * a registered AQ holds a bounded number of live heap bytes across the
 //     czar, the workers and the service (a fragment keeps only what
@@ -227,8 +228,10 @@ TEST(TracePipelineTest, ShardedRowPathStaysWithinAllocationBudget) {
   // motes, so 512 rows per epoch go worker -> backplane -> czar merge ->
   // session mailbox. Every allocation of the process counts (sweeps,
   // RPCs, heartbeats too), divided by the rows that reached a mailbox.
-  // The schema-once row path makes 4.1 per row here; the text-codec,
-  // name-keyed path before it made 11.4.
+  // The text-codec, name-keyed path made 11.4 per row here, and the
+  // schema-once row path 4.1 (4.03 once SELECT plans were reused). With
+  // a fired row leaving the executor as values that the worker encodes
+  // straight into its flush, no row is built on the worker: 2.98.
   core::Config cfg;
   cfg.seed = 7;
   core::Aorta sys(cfg);
@@ -271,8 +274,67 @@ TEST(TracePipelineTest, ShardedRowPathStaysWithinAllocationBudget) {
   ASSERT_GE(delivered, 4000u);
   const double per_row =
       static_cast<double>(allocs) / static_cast<double>(delivered);
-  EXPECT_LE(per_row, 5.0) << allocs << " allocations for " << delivered
+  EXPECT_LE(per_row, 3.3) << allocs << " allocations for " << delivered
                           << " delivered rows";
+}
+
+TEST(TracePipelineTest, ContinuousAggregateRowsStayWithinAllocationBudget) {
+  // Steady state of co-hashed windowed aggregates on a 2-shard plane: 64
+  // AQs of one shape over 8 motes at three hop depths share one cache
+  // entry per worker. Every second each worker closes a pane and emits a
+  // partial row per AQ and hop group it holds, and the czar folds the two
+  // shards' partials into one row per AQ, group and window for the
+  // session mailbox. Every allocation of the process counts, divided by
+  // the aggregate rows that reached a mailbox. Building a labelled row
+  // per partial, growing it item by item, made 12.63 per row here;
+  // staging each pane's partials as flat values that the worker encodes
+  // straight into its flush makes 6.41.
+  core::Config cfg;
+  cfg.seed = 7;
+  core::Aorta sys(cfg);
+  server::ServiceConfig sc;
+  sc.num_shards = 2;
+  sc.mailbox_capacity = 1 << 16;
+  server::QueryService service(&sys, sc);
+  for (int i = 0; i < 8; ++i) {
+    const std::string id = "m" + std::to_string(i);
+    ASSERT_TRUE(
+        service.plane()->add_mote(id, {double(i), 0, 1}, 1 + i % 3).is_ok());
+    service.plane()->mote(id)->reliability().glitch_prob = 0.0;
+    (void)sys.network().set_link(id, shard::backplane_link());
+  }
+  std::vector<server::SessionId> sessions;
+  for (int s = 0; s < 4; ++s) {
+    sessions.push_back(service.connect("t" + std::to_string(s)));
+    for (int k = 0; k < 16; ++k) {
+      ASSERT_TRUE(service
+                      .submit(sessions.back(),
+                              "CREATE AQ a" + std::to_string(k) +
+                                  " AS SELECT s.hops, avg(s.temp), "
+                                  "max(s.temp) FROM sensor s GROUP BY "
+                                  "s.hops WINDOW 2s EVERY 1s")
+                      .is_ok());
+    }
+  }
+  auto rows = [&]() {
+    std::uint64_t n = 0;
+    for (server::SessionId id : sessions) n += service.session(id)->stats().rows;
+    return n;
+  };
+  sys.run_for(Duration::seconds(4));
+  for (server::SessionId id : sessions) (void)service.session(id)->drain();
+
+  const std::uint64_t rows_before = rows();
+  const std::uint64_t allocs_before = g_allocations.load();
+  sys.run_for(Duration::seconds(10));
+  const std::uint64_t allocs = g_allocations.load() - allocs_before;
+  const std::uint64_t delivered = rows() - rows_before;
+
+  ASSERT_GE(delivered, 1500u);
+  const double per_row =
+      static_cast<double>(allocs) / static_cast<double>(delivered);
+  EXPECT_LE(per_row, 7.0) << allocs << " allocations for " << delivered
+                          << " delivered aggregate rows";
 }
 
 TEST(TracePipelineTest, OneShotSelectStaysWithinAllocationBudget) {

@@ -11,7 +11,8 @@
  * snapshot by live bytes, each frame as module+offset:
  *
  *   heap_profile: peak 183.41 MB live in 2950112 blocks; snapshot at
- *     181.67 MB; top 20 of 14203 sites:
+ *     181.67 MB after 3932160 of 4170711 allocations; top 20 of 14203
+ *     sites:
  *   #1 32.92 MB in 171480 blocks
  *       /path/pipeline_bench+0x5f2a1
  *       ...
@@ -24,8 +25,20 @@
  *   cc -O2 -shared -fPIC -o heap_profile.so tools/heap_profile.c -ldl
  *   LD_PRELOAD=$PWD/heap_profile.so ./pipeline_bench --workload fanout ...
  *
- * HEAP_PROFILE_TOP sets how many sites print (default 20). Unwinding every
- * allocation is slow (a few microseconds each), so profile short passes.
+ * HEAP_PROFILE_TOP sets how many sites print (default 20).
+ *
+ * HEAP_PROFILE_AT=exit reports the heap at the end of the program's work
+ * instead of at its peak. The shim then snapshots every 1024 allocations
+ * and reports the last of those snapshots (or the heap at exit when there
+ * was none); the header says "exit snapshot" and after how many of the
+ * process's allocations it was taken. A program that tears its state down
+ * before it exits (C++ destructors at the end of main) allocates little
+ * while doing so, so the last snapshot shows what it held when it
+ * finished its work, teardown not begun; the allocation counts in the
+ * header show how close to the end that was.
+ *
+ * Unwinding every allocation is slow (a few microseconds each), so
+ * profile short passes.
  * Allocations the shim's own unwinder makes are not tracked, and neither
  * are blocks whose site table slot could not be found (the table holds
  * 2^18 sites; the excess is charged to one "(site table full)" entry). A
@@ -55,6 +68,7 @@ enum {
   kUnwindFrames = 24,   /* frames unwound, the shim's own included */
   kSiteBits = 18,       /* site table: 2^18 slots */
   kSiteFull = 0,        /* slot 0 collects stacks the table has no room for */
+  kExitEvery = 1024,    /* allocations between snapshots at HEAP_PROFILE_AT=exit */
 };
 
 struct Site {
@@ -86,6 +100,10 @@ static size_t g_block_cap;         /* power of two */
 static size_t g_block_count;
 
 static uint64_t g_live, g_live_blocks, g_peak, g_peak_blocks, g_snap_live;
+static int g_at_exit;            /* HEAP_PROFILE_AT=exit */
+static uint64_t g_tracked;       /* allocations tracked so far */
+static int g_snapped;            /* a snapshot has been taken */
+static uint64_t g_snap_at;       /* ... after this many allocations */
 
 static void* map_zeroed(size_t bytes) {
   void* p = mmap(NULL, bytes, PROT_READ | PROT_WRITE,
@@ -182,6 +200,8 @@ static void snapshot(void) {
   memcpy(g_snap_bytes, g_site_bytes, n * sizeof(uint64_t));
   memcpy(g_snap_blocks, g_site_blocks, n * sizeof(uint64_t));
   g_snap_live = g_live;
+  g_snapped = 1;
+  g_snap_at = g_tracked;
 }
 
 /* Not inlined, so the first two frames are always this function and the
@@ -213,7 +233,11 @@ __attribute__((noinline)) static void track(void* p) {
       g_peak = g_live;
       g_peak_blocks = g_live_blocks;
     }
-    if (g_live > g_snap_live + g_snap_live / 100 + 65536) snapshot();
+    ++g_tracked;
+    if (g_at_exit ? g_tracked % kExitEvery == 0
+                  : g_live > g_snap_live + g_snap_live / 100 + 65536) {
+      snapshot();
+    }
   }
   pthread_mutex_unlock(&g_lock);
   g_in_hook = 0;
@@ -285,6 +309,8 @@ __attribute__((constructor)) static void init(void) {
     fprintf(stderr, "heap_profile: out of memory for the tables; off\n");
     return;
   }
+  const char* at = getenv("HEAP_PROFILE_AT");
+  g_at_exit = at != NULL && strcmp(at, "exit") == 0;
   /* The first backtrace() loads the unwinder, which allocates. */
   void* warm[2];
   g_in_hook = 1;
@@ -319,11 +345,14 @@ __attribute__((destructor)) static void report(void) {
   Dl_info self_info;
   const char* self =
       dladdr((void*)&report, &self_info) ? self_info.dli_fname : NULL;
+  if (g_at_exit && !g_snapped) snapshot();
   fprintf(stderr,
-          "heap_profile: peak %.2f MB live in %llu blocks; snapshot at "
-          "%.2f MB; top %d of %zu sites:\n",
+          "heap_profile: peak %.2f MB live in %llu blocks; %s %.2f MB "
+          "after %llu of %llu allocations; top %d of %zu sites:\n",
           (double)g_peak / 1e6, (unsigned long long)g_peak_blocks,
-          (double)g_snap_live / 1e6, top, g_site_count);
+          g_at_exit ? "exit snapshot" : "snapshot at",
+          (double)g_snap_live / 1e6, (unsigned long long)g_snap_at,
+          (unsigned long long)g_tracked, top, g_site_count);
   size_t n = (size_t)1 << kSiteBits;
   for (int rank = 1; rank <= top; ++rank) {
     size_t best = n;

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Symbolize and summarize tools/heap_profile.c reports, or diff two.
 
-heap_profile.c prints the top allocation sites by live bytes at the peak,
-each frame as module+offset. This script resolves every frame with
+heap_profile.c prints the top allocation sites by live bytes at the peak
+(or, with HEAP_PROFILE_AT=exit, at the end of the program's work), each
+frame as module+offset. This script resolves every frame with
 `addr2line -Cfe MODULE OFFSET...` (one batch per module), groups the sites
 by their first `aorta::` frame (the innermost engine function on the
 stack) and prints, per group, the live MB, the blocks and the bytes per
@@ -26,15 +27,23 @@ import sys
 from collections import defaultdict
 
 HEADER = re.compile(r"^#(\d+) ([0-9.]+) MB in (\d+) blocks")
+TITLE = re.compile(r"^heap_profile: .*?(exit snapshot|snapshot at) ([0-9.]+) MB")
 FRAME = re.compile(r"^\s+(\S+)\+0x([0-9a-f]+)$")
 NO_AORTA = "(no aorta:: frame)"
 
 
 def parse(path):
-    """Sites of one report: [{mb, blocks, frames: [(module, offset)]}]."""
-    sites = []
+    """One report: (snapshot kind, its live MB, sites), each site
+    {mb, blocks, frames: [(module, offset)]}. The kind is "peak" or "exit"
+    (HEAP_PROFILE_AT=exit)."""
+    kind, live, sites = "peak", 0.0, []
     with open(path, errors="replace") as f:
         for line in f:
+            m = TITLE.match(line)
+            if m:
+                kind = "exit" if m.group(1) == "exit snapshot" else "peak"
+                live = float(m.group(2))
+                continue
             m = HEADER.match(line)
             if m:
                 sites.append({"mb": float(m.group(2)),
@@ -43,7 +52,7 @@ def parse(path):
             m = FRAME.match(line)
             if m and sites:
                 sites[-1]["frames"].append((m.group(1), int(m.group(2), 16)))
-    return sites
+    return kind, live, sites
 
 
 def symbolize(sites):
@@ -173,8 +182,13 @@ def main():
     if len(args.reports) > 2:
         ap.error("give one report, or two to diff")
     parsed = [parse(path) for path in args.reports]
-    names = symbolize([site for sites in parsed for site in sites])
-    groups = [group(sites, names, args.depth, args.match) for sites in parsed]
+    for path, (kind, live, _) in zip(args.reports, parsed):
+        print(f"{path}: {kind} snapshot, {live:.2f} MB live")
+    if len({kind for kind, _, _ in parsed}) > 1:
+        print("warning: diffing a peak snapshot against an exit snapshot")
+    names = symbolize([site for _, _, sites in parsed for site in sites])
+    groups = [group(sites, names, args.depth, args.match)
+              for _, _, sites in parsed]
     if len(groups) == 1:
         print_summary(groups[0], args.top, args.sites)
     else:

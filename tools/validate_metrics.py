@@ -11,7 +11,10 @@ MetricsRegistry::write_json / QueryService::stats_json renders:
   * object keys at every level are in sorted order — the determinism
     guarantee ("same counters in, same bytes out") depends on it;
   * the canonical system sections are present, and every engine slice
-    of a sharded snapshot ("shard.<i>") publishes the engine sections.
+    of a sharded snapshot ("shard.<i>") publishes the engine sections;
+  * the runtime's wall-clock figures, which only a snapshot with its
+    volatile metrics holds (runtime.<i>.busy_ms, runtime.critical_path_ms),
+    are non-negative numbers where present.
 
 Usage: validate_metrics.py SNAPSHOT.json [SNAPSHOT2.json ...]
 """
@@ -36,6 +39,10 @@ RELIABLE_KEYS = {"calls", "attempts", "retries", "giveups",
 # "agg" section under any "eval" must carry the evaluation counters.
 AGG_CACHE_KEYS = {"hits", "misses", "subsumptions", "live_windows"}
 AGG_EVAL_KEYS = {"tuples_evaluated", "emissions", "panes_closed"}
+# Volatile wall-clock leaves of the "runtime" section: per loop, the time
+# spent running its events; for the group, the per-window critical path.
+RUNTIME_LOOP_WALL_KEYS = {"busy_ms"}
+RUNTIME_WALL_KEYS = {"critical_path_ms"}
 
 
 def fail(path, msg):
@@ -91,6 +98,23 @@ def check_agg_sections(path, node, where):
     return rc
 
 
+def check_runtime(path, runtime):
+    """The runtime section's wall-clock leaves; returns #violations."""
+    if not isinstance(runtime, dict):
+        return fail(path, "runtime is not an object")
+    leaves = [(k, runtime[k]) for k in RUNTIME_WALL_KEYS & set(runtime)]
+    for loop, node in runtime.items():
+        if loop.isdigit() and isinstance(node, dict):
+            leaves += [(f"{loop}.{k}", node[k])
+                       for k in RUNTIME_LOOP_WALL_KEYS & set(node)]
+    rc = 0
+    for name, v in leaves:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0:
+            rc += fail(path, f"runtime.{name}: must be a non-negative "
+                             f"number, got {v!r}")
+    return rc
+
+
 def validate(path):
     try:
         with open(path) as f:
@@ -119,6 +143,8 @@ def validate(path):
     if rc:
         return rc
     if check_agg_sections(path, doc, "$"):
+        return 1
+    if "runtime" in doc and check_runtime(path, doc["runtime"]):
         return 1
     print(f"{path}: OK ({len(doc)} top-level sections)")
     return 0
