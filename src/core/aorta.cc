@@ -79,9 +79,7 @@ Result<ExecResult> Aorta::exec(const std::string& sql) {
   exec_async(sql, ExecOptions{},
              [&outcome](Result<ExecResult> r) { outcome = std::move(r); });
   if (!outcome.has_value()) {
-    // One-shot SELECT: sensory acquisition needs simulated time to pass;
-    // bounded by the worst per-type probe timeout.
-    const Duration kSelectDeadline = Duration::seconds(30.0);
+    // One-shot SELECT: sensory acquisition needs simulated time to pass.
     aorta::util::TimePoint deadline = host_->loop().now() + kSelectDeadline;
     while (!outcome.has_value() && host_->loop().now() < deadline &&
            runtime_.pending() > 0) {

@@ -95,14 +95,20 @@ struct Config {
   // the single global loop regardless of this setting.
   int runtime_threads = 1;
   // Reliable backplane (DESIGN.md §14): czar->worker fragment RPCs retry
-  // with capped exponential backoff behind per-peer budgets and circuit
-  // breakers; workers dedup requests by idempotency key and retain
+  // with capped exponential backoff behind per-peer retry budgets;
+  // workers dedup requests by idempotency key and retain
   // sequenced result messages for NACK-driven retransmission until the
   // czar acks them. false is the chaos benches' ablation arm: the same
   // protocol with one attempt per RPC and zero replay retention, so acks,
   // NACKs and dedup still run but a stream gap can never be repaired.
   bool reliable_backplane = true;
 };
+
+// How long a one-shot SELECT may take: exec() stops waiting for one after
+// it, and the sharded czar settles every target that has not answered by
+// then as unanswered. Bounded by the worst per-type probe timeout.
+inline constexpr aorta::util::Duration kSelectDeadline =
+    aorta::util::Duration::seconds(30.0);
 
 // Result of exec(): DDL statements return a message; SELECT returns rows.
 struct ExecResult {

@@ -33,12 +33,6 @@ Czar::Czar(core::Aorta* host, Options options)
                                                        : 1) {
   (void)network_->attach(kCzarNode, this, backplane_link());
   rpc_.set_tracer(tracer_);
-  reliable_call_.set_peer_down_hook([this](const net::NodeId& node) {
-    // Breaker opened: the peer burned through consecutive attempts. Mark
-    // the shard down now instead of waiting out the heartbeat silence.
-    int shard = shard_of_node(node);
-    if (shard >= 0) mark_down(shard);
-  });
   shards_.resize(static_cast<std::size_t>(options_.num_shards));
   for (ShardState& s : shards_) s.last_msg = loop_->now();
   merger_ = std::make_unique<Merger>(
@@ -76,11 +70,6 @@ Czar::Czar(core::Aorta* host, Options options)
   reliable_metrics_.enroll_counter("retries", &rs.retries);
   reliable_metrics_.enroll_counter("giveups", &rs.giveups);
   reliable_metrics_.enroll_counter("budget_exhausted", &rs.budget_exhausted);
-  reliable_metrics_.enroll_counter("breaker.opens", &rs.breaker_opens);
-  reliable_metrics_.enroll_counter("breaker.half_opens",
-                                   &rs.breaker_half_opens);
-  reliable_metrics_.enroll_counter("breaker.closes", &rs.breaker_closes);
-  reliable_metrics_.enroll_counter("breaker.rejects", &rs.breaker_rejects);
   const MergerStats& ms = merger_->stats();
   metrics_.enroll_counter("merge.rows_in", &ms.rows_in);
   metrics_.enroll_counter("merge.rows_out", &ms.rows_out);
@@ -148,26 +137,45 @@ FragmentSpec Czar::make_spec(const std::string& name, const std::string& sql,
   return spec;
 }
 
+void Czar::call_worker(int shard, const char* kind,
+                       std::map<std::string, std::string> fields,
+                       net::RpcCallback callback, std::size_t payload_bytes) {
+  fields[kIdemSeqField] = std::to_string(dispatch_seq_++);
+  const std::uint64_t gen = shards_[static_cast<std::size_t>(shard)].gen;
+  reliable_call_.call(
+      worker_node(shard), kind, std::move(fields),
+      [this, shard, gen, callback = std::move(callback)](
+          Result<net::Message> reply) {
+        // The give-up rule: a worker acks every fragment in the event that
+        // receives it, so a call that ran out of attempts or retry budget
+        // means the control path is broken. Mark the shard down (unless
+        // it was re-synced since) and let recovery re-register it.
+        if (!reply.is_ok() &&
+            shards_[static_cast<std::size_t>(shard)].gen == gen) {
+          mark_down(shard);
+        }
+        callback(std::move(reply));
+      },
+      payload_bytes);
+}
+
 void Czar::send_register(int shard, const FragmentSpec& spec,
                          net::RpcCallback callback) {
   net::Message tmp;
   fragment_to_fields(spec, &tmp);
-  tmp.set_int(kIdemSeqField, static_cast<std::int64_t>(dispatch_seq_++));
   AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kFragment,
                       "czar:dispatch:" + worker_node(shard), loop_->now(),
                       spec.once ? "select" : spec.name);
-  reliable_call_.call(worker_node(shard), kFragmentRegister,
-                      std::move(tmp.fields), std::move(callback),
-                      64 + spec.sql.size());
+  call_worker(shard, kFragmentRegister, std::move(tmp.fields),
+              std::move(callback), 64 + spec.sql.size());
 }
 
 void Czar::send_drop(int shard, const std::string& name, std::uint64_t id) {
   std::map<std::string, std::string> fields{{"name", name}};
   fields["id"] = std::to_string(id);
   fields["gen"] = std::to_string(shards_[static_cast<std::size_t>(shard)].gen);
-  fields[kIdemSeqField] = std::to_string(dispatch_seq_++);
-  reliable_call_.call(worker_node(shard), kFragmentDrop, std::move(fields),
-                      [](Result<net::Message>) {});
+  call_worker(shard, kFragmentDrop, std::move(fields),
+              [](Result<net::Message>) {}, 64);
 }
 
 std::vector<int> Czar::dispatch_to(const std::vector<int>& targets) {
@@ -194,7 +202,7 @@ namespace {
 // The sharded planner's supported statement surface. Returns an error
 // naming the construct so rejections are actionable. avg() is mergeable
 // everywhere: workers rewrite each avg(e) into (sum(e), count(e))
-// partials — at the reply barrier for one-shot SELECTs, per window
+// partials — once every target settled for one-shot SELECTs, per window
 // instant behind the merge frontier for continuous AQs — and the czar
 // finalizes sum/count.
 Status shardable(const query::SelectStmt& stmt) {
@@ -505,94 +513,96 @@ void Czar::exec_select(
         "no live workers to run the SELECT on")));
     return;
   }
-
-  struct SelectState {
-    int remaining = 0;
-    int answered = 0;  // shards that returned a decodable partial
-    int total = 0;     // the target set's size
-    std::vector<std::vector<query::TimestampedRow>> partials;
-    std::optional<AggPlan> plan;  // the merge plan, built at dispatch
-    std::string error;
-    std::function<void(Result<ExecResult>)> done;
-  };
-  auto state = std::make_shared<SelectState>();
-  state->remaining = static_cast<int>(live.size());
-  state->total = static_cast<int>(targets.size());
-  state->partials.resize(static_cast<std::size_t>(options_.num_shards));
+  const std::uint64_t id = next_id_++;
+  SelectState& state = selects_[id];
+  state.total = static_cast<int>(targets.size());
+  state.waiting.assign(static_cast<std::size_t>(options_.num_shards), false);
+  for (int i : live) state.waiting[static_cast<std::size_t>(i)] = true;
+  state.partials.resize(static_cast<std::size_t>(options_.num_shards));
   // The fragments share the statement text; each worker plans it once and
   // keeps the plan for the text's next SELECT. The czar keeps only the
   // merge plan.
-  state->plan = make_agg_plan(stmt);
-  state->done = std::move(done);
+  state.plan = make_agg_plan(stmt);
+  state.deadline = loop_->now() + core::kSelectDeadline;
+  state.done = std::move(done);
 
-  auto alive = alive_;
-  auto settle = [this, alive, state]() {
-    if (--state->remaining > 0) return;
-    if (!state->error.empty()) {
-      state->done(Result<ExecResult>(
-          aorta::util::invalid_argument_error(state->error)));
+  for (int i : live) {
+    send_register(i, make_spec("", sql, /*once=*/true, i, id),
+                  [this, id, i](Result<net::Message> reply) {
+                    // An ack: the rows follow on the result stream. A
+                    // refusal settles the target now; so does a call that
+                    // gave up, if the shard's mark-down has not already.
+                    if (reply.is_ok() && reply.value().kind == kFragmentAck) {
+                      return;
+                    }
+                    auto it = selects_.find(id);
+                    if (it != selects_.end() && it->second.error.empty() &&
+                        reply.is_ok() &&
+                        reply.value().kind == kFragmentError) {
+                      it->second.error = reply.value().field("error");
+                    }
+                    settle_select(id, i, nullptr);
+                  });
+  }
+}
+
+void Czar::settle_select(std::uint64_t id, int shard,
+                         std::vector<query::TimestampedRow>* rows) {
+  auto it = selects_.find(id);
+  if (it == selects_.end()) return;
+  SelectState& state = it->second;
+  std::vector<bool>::reference waiting =
+      state.waiting[static_cast<std::size_t>(shard)];
+  if (!waiting) return;
+  waiting = false;
+  if (rows != nullptr) {
+    state.partials[static_cast<std::size_t>(shard)] = std::move(*rows);
+    ++state.answered;
+  }
+  if (std::find(state.waiting.begin(), state.waiting.end(), true) !=
+      state.waiting.end()) {
+    return;
+  }
+  // Settled: out of the table before `done` runs (it may issue statements).
+  SelectState settled = std::move(state);
+  selects_.erase(it);
+  if (!settled.error.empty()) {
+    settled.done(Result<ExecResult>(
+        aorta::util::invalid_argument_error(settled.error)));
+    return;
+  }
+  // Partial results are never silent: a SELECT some target failed to
+  // answer (down at dispatch or since, refused, or past the deadline) is
+  // marked as partial — and, when the select list aggregates, rejected
+  // outright: a sum or count over a subset of the shards is not a smaller
+  // answer, it is a wrong one.
+  if (settled.answered < settled.total) {
+    ++stats_.partial_selects;
+    if (settled.plan) {
+      settled.done(Result<ExecResult>(aorta::util::unavailable_error(
+          aorta::util::str_format(
+              "partial aggregate: only %d of %d shard(s) answered; an "
+              "aggregate over a subset would be wrong, not smaller",
+              settled.answered, settled.total))));
       return;
     }
-    // Partial results are never silent: a SELECT some target failed to
-    // answer (down at dispatch, or its RPC gave up) is marked as partial —
-    // and, when the select list aggregates, rejected outright: a sum or
-    // count over a subset of the shards is not a smaller answer, it is a
-    // wrong one.
-    if (state->answered < state->total) {
-      if (*alive) ++stats_.partial_selects;
-      if (state->plan) {
-        state->done(Result<ExecResult>(aorta::util::unavailable_error(
-            aorta::util::str_format(
-                "partial aggregate: only %d of %d shard(s) answered; an "
-                "aggregate over a subset would be wrong, not smaller",
-                state->answered, state->total))));
-        return;
-      }
-    }
-    ExecResult result;
-    result.shards_answered = state->answered;
-    result.shards_total = state->total;
-    result.rows = merge_select(state->plan, state->partials);
-    result.message = aorta::util::str_format(
-        "%zu row(s)%s", result.rows.size(),
-        state->answered < state->total ? " [partial]" : "");
-    std::uint64_t merged = 0;
-    for (const auto& p : state->partials) merged += p.size();
-    if (*alive) {
-      AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kMerge, "czar:merge_select",
-                          loop_->now(),
-                          aorta::util::str_format(
-                              "%llu partial(s) -> %zu row(s)",
-                              static_cast<unsigned long long>(merged),
-                              result.rows.size()));
-    }
-    state->done(std::move(result));
-  };
-  for (int i : live) {
-    send_register(
-        i, make_spec("", sql, /*once=*/true, i),
-        [i, state, settle](Result<net::Message> reply) {
-          if (reply.is_ok()) {
-            const net::Message& msg = reply.value();
-            if (msg.kind == kFragmentError && state->error.empty()) {
-              state->error = msg.field("error");
-            } else if (msg.kind == kFragmentSelectResult) {
-              std::vector<query::TimestampedRow> rows;
-              if (decode_rows(msg.field("rows"), &rows)) {
-                state->partials[static_cast<std::size_t>(i)] =
-                    std::move(rows);
-                ++state->answered;
-              }
-            }
-            // kFragmentStale (a generation raced the dispatch) settles
-            // without an error; the shard counts as unanswered.
-          }
-          // Timeout / unreachable after the last attempt: the
-          // shard's partial stays empty and the result is marked partial;
-          // supervision marks the shard down on silence.
-          settle();
-        });
   }
+  ExecResult result;
+  result.shards_answered = settled.answered;
+  result.shards_total = settled.total;
+  result.rows = merge_select(settled.plan, settled.partials);
+  result.message = aorta::util::str_format(
+      "%zu row(s)%s", result.rows.size(),
+      settled.answered < settled.total ? " [partial]" : "");
+  std::uint64_t merged = 0;
+  for (const auto& p : settled.partials) merged += p.size();
+  AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kMerge, "czar:merge_select",
+                      loop_->now(),
+                      aorta::util::str_format(
+                          "%llu partial(s) -> %zu row(s)",
+                          static_cast<unsigned long long>(merged),
+                          result.rows.size()));
+  settled.done(std::move(result));
 }
 
 // ---- worker stream consumption --------------------------------------------
@@ -729,7 +739,7 @@ void Czar::consume_flush(int shard, const net::Message& msg) {
     next += static_cast<std::ptrdiff_t>(g.rows);
     auto it = aqs_.find(g.id);
     if (it == aqs_.end()) {
-      stats_.stale_query_rows += rows.size();
+      consume_select_group(shard, g, rows);
       continue;
     }
     AqState& aq = it->second;
@@ -759,6 +769,32 @@ void Czar::consume_flush(int shard, const net::Message& msg) {
     ++stats_.outcomes_received;
     if (outcome_sink_) outcome_sink_(o.query, o.at, o.detail);
   }
+}
+
+void Czar::consume_select_group(int shard, const RowGroup& g,
+                                std::span<query::TimestampedRow> rows) {
+  auto it = selects_.find(g.id);
+  if (it == selects_.end() ||
+      !it->second.waiting[static_cast<std::size_t>(shard)]) {
+    // A dropped AQ's rows, or a SELECT target already settled (partial,
+    // at a mark-down or its deadline): stale.
+    stats_.stale_query_rows += rows.size();
+    return;
+  }
+  // A SELECT's one group carries its labels (none when it has no rows).
+  const std::size_t width = g.labels.size();
+  std::vector<query::TimestampedRow> partial;
+  partial.reserve(rows.size());
+  for (query::TimestampedRow& row : rows) {
+    if (row.row.size() != width) {
+      ++stats_.rejected_groups;
+      settle_select(g.id, shard, nullptr);
+      return;
+    }
+    for (std::size_t j = 0; j < width; ++j) row.row[j].first = g.labels[j];
+    partial.push_back(std::move(row));
+  }
+  settle_select(g.id, shard, &partial);
 }
 
 void Czar::on_row_released(std::uint64_t id, query::TimestampedRow& row) {
@@ -827,13 +863,6 @@ void Czar::flush_agg_windows() {
 
 // ---- supervision ----------------------------------------------------------
 
-int Czar::shard_of_node(const net::NodeId& node) const {
-  for (int i = 0; i < options_.num_shards; ++i) {
-    if (worker_node(i) == node) return i;
-  }
-  return -1;
-}
-
 void Czar::mark_down(int shard) {
   ShardState& s = shards_[static_cast<std::size_t>(shard)];
   if (!s.live) return;
@@ -845,6 +874,10 @@ void Czar::mark_down(int shard) {
   AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kFragment,
                       "czar:down:" + worker_node(shard), loop_->now(),
                       "unresponsive");
+  // Its SELECT targets will never answer on this stream.
+  std::vector<std::uint64_t> ids;
+  for (const auto& [id, state] : selects_) ids.push_back(id);
+  for (std::uint64_t id : ids) settle_select(id, shard, nullptr);
 }
 
 void Czar::check_liveness() {
@@ -854,6 +887,13 @@ void Czar::check_liveness() {
     ShardState& s = shards_[static_cast<std::size_t>(i)];
     if (!s.live) continue;
     if (loop_->now() - s.last_msg > silence_bound) mark_down(i);
+  }
+  // SELECTs past their deadline: ids rise with deadlines, and a SELECT
+  // leaves the table as its last target settles.
+  while (!selects_.empty() &&
+         selects_.begin()->second.deadline <= loop_->now()) {
+    const std::uint64_t id = selects_.begin()->first;
+    for (int i = 0; i < options_.num_shards; ++i) settle_select(id, i, nullptr);
   }
   auto alive = alive_;
   loop_->schedule(kHeartbeatInterval, [this, alive]() {
@@ -868,8 +908,8 @@ void Czar::recover_shard(int shard) {
   s.ooo.clear();
   s.last_nack_from = ~std::uint64_t{0};
   ++stats_.reregistrations;
-  // Fresh generation, fresh dispatch state: forget the peer's breaker and
-  // retry budget so the handshake below is not short-circuited.
+  // Fresh generation, fresh dispatch state: forget the peer's retry budget
+  // so the handshake below can retry.
   reliable_call_.reset_peer(worker_node(shard));
   AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kFragment,
                       "czar:recover:" + worker_node(shard), loop_->now(),

@@ -5,8 +5,13 @@
 // (shard/fragment.h), dispatches them as RPCs to the worker engines, and
 // merges the per-shard result streams back into one. Continuous rows are
 // unioned by shard::Merger in deterministic (virtual timestamp, shard id,
-// arrival) order behind the workers' heartbeat watermarks; one-shot SELECT
-// partials are combined at the barrier — concatenated in shard order, or
+// arrival) order behind the workers' heartbeat watermarks. A one-shot
+// SELECT gets an id from the AQ id counter, and each target answers with
+// one row group under it on the same stream. A target settles exactly
+// once: when its group arrives (a later one is stale), when its fragment
+// RPC is refused or fails, when its shard is marked down, or at
+// core::kSelectDeadline (checked on the supervision timer). Then the
+// partials are combined — concatenated in shard order, or
 // partial-aggregate-merged (count/sum as sums, min/max as extrema) when
 // the select list aggregates.
 //
@@ -19,18 +24,20 @@
 //
 // Per-shard supervision: every worker message refreshes its shard's
 // liveness; a shard silent for kMissThreshold heartbeat intervals is
-// marked down (its rows stop holding back the merge frontier). The first
-// message after that marks it up again and triggers recovery: the czar
-// bumps the shard's generation — a fresh-slate handshake that makes the
-// worker drop every fragment and reset its outbound seq counter — and
-// re-registers every live AQ that targets it.
+// marked down (its rows stop holding back the merge frontier). So is a
+// shard whose fragment RPC gave up, unless its generation moved since the
+// dispatch: a worker answers every fragment RPC at once, so a call that
+// ran out of attempts means the control path is broken. The first
+// message after a mark-down marks the shard up again and triggers
+// recovery: the czar bumps the shard's generation — a fresh-slate
+// handshake that makes the worker drop every fragment and reset its
+// outbound seq counter — and re-registers every live AQ that targets it.
 //
 // Reliable backplane (DESIGN.md §14): fragment RPCs go through
-// net::ReliableCall (retries + budgets + per-peer circuit breakers; an
-// opened breaker marks the shard down immediately), every request carries
-// an idempotency key, and the worker result streams are consumed exactly
-// once: duplicate seqs are dropped, gaps are NACKed for retransmission
-// (again every kNackInterval while they stay open), and
+// net::ReliableCall (retries behind per-peer retry budgets), every request
+// carries an idempotency key, and the worker result streams are consumed
+// exactly once: duplicate seqs are dropped, gaps are NACKed for
+// retransmission (again every kNackInterval while they stay open), and
 // consumed-heartbeat instants piggyback a cumulative ack that lets the
 // worker trim its replay buffer. Config::reliable_backplane = false only
 // cuts the RPC attempts to one (and the workers' replay retention to zero).
@@ -54,6 +61,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -76,7 +84,7 @@ struct CzarStats {
   std::uint64_t heartbeats_received = 0;
   std::uint64_t stale_gen_msgs = 0;     // dropped: superseded generation
   std::uint64_t ooo_buffered = 0;       // messages held for seq reordering
-  std::uint64_t stale_query_rows = 0;   // rows for queries no longer known
+  std::uint64_t stale_query_rows = 0;   // rows no AQ or waiting target takes
   std::uint64_t rejected_groups = 0;    // unannounced or misshapen groups
   std::uint64_t workers_marked_down = 0;
   std::uint64_t reregistrations = 0;    // recovery fan-outs (gen bumps)
@@ -140,7 +148,7 @@ class Czar : public net::Endpoint {
 
  private:
   // Merge plan for an aggregate select list, built once at dispatch and
-  // shared by one-shot SELECTs (folded at the reply barrier) and
+  // shared by one-shot SELECTs (folded once every target settled) and
   // continuous AQs (folded per window instant and group): the shape of
   // the rows the workers ship (select-list ops with avg folded as sum,
   // one appended count per avg, then one hidden column per GROUP BY
@@ -177,6 +185,18 @@ class Czar : public net::Endpoint {
     std::vector<int> targets;
   };
 
+  // A one-shot SELECT whose targets have not all settled.
+  struct SelectState {
+    int answered = 0;  // targets whose group arrived
+    int total = 0;     // the target set's size
+    std::vector<bool> waiting;  // by shard: dispatched, not yet settled
+    std::vector<std::vector<query::TimestampedRow>> partials;  // by shard
+    std::optional<AggPlan> plan;  // the merge plan, built at dispatch
+    std::string error;            // the first worker refusal
+    aorta::util::TimePoint deadline;
+    std::function<void(aorta::util::Result<core::ExecResult>)> done;
+  };
+
   struct ShardState {
     std::uint64_t gen = 0;       // current generation
     std::uint64_t next_seq = 0;  // next seq to consume
@@ -193,6 +213,11 @@ class Czar : public net::Endpoint {
 
   FragmentSpec make_spec(const std::string& name, const std::string& sql,
                          bool once, int shard, std::uint64_t id = 0) const;
+  // Every fragment RPC: stamps the idempotency key and applies the
+  // give-up rule (see file comment) before `callback` runs.
+  void call_worker(int shard, const char* kind,
+                   std::map<std::string, std::string> fields,
+                   net::RpcCallback callback, std::size_t payload_bytes);
   void send_register(int shard, const FragmentSpec& spec,
                      net::RpcCallback callback);
   void send_drop(int shard, const std::string& name, std::uint64_t id);
@@ -204,6 +229,10 @@ class Czar : public net::Endpoint {
                    const std::vector<int>& targets,
                    std::function<void(aorta::util::Result<core::ExecResult>)>
                        done);
+  // Settle one SELECT target, answered with `rows` or (null) not; a no-op
+  // for a target already settled. The last target completes the SELECT.
+  void settle_select(std::uint64_t id, int shard,
+                     std::vector<query::TimestampedRow>* rows);
   // Merge per-shard SELECT partials (indexed by shard; a missing shard's
   // slot stays empty) into the final row set: concatenation without a
   // plan, one folded and finalized row with one.
@@ -213,8 +242,12 @@ class Czar : public net::Endpoint {
 
   // In-seq-order consumption of one worker message.
   void consume(int shard, const net::Message& msg);
-  // One flush: row groups into the Merger, outcomes to the sink.
+  // One flush: AQ row groups into the Merger, SELECT groups to their
+  // statements, outcomes to the sink.
   void consume_flush(int shard, const net::Message& msg);
+  // A group whose id is no live AQ's: a SELECT target's answer, or stale.
+  void consume_select_group(int shard, const RowGroup& g,
+                            std::span<query::TimestampedRow> rows);
   // A row the merge frontier released: to the AQ's on_row (by move; the
   // hook's name argument is the AQ's own and dies if the hook drops it),
   // or into its aggregate window bucket.
@@ -231,7 +264,6 @@ class Czar : public net::Endpoint {
   void mark_down(int shard);
   void check_liveness();
   void recover_shard(int shard);
-  int shard_of_node(const net::NodeId& node) const;
 
   core::Aorta* host_;
   Options options_;
@@ -239,7 +271,7 @@ class Czar : public net::Endpoint {
   net::Network* network_;
   obs::Tracer* tracer_;
   net::RpcClient rpc_;
-  // Every fragment RPC goes through here (retries, budgets, breakers).
+  // Every fragment RPC goes through here (retries, budgets).
   net::ReliableCall reliable_call_;
   std::uint64_t dispatch_seq_ = 0;  // czar-global idempotency-key counter
 
@@ -247,7 +279,9 @@ class Czar : public net::Endpoint {
   // lookup), and the name directory (statements, recovery order).
   std::unordered_map<std::uint64_t, AqState> aqs_;
   std::map<std::string, std::uint64_t> ids_;
-  std::uint64_t next_id_ = 1;
+  // Unsettled one-shot SELECTs by id: dispatch order, so deadline order.
+  std::map<std::uint64_t, SelectState> selects_;
+  std::uint64_t next_id_ = 1;  // AQ and SELECT ids
   // Released-but-unfinalized aggregate partials: fragment id -> (window
   // instant in micros, encoded group key) -> positionally folded row.
   std::map<std::uint64_t,

@@ -3,24 +3,31 @@
 // The czar turns each AQ / one-shot SELECT into one fragment per shard of
 // its target set (target_shards below): the statement text (each worker
 // re-parses it; the epoch cadence is part of the text), the AQ name, the
-// once flag, the shard's registration generation and, for a continuous
-// AQ, a czar-assigned fragment id. The
-// worker needs nothing else: its device slice is its own registry (the
-// Plane placed each device with shard_of). Fragments travel as
-// net::Message RPCs between the czar node and the worker engines:
+// once flag, the shard's registration generation and a czar-assigned
+// fragment id (AQs and SELECTs draw from one counter). The worker needs
+// nothing else: its device slice is its own registry (the Plane placed
+// each device with shard_of). Fragments travel as net::Message RPCs
+// between the czar node and the worker engines:
 //
 //   fragment_register  czar -> worker   register an AQ fragment, or (with
-//                                       once=1) run a one-shot SELECT whose
-//                                       rows ride the RPC reply
+//                                       once=1) run a one-shot SELECT;
+//                                       answered at once: fragment_ack,
+//                                       fragment_error or fragment_stale
 //   fragment_drop      czar -> worker   drop an AQ fragment (name + id)
 //   fragment_results   worker -> czar   one-way, sequenced: every
-//                                       continuous row and action outcome
-//                                       of one flush
+//                                       continuous row, one-shot SELECT
+//                                       answer and action outcome of one
+//                                       flush
 //   shard_heartbeat    worker -> czar   liveness + result-stream watermark
 //   shard_ack          czar -> worker   one-way cumulative ack: the czar
 //                                       has consumed every seq < `cum`
 //   shard_nack         czar -> worker   one-way retransmit request for the
 //                                       seq gap [`from`, `to`)
+//
+// The RPC only accepts or refuses. A once fragment's rows follow as one
+// group under the SELECT's id in the flush of the instant its run
+// completed, so they are sequenced, acked, replayed and de-duplicated
+// exactly like continuous rows.
 //
 // Every worker->czar message carries (gen, seq): seq is a per-worker
 // counter over ALL its fragment traffic, reset when the czar re-registers
@@ -66,9 +73,10 @@
 // Fragment ids and schema-once rows. A group names its fragment by the
 // czar-assigned id, never by the query name, so rows of a dropped
 // registration can never reach a same-named successor: the czar counts
-// an unknown id's rows as stale. Row labels are fixed per fragment (the
-// compiled select list), so they cross the backplane once per (shard,
-// generation): in the fragment's first group on the stream. The czar
+// an unknown id's rows, and a settled SELECT's, as stale. Row labels are
+// fixed per fragment (the compiled select list), so they cross the
+// backplane once per (shard, generation): in the fragment's first group
+// on the stream (a SELECT's only group). The czar
 // consumes the stream in seq order, so it sees that announcement before
 // any id-only group, stores the labels with the AQ and stamps them back
 // onto every later row. An id-only group for an id the shard never
@@ -107,7 +115,6 @@ inline constexpr const char* kShardNack = "shard_nack";
 // Reply kinds.
 inline constexpr const char* kFragmentAck = "fragment_ack";
 inline constexpr const char* kFragmentError = "fragment_error";
-inline constexpr const char* kFragmentSelectResult = "fragment_select_result";
 inline constexpr const char* kFragmentStale = "fragment_stale";
 
 // Czar -> worker idempotency-key field: the dispatch counter paired with
@@ -168,9 +175,9 @@ std::vector<const query::Expr*> hidden_group_columns(
 struct FragmentSpec {
   std::string name;        // prefixed AQ name ("" for one-shot SELECTs)
   std::string sql;         // the statement text
-  bool once = false;       // one-shot SELECT: rows ride the RPC reply
+  bool once = false;       // one-shot SELECT: one group on the stream
   std::uint64_t gen = 0;   // registration generation (see file comment)
-  std::uint64_t id = 0;    // czar-assigned fragment id of a continuous AQ
+  std::uint64_t id = 0;    // czar-assigned fragment id (its rows' group)
 };
 
 // Field-level encode/decode (message kind is set by the caller).
@@ -179,8 +186,8 @@ FragmentSpec fragment_from_fields(const net::Message& msg);
 
 // ---- rows codec ----------------------------------------------------------
 
-// A burst of timestamped rows with their labels (a one-shot SELECT's
-// partial rows). decode returns false on any malformed input.
+// A burst of timestamped rows with their labels, each row self-describing
+// (pipebench's codec replay). decode returns false on any malformed input.
 std::string encode_rows(const std::vector<query::TimestampedRow>& rows);
 bool decode_rows(const std::string& payload,
                  std::vector<query::TimestampedRow>* out);

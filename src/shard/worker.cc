@@ -18,8 +18,8 @@ namespace {
 // count(e) appended past the select list. Then append each GROUP BY
 // column the select list leaves out (hidden_group_columns), so the czar
 // can tell the groups' partials apart. The WHERE, GROUP BY and WINDOW
-// clauses are preserved. One-shot SELECT fragments merge the partials at
-// the reply barrier; continuous aggregate fragments per window instant
+// clauses are preserved. One-shot SELECT partials merge once every target
+// settled; continuous aggregate fragments per window instant
 // and group behind the czar's merge frontier (Czar::AggPlan mirrors this
 // column layout). Nullopt when there is nothing to rewrite.
 std::optional<query::SelectStmt> rewrite_to_partials(
@@ -151,45 +151,28 @@ bool Worker::begin_idem(const net::Message& msg) {
   const auto key = idem_key(msg);
   if (!key) return true;  // unkeyed request: just process
   auto it = idem_.find(*key);
-  if (it == idem_.end()) {
-    idem_.emplace(*key, IdemEntry{});
+  if (it == idem_.end()) return true;
+  ++stats_.dup_requests;
+  AORTA_TRACE_INSTANT(&engine_.tracer(), obs::SpanCat::kFragment,
+                      node_id_ + ":dup_request", engine_.loop().now(),
+                      msg.kind);
+  // Every request is answered in the event that receives it, so a
+  // duplicate always finds the reply: replay it under its own request_id.
+  net::Message reply = it->second;
+  reply.request_id = msg.request_id;
+  reply.dst = msg.src;
+  engine_.network().send(std::move(reply));
+  return false;
+}
+
+void Worker::send_reply(const net::Message& request, net::Message reply) {
+  if (const auto key = idem_key(request)) {
+    idem_.emplace(*key, reply);
     idem_fifo_.push_back(*key);
     if (idem_fifo_.size() > kIdemWindow) {
       idem_.erase(idem_fifo_.front());
       idem_fifo_.pop_front();
     }
-    return true;
-  }
-  ++stats_.dup_requests;
-  AORTA_TRACE_INSTANT(&engine_.tracer(), obs::SpanCat::kFragment,
-                      node_id_ + ":dup_request", engine_.loop().now(),
-                      msg.kind);
-  if (it->second.ready) {
-    // Replay the cached reply under the duplicate's request_id.
-    net::Message reply = it->second.reply;
-    reply.request_id = msg.request_id;
-    reply.dst = msg.src;
-    engine_.network().send(std::move(reply));
-  } else {
-    // First copy still executing (one-shot SELECTs finish asynchronously):
-    // the duplicate waits for the same reply.
-    it->second.waiters.push_back(msg.request_id);
-  }
-  return false;
-}
-
-void Worker::send_reply(const net::Message& request, net::Message reply) {
-  const auto key = idem_key(request);
-  auto it = key ? idem_.find(*key) : idem_.end();
-  if (it != idem_.end()) {
-    it->second.ready = true;
-    it->second.reply = reply;
-    for (std::uint64_t waiter : it->second.waiters) {
-      net::Message dup = reply;
-      dup.request_id = waiter;
-      engine_.network().send(std::move(dup));
-    }
-    it->second.waiters.clear();
   }
   engine_.network().send(std::move(reply));
 }
@@ -218,6 +201,12 @@ void Worker::handle_nack(const net::Message& msg) {
     ++stats_.replay_sent;
     engine_.network().send(std::move(copy));
   }
+}
+
+void Worker::reply_ack(const net::Message& request) {
+  net::Message reply = net::make_reply(request, kFragmentAck, 64);
+  reply.set_int("gen", static_cast<std::int64_t>(gen_));
+  send_reply(request, std::move(reply));
 }
 
 void Worker::reply_error(const net::Message& request,
@@ -259,9 +248,7 @@ void Worker::handle_register(const net::Message& msg) {
   if (spec.sql.empty() && !spec.once) {
     // Generation-sync control fragment: the czar's recovery handshake when
     // it has nothing (or nothing yet) to re-register on this shard.
-    net::Message reply = net::make_reply(msg, kFragmentAck, 64);
-    reply.set_int("gen", static_cast<std::int64_t>(gen_));
-    send_reply(msg, std::move(reply));
+    reply_ack(msg);
     return;
   }
   if (spec.once) {
@@ -309,9 +296,7 @@ void Worker::handle_register(const net::Message& msg) {
     return;
   }
   ++stats_.fragments_registered;
-  net::Message reply = net::make_reply(msg, kFragmentAck, 64);
-  reply.set_int("gen", static_cast<std::int64_t>(gen_));
-  send_reply(msg, std::move(reply));
+  reply_ack(msg);
 }
 
 void Worker::handle_drop(const net::Message& msg) {
@@ -370,7 +355,7 @@ std::shared_ptr<const query::CompiledQuery> Worker::once_plan(
   }
   // avg() cannot be merged from per-shard averages, but it *is* mergeable
   // from (sum, count) partials (see rewrite_to_partials). The czar
-  // finalizes sum/count and drops the helper columns at the merge barrier.
+  // finalizes sum/count and drops the helper columns when it merges.
   const query::SelectStmt& select = stmt.value().select;
   auto rewritten = rewrite_to_partials(select);
   auto plan = engine_.executor().plan_select(rewritten ? *rewritten : select);
@@ -391,29 +376,33 @@ void Worker::run_once_select(const net::Message& msg,
                              const FragmentSpec& spec) {
   std::shared_ptr<const query::CompiledQuery> plan = once_plan(msg, spec);
   if (plan == nullptr) return;
+  // Accepted: the ack goes now, whatever the run takes; the rows follow
+  // on the result stream.
+  reply_ack(msg);
   auto alive = alive_;
   // Completion fires once acquisition finishes in simulated time; the run
-  // holds the plan until then, evicted or not.
+  // holds the plan until then, evicted or not. A generation bump in
+  // between discards the rows with the superseded stream.
   engine_.executor().run_plan(
-      std::move(plan),
-      [this, alive, msg](Result<std::vector<query::Row>> outcome) {
-        if (!*alive) return;
-        if (!outcome.is_ok()) {
-          reply_error(msg, outcome.status().to_string());
-          return;
+      std::move(plan), [this, alive, id = spec.id, gen = gen_](
+                           Result<std::vector<query::Row>> outcome) {
+        // run_plan reports no errors; were one to fail, the czar settles
+        // the target at its SELECT deadline.
+        if (!*alive || gen != gen_ || !outcome.is_ok()) return;
+        std::vector<query::Row>& rows = outcome.value();
+        std::vector<std::string> labels;
+        if (!rows.empty()) {
+          for (const auto& field : rows.front()) labels.push_back(field.first);
         }
-        std::vector<query::TimestampedRow> rows;
-        rows.reserve(outcome.value().size());
-        for (auto& row : outcome.value()) {
-          rows.push_back(query::TimestampedRow{engine_.loop().now(),
-                                               std::move(row), false});
+        const std::size_t group = pending_.add_group(id, labels);
+        std::vector<device::Value> values;
+        for (query::Row& row : rows) {
+          values.clear();
+          for (auto& field : row) values.push_back(std::move(field.second));
+          pending_.add_row(group, engine_.loop().now(), false, values);
         }
-        std::string payload = encode_rows(rows);
         ++stats_.selects_served;
-        net::Message reply =
-            net::make_reply(msg, kFragmentSelectResult, 64 + payload.size());
-        reply.set("rows", std::move(payload));
-        send_reply(msg, std::move(reply));
+        schedule_flush();
       });
 }
 

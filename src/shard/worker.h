@@ -14,11 +14,13 @@
 //     shipped to the czar as sequenced fragment_results flushes (a
 //     zero-delay event coalesces everything produced at one instant into
 //     one message, rows grouped by fragment id).
-//   * fragment_register (once=1): run the one-shot SELECT locally and ride
-//     the partial rows back on the RPC reply. The worker keeps the plan of
-//     each once text it compiled (kPlanLimit texts, oldest evicted first,
-//     all dropped when the catalog or the device types change), so a
-//     repeated SELECT skips parse, rewrite and compile.
+//   * fragment_register (once=1): plan the one-shot SELECT, ack (or
+//     refuse) it at once, run it, and write all its rows as one group
+//     under the SELECT's id into the pending flush, so they ride the same
+//     sequenced stream. The worker keeps the plan of each once text it
+//     compiled (kPlanLimit texts, oldest evicted first, all dropped when
+//     the catalog or the device types change), so a repeated SELECT skips
+//     parse, rewrite and compile.
 //   * fragment_drop: drop the fragment, if it is still the registration
 //     the drop names (a delayed drop never hits a same-named successor).
 //   * shard_heartbeat every kHeartbeatInterval: liveness + watermark (the
@@ -31,13 +33,13 @@
 // chaos duplicate from before a bump) is answered fragment_stale and
 // otherwise ignored.
 //
-// Reliable backplane (DESIGN.md §14): requests are deduplicated by their
-// (gen, idem_seq) key through a bounded window that caches the reply —
-// duplicates get the cached reply verbatim, or queue as waiters while the
-// first copy is still executing (one-shot SELECTs reply asynchronously).
-// Sequenced result messages are retained in a bounded replay buffer until
-// a shard_ack covers them; a shard_nack retransmits the stored range
-// byte-for-byte. Config::reliable_backplane = false retains nothing.
+// Reliable backplane (DESIGN.md §14): every request is answered in the
+// event that receives it, and the reply is cached under the request's
+// (gen, idem_seq) key in a bounded window; a duplicate gets the cached
+// reply verbatim and nothing re-executes. Sequenced result messages are
+// retained in a bounded replay buffer until a shard_ack covers them; a
+// shard_nack retransmits the stored range byte-for-byte.
+// Config::reliable_backplane = false retains nothing.
 #pragma once
 
 #include <cstdint>
@@ -120,21 +122,14 @@ class Worker {
     std::uint64_t group_flush = ~std::uint64_t{0};
   };
 
-  // One idempotency-window entry: the cached reply once ready, else the
-  // request_ids of duplicates waiting for the first copy to finish.
-  struct IdemEntry {
-    bool ready = false;
-    net::Message reply;
-    std::vector<std::uint64_t> waiters;
-  };
   using IdemKey = std::pair<std::uint64_t, std::uint64_t>;
 
   void on_push(const net::Message& msg);
-  // Idempotent dispatch: false means the request was a duplicate and has
-  // been fully handled (cached reply sent, or queued as a waiter).
+  // Idempotent dispatch: false means the request was a duplicate and its
+  // cached reply has been sent.
   bool begin_idem(const net::Message& msg);
   // All request replies funnel through here so the idempotency window can
-  // cache them and answer any queued waiters.
+  // cache them.
   void send_reply(const net::Message& request, net::Message reply);
   void handle_ack(const net::Message& msg);
   void handle_nack(const net::Message& msg);
@@ -152,7 +147,10 @@ class Worker {
   // has been sent.
   std::shared_ptr<const query::CompiledQuery> once_plan(
       const net::Message& msg, const FragmentSpec& spec);
+  // Acks the once fragment, then runs it; its rows go into the pending
+  // flush as one group when the run completes in this generation.
   void run_once_select(const net::Message& msg, const FragmentSpec& spec);
+  void reply_ack(const net::Message& request);  // stamped with the gen
   void reply_error(const net::Message& request, const std::string& message);
 
   // Writes a fired row into the pending flush, opening the fragment's
@@ -176,10 +174,11 @@ class Worker {
   std::uint64_t gen_ = 0;            // adopted czar generation
   std::uint64_t seq_ = 0;            // next outbound sequence number
   std::size_t replay_limit_ = 0;     // kReplayLimit, or 0 (the ablation)
-  // Request dedup window. Keys embed the czar generation, so the window
-  // deliberately survives adopt_gen: a pre-bump duplicate arriving after
-  // the bump still hits its cached reply instead of re-executing.
-  std::map<IdemKey, IdemEntry> idem_;
+  // Request dedup window: the cached reply by idempotency key. Keys embed
+  // the czar generation, so the window deliberately survives adopt_gen: a
+  // pre-bump duplicate arriving after the bump still hits its cached reply
+  // instead of re-executing.
+  std::map<IdemKey, net::Message> idem_;
   std::deque<IdemKey> idem_fifo_;
   // Sequenced messages awaiting a cumulative ack, keyed by seq; cleared on
   // adopt_gen (a new generation restarts the stream from seq 0).

@@ -11,6 +11,7 @@
 // delivery and a lost RPC is given up at once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -195,6 +196,89 @@ TEST(ChaosBackplaneTest, StormVsLosslessDeliversByteIdenticalEvents) {
     EXPECT_GT(storm.replay_hwm, 0u) << "seed " << seed;
     EXPECT_LT(storm.replay_hwm, 1024u) << "seed " << seed;
     EXPECT_LT(storm.replay_depth_end, 256u) << "seed " << seed;
+  }
+}
+
+// The result rows of every one-shot SELECT a session issues every half
+// second from 2.5 s to 10 s (through the storm window), one string per
+// statement in statement order: its shard counts and its rows sorted.
+std::vector<std::string> run_selects(std::uint64_t seed,
+                                     const std::string& fault_plan_xml,
+                                     shard::CzarStats* czar) {
+  core::Config config;
+  config.seed = seed;
+  core::Aorta sys(config);
+  ServiceConfig cfg;
+  cfg.num_shards = 2;
+  cfg.mailbox_capacity = 1 << 20;
+  QueryService service(&sys, cfg);
+  for (int i = 0; i < 8; ++i) {
+    std::string id = "m" + std::to_string(i);
+    EXPECT_TRUE(service.plane()->add_mote(id, {double(i), 0, 1}).is_ok());
+    service.plane()->mote(id)->reliability().glitch_prob = 0.0;
+    (void)service.plane()->mote(id)->set_signal(
+        "temp", devices::constant_signal(15.0 + i));
+    (void)sys.network().set_link(id, shard::backplane_link());
+  }
+  if (!fault_plan_xml.empty()) {
+    auto plan = util::FaultPlan::from_xml(fault_plan_xml);
+    EXPECT_TRUE(plan.is_ok()) << plan.status().to_string();
+    EXPECT_TRUE(service.plane()->apply_fault_plan(plan.value()).is_ok());
+  }
+  SessionId id = service.connect("acme");
+  sys.run_for(Duration::seconds(2.5));
+  std::vector<std::uint64_t> statements;
+  for (int k = 0; k < 16; ++k) {
+    auto submitted = service.submit(id, "SELECT s.id, s.temp FROM sensor s");
+    EXPECT_TRUE(submitted.is_ok());
+    statements.push_back(submitted.value());
+    sys.run_for(Duration::seconds(0.5));
+  }
+  sys.run_for(Duration::seconds(6.0));
+
+  std::map<std::uint64_t, std::string> results;
+  for (const Delivery& d : service.session(id)->drain()) {
+    EXPECT_EQ(d.kind, Delivery::Kind::kResult) << d.message;
+    std::vector<std::string> rows;
+    for (const query::Row& row : d.rows) {
+      std::string key;
+      for (const auto& [name, value] : row) {
+        key += "|" + name + "=" + value_key(value);
+      }
+      rows.push_back(key);
+    }
+    std::sort(rows.begin(), rows.end());
+    std::string& out = results[d.statement_id];
+    out += std::to_string(d.shards_answered) + "/" +
+           std::to_string(d.shards_total) + ":";
+    for (const std::string& r : rows) out += r + "\n";
+  }
+  std::vector<std::string> out;
+  for (std::uint64_t s : statements) out.push_back(results[s]);
+  *czar = service.plane()->czar().stats();
+  return out;
+}
+
+TEST(ChaosBackplaneTest, SelectsUnderACzarStormAnswerExactlyOnce) {
+  // A SELECT's rows ride the sequenced result stream, so the storm's
+  // losses are NACKed and replayed and its duplicates dropped: every
+  // statement answers with exactly the clean run's rows, once each.
+  for (std::uint64_t seed : {42ull, 7ull}) {
+    shard::CzarStats clean_stats;
+    shard::CzarStats storm_stats;
+    std::vector<std::string> clean = run_selects(seed, "", &clean_stats);
+    std::vector<std::string> storm = run_selects(seed, kCzarStorm, &storm_stats);
+    ASSERT_EQ(clean.size(), 16u);
+    for (const std::string& result : clean) {
+      // Both shards answered, one row per mote.
+      ASSERT_EQ(result.rfind("2/2:", 0), 0u) << result;
+      EXPECT_EQ(std::count(result.begin(), result.end(), '\n'), 8) << result;
+    }
+    EXPECT_EQ(clean, storm) << "seed " << seed;
+    EXPECT_GT(storm_stats.dup_msgs_dropped, 0u) << "seed " << seed;
+    EXPECT_GT(storm_stats.nacks_sent, 0u) << "seed " << seed;
+    EXPECT_EQ(storm_stats.workers_marked_down, 0u) << "seed " << seed;
+    EXPECT_EQ(storm_stats.partial_selects, 0u) << "seed " << seed;
   }
 }
 

@@ -12,6 +12,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <variant>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "shard/merger.h"
 #include "shard/plane.h"
 #include "query/parser.h"
+#include "util/fault_plan.h"
 #include "util/rng.h"
 
 namespace aorta {
@@ -1753,6 +1755,284 @@ TEST(CzarStreamTest, IdOnlyGroupsNeedTheShardsAnnouncement) {
   ASSERT_TRUE(sys.network().detach(shard::worker_node(0)).is_ok());
 }
 
+// ------------------------------------------- one result stream
+
+// A plane of eight motes on lossless radio links of one-way latency
+// `radio_s`: a sensory sweep (a read round trip per mote, motes in
+// parallel) takes about two latencies and reaches every mote.
+struct RadioWorld {
+  RadioWorld(int num_shards, double radio_s,
+             core::Config config = core::Config{})
+      : sys(config) {
+    Plane::Options po;
+    po.num_shards = num_shards;
+    plane = std::make_unique<Plane>(&sys, po);
+    net::LinkModel radio = net::LinkModel::mote_radio();
+    radio.latency_mean_s = radio_s;
+    radio.latency_jitter_s = 0.0;
+    radio.loss_prob = 0.0;
+    for (int i = 0; i < 8; ++i) {
+      const std::string id = "m" + std::to_string(i);
+      EXPECT_TRUE(plane->add_mote(id, {double(i), 0, 1}).is_ok());
+      plane->mote(id)->reliability().glitch_prob = 0.0;
+      (void)plane->mote(id)->set_signal(
+          "temp", devices::constant_signal(20.0 + i));
+      (void)sys.network().set_link(id, radio);
+    }
+  }
+
+  // Runs `sql` on the czar; `*at` receives the instant it settled.
+  void exec(const std::string& sql, util::Result<core::ExecResult>* out,
+            TimePoint* at) {
+    plane->exec_async(sql, {},
+                      [this, out, at](util::Result<core::ExecResult> r) {
+                        *out = std::move(r);
+                        *at = sys.loop().now();
+                      });
+  }
+
+  core::Aorta sys;
+  std::unique_ptr<Plane> plane;
+};
+
+TEST(ShardOneStreamTest, SlowSensorySelectAnswersInFullWithoutRetries) {
+  // A sweep over a slow multi-hop radio outlasts the backplane's 1 s
+  // attempt timeout. The fragment RPC only accepts, so the sweep's length
+  // is no liveness signal: no retry, no mark-down, every mote's row.
+  RadioWorld w(2, /*radio_s=*/0.75);
+  w.sys.run_for(Duration::seconds(1.5));
+  const TimePoint start = w.sys.loop().now();
+  util::Result<core::ExecResult> out = util::internal_error("not called");
+  TimePoint at;
+  w.exec("SELECT s.id, s.temp FROM sensor s", &out, &at);
+  w.sys.run_for(Duration::seconds(20.0));
+  ASSERT_TRUE(out.is_ok()) << out.status().message();
+  EXPECT_GT(at - start, Duration::seconds(1.0)) << "the sweep must be slow";
+  EXPECT_EQ(out.value().shards_answered, 2);
+  std::set<std::string> ids;
+  for (const query::Row& row : out.value().rows) {
+    ids.insert(std::get<std::string>(row[0].second));
+  }
+  EXPECT_EQ(ids.size(), 8u);
+  EXPECT_EQ(out.value().rows.size(), 8u);
+  EXPECT_EQ(w.plane->czar().reliable_stats().retries, 0u);
+  EXPECT_EQ(w.plane->czar().stats().workers_marked_down, 0u);
+  EXPECT_EQ(w.plane->czar().stats().partial_selects, 0u);
+  // The rows rode the sequenced stream.
+  EXPECT_EQ(w.plane->worker(0).stats().rows_sent +
+                w.plane->worker(1).stats().rows_sent,
+            8u);
+}
+
+TEST(ShardOneStreamTest, GivenUpRegistrationMarksTheShardDownAndRecovers) {
+  // With one attempt per RPC, a register lost to a short loss spike gives
+  // up long before any per-peer failure streak. The give-up marks shard 1
+  // down; its next heartbeat recovers it and re-registers the AQ, so the
+  // AQ that was reported registered really runs on both shards.
+  core::Config config;
+  config.reliable_backplane = false;
+  RadioWorld w(2, /*radio_s=*/0.035, config);
+  auto plan = util::FaultPlan::from_xml(
+      "<fault_plan><event at=\"1.5\" kind=\"loss\" device=\"shard-1\" "
+      "prob=\"1.0\" for=\"0.35\"/></fault_plan>");
+  ASSERT_TRUE(plan.is_ok()) << plan.status().message();
+  ASSERT_TRUE(w.plane->apply_fault_plan(plan.value()).is_ok());
+  w.sys.run_for(Duration::seconds(1.6));
+
+  std::set<std::string> ids;
+  core::ExecOptions opts;
+  opts.on_row = [&ids](const std::string&, query::TimestampedRow r) {
+    ids.insert(std::get<std::string>(r.row[0].second));
+  };
+  util::Result<core::ExecResult> out = util::internal_error("not called");
+  w.plane->exec_async("CREATE AQ q AS SELECT s.id, s.temp FROM sensor s",
+                      std::move(opts), [&out](util::Result<core::ExecResult> r) {
+                        out = std::move(r);
+                      });
+  w.sys.run_for(Duration::seconds(10.0));
+  ASSERT_TRUE(out.is_ok()) << out.status().message();
+  EXPECT_GE(w.plane->czar().reliable_stats().giveups, 1u);
+  EXPECT_GE(w.plane->czar().stats().workers_marked_down, 1u);
+  EXPECT_TRUE(w.plane->czar().worker_live(1));
+  EXPECT_EQ(w.plane->worker(1).fragment_count(), 1u);
+  bool shard1_rows = false;
+  for (const std::string& id : ids) {
+    shard1_rows |= w.plane->shard_of_device(id) == 1;
+  }
+  EXPECT_TRUE(shard1_rows) << "shard 1's motes must deliver rows";
+}
+
+TEST(ShardOneStreamTest, TargetCutOffAfterItsAckSettlesAtItsMarkDown) {
+  // Shard 1 acks both SELECTs, then falls off the backplane mid-sweep.
+  // Its answers can never arrive; its heartbeats stop too, and when the
+  // czar marks it down both statements settle at once — long before the
+  // SELECT deadline. The plain SELECT is partial, the aggregate refused.
+  RadioWorld w(2, /*radio_s=*/0.75);
+  w.sys.run_for(Duration::seconds(1.5));
+  const TimePoint start = w.sys.loop().now();
+  util::Result<core::ExecResult> plain = util::internal_error("not called");
+  util::Result<core::ExecResult> agg = util::internal_error("not called");
+  TimePoint plain_at;
+  TimePoint agg_at;
+  w.exec("SELECT s.id, s.temp FROM sensor s", &plain, &plain_at);
+  w.exec("SELECT count(s.temp) FROM sensor s", &agg, &agg_at);
+  w.sys.run_for(Duration::millis(100));
+  w.sys.network().partition(shard::worker_node(1));
+  w.sys.run_for(Duration::seconds(10.0));
+
+  const shard::CzarStats& cs = w.plane->czar().stats();
+  EXPECT_EQ(cs.workers_marked_down, 1u);
+  EXPECT_EQ(w.plane->czar().reliable_stats().giveups, 0u) << "both acked";
+  ASSERT_TRUE(plain.is_ok()) << plain.status().message();
+  EXPECT_EQ(plain.value().shards_answered, 1);
+  EXPECT_EQ(plain.value().shards_total, 2);
+  EXPECT_NE(plain.value().message.find("[partial]"), std::string::npos);
+  for (const query::Row& row : plain.value().rows) {
+    EXPECT_EQ(w.plane->shard_of_device(std::get<std::string>(row[0].second)),
+              0);
+  }
+  EXPECT_FALSE(plain.value().rows.empty());
+  ASSERT_FALSE(agg.is_ok());
+  EXPECT_NE(agg.status().message().find("partial aggregate"),
+            std::string::npos)
+      << agg.status().message();
+  // Settled by the mark-down (3 s of silence), not the 30 s deadline.
+  EXPECT_LT(plain_at - start, Duration::seconds(6.0));
+  EXPECT_EQ(agg_at, plain_at);
+  EXPECT_EQ(cs.partial_selects, 2u);
+}
+
+TEST(ShardOneStreamTest, AblationSelectWhoseFlushIsLostSettlesAtTheDeadline) {
+  // With no replay retention, a flush lost on the czar's link leaves a gap
+  // no NACK can repair: the stream stalls behind it while both shards stay
+  // live. The SELECT whose rows were in that flush settles, unanswered, at
+  // its deadline.
+  core::Config config;
+  config.reliable_backplane = false;
+  RadioWorld w(2, /*radio_s=*/0.75, config);
+  // The SELECT goes out at 1.5 s and is acked at once; its sweep ends
+  // near 3 s, inside the loss spike.
+  auto plan = util::FaultPlan::from_xml(
+      "<fault_plan><event at=\"2.5\" kind=\"loss\" device=\"czar\" "
+      "prob=\"1.0\" for=\"1.0\"/></fault_plan>");
+  ASSERT_TRUE(plan.is_ok()) << plan.status().message();
+  ASSERT_TRUE(w.plane->apply_fault_plan(plan.value()).is_ok());
+  w.sys.run_for(Duration::seconds(1.5));
+  const TimePoint start = w.sys.loop().now();
+  util::Result<core::ExecResult> out = util::internal_error("not called");
+  TimePoint at;
+  w.exec("SELECT s.temp FROM sensor s", &out, &at);
+  w.sys.run_for(Duration::seconds(25.0));
+  EXPECT_FALSE(out.is_ok()) << "nothing may settle it before the deadline";
+  w.sys.run_for(Duration::seconds(10.0));
+
+  ASSERT_TRUE(out.is_ok()) << out.status().message();
+  EXPECT_GE(at - start, core::kSelectDeadline);
+  EXPECT_LE(at - start, core::kSelectDeadline + Duration::seconds(1.0));
+  EXPECT_EQ(out.value().shards_answered, 0);
+  EXPECT_EQ(out.value().shards_total, 2);
+  EXPECT_NE(out.value().message.find("[partial]"), std::string::npos);
+  const shard::CzarStats& cs = w.plane->czar().stats();
+  EXPECT_EQ(cs.workers_marked_down, 0u);
+  EXPECT_GT(cs.nacks_sent, 0u);
+  EXPECT_TRUE(w.plane->czar().worker_live(0));
+  EXPECT_TRUE(w.plane->czar().worker_live(1));
+}
+
+// A bare endpoint sending once registers straight at worker 0 with a
+// chosen idempotency key.
+class OncePeer : public net::Endpoint {
+ public:
+  OncePeer(net::Network* network, net::NodeId self)
+      : rpc_(network, std::move(self)) {}
+  void on_message(const net::Message& msg) override { (void)rpc_.on_reply(msg); }
+  void send(const FragmentSpec& spec, std::uint64_t idem_seq) {
+    net::Message tmp;
+    shard::fragment_to_fields(spec, &tmp);
+    tmp.set_int(shard::kIdemSeqField, static_cast<std::int64_t>(idem_seq));
+    rpc_.call(shard::worker_node(0), shard::kFragmentRegister, tmp.fields,
+              Duration::seconds(2.0), [this](util::Result<net::Message> r) {
+                replies.push_back(r.is_ok() ? r.value().kind
+                                            : r.status().to_string());
+              });
+  }
+  std::vector<std::string> replies;
+
+ private:
+  net::RpcClient rpc_;
+};
+
+TEST(ShardOneStreamTest, DuplicatedOnceRegisterShipsOneGroup) {
+  // A retried or chaos-duplicated once fragment is answered from the
+  // idempotency window: the duplicate gets the cached ack, the SELECT runs
+  // once, and one group of its rows goes out on the stream (to the czar,
+  // which knows no statement by that id and counts the rows stale).
+  PlaneWorld w(1);
+  OncePeer peer(&w.sys.network(), "tester");
+  ASSERT_TRUE(
+      w.sys.network().attach("tester", &peer, shard::backplane_link()).is_ok());
+  w.sys.run_for(Duration::millis(200));
+  FragmentSpec spec;
+  spec.sql = "SELECT s.temp FROM sensor s";
+  spec.once = true;
+  spec.id = 77;
+  peer.send(spec, /*idem_seq=*/1000);
+  peer.send(spec, /*idem_seq=*/1000);
+  w.sys.run_for(Duration::seconds(2.0));
+  EXPECT_EQ(peer.replies,
+            (std::vector<std::string>{shard::kFragmentAck, shard::kFragmentAck}));
+  const shard::WorkerStats& ws = w.plane->worker(0).stats();
+  EXPECT_EQ(ws.dup_requests, 1u);
+  EXPECT_EQ(ws.selects_served, 1u);
+  EXPECT_EQ(ws.rows_sent, 6u);
+  EXPECT_EQ(w.plane->czar().stats().stale_query_rows, 6u);
+  ASSERT_TRUE(w.sys.network().detach("tester").is_ok());
+}
+
+TEST(CzarStreamTest, SelectSettlesAtItsDeadlineAndALateGroupIsStale) {
+  // The worker acks the SELECT and stays live but never answers: the
+  // target settles unanswered at the SELECT deadline (on the supervision
+  // timer, within a second of it), and a group that arrives after that is
+  // stale, not a second answer.
+  core::Aorta sys(core::Config{});
+  ScriptedWorker worker(&sys.network());
+  ASSERT_TRUE(sys.network()
+                  .attach(shard::worker_node(0), &worker,
+                          shard::backplane_link())
+                  .is_ok());
+  shard::Czar czar(&sys, shard::Czar::Options{.num_shards = 1});
+  util::Result<core::ExecResult> out = util::internal_error("not called");
+  TimePoint at;
+  const TimePoint start = sys.loop().now();
+  czar.exec_async("SELECT s.temp FROM sensor s", {},
+                  [&](util::Result<core::ExecResult> r) {
+                    out = std::move(r);
+                    at = sys.loop().now();
+                  });
+  const std::uint64_t id = 1;  // the czar's first id
+  for (int s = 0; s < 32; ++s) {
+    sys.run_for(Duration::seconds(1.0));
+    net::Message hb = worker.next(shard::kShardHeartbeat);
+    hb.set_int("watermark_us", sys.loop().now().to_micros());
+    czar.on_message(hb);
+  }
+  ASSERT_TRUE(out.is_ok()) << out.status().message();
+  EXPECT_GE(at - start, core::kSelectDeadline);
+  EXPECT_LE(at - start, core::kSelectDeadline + Duration::seconds(1.0));
+  EXPECT_EQ(out.value().shards_answered, 0);
+  EXPECT_EQ(out.value().shards_total, 1);
+  EXPECT_NE(out.value().message.find("[partial]"), std::string::npos);
+  EXPECT_TRUE(czar.worker_live(0));
+  EXPECT_EQ(czar.stats().partial_selects, 1u);
+
+  czar.on_message(worker.flush(
+      {{{id, {"s.temp"}, 2}}, {value_row(31.0, {1.0}), value_row(31.0, {2.0})},
+       {}}));
+  EXPECT_EQ(czar.stats().stale_query_rows, 2u);
+  EXPECT_EQ(czar.stats().partial_selects, 1u);
+  ASSERT_TRUE(sys.network().detach(shard::worker_node(0)).is_ok());
+}
+
 // ------------------------------------------- service-layer num_shards
 
 TEST(ShardServiceTest, SessionsRouteThroughTheCzar) {
@@ -1885,6 +2165,8 @@ TEST(ShardPlaneTest, ServiceDestroyedMidRunLeavesNothingBehind) {
                                   "FROM sensor s")
                   .is_ok());
   sys.run_for(Duration::seconds(3.3));
+  // A worker acks a SELECT's fragment at once; shard 1, cut off, cannot.
+  sys.network().partition(shard::worker_node(1));
   ASSERT_TRUE(service->submit(id, "SELECT s.temp FROM sensor s").is_ok());
   sys.run_for(Duration::seconds(0.15));
   // The SELECT's fragment calls are still in flight at teardown.

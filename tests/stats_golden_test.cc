@@ -177,8 +177,7 @@ TEST(StatsGoldenTest, ShardedPlanePublishesReliableBackplaneSection) {
   // share the "net.reliable." section (DESIGN.md §14).
   for (const char* k :
        {"net.reliable.calls", "net.reliable.attempts", "net.reliable.retries",
-        "net.reliable.giveups", "net.reliable.budget_exhausted",
-        "net.reliable.breaker.opens", "net.reliable.breaker.rejects"}) {
+        "net.reliable.giveups", "net.reliable.budget_exhausted"}) {
     EXPECT_TRUE(m.contains(k)) << k;
     EXPECT_EQ(m.counter_value(k), 0u) << k;
   }

@@ -32,6 +32,14 @@ per-check log, failures are replayed as one aligned per-metric diff table
 across many metrics reads as one table, not a scavenger hunt.
 
 Exit code 0 when every check passes, 1 otherwise. Stdlib only.
+
+Trajectory mode (--trajectory BENCH_pipeline.json --benchmark BENCHMARK.json)
+checks the committed wall-clock trajectory instead: every end-to-end metric
+of the newest PR's points must not be worse than BENCHMARK.json's bound for
+it, in the metric's `better` direction. A point's metric is its `ratio`
+(change median over parent median), or change / parent when it carries no
+ratio; "worse" is 1 - ratio for a `higher` metric and ratio - 1 for a
+`lower` one.
 """
 
 import argparse
@@ -98,13 +106,63 @@ def print_diff_table(failures):
         print("  ".join(r[i].ljust(widths[i]) for i in range(4)))
 
 
+def check_trajectory(trajectory_path, benchmark_path):
+    """Trajectory mode (see the module docstring); returns the exit code."""
+    with open(trajectory_path) as f:
+        points = json.load(f)
+    with open(benchmark_path) as f:
+        metrics = json.load(f)["end_to_end"]
+    if not points:
+        print(f"error: no points in {trajectory_path}", file=sys.stderr)
+        return 1
+    newest = max(p["pr"] for p in points)
+    failed_rows = []
+    checks_run = 0
+    for point in (p for p in points if p["pr"] == newest):
+        for spec in metrics:
+            m = point["metrics"].get(spec["name"])
+            if m is None:
+                continue
+            ratio = m.get("ratio")
+            if ratio is None:
+                ratio = m["change"] / m["parent"]
+            higher = spec["better"] == "higher"
+            bound = spec["bound"]
+            ok = (1 - ratio if higher else ratio - 1) <= bound
+            checks_run += 1
+            where = f"PR {newest} {point['workload']}"
+            want = (f"ratio >= {1 - bound:g}" if higher
+                    else f"ratio <= {1 + bound:g}")
+            print(f"{'ok  ' if ok else 'FAIL'} {where} :: {spec['name']} "
+                  f"ratio = {ratio:g} (want {want})")
+            if not ok:
+                failed_rows.append((where, spec["name"], f"{ratio:g}", want))
+    if failed_rows:
+        print_diff_table(failed_rows)
+    print(f"\n{checks_run} check(s), {len(failed_rows)} failure(s)")
+    if checks_run == 0:
+        print(f"error: PR {newest}'s points carry no end-to-end metric",
+              file=sys.stderr)
+        return 1
+    return 1 if failed_rows else 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--baselines", default="bench/baselines",
                     help="directory of baseline specs (default: %(default)s)")
     ap.add_argument("--results", default="results",
                     help="directory of bench result JSON (default: %(default)s)")
+    ap.add_argument("--trajectory", default=None,
+                    help="wall-clock trajectory to check instead "
+                         "(BENCH_pipeline.json); needs --benchmark")
+    ap.add_argument("--benchmark", default=None,
+                    help="BENCHMARK.json whose end-to-end bounds apply")
     args = ap.parse_args()
+    if args.trajectory:
+        if not args.benchmark:
+            ap.error("--trajectory needs --benchmark")
+        return check_trajectory(args.trajectory, args.benchmark)
 
     specs = sorted(
         f for f in os.listdir(args.baselines) if f.endswith(".json"))

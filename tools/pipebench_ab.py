@@ -5,16 +5,16 @@ Run from the repository root:
 
     python3 tools/pipebench_ab.py --workload fanout --seeds 1-10 --seconds 20
 
-Checks out the two sides as detached `git worktree`s in a work directory
-outside the repository (each builds its own .bench_build on its first run),
-then for every workload and seed runs one pair of
+Exports the two sides with `git archive` into a work directory outside the
+repository (each builds its own .bench_build on its first run), then for
+every workload and seed runs one pair of
 
     python3 pipebench/run.py --workload W --seed N --seconds S
 
 alternating which side runs first from pair to pair. The change side
 defaults to the working tree as it is, uncommitted edits of tracked files
 included (`git stash create`; stage new files first); --change REV measures
-a revision instead. The worktrees are removed at the end unless --keep.
+a revision instead. The copies are removed at the end unless --keep.
 
 For each workload it prints every end-to-end metric of BENCHMARK.json per
 seed, each side's median and quartiles, the change's wins counted in the
@@ -42,12 +42,15 @@ in the repository's working tree, and nothing under pipebench/.
 """
 
 import argparse
+import io
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -72,6 +75,17 @@ def git(*args, cwd=ROOT):
     if p.returncode != 0:
         fail(f"git {' '.join(args)}: {p.stderr.strip()}")
     return p.stdout.strip()
+
+
+def export(rev, tree):
+    """Write revision `rev`'s files into the new directory `tree`."""
+    p = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                       capture_output=True)
+    if p.returncode != 0:
+        fail(f"git archive {rev}: {p.stderr.decode().strip()}")
+    tree.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(p.stdout)) as tar:
+        tar.extractall(tree)
 
 
 def parse_seeds(text):
@@ -219,10 +233,10 @@ def main():
                     help="simulated seconds per run (default: BENCHMARK.json "
                          "run_seconds)")
     ap.add_argument("--workdir", default=None,
-                    help="directory for the two worktrees, outside the "
+                    help="directory for the two copies, outside the "
                          "repository (default: a new temporary one)")
     ap.add_argument("--keep", action="store_true",
-                    help="leave the worktrees (and their builds) in place")
+                    help="leave the copies (and their builds) in place")
     ap.add_argument("--record", type=int, metavar="PR", default=None,
                     help="append each workload's medians to "
                          f"{TRAJECTORY} as PR's point")
@@ -249,11 +263,11 @@ def main():
     workdir.mkdir(parents=True, exist_ok=True)
     trees = {"base": workdir / "base", "change": workdir / "change"}
     print(f"pipebench_ab: base {base_rev[:12]} vs change {change_rev[:12]}, "
-          f"{seconds:g} s runs, worktrees under {workdir}")
+          f"{seconds:g} s runs, copies under {workdir}")
     problems = []
     try:
         for side, rev in (("base", base_rev), ("change", change_rev)):
-            git("worktree", "add", "--detach", str(trees[side]), rev)
+            export(rev, trees[side])
         for workload in workloads:
             runs = {}
             for k, seed in enumerate(seeds):
@@ -277,9 +291,7 @@ def main():
     finally:
         if not args.keep:
             for tree in trees.values():
-                if tree.exists():
-                    git("worktree", "remove", "--force", str(tree))
-            git("worktree", "prune")
+                shutil.rmtree(tree, ignore_errors=True)
 
     for p in problems:
         print(f"PROBLEM: {p}")
