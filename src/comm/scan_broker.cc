@@ -27,46 +27,81 @@ struct InflightRead {
 // Outcome of one needed sensory read within a batch.
 enum class ReadOutcome : std::uint8_t { kNone, kFailed, kOk };
 
-// One device of a type's table: its id and its static values by slot
-// (NULL in sensory slots and where the registry caches no value).
+// One device of a type's table: its id, its static values by slot (NULL
+// in sensory slots and where the registry caches no value) and whether
+// health supervision has it quarantined.
 struct DeviceRow {
   device::DeviceId id;
   std::vector<Value> statics;
+  bool quarantined = false;
 };
 
 struct ScanBroker::TypeState {
   std::shared_ptr<Schema> schema;
   // The type's devices in registry order, as of registry version
-  // `devices_version` (kNever until first built).
+  // `devices_version`, and their quarantine flags, as of `health`'s
+  // version `health_version` (kNever until first built).
   static constexpr std::uint64_t kNever = ~std::uint64_t{0};
   std::vector<DeviceRow> devices;
   std::uint64_t devices_version = kNever;
+  const device::HealthView* health = nullptr;
+  std::uint64_t health_version = kNever;
+  // Tuple blocks of finished batches, which the next batches reset in
+  // place instead of building one Tuple per device (at most kSpareBlocks).
+  static constexpr std::size_t kSpareBlocks = 8;
+  std::vector<std::vector<Tuple>> spare;
   // Freshness cache and in-flight dedup table, both keyed (device, attr).
   std::map<std::pair<device::DeviceId, std::string>, CachedRead> cache;
   std::map<std::pair<device::DeviceId, std::string>,
            std::shared_ptr<InflightRead>>
       inflight;
 
-  // Rebuild the device table if the registry's membership moved since.
+  // Rebuild the device table if the registry's membership moved since,
+  // and the quarantine flags if that or the health view's version moved.
   void refresh_devices(const device::DeviceRegistry& registry,
-                       const device::DeviceTypeId& type) {
-    if (devices_version == registry.version()) return;
-    devices_version = registry.version();
-    devices.clear();
-    for (device::DeviceId& id : registry.ids_of_type(type)) {
-      DeviceRow row;
-      row.statics.resize(schema->size());
-      if (const auto* cached = registry.static_attrs(id)) {
-        for (std::size_t slot = 0; slot < schema->size(); ++slot) {
-          const Field& f = schema->fields()[slot];
-          if (f.sensory) continue;
-          auto it = cached->find(f.name);
-          if (it != cached->end()) row.statics[slot] = it->second;
+                       const device::DeviceTypeId& type,
+                       const device::HealthView* view) {
+    if (devices_version != registry.version()) {
+      devices_version = registry.version();
+      health_version = kNever;
+      devices.clear();
+      for (device::DeviceId& id : registry.ids_of_type(type)) {
+        DeviceRow row;
+        row.statics.resize(schema->size());
+        if (const auto* cached = registry.static_attrs(id)) {
+          for (std::size_t slot = 0; slot < schema->size(); ++slot) {
+            const Field& f = schema->fields()[slot];
+            if (f.sensory) continue;
+            auto it = cached->find(f.name);
+            if (it != cached->end()) row.statics[slot] = it->second;
+          }
         }
+        row.id = std::move(id);
+        devices.push_back(std::move(row));
       }
-      row.id = std::move(id);
-      devices.push_back(std::move(row));
     }
+    const std::uint64_t version = view == nullptr ? 0 : view->version();
+    if (view == health && version == health_version) return;
+    health = view;
+    health_version = version;
+    for (DeviceRow& row : devices) {
+      row.quarantined = view != nullptr && view->is_quarantined(row.id);
+    }
+  }
+
+  // A block of `size` tuples for a batch: a finished batch's, or a new one.
+  // The caller resets each tuple before use.
+  std::vector<Tuple> take_block(std::size_t size) {
+    std::vector<Tuple> block;
+    if (!spare.empty()) {
+      block = std::move(spare.back());
+      spare.pop_back();
+    }
+    block.resize(size);
+    return block;
+  }
+  void give_back(std::vector<Tuple> block) {
+    if (spare.size() < kSpareBlocks) spare.push_back(std::move(block));
   }
 };
 
@@ -75,6 +110,7 @@ struct ScanBroker::TypeState {
 // are queued; never touches the broker after the alive flag drops.
 struct ScanBroker::Batch {
   device::DeviceTypeId type;
+  TypeState* state = nullptr;  // the type's table and spare blocks
   std::shared_ptr<Schema> schema;
   SlotMask want;              // union of the waiters' masks
   std::vector<Tuple> tuples;  // master tuples carrying the union
@@ -249,8 +285,8 @@ BrokerTypeStats ScanBroker::totals() const {
 }
 
 void ScanBroker::acquire_once(const device::DeviceTypeId& type,
-                              std::set<std::string> needed,
-                              std::function<void(std::vector<Tuple>)> done) {
+                              const std::set<std::string>& needed,
+                              OnceCallback done) {
   std::vector<Waiter> waiters(1);
   waiters[0].mask = slot_mask(type, needed);
   waiters[0].once = std::move(done);
@@ -307,12 +343,13 @@ void ScanBroker::run_batch(const device::DeviceTypeId& type,
                            std::shared_ptr<std::size_t> barrier,
                            std::function<void()> barrier_done) {
   TypeState& state = type_state(type);
-  state.refresh_devices(*registry_, type);
+  state.refresh_devices(*registry_, type, health_);
   BrokerTypeStats& stats = type_stats(type);
   ++stats.batches;
 
   auto batch = std::make_shared<Batch>();
   batch->type = type;
+  batch->state = &state;
   batch->schema = state.schema;
   batch->waiters = std::move(waiters);
   batch->started = loop_->now();
@@ -340,13 +377,14 @@ void ScanBroker::run_batch(const device::DeviceTypeId& type,
   CommModule* module = comm_->module_for(type);
   TimePoint now = loop_->now();
 
-  batch->tuples.reserve(state.devices.size());
+  batch->tuples = state.take_block(state.devices.size());
   for (std::size_t d = 0; d < state.devices.size(); ++d) {
     const DeviceRow& row = state.devices[d];
     const device::DeviceId& id = row.id;
 
     // Non-sensory fields come straight from the device table.
-    Tuple& tuple = batch->tuples.emplace_back(batch->schema.get(), id);
+    Tuple& tuple = batch->tuples[d];
+    tuple.reset(batch->schema.get(), id);
     for (std::size_t slot = 0; slot < width; ++slot) {
       if (!fields[slot].sensory && want[slot]) {
         tuple.set(slot, row.statics[slot]);
@@ -357,7 +395,7 @@ void ScanBroker::run_batch(const device::DeviceTypeId& type,
     // sensory attrs are served last-known-good within the staleness bound
     // (and the tuple tagged degraded), or recorded as failed reads so the
     // per-subscriber unreachable rule applies — without an RPC either way.
-    if (health_ != nullptr && health_->is_quarantined(id)) {
+    if (row.quarantined) {
       ++stats.quarantined_skips;
       tuple.set_degraded(true);
       for (std::size_t slot = 0; slot < width; ++slot) {
@@ -456,6 +494,7 @@ void ScanBroker::finalize_batch(const std::shared_ptr<Batch>& batch) {
   const bool hand_over = batch->waiters.size() == 1 &&
                          batch->waiters.front().mask == batch->want;
   const Schema* schema = batch->schema.get();
+  std::vector<Tuple>& master = batch->tuples;
   for (Waiter& w : batch->waiters) {
     BatchCallback periodic;
     if (w.sub != 0) {
@@ -470,33 +509,37 @@ void ScanBroker::finalize_batch(const std::shared_ptr<Batch>& batch) {
     }
 
     // Mask the master tuples down to this waiter's slots, applying the
-    // per-subscriber unreachable-device rule.
-    std::vector<Tuple> out;
+    // per-subscriber unreachable-device rule. A masked copy is a spare
+    // block too, given back once the waiter has read it.
+    std::vector<Tuple> copy;
     if (hand_over) {
       std::size_t kept = 0;
-      for (std::size_t d = 0; d < batch->tuples.size(); ++d) {
+      for (std::size_t d = 0; d < master.size(); ++d) {
         if (batch->unreachable(d, w.mask)) continue;
-        if (kept != d) batch->tuples[kept] = std::move(batch->tuples[d]);
+        if (kept != d) master[kept] = std::move(master[d]);
         ++kept;
       }
-      stats.devices_skipped += batch->tuples.size() - kept;
-      batch->tuples.erase(batch->tuples.begin() + kept, batch->tuples.end());
-      out = std::move(batch->tuples);
+      stats.devices_skipped += master.size() - kept;
+      master.erase(master.begin() + kept, master.end());
     } else {
-      out.reserve(batch->tuples.size());
-      for (std::size_t d = 0; d < batch->tuples.size(); ++d) {
+      copy = batch->state->take_block(master.size());
+      std::size_t kept = 0;
+      for (std::size_t d = 0; d < master.size(); ++d) {
         if (batch->unreachable(d, w.mask)) {
           ++stats.devices_skipped;
           continue;  // unreachable for this subscriber: no row
         }
-        const Tuple& master = batch->tuples[d];
-        Tuple& t = out.emplace_back(schema, master.source_device());
+        const Tuple& from = master[d];
+        Tuple& t = copy[kept++];
+        t.reset(schema, from.source_device());
         for (std::size_t slot = 0; slot < schema->size(); ++slot) {
-          if (w.mask[slot]) t.set(slot, master.at(slot));
+          if (w.mask[slot]) t.set(slot, from.at(slot));
         }
-        t.set_degraded(master.degraded());
+        t.set_degraded(from.degraded());
       }
+      copy.resize(kept);
     }
+    const std::vector<Tuple>& out = hand_over ? master : copy;
     for (const Tuple& t : out) {
       if (t.degraded()) ++stats.degraded_tuples;
     }
@@ -506,10 +549,13 @@ void ScanBroker::finalize_batch(const std::shared_ptr<Batch>& batch) {
     if (periodic) {
       periodic(out, batch->issue_tick);
     } else if (w.once) {
-      w.once(std::move(out));
+      w.once(out);
     }
+    if (!hand_over) batch->state->give_back(std::move(copy));
   }
   batch->waiters.clear();
+  // Every waiter has read the master tuples: the next batch resets them.
+  batch->state->give_back(std::move(master));
 
   // Let staged consumers (the executor's delivery groups) process this
   // batch's fan-out in one pass at the same virtual time, before the tick

@@ -19,8 +19,12 @@
 //     share every scan).
 //   * A batch walks the type's device table: the type's devices in
 //     registry order with their static values by slot, rebuilt only when
-//     DeviceRegistry::version() moves. Read outcomes are recorded per
-//     (device, slot) in one flat array.
+//     DeviceRegistry::version() moves, and each device's quarantine flag,
+//     refreshed only when the HealthView's version moves. Read outcomes
+//     are recorded per (device, slot) in one flat array.
+//   * A batch's tuples are a block taken from the type's spare list and
+//     reset in place (Tuple::reset); a finished batch gives its block
+//     back, so a steady sweep builds no Tuple per device.
 //   * Concurrent in-flight (device, attr) reads are deduplicated: a read
 //     issued by an earlier batch (or a one-shot SELECT) that is still in
 //     flight is joined, not re-issued.
@@ -82,6 +86,10 @@ class ScanBroker {
   // membership.
   using BatchCallback =
       std::function<void(const std::vector<Tuple>&, std::uint64_t issue_tick)>;
+  // One-shot completion. The tuples are borrowed for the call: the broker
+  // resets them for a later batch once it returns, so a consumer that
+  // keeps them copies them.
+  using OnceCallback = std::function<void(const std::vector<Tuple>&)>;
 
   struct Options {
     // Sensory values younger than this are served from cache without a new
@@ -121,14 +129,14 @@ class ScanBroker {
 
   // One-shot acquisition (the SELECT path). Coalesces with any in-flight
   // reads and the freshness cache; `done` fires once with the tuples.
-  // `needed` reads as in subscribe().
+  // `needed` reads as in subscribe() and is only read during the call.
   void acquire_once(const device::DeviceTypeId& type,
-                    std::set<std::string> needed,
-                    std::function<void(std::vector<Tuple>)> done);
+                    const std::set<std::string>& needed, OnceCallback done);
 
   // Health supervision tap (nullable = off): quarantined devices receive
   // no sweep RPCs; within Options::degraded_staleness their needed attrs
-  // are served from the last-known-good cache and tagged degraded.
+  // are served from the last-known-good cache and tagged degraded. The
+  // device tables keep each device's flag until the view's version moves.
   void set_health(const device::HealthView* health) { health_ = health; }
 
   // Metrics enrollment (nullable = off): publishes the subscriber gauge,
@@ -202,7 +210,7 @@ class ScanBroker {
   struct Waiter {
     SubscriptionId sub = 0;  // 0 = one-shot
     SlotMask mask;
-    std::function<void(std::vector<Tuple>)> once;
+    OnceCallback once;
   };
 
   struct Batch;

@@ -38,6 +38,13 @@ Tuple::Tuple(const Schema* schema, device::DeviceId source)
     : schema_(schema), source_(std::move(source)),
       values_(schema == nullptr ? 0 : schema->size()) {}
 
+void Tuple::reset(const Schema* schema, const device::DeviceId& source) {
+  schema_ = schema;
+  source_ = source;
+  values_.assign(schema == nullptr ? 0 : schema->size(), device::Value{});
+  degraded_ = false;
+}
+
 const device::Value& Tuple::null_sentinel() {
   static const device::Value kSentinel{};
   return kSentinel;

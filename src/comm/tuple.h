@@ -63,11 +63,17 @@ class Tuple {
   Tuple() = default;
   Tuple(const Schema* schema, device::DeviceId source);
 
+  // Make this tuple a fresh one of `schema` from `source`, every value
+  // NULL and not degraded, reusing its storage: the broker resets the
+  // tuples of a finished batch for the next instead of building new ones.
+  void reset(const Schema* schema, const device::DeviceId& source);
+
   const Schema* schema() const { return schema_; }
   const device::DeviceId& source_device() const { return source_; }
 
   const device::Value& at(std::size_t i) const { return values_[i]; }
-  void set(std::size_t i, device::Value v) { values_[i] = std::move(v); }
+  void set(std::size_t i, const device::Value& v) { values_[i] = v; }
+  void set(std::size_t i, device::Value&& v) { values_[i] = std::move(v); }
 
   // Value by field name. Unknown names (and schema-less tuples) return
   // null_sentinel() — a distinct, immutable NULL whose address never

@@ -118,15 +118,16 @@ void Aorta::exec_async(query::Statement s, const std::string& sql,
   AORTA_TRACE_INSTANT(&host_->tracer(), obs::SpanCat::kParse, "parse",
                       host_->loop().now(), sql);
   if (s.kind == query::Statement::Kind::kSelect) {
-    host_->executor().run_select(
-        s.select, [done = std::move(done)](
-                      Result<std::vector<query::Row>> outcome) {
-          if (!outcome.is_ok()) {
-            done(Result<ExecResult>(outcome.status()));
-            return;
-          }
+    auto plan = host_->executor().plan_select(s.select);
+    if (!plan.is_ok()) {
+      done(Result<ExecResult>(plan.status()));
+      return;
+    }
+    host_->executor().run_plan(
+        std::move(plan).value(),
+        [done = std::move(done)](const query::SelectView& view) {
           ExecResult result;
-          result.rows = std::move(outcome).value();
+          result.rows = query::to_rows(view);
           result.message =
               aorta::util::str_format("%zu row(s)", result.rows.size());
           done(std::move(result));

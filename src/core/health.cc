@@ -100,6 +100,9 @@ void HealthSupervisor::transition(const device::DeviceId& id, DeviceHealth* h,
   const HealthState from = h->state;
   if (from == to) return;
   h->state = to;
+  if (to == HealthState::kQuarantined || from == HealthState::kQuarantined) {
+    ++version_;
+  }
   if (to == HealthState::kQuarantined) {
     ++stats_.quarantines;
   } else if (from == HealthState::kQuarantined) {

@@ -87,6 +87,7 @@ class HealthSupervisor : public device::HealthView {
 
   // device::HealthView --------------------------------------------------
   bool is_quarantined(const device::DeviceId& id) const override;
+  std::uint64_t version() const override { return version_; }
   void report(const device::DeviceId& id, device::HealthOutcomeKind kind,
               bool ok) override;
 
@@ -118,6 +119,7 @@ class HealthSupervisor : public device::HealthView {
   std::map<device::DeviceId, DeviceHealth> devices_;
   std::map<device::DeviceId, aorta::util::EventId> probe_events_;
   HealthStats stats_;
+  std::uint64_t version_ = 0;  // bumped by quarantine entries and exits
   TransitionHook hook_;
   // Guards probe callbacks that may fire after destruction.
   std::shared_ptr<bool> alive_;

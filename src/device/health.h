@@ -9,6 +9,8 @@
 // pointer at wiring time (nullptr = supervision off).
 #pragma once
 
+#include <cstdint>
+
 #include "device/types.h"
 
 namespace aorta::device {
@@ -28,6 +30,10 @@ class HealthView {
   // last-known-good values instead) and action scheduling removes it from
   // candidate lists until a backoff re-probe succeeds.
   virtual bool is_quarantined(const DeviceId& id) const = 0;
+
+  // Moves whenever a device enters or leaves quarantine, so a consumer
+  // may keep is_quarantined answers until the version moves again.
+  virtual std::uint64_t version() const = 0;
 
   // Report the outcome of one interaction with the device.
   virtual void report(const DeviceId& id, HealthOutcomeKind kind, bool ok) = 0;

@@ -1,6 +1,7 @@
 #include "query/executor.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <iterator>
 
@@ -18,6 +19,18 @@ TimestampedRow to_row(const RowView& view) {
   out.row.reserve(view.values.size());
   for (std::size_t i = 0; i < view.values.size(); ++i) {
     out.row.emplace_back(view.labels[i], std::move(view.values[i]));
+  }
+  return out;
+}
+
+std::vector<Row> to_rows(const SelectView& view) {
+  std::vector<Row> out(view.rows);
+  for (std::size_t r = 0; r < view.rows; ++r) {
+    const std::span<Value> values = view.row(r);
+    out[r].reserve(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      out[r].emplace_back(view.labels[i], std::move(values[i]));
+    }
   }
   return out;
 }
@@ -404,6 +417,8 @@ void ContinuousQueryExecutor::stage_group_batch(
     staged.devices.push_back(it->second);
     staged.seqs.push_back(++group.row_seq[it->second]);
   }
+  staged.group_devices =
+      static_cast<std::uint32_t>(group.device_numbers.size());
   staged.issue_tick = issue_tick;
   staged_.push_back(std::move(staged));
   AORTA_TRACE_INSTANT(tracer_, obs::SpanCat::kEval, "eval:" + group.type,
@@ -471,13 +486,13 @@ void ContinuousQueryExecutor::process_staged() {
     const StagedBatch& s = staged[p.batch];
     if (aq->join_tick >= s.issue_tick) continue;  // joined after issue
     process_event_tuple(*aq, s.tuples[p.tuple], s.devices[p.tuple],
-                        s.seqs[p.tuple], p.candidate);
+                        s.seqs[p.tuple], s.group_devices, p.candidate);
   }
 }
 
 void ContinuousQueryExecutor::process_event_tuple(
     Aq& aq, const comm::Tuple& tuple, std::uint32_t device_number,
-    std::uint64_t seq, bool candidate) {
+    std::uint64_t seq, std::uint32_t group_devices, bool candidate) {
   BindingFrame frame;
   frame.size = aq.bindings;
   frame.set(aq.event_binding, &tuple);
@@ -506,7 +521,7 @@ void ContinuousQueryExecutor::process_event_tuple(
   if (!satisfied) return;
   if (aq.edge_triggered) {
     std::vector<std::uint64_t>& last = aq.last_true_seq;
-    if (device_number >= last.size()) last.resize(device_number + 1, 0);
+    if (device_number >= last.size()) last.resize(group_devices, 0);
     std::uint64_t& prev = last[device_number];
     const bool fire = prev == 0 || prev + 1 != seq;
     prev = seq;
@@ -733,17 +748,6 @@ std::vector<const ActionOperator*> ContinuousQueryExecutor::operators() const {
   return out;
 }
 
-void ContinuousQueryExecutor::run_select(
-    const SelectStmt& stmt,
-    std::function<void(Result<std::vector<Row>>)> done) {
-  auto plan = plan_select(stmt);
-  if (!plan.is_ok()) {
-    done(Result<std::vector<Row>>(plan.status()));
-    return;
-  }
-  run_plan(std::move(plan).value(), std::move(done));
-}
-
 Result<std::shared_ptr<const CompiledQuery>>
 ContinuousQueryExecutor::plan_select(const SelectStmt& stmt) {
   using PlanResult = Result<std::shared_ptr<const CompiledQuery>>;
@@ -765,105 +769,119 @@ ContinuousQueryExecutor::plan_select(const SelectStmt& stmt) {
   return PlanResult(std::move(q));
 }
 
-void ContinuousQueryExecutor::run_plan(
-    std::shared_ptr<const CompiledQuery> q,
-    std::function<void(Result<std::vector<Row>>)> done) {
+void ContinuousQueryExecutor::run_plan(std::shared_ptr<const CompiledQuery> q,
+                                       SelectDone done) {
   // One live acquisition per table (one-shot SELECTs read sensory
   // attributes on every table, unlike continuous candidate enumeration
   // which is restricted to the static cache). Acquisitions go through the
   // shared plane, so concurrent SELECTs — and SELECTs racing an AQ's
   // epoch batch — dedupe against in-flight reads and the freshness cache.
+  // The broker lends each table's tuples for its callback only: the table
+  // acquired last is evaluated in place, those acquired before it (a join)
+  // are copied until then.
   struct MultiScan {
-    std::vector<std::string> aliases;
-    std::vector<std::vector<comm::Tuple>> tuples;
+    std::shared_ptr<const CompiledQuery> q;
+    SelectDone done;
+    std::vector<std::vector<comm::Tuple>> kept;
     std::size_t outstanding = 0;
   };
   auto multi = std::make_shared<MultiScan>();
-  for (const auto& ref : q->tables) multi->aliases.push_back(ref.alias);
-  multi->tuples.resize(multi->aliases.size());
-  multi->outstanding = multi->aliases.size();
+  multi->outstanding = q->tables.size();
+  multi->kept.resize(multi->outstanding > 1 ? multi->outstanding : 0);
+  multi->q = std::move(q);
+  multi->done = std::move(done);
 
-  auto finish = [this, q, multi, done = std::move(done)]() {
-    std::vector<Row> rows;
-    std::vector<AggFold> folds(q->aggregates.size());
-
-    auto emit = [&](const BindingFrame& frame) {
-      // Every conjunct runs (no short-circuit across conjuncts).
-      bool ok = true;
-      for (const EvalProgram& pred : q->event_programs) {
-        ok = eval_pred(pred, frame) && ok;
-      }
-      for (const EvalProgram& pred : q->join_programs) {
-        ok = eval_pred(pred, frame) && ok;
-      }
-      if (!ok) return;
-      if (!q->aggregates.empty()) {
-        for (std::size_t i = 0; i < q->aggregates.size(); ++i) {
-          const CompiledAggregate& agg = q->aggregates[i];
-          if (agg.arg == nullptr) {  // COUNT(*)
-            ++folds[i].count;
-            continue;
-          }
-          auto v = eval_expr(agg.program, frame);
-          if (v.is_ok()) folds[i].add(v.value());
-        }
-        return;
-      }
-      Row row;
-      row.reserve(q->projections.size());
-      for (std::size_t p = 0; p < q->projections.size(); ++p) {
-        auto v = eval_expr(q->projection_programs[p], frame);
-        row.emplace_back(q->labels[p],
-                         v.is_ok() ? std::move(v).value() : Value{});
-      }
-      rows.push_back(std::move(row));
-    };
-
-    // Nested-loop join over the scanned tables (at most two by the
-    // compiler's restriction). Frame slots follow the FROM-clause order,
-    // which is exactly multi->aliases' order.
-    BindingFrame frame;
-    frame.size = multi->aliases.size();
-    if (multi->tuples.size() == 1) {
-      for (const comm::Tuple& tuple : multi->tuples[0]) {
-        frame.set(0, &tuple);
-        emit(frame);
-      }
-    } else {
-      for (const comm::Tuple& a : multi->tuples[0]) {
-        for (const comm::Tuple& b : multi->tuples[1]) {
-          frame.set(0, &a);
-          frame.set(1, &b);
-          emit(frame);
-        }
-      }
-    }
-    if (!q->aggregates.empty()) {
-      Row row;
-      for (std::size_t i = 0; i < q->aggregates.size(); ++i) {
-        row.emplace_back(q->aggregates[i].label,
-                         folds[i].finalize(q->aggregates[i].op));
-      }
-      rows.push_back(std::move(row));
-    }
-    done(std::move(rows));
-  };
-  // Every table's acquisition callback shares the one completion, so
-  // `done` and whatever it captured are never copied.
-  auto shared_finish = std::make_shared<decltype(finish)>(std::move(finish));
-
-  for (std::size_t t = 0; t < multi->aliases.size(); ++t) {
-    // The plan may serve other runs: its needed sets are copied.
-    std::set<std::string> needed;
-    auto it = q->needed_attrs.find(multi->aliases[t]);
-    if (it != q->needed_attrs.end()) needed = it->second;
+  static const std::set<std::string> kEveryAttr;
+  const CompiledQuery& plan = *multi->q;
+  for (std::size_t t = 0; t < plan.tables.size(); ++t) {
+    const std::string& alias = plan.tables[t].alias;
+    auto it = plan.needed_attrs.find(alias);
     broker_->acquire_once(
-        q->table_types.at(multi->aliases[t]), std::move(needed),
-        [multi, t, shared_finish](std::vector<comm::Tuple> tuples) {
-          multi->tuples[t] = std::move(tuples);
-          if (--multi->outstanding == 0) (*shared_finish)();
+        plan.table_types.at(alias),
+        it != plan.needed_attrs.end() ? it->second : kEveryAttr,
+        [this, multi, t](const std::vector<comm::Tuple>& tuples) {
+          if (--multi->outstanding > 0) {
+            multi->kept[t] = tuples;
+            return;
+          }
+          // compile() allows at most two tables.
+          std::array<const std::vector<comm::Tuple>*, 2> tables{};
+          const std::size_t n = std::min(multi->q->tables.size(), tables.size());
+          for (std::size_t i = 0; i < n; ++i) {
+            tables[i] = i == t ? &tuples : &multi->kept[i];
+          }
+          finish_select(*multi->q, std::span(tables.data(), n), multi->done);
         });
   }
+}
+
+void ContinuousQueryExecutor::finish_select(
+    const CompiledQuery& q,
+    std::span<const std::vector<comm::Tuple>* const> tables,
+    const SelectDone& done) {
+  std::vector<Value> values = std::move(select_values_);
+  values.clear();
+  std::size_t rows = 0;
+  std::vector<AggFold>& folds = select_folds_;
+  folds.assign(q.aggregates.size(), AggFold{});
+
+  auto emit = [&](const BindingFrame& frame) {
+    // Every conjunct runs (no short-circuit across conjuncts).
+    bool ok = true;
+    for (const EvalProgram& pred : q.event_programs) {
+      ok = eval_pred(pred, frame) && ok;
+    }
+    for (const EvalProgram& pred : q.join_programs) {
+      ok = eval_pred(pred, frame) && ok;
+    }
+    if (!ok) return;
+    if (!q.aggregates.empty()) {
+      for (std::size_t i = 0; i < q.aggregates.size(); ++i) {
+        const CompiledAggregate& agg = q.aggregates[i];
+        if (agg.arg == nullptr) {  // COUNT(*)
+          ++folds[i].count;
+          continue;
+        }
+        auto v = eval_expr(agg.program, frame);
+        if (v.is_ok()) folds[i].add(v.value());
+      }
+      return;
+    }
+    for (const EvalProgram& projection : q.projection_programs) {
+      auto v = eval_expr(projection, frame);
+      values.push_back(v.is_ok() ? std::move(v).value() : Value{});
+    }
+    ++rows;
+  };
+
+  // Nested-loop join over the scanned tables (at most two by the
+  // compiler's restriction). Frame slots follow the FROM-clause order.
+  BindingFrame frame;
+  frame.size = tables.size();
+  if (tables.size() == 1) {
+    for (const comm::Tuple& tuple : *tables[0]) {
+      frame.set(0, &tuple);
+      emit(frame);
+    }
+  } else {
+    for (const comm::Tuple& a : *tables[0]) {
+      for (const comm::Tuple& b : *tables[1]) {
+        frame.set(0, &a);
+        frame.set(1, &b);
+        emit(frame);
+      }
+    }
+  }
+  if (!q.aggregates.empty()) {
+    // Without projections beside them (plan_select), the labels are the
+    // aggregates' in order.
+    for (std::size_t i = 0; i < q.aggregates.size(); ++i) {
+      values.push_back(folds[i].finalize(q.aggregates[i].op));
+    }
+    rows = 1;
+  }
+  done(SelectView{q.labels, values, rows});
+  select_values_ = std::move(values);
 }
 
 }  // namespace aorta::query

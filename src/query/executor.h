@@ -87,6 +87,23 @@ struct RowView {
 // The labelled row of a view: labels copied, values moved out of it.
 TimestampedRow to_row(const RowView& view);
 
+// A one-shot SELECT's result as it leaves the executor: the plan's labels
+// once and every row's values, row-major in one buffer the executor
+// reuses for its next SELECT, so a receiver that keeps values moves them
+// out. The labels live as long as the plan.
+struct SelectView {
+  std::span<const std::string> labels;
+  std::span<device::Value> values;  // rows x labels.size()
+  std::size_t rows = 0;
+
+  std::span<device::Value> row(std::size_t i) const {
+    return values.subspan(i * labels.size(), labels.size());
+  }
+};
+
+// The labelled rows of a view: labels copied, values moved out of it.
+std::vector<Row> to_rows(const SelectView& view);
+
 class ContinuousQueryExecutor {
  public:
   struct Options {
@@ -156,21 +173,18 @@ class ContinuousQueryExecutor {
   // Begin epoch ticking (idempotent).
   void start();
 
-  // One-shot SELECT: acquires tuples, evaluates predicates, projects the
-  // non-action select items (SELECT * arrives expanded) or folds the
-  // aggregates into one row with AggFold (query/aggregate.h). `done`
-  // receives the rows. Plan-then-run: plan_select, then run_plan.
-  void run_select(const SelectStmt& stmt,
-                  std::function<void(aorta::util::Result<std::vector<Row>>)> done);
-  // The two steps of run_select. plan_select compiles the statement
+  // One-shot SELECT, plan-then-run. plan_select compiles the statement
   // (counting its programs in eval_stats) and rejects shapes a one-shot
-  // SELECT cannot answer. run_plan acquires and evaluates; it only reads
-  // the plan, so one plan serves any number of runs, and the run holds it
-  // until `done` fires.
+  // SELECT cannot answer. run_plan acquires tuples, evaluates predicates,
+  // projects the non-action select items (SELECT * arrives expanded) or
+  // folds the aggregates into one row with AggFold (query/aggregate.h),
+  // and hands `done` the rows as a SelectView. It only reads the plan, so
+  // one plan serves any number of runs, and the run holds it until `done`
+  // fires.
+  using SelectDone = std::function<void(const SelectView&)>;
   aorta::util::Result<std::shared_ptr<const CompiledQuery>> plan_select(
       const SelectStmt& stmt);
-  void run_plan(std::shared_ptr<const CompiledQuery> plan,
-                std::function<void(aorta::util::Result<std::vector<Row>>)> done);
+  void run_plan(std::shared_ptr<const CompiledQuery> plan, SelectDone done);
 
   // ---- results / observability --------------------------------------------
   // Rows a continuous query's projections produced at its last events
@@ -286,8 +300,9 @@ class ContinuousQueryExecutor {
     // or != current seq - 1. Rows the index prunes are guaranteed
     // unsatisfied and need no bookkeeping; rows the broker skips
     // (unreachable devices) advance no sequence, so a device's edge state
-    // survives its absence. Grows only to the highest device number that
-    // satisfied the predicates.
+    // survives its absence. Empty until a row first satisfies the
+    // predicates; then sized to the group's device count at once, and
+    // again only when the group has numbered more devices since.
     std::vector<std::uint64_t> last_true_seq;
     // epochs is derived lazily from the group (query_stats()).
     mutable QueryStats stats;
@@ -342,6 +357,7 @@ class ContinuousQueryExecutor {
     std::vector<comm::Tuple> tuples;
     std::vector<std::uint32_t> devices;  // group device number per tuple
     std::vector<std::uint64_t> seqs;     // row_seq assigned to each tuple
+    std::uint32_t group_devices = 0;     // devices the group has numbered
     std::uint64_t issue_tick = 0;
   };
 
@@ -359,16 +375,17 @@ class ContinuousQueryExecutor {
   void on_tick();
   // Stage a group's batch at fan-out, process all staged batches at the
   // broker's delivery epilogue, evaluate one (member, tuple) pair.
-  // `device_number` is the tuple's device in the member's group;
-  // `candidate` distinguishes index candidates (constraint and checks
-  // satisfied; maybe exact) from residual-list members.
+  // `device_number` is the tuple's device in the member's group, which
+  // numbered `group_devices` devices at staging; `candidate` distinguishes
+  // index candidates (constraint and checks satisfied; maybe exact) from
+  // residual-list members.
   void stage_group_batch(DeliveryGroup& group,
                          const std::vector<comm::Tuple>& tuples,
                          std::uint64_t issue_tick);
   void process_staged();
   void process_event_tuple(Aq& aq, const comm::Tuple& tuple,
                            std::uint32_t device_number, std::uint64_t seq,
-                           bool candidate);
+                           std::uint32_t group_devices, bool candidate);
   // Event tail once a fire is decided: trace, projections (row hook),
   // action fan-out.
   void fire_event(Aq* aq, const comm::Tuple& tuple, const BindingFrame& frame);
@@ -398,6 +415,11 @@ class ContinuousQueryExecutor {
   // Keep what evaluation reads of a delivery-group member's compiled
   // query as its plan; the rest dies with `compiled`.
   void adopt_plan(Aq& aq, CompiledQuery compiled) const;
+  // run_plan's evaluation once every table is acquired: `tables[i]` holds
+  // the tuples of FROM entry i.
+  void finish_select(const CompiledQuery& q,
+                     std::span<const std::vector<comm::Tuple>* const> tables,
+                     const SelectDone& done);
 
   // Run one compiled expression over a frame, counting into eval_stats_.
   aorta::util::Result<device::Value> eval_expr(const EvalProgram& program,
@@ -448,8 +470,12 @@ class ContinuousQueryExecutor {
   OutcomeSink outcome_sink_;
   EvalStats eval_stats_;
   // fire_event's projected values, reused from row to row (taken out
-  // while a hook holds them, so a re-entrant fire cannot overwrite them).
+  // while a hook holds them, so a re-entrant fire cannot overwrite them),
+  // and finish_select's rows and aggregate folds, reused from SELECT to
+  // SELECT (the rows taken out likewise while `done` holds them).
   std::vector<device::Value> row_values_;
+  std::vector<device::Value> select_values_;
+  std::vector<AggFold> select_folds_;
 };
 
 }  // namespace aorta::query

@@ -8,7 +8,6 @@
 namespace aorta::shard {
 
 using aorta::util::Duration;
-using aorta::util::Result;
 using aorta::util::Status;
 
 namespace {
@@ -384,22 +383,16 @@ void Worker::run_once_select(const net::Message& msg,
   // holds the plan until then, evicted or not. A generation bump in
   // between discards the rows with the superseded stream.
   engine_.executor().run_plan(
-      std::move(plan), [this, alive, id = spec.id, gen = gen_](
-                           Result<std::vector<query::Row>> outcome) {
-        // run_plan reports no errors; were one to fail, the czar settles
-        // the target at its SELECT deadline.
-        if (!*alive || gen != gen_ || !outcome.is_ok()) return;
-        std::vector<query::Row>& rows = outcome.value();
-        std::vector<std::string> labels;
-        if (!rows.empty()) {
-          for (const auto& field : rows.front()) labels.push_back(field.first);
-        }
-        const std::size_t group = pending_.add_group(id, labels);
-        std::vector<device::Value> values;
-        for (query::Row& row : rows) {
-          values.clear();
-          for (auto& field : row) values.push_back(std::move(field.second));
-          pending_.add_row(group, engine_.loop().now(), false, values);
+      std::move(plan), [this, alive, id = spec.id,
+                        gen = gen_](const query::SelectView& result) {
+        if (!*alive || gen != gen_) return;
+        // An empty result announces no labels, as a group whose labels
+        // come from its first row would not.
+        const std::size_t group = pending_.add_group(
+            id, result.rows == 0 ? std::span<const std::string>()
+                                 : result.labels);
+        for (std::size_t r = 0; r < result.rows; ++r) {
+          pending_.add_row(group, engine_.loop().now(), false, result.row(r));
         }
         ++stats_.selects_served;
         schedule_flush();

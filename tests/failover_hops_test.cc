@@ -1,6 +1,11 @@
 // Tests for action failover (retry on remaining candidates) and multi-hop
-// cost-aware device selection.
+// cost-aware device selection, and the one-shot self-join over the same
+// motes.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <variant>
+#include <vector>
 
 #include "core/aorta.h"
 
@@ -121,6 +126,39 @@ TEST(MultiHopSelectionTest, DeviceSelectionPrefersShallowMotes) {
   EXPECT_EQ(sys.action_stats("alarm").usable, 1u);
   EXPECT_EQ(sys.mote("shallow")->beeps(), 1u);  // picked over the deep one
   EXPECT_EQ(sys.mote("deep")->beeps(), 0u);
+
+  // The same self-join as a one-shot SELECT acquires the sensor table
+  // twice in one run. With a sensory column both acquisitions are in
+  // flight at once, each on its own tuple block; with static columns only
+  // the first completes, and is kept, before the second takes the block
+  // it gave back. Either way every ordered pair within range is joined,
+  // in nested-loop order, and a repeated run returns the same rows.
+  for (const char* sql :
+       {"SELECT s.id, m.id, m.hops, m.accel_x FROM sensor s, sensor m "
+        "WHERE distance(m.loc, s.loc) < 3 AND m.id <> s.id",
+        "SELECT s.id, m.id, m.hops FROM sensor s, sensor m "
+        "WHERE distance(m.loc, s.loc) < 3 AND m.id <> s.id"}) {
+    for (int run = 0; run < 2; ++run) {
+      auto joined = sys.exec(sql);
+      ASSERT_TRUE(joined.is_ok()) << joined.status().message();
+      std::vector<std::string> pairs;
+      for (const query::Row& row : joined.value().rows) {
+        ASSERT_GE(row.size(), 3u);
+        pairs.push_back(device::value_to_string(row[0].second) + " " +
+                        device::value_to_string(row[1].second) + " " +
+                        device::value_to_string(row[2].second));
+        if (row.size() == 4) {
+          EXPECT_FALSE(std::holds_alternative<std::monostate>(row[3].second))
+              << pairs.back();
+        }
+      }
+      EXPECT_EQ(pairs, (std::vector<std::string>{
+                           "'deep' 'shallow' 1", "'deep' 'trigger' 1",
+                           "'shallow' 'deep' 5", "'shallow' 'trigger' 1",
+                           "'trigger' 'deep' 5", "'trigger' 'shallow' 1"}))
+          << sql << " run " << run;
+    }
+  }
 }
 
 }  // namespace

@@ -10,9 +10,13 @@
 //    czar, and a rejected sharded CREATE AQ leaves nothing registered;
 //  - the one-shot SELECT fold and the continuous per-epoch window fold
 //    agree value for value over NULL, string and numeric inputs, at 1 and
-//    4 shards.
+//    4 shards;
+//  - one-shot SELECTs over static, sensory and mixed columns, aggregates,
+//    an empty result and an unreachable device return the same rows on
+//    the single engine and at 1 and 4 shards, run after run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <variant>
@@ -293,6 +297,67 @@ TEST(FoldParityTest, OneShotMatchesFirstWindowAtOneShard) {
 
 TEST(FoldParityTest, OneShotMatchesFirstWindowAtFourShards) {
   expect_one_shot_matches_first_window(4);
+}
+
+// ------------------------------------------------ one-shot results
+
+// Each statement's rows as sorted row keys (the czar concatenates the
+// shards' rows in shard order), twice over: every statement runs once,
+// then the whole list again, so later runs read tuples and value buffers
+// earlier ones left for reuse. m6 is offline: the sensory statements skip
+// it, the static ones keep it.
+std::vector<std::vector<std::string>> one_shot_results(int num_shards) {
+  const char* const kSelects[] = {
+      "SELECT s.id, s.loc FROM sensor s WHERE s.hops = 1",
+      "SELECT s.id, s.temp FROM sensor s",
+      "SELECT s.id, s.loc, s.temp FROM sensor s WHERE s.temp < 30",
+      "SELECT count(*), max(s.temp), avg(s.temp) FROM sensor s",
+      "SELECT count(*), max(s.hops) FROM sensor s",
+      "SELECT s.id FROM sensor s WHERE s.temp > 100",
+      "SELECT s.id FROM sensor s",
+  };
+  World w(num_shards);
+  devices::Mica2Mote* offline = num_shards == 0
+                                    ? w.sys.mote("m6")
+                                    : w.service->plane()->mote("m6");
+  EXPECT_NE(offline, nullptr);
+  if (offline != nullptr) offline->set_online(false);
+  std::vector<std::vector<std::string>> out;
+  for (int round = 0; round < 2; ++round) {
+    for (const char* sql : kSelects) {
+      auto rows = w.exec(sql);
+      EXPECT_TRUE(rows.is_ok()) << sql << ": " << rows.status().message();
+      std::vector<std::string> keys;
+      if (rows.is_ok()) {
+        for (const query::Row& row : rows.value()) keys.push_back(row_key(row));
+      }
+      std::sort(keys.begin(), keys.end());
+      out.push_back(std::move(keys));
+    }
+  }
+  return out;
+}
+
+TEST(OneShotResultTest, SameRowsOnTheEngineAndAtOneAndFourShards) {
+  const std::vector<std::vector<std::string>> engine = one_shot_results(0);
+  ASSERT_EQ(engine.size(), 14u);
+  // Hand-checked on the engine: the static statements see all seven
+  // motes, the sensory ones the six online; the empty result has no row.
+  EXPECT_EQ(engine[0].size(), 7u);
+  EXPECT_EQ(engine[1].size(), 6u);
+  EXPECT_EQ(engine[2].size(), 5u);
+  EXPECT_EQ(engine[3],
+            std::vector<std::string>{"count(*)=i6|max(s.temp)=d36|"
+                                     "avg(s.temp)=d25.166666666666668|"});
+  EXPECT_EQ(engine[4],
+            std::vector<std::string>{"count(*)=i7|max(s.hops)=d1|"});
+  EXPECT_TRUE(engine[5].empty());
+  EXPECT_EQ(engine[6].size(), 7u);
+  for (std::size_t i = 0; i < 7; ++i) {
+    EXPECT_EQ(engine[i + 7], engine[i]) << "second run of statement " << i;
+  }
+  EXPECT_EQ(one_shot_results(1), engine);
+  EXPECT_EQ(one_shot_results(4), engine);
 }
 
 }  // namespace

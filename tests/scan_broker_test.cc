@@ -300,12 +300,23 @@ TEST_F(BrokerFixture, DeviceTableFollowsTheRegistryBetweenBatches) {
   EXPECT_EQ(once(), last);
 }
 
-// A HealthView with a fixed quarantine set.
+// A HealthView over a quarantine set that changes only through
+// quarantine/release, each of which moves the version.
 struct QuarantineSet : device::HealthView {
   std::set<device::DeviceId> ids;
+  std::uint64_t moves = 0;
+  void quarantine(const device::DeviceId& id) {
+    ids.insert(id);
+    ++moves;
+  }
+  void release(const device::DeviceId& id) {
+    ids.erase(id);
+    ++moves;
+  }
   bool is_quarantined(const device::DeviceId& id) const override {
     return ids.count(id) > 0;
   }
+  std::uint64_t version() const override { return moves; }
   void report(const device::DeviceId&, device::HealthOutcomeKind,
               bool) override {}
 };
@@ -349,7 +360,7 @@ TEST_F(BrokerFixture, SharedBatchMasksEveryWaiterToItsNeeds) {
   // last-known-good.
   broker.acquire_once("sensor", {"temp"}, [](std::vector<comm::Tuple>) {});
   loop.run_all();
-  health.ids.insert("m2");
+  health.quarantine("m2");
   dead->set_online(false);
 
   std::map<std::string, std::vector<comm::Tuple>> got;
@@ -415,6 +426,31 @@ TEST_F(BrokerFixture, SharedBatchMasksEveryWaiterToItsNeeds) {
           << lone[d].source_device() << " slot " << i;
     }
   }
+
+  // Consecutive one-shots reuse the type's tuple block: a wide one, a
+  // narrow one and the wide one again each see NULL outside their own
+  // slots, and m2's degraded marker follows it out of quarantine and back
+  // in between two acquisitions.
+  auto once = [&](const std::set<std::string>& needed) {
+    std::vector<std::string> out;
+    broker.acquire_once("sensor", needed,
+                        [&](const std::vector<comm::Tuple>& t) {
+                          out = shapes(t);
+                        });
+    loop.run_all();
+    return out;
+  };
+  EXPECT_EQ(once({}), shapes(got["all"]));
+  EXPECT_EQ(once({"hops"}), shapes(got["hops"]));
+  EXPECT_EQ(once({}), shapes(got["all"]));
+  health.release("m2");
+  EXPECT_EQ(once({"hops"}),
+            (std::vector<std::string>{"m1:hops", "m2:hops", "m3:hops"}));
+  EXPECT_EQ(once({"loc", "temp"}),
+            (std::vector<std::string>{"m1:loc,temp", "m2:loc,temp"}));
+  health.quarantine("m2");
+  EXPECT_EQ(once({"hops"}), shapes(got["hops"]));
+  EXPECT_EQ(once({"loc", "temp"}), shapes(got["loc_temp"]));
 }
 
 // ---------------------------------------------------- executor integration

@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Symbolize and summarize tools/heap_profile.c reports, or diff two.
 
+It reads tools/alloc_count.c's per-site reports (ALLOC_COUNT_SITES=N) the
+same way: there a site's blocks are the allocations it made and its MB the
+bytes they requested, and groups sort by allocations instead of MB.
+
 heap_profile.c prints the top allocation sites by live bytes at the peak
 (or, with HEAP_PROFILE_AT=exit, at the end of the program's work), each
 frame as module+offset. This script resolves every frame with
@@ -28,6 +32,8 @@ from collections import defaultdict
 
 HEADER = re.compile(r"^#(\d+) ([0-9.]+) MB in (\d+) blocks")
 TITLE = re.compile(r"^heap_profile: .*?(exit snapshot|snapshot at) ([0-9.]+) MB")
+COUNT_HEADER = re.compile(r"^#(\d+) (\d+) allocs (\d+) bytes")
+COUNT_TITLE = re.compile(r"^alloc_count: allocs=(\d+)")
 FRAME = re.compile(r"^\s+(\S+)\+0x([0-9a-f]+)$")
 NO_AORTA = "(no aorta:: frame)"
 
@@ -35,7 +41,8 @@ NO_AORTA = "(no aorta:: frame)"
 def parse(path):
     """One report: (snapshot kind, its live MB, sites), each site
     {mb, blocks, frames: [(module, offset)]}. The kind is "peak" or "exit"
-    (HEAP_PROFILE_AT=exit)."""
+    (HEAP_PROFILE_AT=exit), or "allocs" for an alloc_count report, whose
+    second field is then the process's allocation count."""
     kind, live, sites = "peak", 0.0, []
     with open(path, errors="replace") as f:
         for line in f:
@@ -44,10 +51,19 @@ def parse(path):
                 kind = "exit" if m.group(1) == "exit snapshot" else "peak"
                 live = float(m.group(2))
                 continue
+            m = COUNT_TITLE.match(line)
+            if m:
+                kind, live = "allocs", float(m.group(1))
+                continue
             m = HEADER.match(line)
             if m:
                 sites.append({"mb": float(m.group(2)),
                               "blocks": int(m.group(3)), "frames": []})
+                continue
+            m = COUNT_HEADER.match(line)
+            if m:
+                sites.append({"mb": int(m.group(3)) / 1e6,
+                              "blocks": int(m.group(2)), "frames": []})
                 continue
             m = FRAME.match(line)
             if m and sites:
@@ -119,11 +135,13 @@ def per_block(mb, blocks):
     return f"{mb * 1e6 / blocks:.0f}" if blocks else "-"
 
 
-def print_summary(groups, top, show_sites):
+def print_summary(groups, top, show_sites, counts):
     total_mb = sum(g[0] for g in groups.values())
     total_blocks = sum(g[1] for g in groups.values())
-    print(f"{'MB':>9} {'blocks':>10} {'B/block':>8}  group")
-    ordered = sorted(groups.items(), key=lambda kv: -kv[1][0])
+    blk = "allocs" if counts else "blocks"
+    print(f"{'MB':>9} {blk:>10} {'B/' + blk[:-1]:>8}  group")
+    rank = 1 if counts else 0
+    ordered = sorted(groups.items(), key=lambda kv: -kv[1][rank])
     for key, (mb, blocks, sites) in ordered[:top]:
         print(f"{mb:9.2f} {blocks:10d} {per_block(mb, blocks):>8}  {key}")
         if show_sites:
@@ -144,20 +162,24 @@ def print_summary(groups, top, show_sites):
           "listed")
 
 
-def print_diff(base, change, top):
+def print_diff(base, change, top, counts):
     keys = set(base) | set(change)
     zero = [0.0, 0, []]
     rows = []
+    rank = 1 if counts else 0
     for key in keys:
         b = base.get(key, zero)
         c = change.get(key, zero)
-        rows.append((c[0] - b[0], key, b, c))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    print(f"{'base MB':>9} {'change MB':>9} {'delta':>8} {'base blk':>9} "
-          f"{'chg blk':>9} {'B/blk':>6} {'B/blk':>6}  group")
+        rows.append((c[rank] - b[rank], key, b, c))
+    # Bytes: largest drop first. Allocations: largest change either way.
+    rows.sort(key=lambda r: (-abs(r[0]) if counts else r[0], r[1]))
+    blk = "alc" if counts else "blk"
+    print(f"{'base MB':>9} {'change MB':>9} {'delta':>8} {'base ' + blk:>9} "
+          f"{'chg ' + blk:>9} {'B/' + blk:>6} {'B/' + blk:>6}  group")
     for delta, key, b, c in rows[:top]:
-        print(f"{b[0]:9.2f} {c[0]:9.2f} {delta:+8.2f} {b[1]:9d} {c[1]:9d} "
-              f"{per_block(b[0], b[1]):>6} {per_block(c[0], c[1]):>6}  {key}")
+        print(f"{b[0]:9.2f} {c[0]:9.2f} {c[0] - b[0]:+8.2f} {b[1]:9d} "
+              f"{c[1]:9d} {per_block(b[0], b[1]):>6} "
+              f"{per_block(c[0], c[1]):>6}  {key}")
     if len(rows) > top:
         print(f"({len(rows) - top} more groups)")
     tb = sum(g[0] for g in base.values())
@@ -183,16 +205,23 @@ def main():
         ap.error("give one report, or two to diff")
     parsed = [parse(path) for path in args.reports]
     for path, (kind, live, _) in zip(args.reports, parsed):
-        print(f"{path}: {kind} snapshot, {live:.2f} MB live")
-    if len({kind for kind, _, _ in parsed}) > 1:
+        if kind == "allocs":
+            print(f"{path}: alloc_count sites, {live:.0f} allocations")
+        else:
+            print(f"{path}: {kind} snapshot, {live:.2f} MB live")
+    kinds = {kind for kind, _, _ in parsed}
+    if "allocs" in kinds and len(kinds) > 1:
+        ap.error("cannot diff an alloc_count report against a heap profile")
+    if len(kinds) > 1:
         print("warning: diffing a peak snapshot against an exit snapshot")
+    counts = kinds == {"allocs"}
     names = symbolize([site for _, _, sites in parsed for site in sites])
     groups = [group(sites, names, args.depth, args.match)
               for _, _, sites in parsed]
     if len(groups) == 1:
-        print_summary(groups[0], args.top, args.sites)
+        print_summary(groups[0], args.top, args.sites, counts)
     else:
-        print_diff(groups[0], groups[1], args.top)
+        print_diff(groups[0], groups[1], args.top, counts)
     return 0
 
 
